@@ -25,7 +25,7 @@ from .families import (
     moment,
     rademacher,
 )
-from .fields import GridSpec, OutOfHullError, TimeGrid, ValueField
+from .fields import GridSpec, OutOfHullError, ValueField
 from .gheat import (
     CFLViolatedError,
     ControlPath,
@@ -33,7 +33,6 @@ from .gheat import (
     GHeatProblem,
     NotConvexError,
     SchemeSpec,
-    barenblatt_rhs,
     constant_control,
     convex_oracle,
     default_spec,
@@ -66,12 +65,7 @@ from .rates import (
     fit_loglog,
     theoretical_exponent,
 )
-from .recursion import (
-    ModeMismatchError,
-    origin_value,
-    solve_recursion,
-    step_expectation,
-)
+from .recursion import ModeMismatchError, origin_value, solve_recursion
 from .smoothing import (
     DomainTooSmallError,
     HypothesisViolatedError,

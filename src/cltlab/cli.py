@@ -19,13 +19,14 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 from .errors import LabError
 from .families import Family, builtin_family, family_from_config, family_to_config
 from .fields import GridSpec
 from .gheat import GHeatProblem, SchemeSpec, default_spec, richardson_value, solve_gheat
 from .output import OutputDir, svg_loglog, write_csv, write_json
-from .payoffs import make_payoff
+from .payoffs import payoff_from_config
 from .rates import conjecture_experiment, error_curve
 from .recursion import solve_recursion
 from .smoothing import (
@@ -98,13 +99,8 @@ def _resolve_payoff(cfg):
     if cfg is None:
         raise ConfigInvalidError("a phi selection is required")
     try:
-        return make_payoff(
-            cfg["phi"],
-            beta=cfg.get("beta"),
-            knots=cfg.get("knots"),
-            values=cfg.get("values"),
-        )
-    except (KeyError, ValueError) as exc:
+        return payoff_from_config(cfg)
+    except ValueError as exc:
         raise ConfigInvalidError(f"bad phi: {exc}") from exc
 
 
@@ -116,7 +112,7 @@ def _parse_family_arg(text: str):
             raise ConfigInvalidError(f"family JSON does not parse: {exc}") from exc
     if text.startswith("@"):
         try:
-            return json.loads(open(text[1:], encoding="utf-8").read())
+            return json.loads(Path(text[1:]).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigInvalidError(f"family file {text[1:]}: {exc}") from exc
     return text
@@ -477,26 +473,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         cfg.family = _parse_family_arg(args.family)
     if getattr(args, "phi", None) is not None:
         cfg.phi = _parse_phi_arg(args.phi, getattr(args, "beta", None))
-    for name in (
-        "ns",
-        "n",
-        "mode",
-        "h",
-        "half_width",
-        "sigma_under",
-        "sigma_bar",
-        "eps",
-        "a",
-        "slack",
-        "source",
-        "ref_h",
-        "exponent_rule",
-        "strict_reference",
-        "emit_svg",
-        "emit_field",
-    ):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
+    for f in dataclasses.fields(RunConfig):
+        if f.name in ("command", "out_dir", "family", "phi"):
+            continue  # set above
+        if getattr(args, f.name, None) is not None:
+            setattr(cfg, f.name, getattr(args, f.name))
     return cfg
 
 

@@ -23,27 +23,11 @@ class OutOfHullError(LabError, ValueError):
 
 
 @dataclass(frozen=True)
-class TimeGrid:
-    """The uniform backward-recursion times k/n for k = 0..n."""
-
-    n: int
-
-    def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"need integer n >= 1, got {self.n}")
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.arange(self.n + 1) / self.n
-
-
-@dataclass(frozen=True)
 class GridSpec:
-    """Uniform spatial grid: points ``center + j * step`` for ``|j * step| <= half_width``."""
+    """Uniform spatial grid: points ``j * step`` for ``|j * step| <= half_width``."""
 
     step: float
     half_width: float
-    center: float = 0.0
 
     def __post_init__(self):
         if self.step <= 0 or self.half_width <= 0:
@@ -51,7 +35,7 @@ class GridSpec:
 
     def points(self) -> np.ndarray:
         half = round(self.half_width / self.step)
-        return self.center + (np.arange(2 * half + 1) - half) * self.step
+        return (np.arange(2 * half + 1) - half) * self.step
 
 
 @dataclass

@@ -6,8 +6,8 @@ The value under volatility uncertainty solves, in the viscosity sense,
 
 backwards from the terminal data. Because ``sigma -> sigma^2 * p`` is linear
 in ``sigma^2``, the sup over the volatility interval sits at an endpoint:
-``sup sigma^2 p = sigma_bar^2 * max(p, 0) - sigma_under^2 * max(-p, 0)``.
-That endpoint reduction is what :func:`barenblatt_rhs` implements.
+``sup sigma^2 p = max(sigma_bar^2 * p, sigma_under^2 * p)``. The scheme
+applies that endpoint reduction to its second difference at every point.
 
 The scheme is explicit time marching with a centered second difference.
 Under the CFL condition ``tau * sigma_bar^2 / h^2 <= 1`` every update is a
@@ -19,8 +19,16 @@ negligible at the origin. Reported values always go through
 :func:`richardson_value`, which pairs the base grid with (h/2, tau/4) and
 returns the difference as an error bar.
 
-Degenerate lower bounds (``sigma_under = 0``) need no special handling; they
-only flatten the negative-curvature branch of the endpoint reduction.
+With ``n`` steps of ``tau = 1/n``, one step is one level of the discrete
+sup-recursion over two trinomial laws on ``{-s, 0, s}``, ``s = h * sqrt(n)``
+(so each step moves by ``h``), whose end weights are
+``tau * sigma^2 / (2 h^2)`` at ``sigma = sigma_bar`` and at
+``sigma = sigma_under``. Up to rounding and the frozen boundary the two
+agree; the test suite pins that identity.
+
+Degenerate bounds need no special handling: ``sigma_under = 0`` only
+flattens the negative-curvature branch of the endpoint reduction, and
+``sigma_bar = 0`` zeroes every update, leaving the terminal data in place.
 
 Time levels are sequential; each level's stencil sweep is a pure per-point
 map, vectorized in a fixed order, so results match the sequential sweep bit
@@ -41,6 +49,7 @@ from .fields import ValueField
 from .payoffs import Payoff
 
 CFL_TOL = 1e-12
+MAX_STORED_LEVELS = 257  # time levels kept by store="levels"
 
 
 class CFLViolatedError(LabError, ValueError):
@@ -100,23 +109,17 @@ def default_spec(prob: GHeatProblem, h: float = 1.0 / 400.0) -> SchemeSpec:
     return SchemeSpec(h=h, tau=tau, half_width=max(8.0 * sb, 1.0))
 
 
-def barenblatt_rhs(second_diff: float, sigma_under: float, sigma_bar: float) -> float:
-    """``(1/2) * sup_{sigma in [sigma_under, sigma_bar]} sigma^2 * second_diff``."""
-    return 0.5 * max(sigma_bar**2 * second_diff, sigma_under**2 * second_diff)
-
-
 def solve_gheat(
     prob: GHeatProblem,
     spec: SchemeSpec,
     store: str = "levels",
-    max_levels: int = 257,
 ) -> ValueField:
     """Explicit backward march from the terminal data.
 
-    ``store="levels"`` keeps a strided subset of at most ``max_levels`` time
-    levels (always including the initial and terminal ones) for regularity
-    audits; ``store="final"`` keeps only the initial time. The origin value
-    is identical either way.
+    ``store="levels"`` keeps a strided subset of at most
+    ``MAX_STORED_LEVELS`` time levels (always including the initial and
+    terminal ones) for regularity audits; ``store="final"`` keeps only the
+    initial time. The origin value is identical either way.
     """
     if store not in ("levels", "final"):
         raise ValueError(f"unknown store mode {store!r}")
@@ -130,14 +133,6 @@ def solve_gheat(
         raise DegenerateGridError("need at least 3 interior points")
     terminal = np.asarray(prob.payoff(x), dtype=float)
 
-    if prob.sigma_bar == 0.0:
-        # no diffusion: the value is the terminal function at every time
-        levels = [terminal.copy(), terminal.copy()]
-        times = np.array([0.0, 1.0])
-        if store == "final":
-            levels, times = levels[:1], times[:1]
-        return ValueField("grid", 1, spec.h, times, [x] * len(levels), levels)
-
     lam = spec.cfl_ratio(prob.sigma_bar)
     if lam > 1.0 + CFL_TOL:
         raise CFLViolatedError(f"tau*sigma_bar^2/h^2 = {lam} exceeds 1")
@@ -147,7 +142,7 @@ def solve_gheat(
     a_lo = tau * prob.sigma_under**2 / (2.0 * spec.h**2)
     equal = prob.sigma_under == prob.sigma_bar
 
-    stride = max(1, -(-(steps + 1) // max_levels)) if store == "levels" else 0
+    stride = max(1, -(-(steps + 1) // MAX_STORED_LEVELS)) if store == "levels" else 0
     kept: dict[int, np.ndarray] = {}
     if store == "levels":
         kept[steps] = terminal.copy()

@@ -2,7 +2,9 @@
 
 The recursion starts from the terminal function and, one level at a time,
 replaces each value by the largest expectation of the next level over the
-family, with steps scaled by ``1/sqrt(n)``. Two execution modes:
+family, with steps scaled by ``1/sqrt(n)``. One level loop serves two
+execution modes, which differ only in their points and in how one member's
+expectation is formed:
 
 * ``lattice`` (used whenever the family has a common support step ``c``):
   level ``k`` lives on the cone ``{j * c/sqrt(n) : |j| <= k * m}`` where
@@ -81,39 +83,6 @@ def _expect_grid(values, x, dist: DiscreteDist, n: int, payoff: Payoff):
     return out
 
 
-def step_expectation(
-    values,
-    dist: DiscreteDist,
-    n: int,
-    mode: str,
-    *,
-    lattice_step: float | None = None,
-    x_points=None,
-    payoff: Payoff | None = None,
-):
-    """Expected next-level slice ``E values(x + xi / sqrt(n))`` for one law.
-
-    Lattice mode returns a slice shrunk by ``m`` points on each side, where
-    ``m`` is the largest absolute support offset; grid mode returns a
-    same-length slice with off-grid positions priced by the terminal
-    function.
-    """
-    values = np.asarray(values, dtype=float)
-    if mode == "lattice":
-        if lattice_step is None:
-            raise ModeMismatchError("lattice mode requires a lattice step")
-        offsets = _lattice_offsets(dist, lattice_step)
-        reach = max(abs(o) for o in offsets)
-        if values.size <= 2 * reach:
-            raise GridTooSmallError("slice shorter than one step's reach")
-        return _expect_lattice(values, dist, offsets, reach)
-    if mode == "grid":
-        if x_points is None or payoff is None:
-            raise ValueError("grid mode requires x_points and payoff")
-        return _expect_grid(values, np.asarray(x_points, dtype=float), dist, n, payoff)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def resolve_mode(family: Family, mode: str | None) -> str:
     if mode is None:
         return "lattice" if family.lattice_step is not None else "grid"
@@ -124,54 +93,62 @@ def resolve_mode(family: Family, mode: str | None) -> str:
     return mode
 
 
-def default_grid(family: Family, n: int, center: float = 0.0) -> GridSpec:
+def default_grid(family: Family, n: int) -> GridSpec:
     """Grid used when no spec is given: step 1/n, half width ``8 * sigma_bar``."""
-    hw = 8.0 * family.sigma_bar + abs(center)
-    return GridSpec(step=1.0 / n, half_width=max(hw, 1.0), center=center)
+    return GridSpec(step=1.0 / n, half_width=max(8.0 * family.sigma_bar, 1.0))
 
 
 def _march(family: Family, payoff: Payoff, n: int, mode: str, grid, collect):
-    """Run the backward loop, handing each level (k, x, values) to ``collect``."""
+    """Run the backward loop, handing each level (k, points, values) to ``collect``.
+
+    Each mode sets up ``points(k)``, which builds level k's points on demand,
+    and one expectation per member; the level loop is shared. Returns the
+    spacing, ``points`` and the values of level 0.
+    """
     if int(n) != n or n < 1:
         raise ValueError(f"need integer n >= 1, got {n}")
     n = int(n)
     if mode == "lattice":
         step = family.lattice_step
-        delta = step / math.sqrt(n)
+        h = step / math.sqrt(n)
         member_offsets = [_lattice_offsets(d, step) for d in family.members]
         reach = max(max(abs(o) for o in offs) for offs in member_offsets)
-        k = n
-        x = np.arange(-k * reach, k * reach + 1) * delta
-        cur = np.asarray(payoff(x), dtype=float)
-        collect(k, x, cur)
-        for k in range(n - 1, -1, -1):
-            best = None
-            for dist, offs in zip(family.members, member_offsets):
-                e = _expect_lattice(cur, dist, offs, reach)
-                best = e if best is None else np.maximum(best, e)
-            cur = best
-            collect(k, np.arange(-k * reach, k * reach + 1) * delta, cur)
-        return delta, cur
 
-    grid = grid or default_grid(family, n)
-    if grid.half_width + 1e-12 < 8.0 * family.sigma_bar + abs(grid.center):
-        raise GridTooSmallError(
-            f"half width {grid.half_width} below 8*sigma_bar + |center| = "
-            f"{8.0 * family.sigma_bar + abs(grid.center)}"
-        )
-    x = grid.points()
-    if x.size < 3:
-        raise GridTooSmallError("grid needs at least 3 points")
-    cur = np.asarray(payoff(x), dtype=float)
-    collect(n, x, cur)
+        def points(k):
+            return np.arange(-k * reach, k * reach + 1) * h
+
+        expectations = [
+            lambda v, d=d, offs=offs: _expect_lattice(v, d, offs, reach)
+            for d, offs in zip(family.members, member_offsets)
+        ]
+    else:
+        grid = grid or default_grid(family, n)
+        if grid.half_width + 1e-12 < 8.0 * family.sigma_bar:
+            raise GridTooSmallError(
+                f"half width {grid.half_width} below 8*sigma_bar = "
+                f"{8.0 * family.sigma_bar}"
+            )
+        h, x = grid.step, grid.points()
+        if x.size < 3:
+            raise GridTooSmallError("grid needs at least 3 points")
+
+        def points(k):
+            return x
+
+        expectations = [
+            lambda v, d=d: _expect_grid(v, x, d, n, payoff) for d in family.members
+        ]
+
+    cur = np.asarray(payoff(points(n)), dtype=float)
+    collect(n, points, cur)
     for k in range(n - 1, -1, -1):
         best = None
-        for dist in family.members:
-            e = _expect_grid(cur, x, dist, n, payoff)
+        for expect in expectations:
+            e = expect(cur)
             best = e if best is None else np.maximum(best, e)
         cur = best
-        collect(k, x, cur)
-    return grid.step, cur
+        collect(k, points, cur)
+    return h, points, cur
 
 
 def solve_recursion(
@@ -186,11 +163,11 @@ def solve_recursion(
     xs: list[np.ndarray] = [None] * (n + 1)
     values: list[np.ndarray] = [None] * (n + 1)
 
-    def collect(k, x, v):
-        xs[k] = x
+    def collect(k, points, v):
+        xs[k] = points(k)
         values[k] = np.array(v, dtype=float, copy=True)
 
-    h, _ = _march(family, payoff, n, mode, grid, collect)
+    h, _, _ = _march(family, payoff, n, mode, grid, collect)
     return ValueField(
         mode=mode,
         n=int(n),
@@ -210,8 +187,7 @@ def origin_value(
 ) -> float:
     """Initial-time value at x = 0 without storing the field (O(n) memory)."""
     mode = resolve_mode(family, mode)
-    _, final = _march(family, payoff, n, mode, grid, lambda k, x, v: None)
+    _, points, final = _march(family, payoff, n, mode, grid, lambda k, p, v: None)
     if mode == "lattice":
         return float(final[final.size // 2])
-    pts = (grid or default_grid(family, n)).points()
-    return float(np.interp(0.0, pts, final))
+    return float(np.interp(0.0, points(0), final))

@@ -33,6 +33,12 @@ from .fields import ValueField
 from .recursion import FLOAT_ROUNDING
 
 FP_SLACK = FLOAT_ROUNDING  # rounding envelope granted on exact inequalities
+HYPOTHESIS_LINES = 160  # strided times and points per axis in the hypothesis audit
+HYPOTHESIS_TOL = 1e-9  # excess the hypothesis audit forgives
+VERIFY_LINES = 64  # strided lines per axis for the derivative moduli
+REGULARITY_POINTS = 512  # strided points per level in the regularity audit
+REGULARITY_LEVELS = 150  # strided levels in the regularity audit
+PAIR_BLOCK = 1 << 14  # pair differences per block; cache-sized beats whole matrices
 
 
 class ResolutionTooCoarseError(LabError, ValueError):
@@ -210,41 +216,43 @@ def _strided(n: int, cap: int) -> np.ndarray:
     return np.unique(np.linspace(0, n - 1, cap).round().astype(int))
 
 
-def audit_surface_hypotheses(
-    surface: SampledSurface,
-    beta: float | None = None,
-    a: float | None = None,
-    *,
-    max_lines: int = 160,
-    fp_tol: float = 1e-9,
-) -> tuple[float, float]:
-    """Worst excesses over the declared spatial and temporal moduli.
+def _holder_excess(coords, values, exponent: float, slack: float) -> float:
+    """Worst excess of a Holder-type modulus over pairs along axis 0.
+
+    Returns the largest ``|values[i] - values[j]|`` minus
+    ``|coords[i] - coords[j]|**exponent + slack``, floored at zero. Further
+    axes of ``values`` are lines compared at the same pair. Pair rows are
+    formed a block at a time, about ``PAIR_BLOCK`` differences per block.
+    """
+    worst = 0.0
+    rows = max(1, PAIR_BLOCK // values.size)
+    line_axes = (1,) * (values.ndim - 1)
+    for i in range(0, coords.size, rows):
+        bound = np.abs(coords[:, None] - coords[None, i : i + rows]) ** exponent + slack
+        diff = np.abs(values[:, None] - values[None, i : i + rows])
+        excess = diff - bound.reshape(*bound.shape, *line_axes)
+        worst = max(worst, float(np.max(excess)))
+    return worst
+
+
+def audit_surface_hypotheses(surface: SampledSurface) -> tuple[float, float]:
+    """Worst excesses over the surface's declared spatial and temporal moduli.
 
     Spatial: ``|u(t,x) - u(t,y)| <= |x-y|**beta``; temporal:
-    ``|u(t,x) - u(s,x)| <= |t-s|**(beta/2) + a``. Raises
-    :class:`HypothesisViolatedError` when either excess exceeds ``fp_tol``.
+    ``|u(t,x) - u(s,x)| <= |t-s|**(beta/2) + a`` with ``beta`` and ``a``
+    the surface's ``beta`` and ``slack``, checked on at most
+    ``HYPOTHESIS_LINES`` strided times and points. Raises
+    :class:`HypothesisViolatedError` when either excess exceeds
+    ``HYPOTHESIS_TOL``.
     """
-    beta = surface.beta if beta is None else beta
-    a = surface.slack if a is None else a
-    rows = _strided(surface.times.size, max_lines)
-    cols = _strided(surface.xs.size, max_lines)
-    xsub = surface.xs[cols]
-    xgap = np.abs(xsub[:, None] - xsub[None, :])
-    np.fill_diagonal(xgap, 1.0)  # diagonal carries zero difference anyway
-    spatial = 0.0
-    for r in rows:
-        v = surface.values[r, cols]
-        diff = np.abs(v[:, None] - v[None, :])
-        spatial = max(spatial, float(np.max(diff - xgap**beta)))
-    tsub = surface.times[rows]
-    tgap = np.abs(tsub[:, None] - tsub[None, :])
+    rows = _strided(surface.times.size, HYPOTHESIS_LINES)
+    cols = _strided(surface.xs.size, HYPOTHESIS_LINES)
     vsub = surface.values[np.ix_(rows, cols)]
-    temporal = 0.0
-    for i in range(rows.size):
-        diff = np.abs(vsub - vsub[i])
-        bound = tgap[i][:, None] ** (beta / 2.0) + a
-        temporal = max(temporal, float(np.max(diff - bound)))
-    if spatial > fp_tol or temporal > fp_tol:
+    spatial = _holder_excess(surface.xs[cols], vsub.T, surface.beta, 0.0)
+    temporal = _holder_excess(
+        surface.times[rows], vsub, surface.beta / 2.0, surface.slack
+    )
+    if spatial > HYPOTHESIS_TOL or temporal > HYPOTHESIS_TOL:
         raise HypothesisViolatedError(
             f"declared moduli violated: spatial excess {spatial}, temporal {temporal}"
         )
@@ -302,14 +310,7 @@ def _scaling_ok(values, ratio_cap=10.0, floor=1e-6) -> bool:
     return hi <= ratio_cap * max(lo, 1e-300)
 
 
-def verify_smoothing_bounds(
-    surface: SampledSurface,
-    eps_list,
-    beta: float | None = None,
-    a: float | None = None,
-    *,
-    max_lines: int = 64,
-) -> SmoothingReport:
+def verify_smoothing_bounds(surface: SampledSurface, eps_list) -> SmoothingReport:
     """Check the mollification estimates on one surface across widths.
 
     Per width: (i) the explicit-constant sup bound
@@ -319,12 +320,11 @@ def verify_smoothing_bounds(
     temporal and spatial moduli of the first time derivative and second space
     derivative. The derivative quantities carry kernel-dependent constants,
     so the report only demands that each family stays within a factor 10
-    across the width list. The surface's declared regularity is audited
-    first.
+    across the width list. ``beta`` and ``a`` are the surface's declared
+    ``beta`` and ``slack``, which are audited first.
     """
-    beta = surface.beta if beta is None else float(beta)
-    a = surface.slack if a is None else float(a)
-    audit_surface_hypotheses(surface, beta, a)
+    beta, a = surface.beta, surface.slack
+    audit_surface_hypotheses(surface)
     rows = []
     for eps in eps_list:
         sm = mollify(surface, MollifierSpec(eps))
@@ -343,8 +343,8 @@ def verify_smoothing_bounds(
         )
         scaled_deriv = eps**4 * float(np.max(core)) / denom
 
-        lines = _strided(d1t.shape[0], max_lines)
-        cols = _strided(d1t.shape[1] - 2, max_lines)
+        lines = _strided(d1t.shape[0], VERIFY_LINES)
+        cols = _strided(d1t.shape[1] - 2, VERIFY_LINES)
         t_sub = sm.times[1:-1][lines]
         f1 = d1t[np.ix_(lines, cols + 1)]
         f2 = d2x[np.ix_(lines + 1, cols)]
@@ -398,33 +398,25 @@ def regularity_audit(
     beta: float,
     sigma_bar: float,
     slack: float,
-    *,
-    max_points: int = 512,
-    max_levels: int = 150,
-    fp_tol: float = FP_SLACK,
 ) -> RegularityReport:
     """Audit a solved field against its Holder certificates.
 
     Spatial: ``|v(t,x) - v(t,y)| <= |x-y|**beta`` within every stored level.
     Temporal: ``|v(t,x) - v(s,x)| <= sigma_bar**beta * |t-s|**(beta/2)`` at
-    shared points of level pairs. Checks are exhaustive up to the stated
-    budgets (levels and points are strided beyond them). Excess is reported
-    raw; the verdict grants the documented float-rounding envelope on top of
-    ``slack``, so ``slack = 0`` means "no violation beyond rounding".
+    shared points of level pairs. Checks are exhaustive up to
+    ``REGULARITY_LEVELS`` levels and ``REGULARITY_POINTS`` points per level
+    (strided beyond them). Excess is reported raw; the verdict grants the
+    documented float-rounding envelope on top of ``slack``, so ``slack = 0``
+    means "no violation beyond rounding".
     """
     spatial = 0.0
     points_checked = 0
     for pts, vals in zip(field.xs, field.values):
-        idx = _strided(pts.size, max_points)
-        x = pts[idx]
-        v = vals[idx]
-        gap = np.abs(x[:, None] - x[None, :])
-        np.fill_diagonal(gap, 1.0)
-        diff = np.abs(v[:, None] - v[None, :])
-        spatial = max(spatial, float(np.max(diff - gap**beta)))
+        idx = _strided(pts.size, REGULARITY_POINTS)
+        spatial = max(spatial, _holder_excess(pts[idx], vals[idx], beta, 0.0))
         points_checked += idx.size
 
-    levels = _strided(field.times.size, max_levels)
+    levels = _strided(field.times.size, REGULARITY_LEVELS)
     temporal = 0.0
     for ai in range(levels.size):
         i = levels[ai]
@@ -442,7 +434,7 @@ def regularity_audit(
                 a_x, b_x = xi[off : off + xj.size], xj
             if a_x.size == 0 or np.max(np.abs(a_x - b_x)) > 1e-9:
                 continue  # no shared points to compare
-            idx = _strided(a_x.size, max_points)
+            idx = _strided(a_x.size, REGULARITY_POINTS)
             bound = sigma_bar**beta * abs(field.times[j] - field.times[i]) ** (
                 beta / 2.0
             )
@@ -454,7 +446,7 @@ def regularity_audit(
         spatial_excess=spatial,
         temporal_excess=temporal,
         slack=slack,
-        passed=worst <= slack + fp_tol,
+        passed=worst <= slack + FP_SLACK,
         levels_checked=int(levels.size),
         points_checked=points_checked,
     )

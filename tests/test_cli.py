@@ -1,9 +1,11 @@
+import argparse
+import dataclasses
 import json
 import math
 
 import pytest
 
-from cltlab.cli import ConfigInvalidError, RunConfig, main
+from cltlab.cli import ConfigInvalidError, RunConfig, build_parser, main, run
 from cltlab.output import LockHeldError, OutputDir, write_csv
 
 
@@ -30,6 +32,25 @@ class TestRunConfig:
     def test_missing_command(self):
         with pytest.raises(ConfigInvalidError):
             RunConfig.from_dict({"out_dir": "x"})
+
+    def test_non_object_phi(self, tmp_path):
+        cfg = RunConfig.from_dict({
+            "command": "value", "out_dir": str(tmp_path / "v"), "phi": "abs",
+            "sigma_under": 1.0, "sigma_bar": 1.0,
+        })
+        with pytest.raises(ConfigInvalidError):
+            run(cfg)
+
+    def test_every_option_reaches_the_config(self):
+        # options are copied by RunConfig field name; anything else is dropped
+        handled = {f.name for f in dataclasses.fields(RunConfig)} | {
+            "command", "out", "beta", "help",
+        }
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        for name, subparser in sub.choices.items():
+            for action in subparser._actions:
+                assert action.dest in handled, (name, action.dest)
 
 
 class TestRates:

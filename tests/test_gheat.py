@@ -12,15 +12,17 @@ from cltlab import (
     SchemeSpec,
     abs_payoff,
     abs_pow_payoff,
-    barenblatt_rhs,
+    build_family,
     constant_control,
     convex_oracle,
     cosine_payoff,
     default_spec,
     gauss_hermite_expectation,
     gaussian_abs_mean,
+    make_discrete,
     mc_lower_bound,
     neg_abs_payoff,
+    origin_value,
     piecewise_linear_payoff,
     richardson_value,
     sign_feedback_control,
@@ -33,17 +35,33 @@ ABS = abs_payoff()
 
 
 class TestEndpointReduction:
+    """One scheme step (h = tau = sigma_bar = 1) at the kink of the data."""
+
+    @staticmethod
+    def step(sigma_under, payoff):
+        prob = GHeatProblem(sigma_under, 1.0, payoff)
+        field = solve_gheat(
+            prob, SchemeSpec(h=1.0, tau=1.0, half_width=8.0), store="final"
+        )
+        assert field.n == 1
+        return field
+
     def test_positive_curvature(self):
-        assert barenblatt_rhs(2.0, 0.5, 1.0) == 1.0
+        # second difference 2 at the origin, moved by the sigma_bar weight 1/2
+        assert self.step(0.5, ABS).origin_value() == 1.0
 
     def test_negative_curvature(self):
-        assert barenblatt_rhs(-2.0, 0.5, 1.0) == -0.25
+        # second difference -2, moved by the sigma_under weight 0.5**2 / 2
+        assert self.step(0.5, neg_abs_payoff()).origin_value() == -0.25
 
     def test_flat(self):
-        assert barenblatt_rhs(0.0, 0.5, 1.0) == 0.0
+        line = piecewise_linear_payoff([-8.0, 8.0], [-4.0, 4.0])
+        field = self.step(0.5, line)
+        assert np.array_equal(field.values[0], line(field.xs[0]))
 
     def test_degenerate_lower_bound(self):
-        assert barenblatt_rhs(-3.0, 0.0, 1.0) == 0.0
+        field = self.step(0.0, neg_abs_payoff())
+        assert np.array_equal(field.values[0], neg_abs_payoff()(field.xs[0]))
 
 
 class TestSolver:
@@ -167,6 +185,31 @@ def test_degenerate_reduction_matches_heat_quadrature(payoff):
     gh = gauss_hermite_expectation(payoff, 0.0, 1.0, nodes=16384)
     quad_err = abs(gh - gauss_hermite_expectation(payoff, 0.0, 1.0, nodes=4096))
     assert abs(value - gh) <= 3 * scheme_err + quad_err
+
+
+@pytest.mark.parametrize("h, cfl_ratio", [(0.05, 1.0), (0.1, 0.5), (0.04, 0.8)])
+@pytest.mark.parametrize(
+    "payoff", [abs_payoff(), neg_abs_payoff(), cosine_payoff()], ids=lambda p: p.kind
+)
+@pytest.mark.parametrize(
+    "sigma_under, sigma_bar", [(0.5, 1.0), (0.0, 1.0), (1.0, 1.0), (0.3, 0.7)]
+)
+def test_scheme_is_trinomial_sup_recursion(sigma_under, sigma_bar, payoff, h, cfl_ratio):
+    # n scheme steps of tau = 1/n are n levels of the sup-recursion over two
+    # trinomial laws on {-s, 0, s}, s = h * sqrt(n), whose end weights are the
+    # scheme's weights at the two endpoint volatilities; only rounding and the
+    # Gaussian-tail boundary bias at 8 * sigma_bar separate the two
+    prob = GHeatProblem(sigma_under, sigma_bar, payoff)
+    spec = SchemeSpec(h, cfl_ratio * h * h / sigma_bar**2, 8.0 * sigma_bar)
+    field = solve_gheat(prob, spec, store="final")
+    n = field.n
+    s = h * math.sqrt(n)
+    weights = [1.0 / n * sig**2 / (2.0 * h * h) for sig in (sigma_bar, sigma_under)]
+    family = build_family(
+        [make_discrete([-s, 0.0, s], [a, 1.0 - 2.0 * a, a]) for a in weights], beta=1.0
+    )
+    recursion = origin_value(family, payoff, n, mode="lattice")
+    assert recursion == pytest.approx(field.origin_value(), abs=1e-12)
 
 
 class TestMonteCarlo:

@@ -9,7 +9,6 @@ from cltlab import (
     GridTooSmallError,
     ModeMismatchError,
     OutOfHullError,
-    TimeGrid,
     abs_payoff,
     build_family,
     builtin_family,
@@ -17,23 +16,13 @@ from cltlab import (
     piecewise_linear_payoff,
     rademacher,
 )
-from cltlab.recursion import origin_value, solve_recursion, step_expectation
+from cltlab.recursion import origin_value, solve_recursion
 
 from conftest import zero_mean_dists, zero_mean_families
 from oracles import binomial_abs_mean, enumerate_value
 
 RADEMACHER = builtin_family("rademacher")
 ABS = abs_payoff()
-
-
-class TestTimeGrid:
-    def test_points_are_exact_fractions(self):
-        grid = TimeGrid(4)
-        assert grid.points.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            TimeGrid(0)
 
 
 class TestKnownValues:
@@ -47,47 +36,51 @@ class TestKnownValues:
     def test_depth_four(self):
         assert origin_value(RADEMACHER, ABS, 4) == 0.75
 
+    def test_rejects_depth_zero(self):
+        with pytest.raises(ValueError):
+            origin_value(RADEMACHER, ABS, 0)
+
     def test_solve_matches_streaming(self):
         field = solve_recursion(RADEMACHER, ABS, 8)
         assert field.origin_value() == origin_value(RADEMACHER, ABS, 8)
 
 
 class TestStepExpectation:
+    """One level of the recursion, observed through the public solvers."""
+
     def test_abs_slice(self):
-        slice_vals = np.abs(np.array([-1.0, 0.0, 1.0]))
-        out = step_expectation(
-            slice_vals, rademacher(), 1, "lattice", lattice_step=1.0
-        )
-        assert out.tolist() == [1.0]
+        field = solve_recursion(RADEMACHER, ABS, 1)
+        assert field.xs[1].tolist() == [-1.0, 0.0, 1.0]
+        assert field.values[1].tolist() == [1.0, 0.0, 1.0]
+        assert field.xs[0].tolist() == [0.0]
+        assert field.values[0].tolist() == [1.0]
 
     def test_point_mass_identity(self):
-        d = make_discrete([0.0], [1.0])
-        vals = np.array([3.0, 1.0, 2.0])
-        out = step_expectation(vals, d, 4, "lattice", lattice_step=1.0)
-        assert out.tolist() == vals.tolist()
+        fam = build_family([make_discrete([0.0], [1.0])], beta=1.0)
+        tilted = piecewise_linear_payoff([-1.0, 1.0], [0.3, -0.2])
+        for mode in ("lattice", "grid"):
+            assert origin_value(fam, tilted, 4, mode=mode) == tilted(0.0)
 
     def test_constant_slice(self):
-        d = make_discrete([-2, 1], [1 / 3, 2 / 3])
-        out = step_expectation(
-            np.full(9, 5.0), d, 3, "lattice", lattice_step=1.0
-        )
-        assert np.allclose(out, 5.0, atol=1e-14)
+        fam = build_family([make_discrete([-2, 1], [1 / 3, 2 / 3])], beta=1.0)
+        const = piecewise_linear_payoff([-1.0, 1.0], [5.0, 5.0])
+        assert origin_value(fam, const, 3) == pytest.approx(5.0, abs=1e-14)
 
     def test_grid_boundary_rule_prices_with_payoff(self):
-        # steps of +-1 exit the 3-point grid everywhere; the overhang is
-        # priced by the terminal function, so at 0 the result is (1 + 1)/2
-        x = np.array([-1.0, 0.0, 1.0])
-        out = step_expectation(ABS(x), rademacher(), 1, "grid", x_points=x, payoff=ABS)
-        assert out[1] == 1.0
-        assert np.allclose(out, [1.0, 1.0, 1.0])
+        # steps of +-1 from the end points leave the grid; the overhang is
+        # priced by the terminal function, so the ends keep |x| = 8 where
+        # clamped interpolation would give (8 + 7)/2
+        field = solve_recursion(
+            RADEMACHER, ABS, 1, mode="grid", grid=GridSpec(step=1.0, half_width=8.0)
+        )
+        x = field.xs[0]
+        assert field.values[0].tolist() == np.maximum(np.abs(x), 1.0).tolist()
+        assert field.values[0][0] == field.values[0][-1] == 8.0
 
     def test_mode_mismatch(self):
+        fam = build_family([rademacher(), rademacher(math.sqrt(2))], beta=1.0)
         with pytest.raises(ModeMismatchError):
-            step_expectation(np.ones(3), rademacher(), 4, "lattice")
-
-    def test_grid_needs_payoff(self):
-        with pytest.raises(ValueError):
-            step_expectation(np.ones(3), rademacher(), 4, "grid")
+            origin_value(fam, ABS, 4, mode="lattice")
 
 
 class TestBruteForce:
@@ -113,6 +106,10 @@ class TestBruteForce:
 
 
 class TestField:
+    def test_times_are_exact_fractions(self):
+        field = solve_recursion(RADEMACHER, ABS, 4)
+        assert field.times.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+
     def test_terminal_is_payoff(self):
         field = solve_recursion(RADEMACHER, ABS, 6)
         assert field.terminal_matches(ABS, tol=1e-14)
