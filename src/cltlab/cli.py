@@ -100,7 +100,7 @@ def _resolve_payoff(cfg):
         raise ConfigInvalidError("a phi selection is required")
     try:
         return payoff_from_config(cfg)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigInvalidError(f"bad phi: {exc}") from exc
 
 

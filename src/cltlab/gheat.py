@@ -31,8 +31,11 @@ flattens the negative-curvature branch of the endpoint reduction, and
 ``sigma_bar = 0`` zeroes every update, leaving the terminal data in place.
 
 Time levels are sequential; each level's stencil sweep is a pure per-point
-map, vectorized in a fixed order, so results match the sequential sweep bit
-for bit.
+map, vectorized in a fixed order. Terminal data that is even on the grid
+(an exact palindrome) is marched on ``x >= 0`` only, with a ghost cell at
+``-h`` mirrored from ``+h`` before every step, and stored levels are
+rebuilt by reflection, so the stored field is then exactly even. Other data
+is marched on the whole grid.
 """
 
 from __future__ import annotations
@@ -147,25 +150,34 @@ def solve_gheat(
     if store == "levels":
         kept[steps] = terminal.copy()
 
-    u = terminal.copy()
-    d = np.empty(x.size - 2)
-    alt = np.empty(x.size - 2)
+    # even data stays even: march x >= 0 with a mirrored ghost cell at -h
+    even = np.array_equal(terminal, terminal[::-1])
+    u = terminal[half - 1 :].copy() if even else terminal.copy()
+
+    def full(w):
+        return np.concatenate((w[:1:-1], w[1:])) if even else w.copy()
+
+    right, mid, left = u[2:], u[1:-1], u[:-2]
+    d = np.empty(mid.size)
+    alt = np.empty(mid.size)
     for k in range(steps - 1, -1, -1):
-        np.subtract(u[2:], u[1:-1], out=d)
-        d -= u[1:-1]
-        d += u[:-2]
+        if even:
+            u[0] = u[2]
+        np.subtract(right, mid, out=d)
+        d -= mid
+        d += left
         if equal:
             d *= a_hi
         else:
             np.multiply(d, a_lo, out=alt)
             d *= a_hi
             np.maximum(d, alt, out=d)
-        u[1:-1] += d
+        mid += d
         if store == "levels" and (k % stride == 0 or k == 0):
-            kept[k] = u.copy()
+            kept[k] = full(u)
 
     if store == "final":
-        kept[0] = u.copy()
+        kept[0] = full(u)
     ks = sorted(kept)
     return ValueField(
         mode="grid",

@@ -409,10 +409,17 @@ def regularity_audit(
     documented float-rounding envelope on top of ``slack``, so ``slack = 0``
     means "no violation beyond rounding".
     """
+    strided_by_size: dict[int, np.ndarray] = {}
+
+    def point_index(size: int) -> np.ndarray:
+        if size not in strided_by_size:
+            strided_by_size[size] = _strided(size, REGULARITY_POINTS)
+        return strided_by_size[size]
+
     spatial = 0.0
     points_checked = 0
     for pts, vals in zip(field.xs, field.values):
-        idx = _strided(pts.size, REGULARITY_POINTS)
+        idx = point_index(pts.size)
         spatial = max(spatial, _holder_excess(pts[idx], vals[idx], beta, 0.0))
         points_checked += idx.size
 
@@ -434,7 +441,7 @@ def regularity_audit(
                 a_x, b_x = xi[off : off + xj.size], xj
             if a_x.size == 0 or np.max(np.abs(a_x - b_x)) > 1e-9:
                 continue  # no shared points to compare
-            idx = _strided(a_x.size, REGULARITY_POINTS)
+            idx = point_index(a_x.size)
             bound = sigma_bar**beta * abs(field.times[j] - field.times[i]) ** (
                 beta / 2.0
             )

@@ -141,6 +141,14 @@ class TestValue:
         assert lines[0] == "t,x,v"
         assert "0.0,0.0,0.0" in lines
 
+    def test_wrongly_typed_payoff_parameter_exits_one(self, tmp_path, capsys):
+        rc = run_cli(["value", "--sigma-under", 1, "--sigma-bar", 1,
+                      "--phi", '{"phi": "abs_pow", "beta": [1]}', "--out", tmp_path / "v"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR ConfigInvalid:")
+        assert "\n" not in err.strip()
+
 
 class TestRecurse:
     def test_per_level_rows(self, tmp_path, capsys):

@@ -189,7 +189,15 @@ def test_degenerate_reduction_matches_heat_quadrature(payoff):
 
 @pytest.mark.parametrize("h, cfl_ratio", [(0.05, 1.0), (0.1, 0.5), (0.04, 0.8)])
 @pytest.mark.parametrize(
-    "payoff", [abs_payoff(), neg_abs_payoff(), cosine_payoff()], ids=lambda p: p.kind
+    "payoff",
+    [
+        abs_payoff(),
+        neg_abs_payoff(),
+        cosine_payoff(),
+        # not even, so the scheme marches the whole grid
+        piecewise_linear_payoff([-1.0, 0.0, 2.0], [0.5, 0.0, 1.0]),
+    ],
+    ids=lambda p: p.kind,
 )
 @pytest.mark.parametrize(
     "sigma_under, sigma_bar", [(0.5, 1.0), (0.0, 1.0), (1.0, 1.0), (0.3, 0.7)]
@@ -210,6 +218,20 @@ def test_scheme_is_trinomial_sup_recursion(sigma_under, sigma_bar, payoff, h, cf
     )
     recursion = origin_value(family, payoff, n, mode="lattice")
     assert recursion == pytest.approx(field.origin_value(), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "payoff",
+    [abs_payoff(), neg_abs_payoff(), cosine_payoff(), abs_pow_payoff(0.5)],
+    ids=lambda p: p.kind,
+)
+@pytest.mark.parametrize("sigma_under, sigma_bar", [(0.5, 1.0), (1.0, 1.0), (0.0, 1.0)])
+def test_even_payoff_gives_even_field(sigma_under, sigma_bar, payoff):
+    prob = GHeatProblem(sigma_under, sigma_bar, payoff)
+    field = solve_gheat(prob, default_spec(prob, h=0.05), store="levels")
+    assert len(field.values) > 2
+    for v in field.values:
+        assert np.array_equal(v, v[::-1])
 
 
 class TestMonteCarlo:
