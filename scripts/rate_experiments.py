@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Run the two standard convergence-rate experiments and chart them.
+"""Run the three standard convergence-rate experiments and chart them.
 
 The symmetric single-law family is compared against the analytic reference;
-the two-member family against a Richardson scheme value. Outputs land under
---out (default cltlab-out/rate-experiments), one subdirectory each.
+the two-member family, on convex |x| (the widest law wins every sup) and on
+cosine data (the sup switches between the laws), against a Richardson scheme
+value. Outputs land under --out (default cltlab-out/rate-experiments), one
+subdirectory each.
 """
 
 import argparse
@@ -11,16 +13,19 @@ import sys
 
 from cltlab.cli import main as cli
 
+STUDIES = {
+    "symmetric": ["--family", "rademacher", "--phi", "abs"],
+    "two-member": ["--family", "rademacher_pair", "--phi", "abs", "--exponent-rule", "basic"],
+    "switching": [
+        "--family", "rademacher_pair", "--phi", "cosine_scaled", "--exponent-rule", "basic",
+    ],
+}
+
 
 def run(out_root: str, ns: str) -> int:
-    rc = cli([
-        "rates", "--family", "rademacher", "--phi", "abs", "--ns", ns,
-        "--emit-svg", "--out", f"{out_root}/symmetric",
-    ])
-    rc |= cli([
-        "rates", "--family", "rademacher_pair", "--phi", "abs", "--ns", ns,
-        "--exponent-rule", "basic", "--emit-svg", "--out", f"{out_root}/two-member",
-    ])
+    rc = 0
+    for name, args in STUDIES.items():
+        rc |= cli(["rates", *args, "--ns", ns, "--emit-svg", "--out", f"{out_root}/{name}"])
     return rc
 
 

@@ -16,8 +16,12 @@ certifies convergence to the viscosity solution and a discrete comparison
 principle. Dirichlet boundaries are frozen at the terminal function; with a
 half width of at least ``8 * sigma_bar`` the induced bias is Gaussian-tail
 negligible at the origin. Reported values always go through
-:func:`richardson_value`, which pairs the base grid with (h/2, tau/4) and
-returns the difference as an error bar.
+:func:`richardson_value`, which marches no finer than the requested grid:
+it marches ``4h``, ``2h`` and ``h`` at one CFL ratio, and when their two
+gaps show order 2 it returns the extrapolated value with the size of the
+correction as its error bar; otherwise, or when the rounded time steps do
+not nest, it pairs ``h`` with (h/2, tau/4) and returns that value with the
+difference as its error bar.
 
 With ``n`` steps of ``tau = 1/n``, one step is one level of the discrete
 sup-recursion over two trinomial laws on ``{-s, 0, s}``, ``s = h * sqrt(n)``
@@ -52,6 +56,7 @@ from .fields import ValueField
 from .payoffs import Payoff
 
 CFL_TOL = 1e-12
+ORDER_TOL = 0.1  # largest |p - 2| of an observed order that is extrapolated
 MAX_STORED_LEVELS = 257  # time levels kept by store="levels"
 
 
@@ -100,9 +105,13 @@ class SchemeSpec:
     def cfl_ratio(self, sigma_bar: float) -> float:
         return self.tau * sigma_bar**2 / self.h**2
 
-    def refined(self) -> "SchemeSpec":
-        """Half the spatial step at fixed CFL ratio."""
-        return SchemeSpec(self.h / 2.0, self.tau / 4.0, self.half_width)
+    def scaled(self, factor: float) -> "SchemeSpec":
+        """Spatial step times ``factor`` at fixed CFL ratio."""
+        return SchemeSpec(self.h * factor, self.tau * factor**2, self.half_width)
+
+    def steps(self, horizon: float) -> int:
+        """Time steps marched: ``tau`` shrinks so that they land on ``t = 0``."""
+        return math.ceil(horizon / self.tau - 1e-9)
 
 
 def default_spec(prob: GHeatProblem, h: float = 1.0 / 400.0) -> SchemeSpec:
@@ -139,7 +148,7 @@ def solve_gheat(
     lam = spec.cfl_ratio(prob.sigma_bar)
     if lam > 1.0 + CFL_TOL:
         raise CFLViolatedError(f"tau*sigma_bar^2/h^2 = {lam} exceeds 1")
-    steps = math.ceil(prob.horizon / spec.tau - 1e-9)
+    steps = spec.steps(prob.horizon)
     tau = prob.horizon / steps  # lands exactly on t = 0; only shrinks the ratio
     a_hi = tau * prob.sigma_bar**2 / (2.0 * spec.h**2)
     a_lo = tau * prob.sigma_under**2 / (2.0 * spec.h**2)
@@ -190,10 +199,37 @@ def solve_gheat(
 
 
 def richardson_value(prob: GHeatProblem, spec: SchemeSpec) -> tuple[float, float]:
-    """Origin value at (h/2, tau/4) plus the coarse-fine gap as an error bar."""
-    coarse = solve_gheat(prob, spec, store="final").origin_value()
-    fine = solve_gheat(prob, spec.refined(), store="final").origin_value()
-    return fine, abs(fine - coarse)
+    """Origin value with an error bar, marching no grid finer than ``spec``.
+
+    Marches ``4h``, ``2h`` and ``h`` at the CFL ratio of ``spec``. When the
+    gaps ``g1 = v(4h) - v(2h)`` and ``g2 = v(2h) - v(h)`` share a sign and
+    the observed order ``log2(g1 / g2)`` is within ``ORDER_TOL`` of 2, it
+    returns the extrapolation ``v(h) + (v(h) - v(2h)) / 3`` with bar
+    ``|g2| / 3``, the size of the correction, which estimates the error of
+    the ``h`` field itself to leading order. Otherwise it returns ``v(h/2)``
+    with bar ``|v(h/2) - v(h)|``. It goes to that pair without the ``4h``
+    and ``2h`` marches when their step counts do not nest in that of ``h``
+    (``tau`` is rounded to land on ``t = 0``, which would change the CFL
+    ratio between levels) or when the ``4h`` grid is degenerate.
+    """
+
+    def origin(s: SchemeSpec) -> float:
+        return solve_gheat(prob, s, store="final").origin_value()
+
+    v4 = v2 = None
+    n = spec.steps(prob.horizon)
+    if all(spec.scaled(f).steps(prob.horizon) * f * f == n for f in (2.0, 4.0)):
+        try:
+            v4, v2 = origin(spec.scaled(4.0)), origin(spec.scaled(2.0))
+        except DegenerateGridError:  # fewer than three interior points at 4h
+            pass
+    v1 = origin(spec)
+    if v4 is not None:
+        g1, g2 = v4 - v2, v2 - v1
+        if g2 != 0.0 and g1 / g2 > 0.0 and abs(math.log2(g1 / g2) - 2.0) <= ORDER_TOL:
+            return v1 + (v1 - v2) / 3.0, abs(g2) / 3.0
+    fine = origin(spec.scaled(0.5))
+    return fine, abs(fine - v1)
 
 
 def norm_cdf(z: float) -> float:

@@ -74,6 +74,25 @@ class TestRates:
         assert manifest["schema"] == "cltlab.run/1"
         assert "rates.csv" in manifest["files"]
 
+    def test_switching_sup_against_extrapolated_reference(self, tmp_path):
+        # rademacher_pair on cosine data switches between its two laws; the
+        # reference is extrapolated from h = 1/50, 1/100, 1/200 and agrees
+        # with (4 v(1/800) - v(1/400)) / 3 to 1e-9
+        out = tmp_path / "switching"
+        assert run_cli([
+            "rates", "--family", "rademacher_pair", "--phi", "cosine_scaled",
+            "--ns", "4,16,64,256,1024,4096", "--exponent-rule", "basic",
+            "--ref-h", "0.005", "--out", out,
+        ]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["verdict"] == "pass"
+        assert summary["reference_limited"] is False
+        row = (out / "rates.csv").read_text().splitlines()[1].split(",")
+        vref, vref_err = float(row[2]), float(row[3])
+        gap = abs(vref - 0.882517748798898)
+        assert gap <= 1e-9
+        assert gap <= vref_err
+
     def test_inline_family_json(self, tmp_path):
         fam = json.dumps(
             {"beta": 1.0, "members": [{"support": [-1, 1], "probs": [0.5, 0.5]}]}

@@ -28,6 +28,7 @@ from cltlab import (
     sign_feedback_control,
     solve_gheat,
 )
+from cltlab import gheat
 
 from oracles import ROOT_2_OVER_PI, TWO_OVER_ROOT_PI
 
@@ -134,6 +135,60 @@ class TestSolver:
                 store="final",
             )
             assert np.all(u1.values[0] <= u2.values[0] + 1e-12)
+
+
+class TestRichardson:
+    @staticmethod
+    def refined_pair(prob, spec):
+        coarse = solve_gheat(prob, spec, store="final").origin_value()
+        half = SchemeSpec(spec.h / 2, spec.tau / 4, spec.half_width)
+        fine = solve_gheat(prob, half, store="final").origin_value()
+        return fine, abs(fine - coarse)
+
+    def test_extrapolates_at_observed_order_two(self):
+        prob = GHeatProblem(1.0, 1.0, cosine_payoff())
+        value, err = richardson_value(prob, default_spec(prob, h=1 / 100))
+        assert abs(value - math.exp(-0.5)) <= err / 100
+
+    @pytest.fixture
+    def marched(self, monkeypatch):
+        """Spatial steps of the grids richardson_value marches, in order."""
+        steps = []
+        solve = gheat.solve_gheat
+
+        def recorder(prob, spec, store="levels"):
+            steps.append(spec.h)
+            return solve(prob, spec, store)
+
+        monkeypatch.setattr(gheat, "solve_gheat", recorder)
+        return steps
+
+    def test_marches_no_grid_finer_than_asked(self, marched):
+        prob = GHeatProblem(1.0, 1.0, cosine_payoff())
+        spec = default_spec(prob, h=1 / 100)
+        richardson_value(prob, spec)
+        assert sorted(marched) == [spec.h, 2 * spec.h, 4 * spec.h]
+
+    def test_falls_back_to_refined_pair_off_order_two(self):
+        # the cusp of |x|**0.5 gives an observed order near 1.7
+        prob = GHeatProblem(0.5, 1.0, abs_pow_payoff(0.5))
+        spec = default_spec(prob, h=1 / 100)
+        assert richardson_value(prob, spec) == self.refined_pair(prob, spec)
+
+    def test_degenerate_coarse_grid_falls_back(self):
+        # steps 4, 16, 64 nest, but the 4h grid has one interior point
+        prob = GHeatProblem(0.0, 0.1, ABS)
+        spec = SchemeSpec(h=0.25, tau=1 / 64, half_width=1.0)
+        assert richardson_value(prob, spec) == self.refined_pair(prob, spec)
+
+    def test_unnested_steps_skip_coarse_levels(self, marched):
+        # at h = 0.1 tau rounds to 7 steps at 4h, not 100 / 16: the CFL
+        # ratio would differ, so only h and h/2 are marched
+        prob = GHeatProblem(1.0, 1.0, cosine_payoff())
+        spec = default_spec(prob, h=0.1)
+        assert [spec.scaled(f).steps(1.0) for f in (1, 2, 4)] == [100, 25, 7]
+        assert richardson_value(prob, spec) == self.refined_pair(prob, spec)
+        assert marched == [spec.h, spec.h / 2]
 
 
 class TestConvexOracle:

@@ -22,7 +22,14 @@ from cltlab import (
     verify_smoothing_bounds,
 )
 from cltlab.recursion import solve_recursion
-from cltlab.smoothing import kernel_shape
+from cltlab.smoothing import (
+    DERIV_BLOCK,
+    VERIFY_LINES,
+    SmoothingRow,
+    _max_core_derivatives,
+    _strided,
+    kernel_shape,
+)
 
 ABS = abs_payoff()
 RADEMACHER = builtin_family("rademacher")
@@ -37,6 +44,19 @@ def abs_surface(beta=1.0, eps=0.2, half_width=1.5):
         dx=eps / 16.0,
         beta=beta,
     )
+
+
+def whole_array_derivatives(u, dt, dx):
+    """First time and second space derivatives, and the core derivative sum."""
+    d2t = (u[2:, :] - 2.0 * u[1:-1, :] + u[:-2, :]) / dt**2
+    d4x = (
+        u[:, 4:] - 4.0 * u[:, 3:-1] + 6.0 * u[:, 2:-2] - 4.0 * u[:, 1:-3] + u[:, :-4]
+    ) / dx**4
+    d2x = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / dx**2
+    d1t = (u[2:, :] - u[:-2, :]) / (2.0 * dt)
+    dt_d2x = (d2x[2:, :] - d2x[:-2, :]) / (2.0 * dt)
+    core = np.abs(d2t[:, 2:-2]) + np.abs(d4x[1:-1, :]) + np.abs(dt_d2x[:, 1:-1])
+    return d1t, d2x, core
 
 
 class TestKernel:
@@ -135,6 +155,58 @@ class TestVerify:
         )
         report = verify_smoothing_bounds(surf, [0.2])
         assert report.passed
+
+    def test_rows_match_whole_array_derivatives(self):
+        # the derivative pass runs in row blocks; on a surface taller than one
+        # block every row field equals the whole-array computation exactly
+        eps, beta = 0.2, 1.0
+        surf = surface_from_function(
+            lambda t, x: 0.5 * np.abs(x) + 0.5 * np.sqrt(1.0 - t) * np.cos(x),
+            x_half_width=1.0, dt=0.0025, dx=0.0125, beta=beta,
+        )
+        (row,) = verify_smoothing_bounds(surf, [eps]).rows
+        sm = mollify(surf, MollifierSpec(eps))
+        u, dt, dx = sm.values, sm.dt, sm.dx
+        assert u.shape[0] - 2 > DERIV_BLOCK
+
+        q = (surf.xs.size - sm.xs.size) // 2
+        sup_gap = float(np.max(np.abs(u - surf.values[: u.shape[0], q : q + sm.xs.size])))
+
+        d1t, d2x, core = whole_array_derivatives(u, dt, dx)
+        lines = _strided(d1t.shape[0], VERIFY_LINES)
+        cols = _strided(d1t.shape[1] - 2, VERIFY_LINES)
+        f1 = d1t[np.ix_(lines, cols + 1)]
+        f2 = d2x[np.ix_(lines + 1, cols)]
+        # pair[i, j, c]: both derivative gaps between strided lines i and j
+        pair_t = np.abs(f1[:, None] - f1[None, :]) + np.abs(f2[:, None] - f2[None, :])
+        t = sm.times[1:-1][lines]
+        t_gap = np.abs(t[:, None] - t[None, :]) ** (beta / 2.0) + 1e-300
+        temporal = float(np.max(np.max(pair_t, axis=2) / t_gap))
+        pair_x = np.abs(f1[:, :, None] - f1[:, None]) + np.abs(f2[:, :, None] - f2[:, None])
+        x = sm.xs[1:-1][cols]
+        x_gap = np.abs(x[:, None] - x[None, :])
+        np.fill_diagonal(x_gap, np.inf)
+        spatial = float(np.max(np.max(pair_x, axis=0) / x_gap**beta))
+
+        assert row == SmoothingRow(
+            eps=eps,
+            sup_gap=sup_gap,
+            sup_bound=2.0 * eps**beta,
+            sup_ok=True,
+            scaled_derivatives=eps**4 * float(np.max(core)) / eps**beta,
+            scaled_temporal_modulus=eps**2 * temporal,
+            scaled_spatial_modulus=eps**2 * spatial,
+        )
+        assert temporal > 0.0 and spatial > 0.0
+
+    def test_blocked_derivative_max_sees_every_row(self):
+        # a spike makes its own row the largest; no row may fall between blocks
+        u = np.random.default_rng(0).random((2 * DERIV_BLOCK + 3, 9))
+        for r in range(1, u.shape[0] - 1):
+            spiked = u.copy()
+            spiked[r, 4] += 100.0
+            _, _, core = whole_array_derivatives(spiked, 0.5, 0.25)
+            assert _max_core_derivatives(spiked, 0.5, 0.25) == float(np.max(core))
 
     def test_hypothesis_gate(self):
         # x is 1-Lipschitz but not Holder-1/2 with constant 1 on a wide range
