@@ -217,6 +217,7 @@ def _run_rates(cfg: RunConfig, out: OutputDir) -> int:
             "slope": report.slope,
             "intercept": report.intercept,
             "residual": report.residual,
+            "reference": report.reference,
             "reference_limited": report.reference_limited,
             "verdict": report.verdict,
         },
@@ -300,6 +301,8 @@ def _run_regularity(cfg: RunConfig, out: OutputDir) -> int:
             "spatial_excess": report.spatial_excess,
             "temporal_excess": report.temporal_excess,
             "slack": slack,
+            "levels_checked": report.levels_checked,
+            "points_checked": report.points_checked,
             "passed": report.passed,
         },
     )

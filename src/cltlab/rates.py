@@ -102,6 +102,7 @@ class RateReport:
     slope: float | None
     intercept: float | None
     residual: float | None
+    reference: str  # analytic | scheme
     reference_limited: bool
     verdict: str  # pass | fail | degenerate | reference-limited
 
@@ -121,15 +122,18 @@ def error_curve(
     The recursion runs in lattice mode when the family has a common step.
     The reference is analytic (zero bar) when the volatility bounds coincide
     and the payoff is certified convex; otherwise one Richardson scheme
-    value, shared by all n, with its gap as the error bar.
+    value, shared by all n, with its gap as the error bar. The report's
+    ``reference`` says which (``"analytic"`` or ``"scheme"``).
     """
     ns = sorted(int(n) for n in ns)
     if len(ns) != len(set(ns)) or any(n < 1 for n in ns):
         raise ValueError("ns must be distinct integers >= 1")
     prob = GHeatProblem(family.sigma_under, family.sigma_bar, payoff)
     if family.sigma_under == family.sigma_bar and payoff.convex:
+        reference = "analytic"
         vref, vref_err = convex_oracle(prob), 0.0
     else:
+        reference = "scheme"
         vref, vref_err = richardson_value(prob, ref_spec or default_spec(prob))
 
     rows = []
@@ -166,6 +170,7 @@ def error_curve(
         slope=slope,
         intercept=intercept,
         residual=residual,
+        reference=reference,
         reference_limited=reference_limited,
         verdict=verdict,
     )

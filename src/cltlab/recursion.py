@@ -22,7 +22,13 @@ expectation is formed:
 Determinism contract: per-point sums run over ascending support, members are
 reduced with a pointwise max in fixed order after all expectations are
 formed, and levels are sequential. Vectorization across points preserves the
-sequential result bit for bit.
+sequential result bit for bit. In lattice mode, when every member's mirror
+law is in the family and the terminal data is an exact palindrome, the field
+is even and only ``j >= 0`` is marched; the points ``j < 0`` are copies, so
+every stored lattice level is then an exact palindrome. For families of
+two-atom laws this is the whole-cone result bit for bit. For a law with
+three or more atoms the sum at ``-j`` runs in the reverse order of the one
+at ``+j``, so values can differ from a whole-cone march by about 1 ulp.
 """
 
 from __future__ import annotations
@@ -51,18 +57,6 @@ def _lattice_offsets(dist: DiscreteDist, step: float) -> tuple[int, ...]:
             raise ModeMismatchError(f"support point {s} is off the lattice {step}*Z")
         offsets.append(int(j))
     return tuple(offsets)
-
-
-def _expect_lattice(values: np.ndarray, dist: DiscreteDist, offsets, reach: int):
-    width = values.size - 2 * reach
-    out = None
-    for p, off in zip(dist.probs, offsets):  # ascending support
-        seg = values[reach + off : reach + off + width]
-        if out is None:
-            out = p * seg
-        else:
-            out += p * seg
-    return out
 
 
 def _expect_grid(values, x, dist: DiscreteDist, n: int, payoff: Payoff):
@@ -98,12 +92,25 @@ def default_grid(family: Family, n: int) -> GridSpec:
     return GridSpec(step=1.0 / n, half_width=max(8.0 * family.sigma_bar, 1.0))
 
 
-def _march(family: Family, payoff: Payoff, n: int, mode: str, grid, collect):
-    """Run the backward loop, handing each level (k, points, values) to ``collect``.
+def _mirror_closed(terms) -> bool:
+    """Whether each member's mirror law (``-X``) is itself a member."""
+    laws = {(offs, probs) for offs, probs in terms}
+    return all(
+        (tuple(-o for o in reversed(offs)), tuple(reversed(probs))) in laws
+        for offs, probs in terms
+    )
 
-    Each mode sets up ``points(k)``, which builds level k's points on demand,
-    and one expectation per member; the level loop is shared. Returns the
-    spacing, ``points`` and the values of level 0.
+
+def _march(family: Family, payoff: Payoff, n: int, mode: str, grid, collect=None):
+    """Run the backward loop; returns the spacing and the level-0 value at x = 0.
+
+    When ``collect`` is given it receives ``(k, points, values)`` for every
+    level, with ``values`` a fresh full-width array of level k. Lattice mode
+    writes each level into one of two buffers sized once and forms products
+    in scratch rows, so a level allocates nothing. When every member's mirror
+    law is in the family and the terminal data is a palindrome, the field is
+    even and only ``j >= 0`` is marched, with ``reach`` ghost points at
+    ``j < 0`` copied from ``+j`` after each level.
     """
     if int(n) != n or n < 1:
         raise ValueError(f"need integer n >= 1, got {n}")
@@ -111,16 +118,50 @@ def _march(family: Family, payoff: Payoff, n: int, mode: str, grid, collect):
     if mode == "lattice":
         step = family.lattice_step
         h = step / math.sqrt(n)
-        member_offsets = [_lattice_offsets(d, step) for d in family.members]
-        reach = max(max(abs(o) for o in offs) for offs in member_offsets)
+        terms = [(_lattice_offsets(d, step), d.probs) for d in family.members]
+        reach = max(max(abs(o) for o in offs) for offs, _ in terms)
 
         def points(k):
             return np.arange(-k * reach, k * reach + 1) * h
 
-        expectations = [
-            lambda v, d=d, offs=offs: _expect_lattice(v, d, offs, reach)
-            for d, offs in zip(family.members, member_offsets)
-        ]
+        terminal = np.asarray(payoff(points(n)), dtype=float)
+        # even data stays even: keep j >= -reach, where index i holds j = i - reach
+        even = _mirror_closed(terms) and np.array_equal(terminal, terminal[::-1])
+        cur = (terminal[(n - 1) * reach :] if even else terminal).copy()
+        levels = (cur, np.empty(cur.size))  # level k lives in levels[(n - k) % 2]
+        scratch = np.empty((2, cur.size))
+
+        def full(k, v):
+            if even:
+                top = reach + k * reach
+                return np.concatenate((v[top:reach:-1], v[reach : top + 1]))
+            return v[: 2 * k * reach + 1].copy()
+
+        # per member, (weight, start of the j + offset window) in ascending support
+        atoms = [[(p, reach + o) for o, p in zip(offs, probs)] for offs, probs in terms]
+        lo = reach if even else 0
+
+        def advance(k, cur):
+            # level k at j >= 0 (even) or over the whole cone
+            nxt = levels[(n - k) % 2]
+            width = k * reach + 1 if even else 2 * k * reach + 1
+            best = nxt[lo : lo + width]
+            prod, acc = scratch[0, :width], scratch[1, :width]
+            out = best
+            for (p, s), *rest in atoms:
+                np.multiply(cur[s : s + width], p, out=out)
+                for p, s in rest:
+                    np.multiply(cur[s : s + width], p, out=prod)
+                    out += prod
+                if out is acc:
+                    np.maximum(best, acc, out=best)
+                out = acc
+            if even and k:
+                nxt[:reach] = nxt[2 * reach : reach : -1]
+            return nxt
+
+        def origin(v):
+            return float(v[reach] if even else v[0])
     else:
         grid = grid or default_grid(family, n)
         if grid.half_width + 1e-12 < 8.0 * family.sigma_bar:
@@ -135,20 +176,28 @@ def _march(family: Family, payoff: Payoff, n: int, mode: str, grid, collect):
         def points(k):
             return x
 
-        expectations = [
-            lambda v, d=d: _expect_grid(v, x, d, n, payoff) for d in family.members
-        ]
+        cur = np.asarray(payoff(x), dtype=float)
 
-    cur = np.asarray(payoff(points(n)), dtype=float)
-    collect(n, points, cur)
+        def full(k, v):
+            return v.copy()
+
+        def advance(k, cur):
+            best = None
+            for d in family.members:
+                e = _expect_grid(cur, x, d, n, payoff)
+                best = e if best is None else np.maximum(best, e)
+            return best
+
+        def origin(v):
+            return float(np.interp(0.0, x, v))
+
+    if collect is not None:
+        collect(n, points, full(n, cur))
     for k in range(n - 1, -1, -1):
-        best = None
-        for expect in expectations:
-            e = expect(cur)
-            best = e if best is None else np.maximum(best, e)
-        cur = best
-        collect(k, points, cur)
-    return h, points, cur
+        cur = advance(k, cur)
+        if collect is not None:
+            collect(k, points, full(k, cur))
+    return h, origin(cur)
 
 
 def solve_recursion(
@@ -165,9 +214,9 @@ def solve_recursion(
 
     def collect(k, points, v):
         xs[k] = points(k)
-        values[k] = np.array(v, dtype=float, copy=True)
+        values[k] = v
 
-    h, _, _ = _march(family, payoff, n, mode, grid, collect)
+    h, _ = _march(family, payoff, n, mode, grid, collect)
     return ValueField(
         mode=mode,
         n=int(n),
@@ -187,7 +236,4 @@ def origin_value(
 ) -> float:
     """Initial-time value at x = 0 without storing the field (O(n) memory)."""
     mode = resolve_mode(family, mode)
-    _, points, final = _march(family, payoff, n, mode, grid, lambda k, p, v: None)
-    if mode == "lattice":
-        return float(final[final.size // 2])
-    return float(np.interp(0.0, points(0), final))
+    return _march(family, payoff, n, mode, grid)[1]

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import correlate
 
 from .errors import LabError
 from .fields import ValueField
@@ -180,7 +179,9 @@ def mollify(surface: SampledSurface, spec: MollifierSpec) -> SampledSurface:
     The kernel weights are normalized to unit discrete mass, so constants are
     preserved exactly and the sup norm never grows. Output lives on times
     ``[t0, t_end - eps^2]`` and the x-grid shrunk by ``ceil(eps/dx)`` points
-    per side.
+    per side. The sum over kernel cells is a valid correlation computed with
+    real FFTs from ``scipy.fft``, which is imported on the first call, so
+    importing this module loads no part of scipy.
     """
     e = spec.epsilon
     dt, dx = surface.dt, surface.dx
@@ -199,9 +200,8 @@ def mollify(surface: SampledSurface, spec: MollifierSpec) -> SampledSurface:
     weights = spec.kernel(t_off[:, None], x_off[None, :]) * (dt * dx)
     weights /= weights.sum()
 
-    # out[r, c] = sum_{p, q} u[r + p, c + q] * w[p, q]: a valid correlation.
     # Kernel time support is (-eps^2, 0), so row r draws on times t_r..t_r+eps^2.
-    out = correlate(surface.values, weights, mode="valid", method="fft")
+    out = _valid_correlation(surface.values, weights)
     return SampledSurface(
         times=surface.times[: nt - p_count],
         xs=surface.xs[q_count : nx - q_count],
@@ -209,6 +209,23 @@ def mollify(surface: SampledSurface, spec: MollifierSpec) -> SampledSurface:
         beta=surface.beta,
         slack=surface.slack,
     )
+
+
+def _valid_correlation(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``out[r, c] = sum_{p, q} values[r + p, c + q] * weights[p, q]`` by real FFTs.
+
+    The product of the transforms of ``values`` and of the flipped
+    ``weights``, both zero-padded to the next fast length of the full
+    correlation, is the full correlation; the valid part starts at
+    ``weights.shape - 1`` on each axis.
+    """
+    from scipy import fft  # here, so that importing cltlab loads no scipy module
+
+    s1, s2 = values.shape, weights.shape
+    shape = [fft.next_fast_len(a + b - 1, True) for a, b in zip(s1, s2)]
+    spectrum = fft.rfftn(values, shape) * fft.rfftn(weights[::-1, ::-1], shape)
+    full = fft.irfftn(spectrum, shape)
+    return full[s2[0] - 1 : s1[0], s2[1] - 1 : s1[1]].copy()
 
 
 def _strided(n: int, cap: int) -> np.ndarray:

@@ -52,3 +52,23 @@ def binomial_abs_mean(n: int) -> float:
     for k in range(n + 1):
         total += math.comb(n, k) * 0.5**n * abs(n - 2 * k)
     return total / math.sqrt(n)
+
+
+def sup_recursion_value(dists, payoff, n: int, step: float) -> float:
+    """Origin value of the sup-recursion over ``dists``, one point at a time.
+
+    Plain-Python backward recursion on the lattice ``step * Z`` scaled by
+    ``1/sqrt(n)``: every level keeps a dict from lattice index to value.
+    """
+    root = math.sqrt(n)
+    laws = [([round(s / step) for s in d.support], d.probs) for d in dists]
+    reach = max(abs(o) for offs, _ in laws for o in offs)
+    values = {
+        j: float(payoff(j * step / root)) for j in range(-n * reach, n * reach + 1)
+    }
+    for k in range(n - 1, -1, -1):
+        values = {
+            j: max(sum(p * values[j + o] for o, p in zip(offs, probs)) for offs, probs in laws)
+            for j in range(-k * reach, k * reach + 1)
+        }
+    return values[0]

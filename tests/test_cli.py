@@ -2,15 +2,35 @@ import argparse
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cltlab
 from cltlab.cli import ConfigInvalidError, RunConfig, build_parser, main, run
 from cltlab.output import LockHeldError, OutputDir, write_csv
 
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def test_cli_import_loads_no_fft_or_signal_module():
+    # the mollifier imports scipy.fft on first use; starting a command must not
+    code = (
+        "import sys, cltlab.cli; "
+        "print([m for m in ('scipy.signal', 'scipy.fft') if m in sys.modules])"
+    )
+    src = str(Path(cltlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 class TestRunConfig:
@@ -70,6 +90,7 @@ class TestRates:
         assert len(lines) == 5  # four depths plus the header
         summary = json.loads((tmp_path / "a" / "summary.json").read_text())
         assert summary["verdict"] == "pass"
+        assert summary["reference"] == "analytic"  # equal bounds, convex data
         manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
         assert manifest["schema"] == "cltlab.run/1"
         assert "rates.csv" in manifest["files"]
@@ -86,6 +107,7 @@ class TestRates:
         ]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["verdict"] == "pass"
+        assert summary["reference"] == "scheme"
         assert summary["reference_limited"] is False
         row = (out / "rates.csv").read_text().splitlines()[1].split(",")
         vref, vref_err = float(row[2]), float(row[3])
@@ -188,6 +210,10 @@ class TestRegularity:
         assert rc == 0
         rows = (tmp_path / "g" / "regularity.csv").read_text().splitlines()
         assert rows[0] == "check,excess,slack,pass"
+        summary = json.loads((tmp_path / "g" / "summary.json").read_text())
+        # every level 0..8 and every point of its cone (2k + 1 points)
+        assert summary["levels_checked"] == 9
+        assert summary["points_checked"] == sum(2 * k + 1 for k in range(9))
 
     def test_pde_auto_slack(self, tmp_path):
         rc = run_cli(["regularity", "--source", "pde", "--phi", "abs",

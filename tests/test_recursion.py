@@ -10,16 +10,24 @@ from cltlab import (
     ModeMismatchError,
     OutOfHullError,
     abs_payoff,
+    abs_pow_payoff,
     build_family,
     builtin_family,
+    conjecture_family,
+    cosine_payoff,
     make_discrete,
     piecewise_linear_payoff,
     rademacher,
 )
-from cltlab.recursion import origin_value, solve_recursion
+from cltlab.recursion import FLOAT_ROUNDING, origin_value, solve_recursion
 
 from conftest import zero_mean_dists, zero_mean_families
-from oracles import binomial_abs_mean, enumerate_value
+from oracles import (
+    binomial_abs_mean,
+    convolution_value,
+    enumerate_value,
+    sup_recursion_value,
+)
 
 RADEMACHER = builtin_family("rademacher")
 ABS = abs_payoff()
@@ -142,6 +150,66 @@ class TestField:
                 off = (big.size - small.size) // 2
                 bound = abs(field.times[j] - field.times[i]) ** 0.5
                 assert np.max(np.abs(small - big[off : off + small.size])) <= bound + 1e-12
+
+
+SKEW = make_discrete([-1, 2], [2 / 3, 1 / 3])
+SKEW_MIRROR = make_discrete([-2, 1], [1 / 3, 2 / 3])
+MIRROR_CLOSED = {
+    "rademacher": builtin_family("rademacher"),
+    "rademacher_pair": builtin_family("rademacher_pair"),
+    "conjecture_64": conjecture_family(64),
+    "skew_and_mirror": build_family([SKEW, SKEW_MIRROR], beta=1.0),
+}
+EVEN_PAYOFFS = {
+    "abs": ABS,
+    "cosine_scaled": cosine_payoff(),
+    "abs_pow_0.5": abs_pow_payoff(0.5),
+}
+
+
+def lattice_oracle(family, payoff, n):
+    if len(family.members) == 1 and family.lattice_step == 1.0:
+        return convolution_value(family.members[0], payoff, n)
+    return sup_recursion_value(family.members, payoff, n, family.lattice_step)
+
+
+class TestHalfCone:
+    """Even data under a mirror-closed family is marched on j >= 0 only."""
+
+    @pytest.mark.parametrize("payoff", EVEN_PAYOFFS.values(), ids=EVEN_PAYOFFS)
+    @pytest.mark.parametrize("family", MIRROR_CLOSED.values(), ids=MIRROR_CLOSED)
+    def test_levels_are_palindromes(self, family, payoff):
+        field = solve_recursion(family, payoff, 24)
+        for k, (pts, vals) in enumerate(zip(field.xs, field.values)):
+            assert vals.size == pts.size
+            assert np.array_equal(vals, vals[::-1]), k
+            assert np.array_equal(pts, -pts[::-1]), k
+
+    @pytest.mark.parametrize("payoff", EVEN_PAYOFFS.values(), ids=EVEN_PAYOFFS)
+    @pytest.mark.parametrize("family", MIRROR_CLOSED.values(), ids=MIRROR_CLOSED)
+    @pytest.mark.parametrize("n", [1, 2, 5, 24])
+    def test_origin_matches_oracle(self, family, payoff, n):
+        v = origin_value(family, payoff, n)
+        assert solve_recursion(family, payoff, n).origin_value() == v
+        assert v == pytest.approx(lattice_oracle(family, payoff, n), abs=FLOAT_ROUNDING)
+
+    @pytest.mark.parametrize(
+        "family, payoff",
+        [
+            (build_family([SKEW], beta=1.0), ABS),  # mirror law not a member
+            # |x - 1/4| on the +-8 window: a shifted payoff is not even
+            (RADEMACHER, piecewise_linear_payoff([-8.0, 0.25, 8.0], [8.25, 0.0, 7.75])),
+        ],
+        ids=["skew_law", "shifted_payoff"],
+    )
+    @pytest.mark.parametrize("n", [2, 6, 12])
+    def test_uneven_cases_march_the_whole_cone(self, family, payoff, n):
+        field = solve_recursion(family, payoff, n)
+        assert not all(np.array_equal(v, v[::-1]) for v in field.values[1:])
+        v = origin_value(family, payoff, n)
+        assert field.origin_value() == v
+        assert v == pytest.approx(lattice_oracle(family, payoff, n), abs=FLOAT_ROUNDING)
+        assert v == pytest.approx(enumerate_value(family.members[0], payoff, n), abs=1e-10)
 
 
 class TestGridMode:

@@ -28,6 +28,7 @@ from cltlab.smoothing import (
     SmoothingRow,
     _max_core_derivatives,
     _strided,
+    _valid_correlation,
     kernel_shape,
 )
 
@@ -116,6 +117,19 @@ class TestMollify:
         surf = abs_surface(eps=0.2)
         with pytest.raises(ResolutionTooCoarseError):
             mollify(surf, MollifierSpec(0.05))
+
+    @pytest.mark.parametrize("shape", [(5, 7), (9, 4), (2, 2)])
+    def test_valid_correlation_is_the_direct_sum(self, shape):
+        # random weights are asymmetric on both axes, so a kernel that is not
+        # flipped, or a window off by one, gives a different sum
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal((40, 33))
+        weights = rng.random(shape)
+        windows = np.lib.stride_tricks.sliding_window_view(values, shape)
+        direct = np.einsum("rcpq,pq->rc", windows, weights)
+        got = _valid_correlation(values, weights)
+        assert got.shape == direct.shape == (41 - shape[0], 34 - shape[1])
+        assert np.max(np.abs(got - direct)) <= 1e-12
 
     def test_domain_guard(self):
         surf = surface_from_function(
