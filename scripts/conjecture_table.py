@@ -15,6 +15,6 @@ from cltlab.cli import main as cli
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="cltlab-out/conjecture")
-    ap.add_argument("--ns", default="16,64,256,1024,4096,16384,65536")
+    ap.add_argument("--ns", default="16,64,256,1024,4096,16384,65536,262144,1048576")
     args = ap.parse_args()
     sys.exit(cli(["conjecture", "--ns", args.ns, "--out", args.out]))

@@ -18,6 +18,8 @@ import dataclasses
 import json
 import os
 import sys
+import types
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,7 +80,27 @@ class RunConfig:
             raise ConfigInvalidError(f"unknown config keys: {sorted(unknown)}")
         if "command" not in data or "out_dir" not in data:
             raise ConfigInvalidError("config needs 'command' and 'out_dir'")
+        for name, tp in typing.get_type_hints(cls).items():
+            if name in data and not _conforms(data[name], tp):
+                kind = tp.__name__ if isinstance(tp, type) else tp
+                raise ConfigInvalidError(
+                    f"config key {name!r} must be {kind}, got {data[name]!r}"
+                )
         return cls(**data)
+
+
+def _conforms(value, tp) -> bool:
+    """Whether a JSON value fits a field annotation (ints count as floats)."""
+    args = typing.get_args(tp)
+    if isinstance(tp, types.UnionType):
+        return any(_conforms(value, a) for a in args)
+    if typing.get_origin(tp) is list:
+        return isinstance(value, list) and all(_conforms(v, args[0]) for v in value)
+    if isinstance(value, bool):
+        return tp is bool
+    if tp is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, tp)
 
 
 def _resolve_family(spec) -> Family:
@@ -146,14 +168,15 @@ def _run_value(cfg: RunConfig, out: OutputDir) -> int:
     spec = default_spec(prob, h=cfg.h or 1.0 / 400.0)
     if cfg.half_width is not None:
         spec = SchemeSpec(spec.h, spec.tau, cfg.half_width)
-    value, err = richardson_value(prob, spec)
+    field = solve_gheat(prob, spec) if cfg.emit_field else None
+    origin_h = None if field is None else field.origin_value()
+    value, err = richardson_value(prob, spec, origin_h)
     print(f"value {value!r} error_estimate {err!r}")
     write_json(
         out.path("summary.json"),
         {"value": value, "error_estimate": err, "h": spec.h, "half_width": spec.half_width},
     )
-    if cfg.emit_field:
-        field = solve_gheat(prob, spec)
+    if field is not None:
         rows = [
             (float(t), float(x), float(v))
             for t, xs, vs in zip(field.times, field.xs, field.values)
@@ -184,6 +207,16 @@ def _run_recurse(cfg: RunConfig, out: OutputDir) -> int:
     print(f"origin_value {origin!r}")
     write_json(out.path("summary.json"), {"n": cfg.n, "origin_value": origin})
     return 0
+
+
+def _windows(rows):
+    """Per n, the lattice window of the march, or None for grid-mode rows."""
+    if any(r.window is None for r in rows):
+        return None
+    return [
+        {"n": r.n, "J": r.window.J, "cone": r.window.cone, "bound": r.window.bound}
+        for r in rows
+    ]
 
 
 def _run_rates(cfg: RunConfig, out: OutputDir) -> int:
@@ -220,6 +253,7 @@ def _run_rates(cfg: RunConfig, out: OutputDir) -> int:
             "reference": report.reference,
             "reference_limited": report.reference_limited,
             "verdict": report.verdict,
+            "window": _windows(report.rows),
         },
     )
     if cfg.emit_svg:
@@ -255,6 +289,10 @@ def _run_conjecture(cfg: RunConfig, out: OutputDir) -> int:
                 "the discrete column is reported as data; its limit is "
                 "conjectural and is not asserted here"
             ),
+            "approach_rate": [
+                {"n": [a, b], "rate": rate} for a, b, rate in report.approach_rates()
+            ],
+            "window": _windows(report.rows),
         },
     )
     for r in report.rows:
@@ -280,7 +318,7 @@ def _run_regularity(cfg: RunConfig, out: OutputDir) -> int:
         field = solve_gheat(prob, spec)
         sigma_bar = cfg.sigma_bar
         if cfg.slack in (None, "auto"):
-            _, err = richardson_value(prob, spec)
+            _, err = richardson_value(prob, spec, field.origin_value())
             slack = 2.0 * err
         else:
             slack = float(cfg.slack)

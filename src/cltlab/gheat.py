@@ -198,7 +198,9 @@ def solve_gheat(
     )
 
 
-def richardson_value(prob: GHeatProblem, spec: SchemeSpec) -> tuple[float, float]:
+def richardson_value(
+    prob: GHeatProblem, spec: SchemeSpec, origin_h: float | None = None
+) -> tuple[float, float]:
     """Origin value with an error bar, marching no grid finer than ``spec``.
 
     Marches ``4h``, ``2h`` and ``h`` at the CFL ratio of ``spec``. When the
@@ -211,6 +213,10 @@ def richardson_value(prob: GHeatProblem, spec: SchemeSpec) -> tuple[float, float
     and ``2h`` marches when their step counts do not nest in that of ``h``
     (``tau`` is rounded to land on ``t = 0``, which would change the CFL
     ratio between levels) or when the ``4h`` grid is degenerate.
+
+    A caller that has already marched ``spec`` (with either ``store`` mode)
+    passes that field's origin value as ``origin_h``; the ``h`` march is
+    then skipped and the result is unchanged.
     """
 
     def origin(s: SchemeSpec) -> float:
@@ -223,7 +229,7 @@ def richardson_value(prob: GHeatProblem, spec: SchemeSpec) -> tuple[float, float
             v4, v2 = origin(spec.scaled(4.0)), origin(spec.scaled(2.0))
         except DegenerateGridError:  # fewer than three interior points at 4h
             pass
-    v1 = origin(spec)
+    v1 = origin(spec) if origin_h is None else origin_h
     if v4 is not None:
         g1, g2 = v4 - v2, v2 - v1
         if g2 != 0.0 and g1 / g2 > 0.0 and abs(math.log2(g1 / g2) - 2.0) <= ORDER_TOL:

@@ -6,11 +6,21 @@ family, with steps scaled by ``1/sqrt(n)``. One level loop serves two
 execution modes, which differ only in their points and in how one member's
 expectation is formed:
 
-* ``lattice`` (used whenever the family has a common support step ``c``):
-  level ``k`` lives on the cone ``{j * c/sqrt(n) : |j| <= k * m}`` where
+* ``lattice`` (used whenever the family has a common support step ``delta``):
+  level ``k`` lives on the cone ``{j * delta/sqrt(n) : |j| <= k * m}`` where
   ``m`` is the largest support point in lattice units. Every lookup is an
-  exact shift, so the origin value carries no interpolation error, only
-  float rounding (documented <= 1e-12 at desk scale). Rate experiments run
+  exact shift, so the origin value carries no interpolation error: it is
+  exact up to float rounding (documented <= 1e-12 at desk scale) and a
+  certified window bound <= ``WINDOW_TOL = 1e-16``. :func:`origin_value`
+  marches only ``|j| <= min(k * m, J)`` and keeps the points beyond ``J``
+  at their terminal values, where
+  ``J = ceil(c m/3 + sqrt((c m/3)^2 + 2 c V)) + ceil(n mu)`` with
+  ``c = ln(2 L / WINDOW_TOL)``, ``L = sigma_bar**beta``, ``V = n s^2``,
+  ``s^2`` the largest member second moment and ``mu`` the largest
+  ``|mean|``, both in lattice units (Freedman's inequality; see
+  :func:`lattice_window`). For the sharpness family ``V = 2 sqrt(n)``, so
+  a march costs O(n^{5/4}) instead of O(n^2). :func:`solve_recursion`
+  stores every level and marches the whole cone. Rate experiments run
   exclusively in this mode; even a small interpolation bias would pollute
   slope fits for exponents as small as 1/6.
 * ``grid``: a fixed uniform grid with linear interpolation. Positions that
@@ -34,15 +44,17 @@ at ``+j``, so values can differ from a whole-cone march by about 1 ulp.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridTooSmallError, LabError
-from .families import DiscreteDist, Family
+from .families import DiscreteDist, Family, moment
 from .fields import GridSpec, ValueField
 from .payoffs import Payoff
 
 FLOAT_ROUNDING = 1e-12  # documented rounding envelope for desk-scale n
+WINDOW_TOL = 1e-16  # certified bound on what the lattice window moves the origin
 
 
 class ModeMismatchError(LabError, ValueError):
@@ -57,6 +69,67 @@ def _lattice_offsets(dist: DiscreteDist, step: float) -> tuple[int, ...]:
             raise ModeMismatchError(f"support point {s} is off the lattice {step}*Z")
         offsets.append(int(j))
     return tuple(offsets)
+
+
+def _lattice_terms(family: Family):
+    """Per member (offsets, probs) in lattice units, and the largest |offset|."""
+    terms = [(_lattice_offsets(d, family.lattice_step), d.probs) for d in family.members]
+    return terms, max(max(abs(o) for o in offs) for offs, _ in terms)
+
+
+@dataclass(frozen=True)
+class Window:
+    """Lattice window of a depth-n march, in lattice units.
+
+    Levels march ``|j| <= min(k * reach, J)``; ``cone = n * reach`` is the
+    half-width of the whole reachable cone, and ``bound`` certifies how far
+    freezing the points beyond ``J`` can move the origin value (0 when
+    ``J == cone``, so nothing is frozen).
+    """
+
+    J: int
+    cone: int
+    bound: float
+
+
+def lattice_window(
+    family: Family, payoff: Payoff, n: int, tol: float = WINDOW_TOL
+) -> Window:
+    """Smallest window whose frozen points move the origin by at most ``tol``.
+
+    Under any choice of members the walk's steps are, up to a drift of at
+    most ``mu = max |mean|`` per step, martingale increments bounded by
+    ``m = reach`` with conditional variance at most ``s^2``, the largest
+    member second moment; both in lattice units. Freedman's inequality then
+    bounds the upper probability that the martingale part leaves ``|j| <= a``
+    within ``n`` steps by ``2 exp(-a^2 / (2 (V + m a / 3)))``, ``V = n s^2``.
+    A point frozen at its terminal value is off by at most
+    ``L = sigma_bar**beta`` (every catalogue payoff is Holder-beta with
+    constant 1), so the origin moves by at most ``L`` times that probability.
+    With ``c = ln(2 L / tol)`` the smallest such ``a`` is
+    ``ceil(c m / 3 + sqrt((c m / 3)^2 + 2 c V))``; ``J`` adds the drift
+    ``ceil(n mu / step)`` and is clamped to the cone. ``tol <= 0`` asks for
+    the whole cone.
+    """
+    if family.lattice_step is None:
+        raise ModeMismatchError("family has no common lattice step")
+    step = family.lattice_step
+    _, m = _lattice_terms(family)
+    cone = n * m
+    lip = family.sigma_bar**payoff.beta
+    if tol <= 0.0:
+        return Window(cone, cone, 0.0)
+    if lip == 0.0:  # a frozen point is exact
+        return Window(0, cone, 0.0)
+    var = n * max(moment(d, 2) for d in family.members) / step**2
+    drift = math.ceil(n * max(abs(moment(d, 1)) for d in family.members) / step)
+    c = max(math.log(2.0 * lip / tol), 0.0)
+    a = c * m / 3.0
+    free = math.ceil(a + math.sqrt(a * a + 2.0 * c * var))
+    if free + drift >= cone:
+        return Window(cone, cone, 0.0)
+    tail = 2.0 * math.exp(-free * free / (2.0 * (var + m * free / 3.0)))
+    return Window(free + drift, cone, min(tail, 1.0) * lip)
 
 
 def _expect_grid(values, x, dist: DiscreteDist, n: int, payoff: Payoff):
@@ -101,7 +174,9 @@ def _mirror_closed(terms) -> bool:
     )
 
 
-def _march(family: Family, payoff: Payoff, n: int, mode: str, grid, collect=None):
+def _march(
+    family: Family, payoff: Payoff, n: int, mode: str, grid, collect=None, tol=WINDOW_TOL
+):
     """Run the backward loop; returns the spacing and the level-0 value at x = 0.
 
     When ``collect`` is given it receives ``(k, points, values)`` for every
@@ -110,48 +185,60 @@ def _march(family: Family, payoff: Payoff, n: int, mode: str, grid, collect=None
     in scratch rows, so a level allocates nothing. When every member's mirror
     law is in the family and the terminal data is a palindrome, the field is
     even and only ``j >= 0`` is marched, with ``reach`` ghost points at
-    ``j < 0`` copied from ``+j`` after each level.
+    ``j < 0`` copied from ``+j`` after each level. Lattice levels march only
+    ``|j| <= J`` of :func:`lattice_window` at ``tol``; ``tol = 0`` marches
+    the whole cone, operation for operation as without a window.
     """
     if int(n) != n or n < 1:
         raise ValueError(f"need integer n >= 1, got {n}")
     n = int(n)
     if mode == "lattice":
-        step = family.lattice_step
-        h = step / math.sqrt(n)
-        terms = [(_lattice_offsets(d, step), d.probs) for d in family.members]
-        reach = max(max(abs(o) for o in offs) for offs, _ in terms)
+        terms, reach = _lattice_terms(family)
+        h = family.lattice_step / math.sqrt(n)
+        cut = lattice_window(family, payoff, n, tol).J
+        size = min(n * reach, cut + reach)  # buffers hold j in [-size, size]
 
         def points(k):
             return np.arange(-k * reach, k * reach + 1) * h
 
-        terminal = np.asarray(payoff(points(n)), dtype=float)
+        terminal = np.asarray(payoff(np.arange(-size, size + 1) * h), dtype=float)
         # even data stays even: keep j >= -reach, where index i holds j = i - reach
         even = _mirror_closed(terms) and np.array_equal(terminal, terminal[::-1])
-        cur = (terminal[(n - 1) * reach :] if even else terminal).copy()
-        levels = (cur, np.empty(cur.size))  # level k lives in levels[(n - k) % 2]
+        zero = reach if even else size  # index of j = 0
+        cur = terminal[size - reach :] if even else terminal
+        # both levels start as terminal data, so j beyond the window stays frozen
+        levels = (cur, cur.copy())  # level k lives in levels[(n - k) % 2]
         scratch = np.empty((2, cur.size))
 
         def full(k, v):
+            top = zero + k * reach
             if even:
-                top = reach + k * reach
                 return np.concatenate((v[top:reach:-1], v[reach : top + 1]))
-            return v[: 2 * k * reach + 1].copy()
+            return v[2 * zero - top : top + 1].copy()
 
-        # per member, (weight, start of the j + offset window) in ascending support
-        atoms = [[(p, reach + o) for o, p in zip(offs, probs)] for offs, probs in terms]
-        lo = reach if even else 0
+        # per member, (weight, offset) in ascending support
+        atoms = [list(zip(probs, offs)) for offs, probs in terms]
+
+        def views(nxt, cur, w):
+            # level k at 0 <= j <= w (even) or |j| <= w, read from level k + 1
+            lo, width = (zero, w + 1) if even else (zero - w, 2 * w + 1)
+            reads = [[(p, cur[lo + o : lo + o + width]) for p, o in m] for m in atoms]
+            return nxt[lo : lo + width], scratch[0, :width], scratch[1, :width], reads
+
+        # levels k >= cut / reach all march the window: each reuses one of these
+        saturated = None
+        if cut <= (n - 1) * reach:
+            saturated = [views(levels[i], levels[1 - i], cut) for i in (0, 1)]
 
         def advance(k, cur):
-            # level k at j >= 0 (even) or over the whole cone
             nxt = levels[(n - k) % 2]
-            width = k * reach + 1 if even else 2 * k * reach + 1
-            best = nxt[lo : lo + width]
-            prod, acc = scratch[0, :width], scratch[1, :width]
+            w = min(k * reach, cut)
+            best, prod, acc, reads = saturated[(n - k) % 2] if w == cut else views(nxt, cur, w)
             out = best
-            for (p, s), *rest in atoms:
-                np.multiply(cur[s : s + width], p, out=out)
-                for p, s in rest:
-                    np.multiply(cur[s : s + width], p, out=prod)
+            for (p, v), *rest in reads:
+                np.multiply(v, p, out=out)
+                for p, v in rest:
+                    np.multiply(v, p, out=prod)
                     out += prod
                 if out is acc:
                     np.maximum(best, acc, out=best)
@@ -161,7 +248,7 @@ def _march(family: Family, payoff: Payoff, n: int, mode: str, grid, collect=None
             return nxt
 
         def origin(v):
-            return float(v[reach] if even else v[0])
+            return float(v[zero])
     else:
         grid = grid or default_grid(family, n)
         if grid.half_width + 1e-12 < 8.0 * family.sigma_bar:
@@ -207,7 +294,10 @@ def solve_recursion(
     mode: str | None = None,
     grid: GridSpec | None = None,
 ) -> ValueField:
-    """Full backward solve keeping every level; memory is O(n^2) on lattices."""
+    """Full backward solve keeping every level; memory is O(n^2) on lattices.
+
+    Lattice levels cover the whole cone: audits read every stored point.
+    """
     mode = resolve_mode(family, mode)
     xs: list[np.ndarray] = [None] * (n + 1)
     values: list[np.ndarray] = [None] * (n + 1)
@@ -216,7 +306,7 @@ def solve_recursion(
         xs[k] = points(k)
         values[k] = v
 
-    h, _ = _march(family, payoff, n, mode, grid, collect)
+    h, _ = _march(family, payoff, n, mode, grid, collect, tol=0.0)
     return ValueField(
         mode=mode,
         n=int(n),
@@ -234,6 +324,10 @@ def origin_value(
     mode: str | None = None,
     grid: GridSpec | None = None,
 ) -> float:
-    """Initial-time value at x = 0 without storing the field (O(n) memory)."""
+    """Initial-time value at x = 0 without storing the field (O(n) memory).
+
+    Lattice mode marches the window of :func:`lattice_window`, which moves
+    the value by at most its certified bound (<= ``WINDOW_TOL``).
+    """
     mode = resolve_mode(family, mode)
     return _march(family, payoff, n, mode, grid)[1]

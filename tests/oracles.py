@@ -54,21 +54,31 @@ def binomial_abs_mean(n: int) -> float:
     return total / math.sqrt(n)
 
 
-def sup_recursion_value(dists, payoff, n: int, step: float) -> float:
+def sup_recursion_value(dists, payoff, n: int, step: float, window=None) -> float:
     """Origin value of the sup-recursion over ``dists``, one point at a time.
 
     Plain-Python backward recursion on the lattice ``step * Z`` scaled by
     ``1/sqrt(n)``: every level keeps a dict from lattice index to value.
+    With ``window`` a level recomputes only ``|j| <= window`` and every
+    other point keeps its terminal value.
     """
     root = math.sqrt(n)
     laws = [([round(s / step) for s in d.support], d.probs) for d in dists]
     reach = max(abs(o) for offs, _ in laws for o in offs)
-    values = {
+    terminal = {
         j: float(payoff(j * step / root)) for j in range(-n * reach, n * reach + 1)
     }
+    values = terminal
     for k in range(n - 1, -1, -1):
+        w = k * reach if window is None else min(k * reach, window)
         values = {
-            j: max(sum(p * values[j + o] for o, p in zip(offs, probs)) for offs, probs in laws)
-            for j in range(-k * reach, k * reach + 1)
+            **terminal,
+            **{
+                j: max(
+                    sum(p * values[j + o] for o, p in zip(offs, probs))
+                    for offs, probs in laws
+                )
+                for j in range(-w, w + 1)
+            },
         }
     return values[0]

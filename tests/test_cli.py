@@ -54,12 +54,37 @@ class TestRunConfig:
             RunConfig.from_dict({"out_dir": "x"})
 
     def test_non_object_phi(self, tmp_path):
-        cfg = RunConfig.from_dict({
-            "command": "value", "out_dir": str(tmp_path / "v"), "phi": "abs",
-            "sigma_under": 1.0, "sigma_bar": 1.0,
-        })
         with pytest.raises(ConfigInvalidError):
-            run(cfg)
+            run(RunConfig.from_dict({
+                "command": "value", "out_dir": str(tmp_path / "v"), "phi": "abs",
+                "sigma_under": 1.0, "sigma_bar": 1.0,
+            }))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("ns", "4,16"),
+            ("ns", [4.0, 16]),
+            ("n", 8.0),
+            ("h", "0.01"),
+            ("h", True),
+            ("eps", 0.1),
+            ("slack", [0]),
+            ("family", 3),
+            ("emit_svg", 1),
+            ("command", None),
+        ],
+    )
+    def test_wrongly_typed_value(self, key, value):
+        with pytest.raises(ConfigInvalidError, match=key):
+            RunConfig.from_dict({"command": "rates", "out_dir": "x", key: value})
+
+    def test_json_numbers_fit_float_fields(self):
+        cfg = RunConfig.from_dict({
+            "command": "value", "out_dir": "x", "sigma_under": 1, "sigma_bar": 1.5,
+            "slack": "auto", "family": {"beta": 1}, "eps": [1, 0.5], "a": 0,
+        })
+        assert cfg.sigma_under == 1 and cfg.eps == [1, 0.5]
 
     def test_every_option_reaches_the_config(self):
         # options are copied by RunConfig field name; anything else is dropped
@@ -91,6 +116,10 @@ class TestRates:
         summary = json.loads((tmp_path / "a" / "summary.json").read_text())
         assert summary["verdict"] == "pass"
         assert summary["reference"] == "analytic"  # equal bounds, convex data
+        *whole, cut = summary["window"]
+        assert whole == [{"n": n, "J": n, "cone": n, "bound": 0.0} for n in (4, 16, 64)]
+        assert cut["n"] == cut["cone"] == 256
+        assert cut["J"] < 256 and 0.0 < cut["bound"] <= 1e-16
         manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
         assert manifest["schema"] == "cltlab.run/1"
         assert "rates.csv" in manifest["files"]
@@ -182,6 +211,12 @@ class TestValue:
         assert lines[0] == "t,x,v"
         assert "0.0,0.0,0.0" in lines
 
+    def test_emit_field_marches_h_once(self, tmp_path, marched_h):
+        rc = run_cli(["value", "--sigma-under", 1, "--sigma-bar", 1, "--phi", "cosine_scaled",
+                      "--h", 0.05, "--emit-field", "--out", tmp_path / "v"])
+        assert rc == 0
+        assert marched_h.count(0.05) == 1
+
     def test_wrongly_typed_payoff_parameter_exits_one(self, tmp_path, capsys):
         rc = run_cli(["value", "--sigma-under", 1, "--sigma-bar", 1,
                       "--phi", '{"phi": "abs_pow", "beta": [1]}', "--out", tmp_path / "v"])
@@ -203,6 +238,23 @@ class TestRecurse:
         assert len(rows) == 1 + 9
 
 
+@pytest.fixture
+def marched_h(monkeypatch):
+    """Spatial steps of every scheme march a command makes, in order."""
+    from cltlab import cli, gheat
+
+    steps = []
+    solve = gheat.solve_gheat
+
+    def recorder(prob, spec, store="levels"):
+        steps.append(spec.h)
+        return solve(prob, spec, store)
+
+    monkeypatch.setattr(gheat, "solve_gheat", recorder)
+    monkeypatch.setattr(cli, "solve_gheat", recorder)
+    return steps
+
+
 class TestRegularity:
     def test_lattice_passes(self, tmp_path):
         rc = run_cli(["regularity", "--family", "rademacher", "--phi", "abs",
@@ -220,6 +272,13 @@ class TestRegularity:
                       "--sigma-under", 1, "--sigma-bar", 1, "--h", 0.02,
                       "--out", tmp_path / "g"])
         assert rc == 0
+
+    def test_pde_auto_slack_marches_h_once(self, tmp_path, marched_h):
+        rc = run_cli(["regularity", "--source", "pde", "--phi", "abs",
+                      "--sigma-under", 1, "--sigma-bar", 1, "--h", 0.02,
+                      "--out", tmp_path / "g"])
+        assert rc == 0
+        assert marched_h.count(0.02) == 1
 
 
 class TestMollifyCheck:
@@ -239,6 +298,19 @@ class TestConjectureCommand:
         rows = (tmp_path / "c" / "conjecture.csv").read_text().splitlines()
         assert rows[0] == "n,scaled_vn_continuous,scaled_vn_discrete"
         assert rows[1].startswith(f"16,{2.0 / math.sqrt(math.pi)!r},")
+
+    def test_summary_reports_windows_and_approach_rate(self, tmp_path):
+        rc = run_cli(["conjecture", "--ns", "16,64,1024,4096", "--out", tmp_path / "c"])
+        assert rc == 0
+        summary = json.loads((tmp_path / "c" / "summary.json").read_text())
+        windows = summary["window"]
+        assert [w["n"] for w in windows] == [16, 64, 1024, 4096]
+        assert all(w["cone"] == w["n"] for w in windows)  # reach 1
+        assert windows[0] == {"n": 16, "J": 16, "cone": 16, "bound": 0.0}
+        assert windows[-1]["J"] < 4096 and 0.0 < windows[-1]["bound"] <= 1e-16
+        rates = summary["approach_rate"]
+        assert [r["n"] for r in rates] == [[64, 1024], [1024, 4096]]
+        assert all(isinstance(r["rate"], float) for r in rates)
 
 
 class TestOutputDir:

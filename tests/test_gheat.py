@@ -190,6 +190,23 @@ class TestRichardson:
         assert richardson_value(prob, spec) == self.refined_pair(prob, spec)
         assert marched == [spec.h, spec.h / 2]
 
+    @pytest.mark.parametrize(
+        "prob",
+        [
+            GHeatProblem(1.0, 1.0, cosine_payoff()),  # extrapolates
+            GHeatProblem(0.5, 1.0, abs_pow_payoff(0.5)),  # falls back
+        ],
+        ids=["order_two", "fallback"],
+    )
+    def test_reuses_a_marched_h_field(self, prob, marched):
+        spec = default_spec(prob, h=1 / 50)
+        expected = richardson_value(prob, spec)
+        for store in ("levels", "final"):
+            origin_h = solve_gheat(prob, spec, store=store).origin_value()
+            del marched[:]
+            assert richardson_value(prob, spec, origin_h) == expected
+            assert spec.h not in marched
+
 
 class TestConvexOracle:
     def test_classical_abs(self):

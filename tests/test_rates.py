@@ -18,7 +18,8 @@ from cltlab import (
     theoretical_exponent,
 )
 from cltlab.gheat import GHeatProblem, default_spec
-from cltlab.rates import SCALED_TARGET
+from cltlab.rates import SCALED_TARGET, ConjectureReport, ConjectureRow
+from cltlab.recursion import lattice_window
 
 from oracles import (
     ROOT_2_OVER_PI,
@@ -99,6 +100,21 @@ class TestErrorCurve:
         with pytest.raises(ReferenceTooCoarseError):
             error_curve(pair, ABS, [16, 64, 256], ref_spec=coarse, strict_reference=True)
 
+    def test_rows_carry_the_window_of_their_march(self):
+        report = error_curve(RADEMACHER, ABS, [16, 4096])
+        assert [r.window for r in report.rows] == [
+            lattice_window(RADEMACHER, ABS, n) for n in (16, 4096)
+        ]
+        assert report.rows[1].window.J < 4096
+
+    def test_grid_mode_rows_have_no_window(self):
+        fam = build_family([make_discrete([-1, 1], [0.5, 0.5]),
+                            make_discrete([-2**0.5, 2**0.5], [0.5, 0.5])], 1.0)
+        assert fam.lattice_step is None
+        prob = GHeatProblem(fam.sigma_under, fam.sigma_bar, ABS)
+        report = error_curve(fam, ABS, [4, 8, 16], ref_spec=default_spec(prob, h=1 / 10))
+        assert all(r.window is None for r in report.rows)
+
     def test_ns_validation(self):
         with pytest.raises(ValueError):
             error_curve(RADEMACHER, ABS, [4, 4, 16])
@@ -138,6 +154,19 @@ class TestConjecture:
         report = conjecture_experiment([16])
         oracle = 16**0.25 * convolution_value(dist, ABS, 16)
         assert report.rows[0].scaled_discrete == pytest.approx(oracle, abs=1e-12)
+
+    def test_approach_rates_over_the_last_three_rows(self):
+        def report(*gaps):
+            ns = [4**i for i in range(1, len(gaps) + 1)]
+            rows = [ConjectureRow(n, SCALED_TARGET, SCALED_TARGET - g) for n, g in zip(ns, gaps)]
+            return ConjectureReport(tuple(rows), SCALED_TARGET)
+
+        # each 4x in n halves the gap: rate log 2 / log 4 = 1/2
+        rates = report(0.8, 0.4, 0.2, 0.1).approach_rates()
+        assert [(a, b) for a, b, _ in rates] == [(16, 64), (64, 256)]
+        assert [r for _, _, r in rates] == pytest.approx([0.5, 0.5], abs=1e-12)
+        assert report(0.4, 0.0).approach_rates() == [(4, 16, None)]
+        assert report(0.4).approach_rates() == []
 
     def test_bad_n(self):
         with pytest.raises(BadNError):

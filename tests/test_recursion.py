@@ -16,10 +16,20 @@ from cltlab import (
     conjecture_family,
     cosine_payoff,
     make_discrete,
+    moment,
+    neg_abs_payoff,
     piecewise_linear_payoff,
     rademacher,
 )
-from cltlab.recursion import FLOAT_ROUNDING, origin_value, solve_recursion
+from cltlab.recursion import (
+    FLOAT_ROUNDING,
+    WINDOW_TOL,
+    Window,
+    _march,
+    lattice_window,
+    origin_value,
+    solve_recursion,
+)
 
 from conftest import zero_mean_dists, zero_mean_families
 from oracles import (
@@ -210,6 +220,96 @@ class TestHalfCone:
         assert field.origin_value() == v
         assert v == pytest.approx(lattice_oracle(family, payoff, n), abs=FLOAT_ROUNDING)
         assert v == pytest.approx(enumerate_value(family.members[0], payoff, n), abs=1e-10)
+
+
+WINDOW_FAMILIES = {
+    "rademacher": lambda n: RADEMACHER,
+    "rademacher_half": lambda n: builtin_family("rademacher_half"),
+    "rademacher_pair": lambda n: builtin_family("rademacher_pair"),
+    "conjecture": conjecture_family,
+    "skew_law": lambda n: build_family([SKEW], beta=1.0),  # not mirror-closed
+}
+WINDOW_PAYOFFS = {
+    "abs": ABS,
+    "neg_abs": neg_abs_payoff(),
+    "cosine_scaled": cosine_payoff(),
+    "abs_pow_0.5": abs_pow_payoff(0.5),
+    # not even: marched on the whole window
+    "piecewise_linear": piecewise_linear_payoff([-1.0, 0.25, 2.0], [0.5, -0.25, 0.5]),
+}
+
+
+def whole_cone(family, payoff, n):
+    return _march(family, payoff, n, "lattice", None, tol=0.0)[1]
+
+
+@pytest.mark.parametrize("pname", WINDOW_PAYOFFS)
+@pytest.mark.parametrize("fname", WINDOW_FAMILIES)
+class TestWindow:
+    """origin_value marches only |j| <= J; beyond it levels keep terminal data."""
+
+    @pytest.mark.parametrize("n", [300, 4096])
+    def test_matches_the_whole_cone(self, fname, pname, n):
+        family, payoff = WINDOW_FAMILIES[fname](n), WINDOW_PAYOFFS[pname]
+        window = lattice_window(family, payoff, n)
+        assert window.J < window.cone  # the window bites
+        assert 0.0 < window.bound <= WINDOW_TOL
+        assert origin_value(family, payoff, n) == pytest.approx(
+            whole_cone(family, payoff, n), abs=1e-15
+        )
+
+    def test_freezes_terminal_data_beyond_the_window(self, fname, pname):
+        n = 40
+        family, payoff = WINDOW_FAMILIES[fname](n), WINDOW_PAYOFFS[pname]
+        tol = 2.0 * family.sigma_bar**payoff.beta * math.exp(-0.5)  # J ~ sqrt(V)
+        window = lattice_window(family, payoff, n, tol)
+        assert window.J < window.cone
+        oracle = sup_recursion_value(
+            family.members, payoff, n, family.lattice_step, window=window.J
+        )
+        windowed = _march(family, payoff, n, "lattice", None, tol=tol)[1]
+        assert windowed == pytest.approx(oracle, abs=FLOAT_ROUNDING)
+        assert abs(windowed - whole_cone(family, payoff, n)) > FLOAT_ROUNDING
+
+    def test_bound_is_honest_at_a_small_window(self, fname, pname):
+        # c = ln(2 L / tol) = 2 puts J near 2 sqrt(V): the error shows and
+        # must stay below the certified bound. Concave data under
+        # rademacher_pair runs on the narrow member, whose walk is half as
+        # wide as V assumes, so its error shows only at c = 1
+        n = 1024
+        family, payoff = WINDOW_FAMILIES[fname](n), WINDOW_PAYOFFS[pname]
+        c = 1.0 if (fname, pname) == ("rademacher_pair", "neg_abs") else 2.0
+        tol = 2.0 * family.sigma_bar**payoff.beta * math.exp(-c)
+        window = lattice_window(family, payoff, n, tol)
+        m = window.cone // n
+        var = n * max(moment(d, 2) for d in family.members) / family.lattice_step**2
+        assert math.sqrt(2 * c * var) <= window.J <= math.sqrt(2 * c * var) + c * m + 1
+        err = abs(_march(family, payoff, n, "lattice", None, tol=tol)[1]
+                  - whole_cone(family, payoff, n))
+        assert 0.0 < err <= window.bound
+
+
+class TestWindowBounds:
+    def test_whole_cone_below_the_window(self):
+        assert lattice_window(RADEMACHER, ABS, 64) == Window(J=64, cone=64, bound=0.0)
+
+    def test_point_mass_has_an_empty_window(self):
+        fam = build_family([make_discrete([0.0], [1.0])], beta=1.0)
+        assert lattice_window(fam, ABS, 100) == Window(J=0, cone=0, bound=0.0)
+
+    def test_drift_widens_the_window(self):
+        # |mean| = 1e-13 is admitted; n = 2^20 steps of drift add one unit
+        n = 2**20
+        drifting = build_family([make_discrete([-1.0, 1.0], [0.5 - 5e-14, 0.5 + 5e-14])], 1.0)
+        assert lattice_window(drifting, ABS, n).J == lattice_window(RADEMACHER, ABS, n).J + 1
+
+    def test_solve_recursion_keeps_the_whole_cone(self):
+        family = conjecture_family(256)
+        assert lattice_window(family, ABS, 256).J < 256
+        field = solve_recursion(family, ABS, 256)
+        for k, (pts, vals) in enumerate(zip(field.xs, field.values)):
+            assert pts.size == vals.size == 2 * k + 1, k
+        assert field.origin_value() == whole_cone(family, ABS, 256)
 
 
 class TestGridMode:
