@@ -2,8 +2,9 @@
 
 Exact backward sup-expectation recursions over finite families of zero-mean
 laws, a monotone explicit solver for the G-heat (Barenblatt) equation with
-analytic and Monte-Carlo cross-checks, space-time mollification and Holder
-regularity audits, and convergence-rate experiments comparing the two sides.
+Richardson error bars and an analytic value for convex data, space-time
+mollification and Holder regularity audits, and convergence-rate experiments
+comparing the two sides.
 """
 
 from .errors import GridTooSmallError, LabError
@@ -28,28 +29,22 @@ from .families import (
 from .fields import GridSpec, OutOfHullError, ValueField
 from .gheat import (
     CFLViolatedError,
-    ControlPath,
     DegenerateGridError,
     GHeatProblem,
     NotConvexError,
     SchemeSpec,
-    constant_control,
     convex_oracle,
     default_spec,
     gauss_hermite_expectation,
     gaussian_abs_mean,
-    mc_lower_bound,
     richardson_value,
-    sign_feedback_control,
     solve_gheat,
 )
 from .payoffs import (
     Payoff,
     abs_payoff,
     abs_pow_payoff,
-    convexity_audit,
     cosine_payoff,
-    holder_audit,
     make_payoff,
     neg_abs_payoff,
     payoff_from_config,

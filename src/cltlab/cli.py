@@ -32,6 +32,7 @@ from .payoffs import payoff_from_config
 from .rates import conjecture_experiment, error_curve
 from .recursion import solve_recursion
 from .smoothing import (
+    FP_SLACK,
     regularity_audit,
     surface_from_field,
     surface_from_function,
@@ -65,7 +66,6 @@ class RunConfig:
     ref_h: float | None = None
     exponent_rule: str = "auto"
     strict_reference: bool = False
-    seed: int = 0
     emit_svg: bool = False
     emit_field: bool = False
 
@@ -329,8 +329,11 @@ def _run_regularity(cfg: RunConfig, out: OutputDir) -> int:
         out.path("regularity.csv"),
         ("check", "excess", "slack", "pass"),
         [
-            ("spatial", report.spatial_excess, slack, report.spatial_excess <= slack + 1e-12),
-            ("temporal", report.temporal_excess, slack, report.temporal_excess <= slack + 1e-12),
+            (check, excess, slack, excess <= slack + FP_SLACK)
+            for check, excess in (
+                ("spatial", report.spatial_excess),
+                ("temporal", report.temporal_excess),
+            )
         ],
     )
     write_json(

@@ -99,10 +99,6 @@ def moment(dist: DiscreteDist, k, absolute: bool = False) -> float:
     return math.fsum(p * x ** k for p, x in zip(dist.probs, dist.support))
 
 
-def variance(dist: DiscreteDist) -> float:
-    return moment(dist, 2)
-
-
 @dataclass(frozen=True)
 class Family:
     """A nonempty collection of zero-mean laws with derived moment bounds."""

@@ -15,7 +15,6 @@ import numpy as np
 from .errors import LabError
 
 TIME_LOOKUP_TOL = 1e-12
-LATTICE_LOOKUP_TOL = 1e-9
 
 
 class OutOfHullError(LabError, ValueError):
@@ -61,25 +60,6 @@ class ValueField:
         idx = int(np.searchsorted(self.times, t + TIME_LOOKUP_TOL, side="right")) - 1
         return max(idx, 0)
 
-    def at(self, t: float, x: float) -> float:
-        """Value at (t, x): constant-in-time extension, per-mode space lookup.
-
-        Lattice fields answer exact point lookups only; grid fields
-        interpolate linearly. Points outside the level's hull raise
-        :class:`OutOfHullError`.
-        """
-        i = self.level_index(t)
-        pts, vals = self.xs[i], self.values[i]
-        if not pts[0] - 1e-12 <= x <= pts[-1] + 1e-12:
-            raise OutOfHullError(f"x={x} outside level hull [{pts[0]}, {pts[-1]}]")
-        if self.mode == "lattice":
-            j = round((x - pts[0]) / self.h) if self.h > 0 else 0
-            j = min(max(j, 0), pts.size - 1)
-            if abs(x - pts[j]) > LATTICE_LOOKUP_TOL * max(1.0, abs(x)):
-                raise OutOfHullError(f"x={x} is not a stored lattice point")
-            return float(vals[j])
-        return float(np.interp(x, pts, vals))
-
     def origin_value(self) -> float:
         """Value at the initial time at x = 0."""
         pts = self.xs[0]
@@ -87,8 +67,3 @@ class ValueField:
         if abs(pts[j]) > 1e-12:
             raise OutOfHullError("field does not contain x = 0")
         return float(self.values[0][j])
-
-    def terminal_matches(self, payoff, tol: float = 1e-14) -> bool:
-        """Whether the stored terminal slice equals the terminal function."""
-        expected = payoff(self.xs[-1])
-        return bool(np.max(np.abs(self.values[-1] - expected)) <= tol)

@@ -47,7 +47,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -79,15 +78,12 @@ class GHeatProblem:
     sigma_under: float
     sigma_bar: float
     payoff: Payoff
-    horizon: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.sigma_under <= self.sigma_bar:
             raise ValueError("need 0 <= sigma_under <= sigma_bar")
         if not math.isfinite(self.sigma_bar):
             raise ValueError("sigma_bar must be finite")
-        if self.horizon != 1.0:
-            raise ValueError("horizon is fixed at 1")
 
 
 @dataclass(frozen=True)
@@ -109,9 +105,9 @@ class SchemeSpec:
         """Spatial step times ``factor`` at fixed CFL ratio."""
         return SchemeSpec(self.h * factor, self.tau * factor**2, self.half_width)
 
-    def steps(self, horizon: float) -> int:
+    def steps(self) -> int:
         """Time steps marched: ``tau`` shrinks so that they land on ``t = 0``."""
-        return math.ceil(horizon / self.tau - 1e-9)
+        return math.ceil(1.0 / self.tau - 1e-9)
 
 
 def default_spec(prob: GHeatProblem, h: float = 1.0 / 400.0) -> SchemeSpec:
@@ -148,8 +144,8 @@ def solve_gheat(
     lam = spec.cfl_ratio(prob.sigma_bar)
     if lam > 1.0 + CFL_TOL:
         raise CFLViolatedError(f"tau*sigma_bar^2/h^2 = {lam} exceeds 1")
-    steps = spec.steps(prob.horizon)
-    tau = prob.horizon / steps  # lands exactly on t = 0; only shrinks the ratio
+    steps = spec.steps()
+    tau = 1.0 / steps  # lands exactly on t = 0; only shrinks the ratio
     a_hi = tau * prob.sigma_bar**2 / (2.0 * spec.h**2)
     a_lo = tau * prob.sigma_under**2 / (2.0 * spec.h**2)
     equal = prob.sigma_under == prob.sigma_bar
@@ -223,8 +219,8 @@ def richardson_value(
         return solve_gheat(prob, s, store="final").origin_value()
 
     v4 = v2 = None
-    n = spec.steps(prob.horizon)
-    if all(spec.scaled(f).steps(prob.horizon) * f * f == n for f in (2.0, 4.0)):
+    n = spec.steps()
+    if all(spec.scaled(f).steps() * f * f == n for f in (2.0, 4.0)):
         try:
             v4, v2 = origin(spec.scaled(4.0)), origin(spec.scaled(2.0))
         except DegenerateGridError:  # fewer than three interior points at 4h
@@ -271,11 +267,11 @@ def gauss_hermite_expectation(
     return float(np.dot(w, vals) / math.sqrt(math.pi))
 
 
-def convex_oracle(prob: GHeatProblem, x: float = 0.0, nodes: int = 256) -> float:
-    """Analytic value for convex terminal data.
+def convex_oracle(prob: GHeatProblem) -> float:
+    """Analytic origin value for convex terminal data.
 
     For convex data the constant control at ``sigma_bar`` attains the sup,
-    so the value is the plain heat expectation ``E payoff(x + sigma_bar W)``:
+    so the value is the plain heat expectation ``E payoff(sigma_bar W)``:
     closed form for the absolute-value payoff, Gauss-Hermite quadrature
     otherwise. Refuses payoffs without a convexity certificate.
     """
@@ -284,72 +280,5 @@ def convex_oracle(prob: GHeatProblem, x: float = 0.0, nodes: int = 256) -> float
     if prob.payoff.kind == "abs" or (
         prob.payoff.kind == "abs_pow" and prob.payoff.beta == 1.0
     ):
-        return gaussian_abs_mean(x, prob.sigma_bar)
-    return gauss_hermite_expectation(prob.payoff, x, prob.sigma_bar, nodes)
-
-
-@dataclass(frozen=True)
-class ControlPath:
-    """Piecewise-constant volatility control on a uniform partition.
-
-    Exactly one of ``sigmas`` (one value per step) or ``feedback`` (a rule
-    mapping the running state to per-path volatilities) must be given.
-    """
-
-    num_steps: int
-    sigmas: tuple[float, ...] | None = None
-    feedback: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def __post_init__(self):
-        if self.num_steps < 1:
-            raise ValueError("num_steps must be >= 1")
-        if (self.sigmas is None) == (self.feedback is None):
-            raise ValueError("give exactly one of sigmas or feedback")
-        if self.sigmas is not None and len(self.sigmas) != self.num_steps:
-            raise ValueError("need one sigma per step")
-
-    def sigma_at(self, k: int, state: np.ndarray) -> np.ndarray:
-        if self.sigmas is not None:
-            return np.full_like(state, self.sigmas[k])
-        return np.asarray(self.feedback(state), dtype=float)
-
-
-def constant_control(sigma: float, num_steps: int = 1) -> ControlPath:
-    return ControlPath(num_steps, sigmas=(float(sigma),) * num_steps)
-
-
-def sign_feedback_control(
-    nonneg_sigma: float, neg_sigma: float, num_steps: int
-) -> ControlPath:
-    """Volatility chosen from the sign of the running state."""
-    return ControlPath(
-        num_steps,
-        feedback=lambda s: np.where(s >= 0.0, nonneg_sigma, neg_sigma),
-    )
-
-
-def mc_lower_bound(
-    prob: GHeatProblem, ctrl: ControlPath, paths: int, seed: int
-) -> tuple[float, float]:
-    """Monte-Carlo value of one admissible control: (estimate, standard error).
-
-    Any admissible control bounds the sup from below, so on a correct solver
-    ``estimate - 3 * stderr`` must not exceed the scheme value.
-    """
-    if paths < 1:
-        raise ValueError("paths must be >= 1")
-    rng = np.random.default_rng(seed)
-    dt = prob.horizon / ctrl.num_steps
-    root_dt = math.sqrt(dt)
-    state = np.zeros(paths)
-    for k in range(ctrl.num_steps):
-        sig = ctrl.sigma_at(k, state)
-        if np.any(sig < prob.sigma_under - 1e-12) or np.any(
-            sig > prob.sigma_bar + 1e-12
-        ):
-            raise ValueError("control leaves [sigma_under, sigma_bar]")
-        state = state + sig * root_dt * rng.standard_normal(paths)
-    vals = np.asarray(prob.payoff(state), dtype=float)
-    estimate = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
-    return estimate, stderr
+        return gaussian_abs_mean(0.0, prob.sigma_bar)
+    return gauss_hermite_expectation(prob.payoff, 0.0, prob.sigma_bar)

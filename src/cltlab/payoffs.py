@@ -3,8 +3,8 @@
 The catalogue is closed on purpose: each entry ships with the exponent
 ``beta`` for which ``|f(x) - f(y)| <= |x - y|**beta`` holds with constant
 exactly 1, plus a convexity flag set analytically. The solvers trust the
-certificates; :func:`holder_audit` and :func:`convexity_audit` re-check them
-numerically so a miscatalogued entry cannot slip through silently.
+certificates; the test suite re-checks them on sampled pairs so that a
+miscatalogued entry cannot slip through silently.
 """
 
 from __future__ import annotations
@@ -82,67 +82,6 @@ def piecewise_linear_payoff(knots, values) -> Payoff:
         lambda a: np.interp(a, kx, ky),
         (("knots", tuple(kx)), ("values", tuple(ky))),
     )
-
-
-@dataclass(frozen=True)
-class HolderReport:
-    max_ratio: float
-    passed: bool
-    worst_pair: tuple[float, float]
-    pairs: int
-
-
-def holder_audit(
-    payoff: Payoff,
-    beta: float,
-    num_pairs: int = 512,
-    x_range: tuple[float, float] = (-4.0, 4.0),
-    seed: int = 0,
-) -> HolderReport:
-    """Sampled check of ``|f(x) - f(y)| <= |x - y|**beta`` with constant 1.
-
-    Pairs are drawn deterministically from ``seed``; the report carries the
-    worst ratio and passes when it stays below ``1 + 1e-9``.
-    """
-    if num_pairs < 1:
-        raise ValueError("num_pairs must be >= 1")
-    rng = np.random.default_rng(seed)
-    lo, hi = x_range
-    xy = rng.uniform(lo, hi, size=(num_pairs, 2))
-    gap = np.abs(xy[:, 0] - xy[:, 1])
-    keep = gap > 1e-9
-    xs, ys, gap = xy[keep, 0], xy[keep, 1], gap[keep]
-    ratios = np.abs(payoff(xs) - payoff(ys)) / gap ** beta
-    worst = int(np.argmax(ratios))
-    max_ratio = float(ratios[worst])
-    return HolderReport(
-        max_ratio=max_ratio,
-        passed=max_ratio <= 1.0 + 1e-9,
-        worst_pair=(float(xs[worst]), float(ys[worst])),
-        pairs=int(keep.sum()),
-    )
-
-
-@dataclass(frozen=True)
-class ConvexityReport:
-    max_excess: float
-    midpoint_convex: bool
-
-
-def convexity_audit(
-    payoff: Payoff,
-    num_pairs: int = 512,
-    x_range: tuple[float, float] = (-4.0, 4.0),
-    seed: int = 0,
-) -> ConvexityReport:
-    """Midpoint test ``f((x+y)/2) <= (f(x)+f(y))/2`` on sampled pairs."""
-    rng = np.random.default_rng(seed)
-    lo, hi = x_range
-    xy = rng.uniform(lo, hi, size=(num_pairs, 2))
-    xs, ys = xy[:, 0], xy[:, 1]
-    excess = payoff((xs + ys) / 2.0) - (payoff(xs) + payoff(ys)) / 2.0
-    max_excess = float(np.max(excess))
-    return ConvexityReport(max_excess=max_excess, midpoint_convex=max_excess <= 1e-12)
 
 
 def make_payoff(kind: str, *, beta=None, knots=None, values=None) -> Payoff:

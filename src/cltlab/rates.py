@@ -116,7 +116,6 @@ def error_curve(
     ref_spec: SchemeSpec | None = None,
     exponent_rule: str = "auto",
     strict_reference: bool = False,
-    family_id: str | None = None,
 ) -> RateReport:
     """Per-n recursion errors against the continuous reference, with verdict.
 
@@ -166,7 +165,7 @@ def error_curve(
         else:
             verdict = "fail"
     return RateReport(
-        family_id=family_id or family.describe(),
+        family_id=family.describe(),
         payoff_id=payoff.kind,
         rows=tuple(rows),
         exponent=exponent,

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the package's solver code paths:
 expectation by exhaustive product enumeration, exact convolution of lattice
-laws, and textbook Gaussian closed forms.
+laws, textbook Gaussian closed forms, seeded sample pairs for the payoff
+certificates, and a plain march of one volatility policy for the scheme.
 """
 
 import itertools
@@ -82,3 +83,25 @@ def sup_recursion_value(dists, payoff, n: int, step: float, window=None) -> floa
             },
         }
     return values[0]
+
+
+def sampled_pairs(count: int, seed: int, x_range=(-4.0, 4.0)):
+    """``count`` seeded uniform pairs ``(x, y)`` from ``x_range``, gaps above 1e-9."""
+    xy = np.random.default_rng(seed).uniform(*x_range, size=(count, 2))
+    keep = np.abs(xy[:, 0] - xy[:, 1]) > 1e-9
+    return xy[keep, 0], xy[keep, 1]
+
+
+def policy_march(terminal, a_lo, a_hi, steps: int, policy):
+    """Backward march of ``u + a * d2u`` under a per-point weight policy.
+
+    ``d2u`` is the plain second difference on the interior; the two end
+    values stay frozen. ``policy(k, d2u)`` gives the weights of step ``k``
+    (counted down to 0); they are clipped into ``[a_lo, a_hi]``, so every
+    callable is an admissible policy.
+    """
+    u = np.array(terminal, dtype=float)
+    for k in range(steps - 1, -1, -1):
+        d2 = u[2:] - 2.0 * u[1:-1] + u[:-2]
+        u[1:-1] += np.clip(policy(k, d2), a_lo, a_hi) * d2
+    return u

@@ -48,6 +48,8 @@ class TestRunConfig:
     def test_unknown_key(self):
         with pytest.raises(ConfigInvalidError):
             RunConfig.from_dict({"command": "rates", "out_dir": "x", "bogus": 1})
+        with pytest.raises(ConfigInvalidError):  # `seed` is not a config key either
+            RunConfig.from_dict({"command": "rates", "out_dir": "x", "seed": 0})
 
     def test_missing_command(self):
         with pytest.raises(ConfigInvalidError):

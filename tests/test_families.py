@@ -19,7 +19,7 @@ from cltlab import (
     moment,
     rademacher,
 )
-from cltlab.families import common_lattice_step, variance
+from cltlab.families import common_lattice_step
 
 from conftest import zero_mean_dists, zero_mean_families
 
@@ -28,11 +28,11 @@ class TestMakeDiscrete:
     def test_rademacher(self):
         d = make_discrete([-1, 1], [0.5, 0.5])
         assert moment(d, 1) == 0.0
-        assert variance(d) == 1.0
+        assert moment(d, 2) == 1.0
 
     def test_three_point_variance(self):
         d = make_discrete([-1, 0, 1], [0.25, 0.5, 0.25])
-        assert variance(d) == 0.5
+        assert moment(d, 2) == 0.5
 
     def test_non_unit_mass(self):
         with pytest.raises(NonUnitMassError):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from cltlab import (
     CFLViolatedError,
@@ -9,28 +10,26 @@ from cltlab import (
     GHeatProblem,
     GridTooSmallError,
     NotConvexError,
+    Payoff,
     SchemeSpec,
     abs_payoff,
     abs_pow_payoff,
     build_family,
-    constant_control,
     convex_oracle,
     cosine_payoff,
     default_spec,
     gauss_hermite_expectation,
     gaussian_abs_mean,
     make_discrete,
-    mc_lower_bound,
     neg_abs_payoff,
     origin_value,
     piecewise_linear_payoff,
     richardson_value,
-    sign_feedback_control,
     solve_gheat,
 )
 from cltlab import gheat
 
-from oracles import ROOT_2_OVER_PI, TWO_OVER_ROOT_PI
+from oracles import ROOT_2_OVER_PI, TWO_OVER_ROOT_PI, policy_march
 
 ABS = abs_payoff()
 
@@ -186,7 +185,7 @@ class TestRichardson:
         # ratio would differ, so only h and h/2 are marched
         prob = GHeatProblem(1.0, 1.0, cosine_payoff())
         spec = default_spec(prob, h=0.1)
-        assert [spec.scaled(f).steps(1.0) for f in (1, 2, 4)] == [100, 25, 7]
+        assert [spec.scaled(f).steps() for f in (1, 2, 4)] == [100, 25, 7]
         assert richardson_value(prob, spec) == self.refined_pair(prob, spec)
         assert marched == [spec.h, spec.h / 2]
 
@@ -306,37 +305,64 @@ def test_even_payoff_gives_even_field(sigma_under, sigma_bar, payoff):
         assert np.array_equal(v, v[::-1])
 
 
-class TestMonteCarlo:
-    def test_classical_lower_bound(self):
-        prob = GHeatProblem(1.0, 1.0, ABS)
-        est, se = mc_lower_bound(prob, constant_control(1.0), 200_000, seed=7)
-        assert abs(est - ROOT_2_OVER_PI) <= 3 * se
-        assert se < 0.01
+@st.composite
+def lipschitz_payoffs(draw):
+    """Piecewise-linear data with knots on Z/4 and slopes in [-1, 1].
 
-    def test_any_control_stays_below_solver(self):
-        prob = GHeatProblem(0.5, 1.0, ABS)
-        value, err = richardson_value(prob, default_spec(prob, h=1 / 100))
-        for ctrl in (
-            constant_control(0.5, 4),
-            constant_control(1.0, 4),
-            sign_feedback_control(1.0, 0.5, 8),
-        ):
-            est, se = mc_lower_bound(prob, ctrl, 100_000, seed=11)
-            assert est - 3 * se <= value + err
+    About half the draws are folded into ``g(|x|)``, data even to the last
+    bit, which the scheme marches on ``x >= 0`` only.
+    """
+    ks = draw(st.lists(st.integers(-12, 12), min_size=2, max_size=5, unique=True))
+    knots = np.sort(ks).astype(float) / 4.0
+    slopes = np.array([draw(st.floats(-1.0, 1.0)) for _ in knots[1:]])
+    values = np.concatenate(([0.0], np.cumsum(slopes * np.diff(knots))))
+    payoff = piecewise_linear_payoff(knots, values)
+    if draw(st.booleans()):
+        return Payoff("folded", 1.0, False, lambda a: payoff(np.abs(a)))
+    return payoff
 
-    def test_zero_volatility_is_exact(self):
-        prob = GHeatProblem(0.0, 1.0, ABS)
-        est, se = mc_lower_bound(prob, constant_control(0.0, 3), 1000, seed=1)
-        assert est == 0.0
-        assert se == 0.0
 
-    def test_out_of_band_control_rejected(self):
-        prob = GHeatProblem(0.5, 1.0, ABS)
-        with pytest.raises(ValueError):
-            mc_lower_bound(prob, constant_control(2.0), 10, seed=0)
+@given(
+    payoff=lipschitz_payoffs(),
+    sigma_bar=st.floats(0.2, 1.0),
+    under=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    h=st.floats(0.05, 0.2),
+    cfl_ratio=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scheme_bounds_every_policy_march(payoff, sigma_bar, under, h, cfl_ratio, seed):
+    # under CFL, u + a * d2u is monotone for every per-point a in [a_lo, a_hi],
+    # and each scheme step takes the largest such update, so by induction the
+    # scheme bounds the march of every policy; the bang-bang policy (a_hi
+    # where d2u >= 0, else a_lo) is the scheme itself
+    prob = GHeatProblem(under * sigma_bar, sigma_bar, payoff)
+    spec = SchemeSpec(h, cfl_ratio * h * h / sigma_bar**2, 8.0 * sigma_bar)
+    field = solve_gheat(prob, spec, store="final")
+    n = field.n
+    a_hi, a_lo = (1.0 / n * s**2 / (2.0 * h * h) for s in (sigma_bar, prob.sigma_under))
+    terminal = payoff(field.xs[0])
+    rng = np.random.default_rng(seed)
 
-    def test_deterministic_given_seed(self):
-        prob = GHeatProblem(0.5, 1.0, ABS)
-        a = mc_lower_bound(prob, constant_control(1.0, 2), 5000, seed=3)
-        b = mc_lower_bound(prob, constant_control(1.0, 2), 5000, seed=3)
-        assert a == b
+    def random_policy(k, d2):
+        return a_lo + rng.random(d2.size) * (a_hi - a_lo)
+
+    def bang_bang(k, d2):
+        return np.where(d2 >= 0.0, a_hi, a_lo)
+
+    scheme = field.values[0]
+    assert np.all(scheme >= policy_march(terminal, a_lo, a_hi, n, random_policy) - 1e-12)
+    assert np.max(np.abs(policy_march(terminal, a_lo, a_hi, n, bang_bang) - scheme)) <= 1e-12
+
+
+@pytest.mark.parametrize("payoff", [abs_payoff(), neg_abs_payoff()], ids=lambda p: p.kind)
+@pytest.mark.parametrize("c", [2.0, 0.5])
+def test_scheme_scales_with_volatility(payoff, c):
+    # sigma -> c sigma and x -> c x at a fixed time step multiply the value of
+    # positively homogeneous data by c; c is a power of two, so the scaling
+    # commutes with every rounding and the values agree exactly
+    def origin(scale):
+        prob = GHeatProblem(0.5 * scale, scale, payoff)
+        spec = SchemeSpec(0.05 * scale, 0.0025, 8.0 * scale)
+        return solve_gheat(prob, spec, store="final").origin_value()
+
+    assert origin(c) == c * origin(1.0)

@@ -130,22 +130,24 @@ class TestField:
 
     def test_terminal_is_payoff(self):
         field = solve_recursion(RADEMACHER, ABS, 6)
-        assert field.terminal_matches(ABS, tol=1e-14)
+        assert np.max(np.abs(field.values[-1] - ABS(field.xs[-1]))) <= 1e-14
 
     def test_time_lookup_floor_rule(self):
         field = solve_recursion(RADEMACHER, ABS, 2)
-        assert field.at(0.49, 0.0) == field.values[0][0]
-        assert field.at(0.5, 0.0) == field.at(0.5 + 1e-13, 0.0)
-        assert field.at(1.0, 0.0) == 0.0  # terminal payoff at the origin
+        assert field.level_index(0.0) == field.level_index(0.49) == 0
+        assert field.level_index(0.5) == field.level_index(0.5 + 1e-13) == 1
+        assert field.level_index(0.5 - 1e-13) == 1  # within the lookup tolerance
+        assert field.level_index(1.0) == 2
 
     def test_off_lattice_and_out_of_hull(self):
         field = solve_recursion(RADEMACHER, ABS, 4)
         with pytest.raises(OutOfHullError):
-            field.at(1.0, 0.3)  # between lattice points
+            field.level_index(1.0 + 1e-9)
         with pytest.raises(OutOfHullError):
-            field.at(1.0, 99.0)
-        with pytest.raises(OutOfHullError):
-            field.at(0.0, 0.5)  # level-0 cone is the origin alone
+            field.level_index(-1e-9)
+        # level k holds exactly the lattice points j / 2 with |j| <= k
+        for k, pts in enumerate(field.xs):
+            assert pts.tolist() == [j / 2.0 for j in range(-k, k + 1)]
 
     def test_spatial_and_temporal_certificates(self):
         # exact inequalities up to the documented 1e-12 rounding envelope
@@ -362,3 +364,31 @@ def test_singleton_matches_enumeration(dist, n):
     bf = enumerate_value(dist, ABS, n)
     if fam.lattice_step is not None:
         assert origin_value(fam, ABS, n) == pytest.approx(bf, abs=1e-10)
+
+
+@pytest.mark.parametrize("payoff", [ABS, neg_abs_payoff()], ids=lambda p: p.kind)
+@pytest.mark.parametrize("c", [2.0, 0.5])
+def test_value_scales_with_support(payoff, c):
+    # scaling every support point by c scales the value of positively
+    # homogeneous data by c; c is a power of two, so the values agree exactly
+    family = builtin_family("rademacher_pair")
+    scaled = build_family(
+        [make_discrete([c * x for x in d.support], d.probs) for d in family.members],
+        family.beta,
+    )
+    for n in (4, 16, 64):
+        assert origin_value(scaled, payoff, n) == c * origin_value(family, payoff, n)
+
+
+@pytest.mark.parametrize(
+    "payoff", [ABS, neg_abs_payoff(), cosine_payoff()], ids=lambda p: p.kind
+)
+@pytest.mark.parametrize("n", [3, 12])
+@given(zero_mean_families(max_members=2), zero_mean_dists())
+@settings(max_examples=10)
+def test_enlarging_family_never_decreases_lattice_value(payoff, n, family, extra):
+    # both families live on Z/8, so both march in lattice mode, where the
+    # value is exact up to the 1e-12 rounding envelope
+    bigger = build_family(family.members + (extra,), family.beta)
+    small = origin_value(family, payoff, n, mode="lattice")
+    assert origin_value(bigger, payoff, n, mode="lattice") >= small - FLOAT_ROUNDING
