@@ -59,6 +59,9 @@ def cosine_payoff() -> Payoff:
 def piecewise_linear_payoff(knots, values) -> Payoff:
     """Knot interpolation, constant beyond the end knots.
 
+    Knots mirrored about 0 with palindromic values are evaluated at ``|x|``,
+    so the function is exactly even and the solvers march half the points.
+
     Slopes must stay within [-1, 1] so the Lipschitz certificate (beta = 1,
     constant 1) holds globally. Because the extension is flat, the function
     is convex only when the slope sequence 0, m_1, ..., m_k, 0 is
@@ -75,11 +78,18 @@ def piecewise_linear_payoff(knots, values) -> Payoff:
         raise ValueError("piecewise-linear slopes must stay within [-1, 1]")
     ext = np.concatenate(([0.0], slopes, [0.0]))
     convex = bool(np.all(np.diff(ext) >= -1e-15))
+    # np.interp rounds the two sides of mirrored data differently; evaluating
+    # such data at |x| makes it even to the last bit
+    mirrored = np.array_equal(kx, -kx[::-1]) and np.array_equal(ky, ky[::-1])
+
+    def interp(a):
+        return np.interp(np.abs(a) if mirrored else a, kx, ky)
+
     return Payoff(
         "piecewise_linear",
         1.0,
         convex,
-        lambda a: np.interp(a, kx, ky),
+        interp,
         (("knots", tuple(kx)), ("values", tuple(ky))),
     )
 

@@ -17,12 +17,21 @@ specific constant; the sole explicit-constant check is the sup bound
 ``|smoothed - original| <= 2 * eps**beta + a`` for surfaces that are
 Holder-beta in space with constant 1 and Holder-beta/2 in time with additive
 slack ``a``.
+
+The audits do each comparison once and keep every reported bit: a Holder
+pair is formed for ``j >= i`` only, levels on equal points are compared as
+lines of batches that share one bound matrix, and a level meets all larger
+levels in one vectorized row. The mollifier's FFTs run on every CPU
+the process may use; a one-dimensional transform is the same whichever
+thread computes it, so the reports do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +47,7 @@ VERIFY_LINES = 64  # strided lines per axis for the derivative moduli
 REGULARITY_POINTS = 512  # strided points per level in the regularity audit
 REGULARITY_LEVELS = 150  # strided levels in the regularity audit
 PAIR_BLOCK = 1 << 14  # pair differences per block; cache-sized beats whole matrices
+LEVEL_BATCH = 256  # levels per batched spatial audit; bounds its pair blocks' memory
 DERIV_BLOCK = 256  # centre rows per block of the derivative pass
 
 
@@ -181,7 +191,9 @@ def mollify(surface: SampledSurface, spec: MollifierSpec) -> SampledSurface:
     ``[t0, t_end - eps^2]`` and the x-grid shrunk by ``ceil(eps/dx)`` points
     per side. The sum over kernel cells is a valid correlation computed with
     real FFTs from ``scipy.fft``, which is imported on the first call, so
-    importing this module loads no part of scipy.
+    importing this module loads no part of scipy. The FFTs use one worker
+    thread per CPU in the process's affinity mask; the output is bit for bit
+    the same for any worker count.
     """
     e = spec.epsilon
     dt, dx = surface.dt, surface.dx
@@ -221,10 +233,15 @@ def _valid_correlation(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """
     from scipy import fft  # here, so that importing cltlab loads no scipy module
 
+    if hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))  # every CPU this process may use
+    else:  # no affinity mask on this platform
+        workers = os.cpu_count() or 1
     s1, s2 = values.shape, weights.shape
     shape = [fft.next_fast_len(a + b - 1, True) for a, b in zip(s1, s2)]
-    spectrum = fft.rfftn(values, shape) * fft.rfftn(weights[::-1, ::-1], shape)
-    full = fft.irfftn(spectrum, shape)
+    spectrum = fft.rfftn(values, shape, workers=workers)
+    spectrum *= fft.rfftn(weights[::-1, ::-1], shape, workers=workers)
+    full = fft.irfftn(spectrum, shape, workers=workers)
     return full[s2[0] - 1 : s1[0], s2[1] - 1 : s1[1]].copy()
 
 
@@ -239,15 +256,18 @@ def _holder_excess(coords, values, exponent: float, slack: float) -> float:
 
     Returns the largest ``|values[i] - values[j]|`` minus
     ``|coords[i] - coords[j]|**exponent + slack``, floored at zero. Further
-    axes of ``values`` are lines compared at the same pair. Pair rows are
-    formed a block at a time, about ``PAIR_BLOCK`` differences per block.
+    axes of ``values`` are lines compared at the same pair, so a batch of
+    levels on shared points forms its bound matrix once. Both differences
+    are symmetric, so only the pairs ``j >= i`` are formed; the diagonal
+    stays, which keeps a negative ``slack`` visible. Pair rows go a block at
+    a time, about ``PAIR_BLOCK`` differences per block.
     """
     worst = 0.0
     rows = max(1, PAIR_BLOCK // values.size)
     line_axes = (1,) * (values.ndim - 1)
     for i in range(0, coords.size, rows):
-        bound = np.abs(coords[:, None] - coords[None, i : i + rows]) ** exponent + slack
-        diff = np.abs(values[:, None] - values[None, i : i + rows])
+        bound = np.abs(coords[i:, None] - coords[None, i : i + rows]) ** exponent + slack
+        diff = np.abs(values[i:, None] - values[None, i : i + rows])
         excess = diff - bound.reshape(*bound.shape, *line_axes)
         worst = max(worst, float(np.max(excess)))
     return worst
@@ -281,20 +301,43 @@ def _max_core_derivatives(u: np.ndarray, dt: float, dx: float) -> float:
     """Largest ``|d2t| + |d4x| + |dt d2x|`` over interior rows, two columns in.
 
     Centre rows go a block of ``DERIV_BLOCK`` at a time, each with a one-row
-    halo, so no whole-surface derivative array is ever formed.
+    halo, through scratch arrays sized once, so no whole-surface derivative
+    array is ever formed. Every element sees the operations of the written
+    formulas in their order, so the scratch arrays change no bit.
     """
+    rows, cols = min(DERIV_BLOCK, u.shape[0] - 2), u.shape[1] - 4
+    core_buf, term_buf = np.empty((2, rows, cols))
+    d2x_buf = np.empty((rows + 2, cols))
     block_max = []
     for r0 in range(1, u.shape[0] - 1, DERIV_BLOCK):
         w = u[r0 - 1 : r0 + DERIV_BLOCK + 1]
         mid = w[1:-1]
-        d2t = (w[2:, 2:-2] - 2.0 * mid[:, 2:-2] + w[:-2, 2:-2]) / dt**2
-        d4x = (
-            mid[:, 4:] - 4.0 * mid[:, 3:-1] + 6.0 * mid[:, 2:-2] - 4.0 * mid[:, 1:-3]
-            + mid[:, :-4]
-        ) / dx**4
-        d2x = (w[:, 3:-1] - 2.0 * w[:, 2:-2] + w[:, 1:-3]) / dx**2
-        dt_d2x = (d2x[2:] - d2x[:-2]) / (2.0 * dt)
-        block_max.append(np.max(np.abs(d2t) + np.abs(d4x) + np.abs(dt_d2x)))
+        k = mid.shape[0]
+        core, term, d2x = core_buf[:k], term_buf[:k], d2x_buf[: k + 2]
+        # d2t = (w[+1] - 2 mid + w[-1]) / dt^2
+        np.multiply(mid[:, 2:-2], 2.0, out=core)
+        np.subtract(w[2:, 2:-2], core, out=core)
+        core += w[:-2, 2:-2]
+        core /= dt**2
+        np.abs(core, out=core)
+        # d4x = (m[+2] - 4 m[+1] + 6 m - 4 m[-1] + m[-2]) / dx^4; d2x is free
+        np.multiply(mid[:, 3:-1], 4.0, out=term)
+        np.subtract(mid[:, 4:], term, out=term)
+        term += np.multiply(mid[:, 2:-2], 6.0, out=d2x[:k])
+        term -= np.multiply(mid[:, 1:-3], 4.0, out=d2x[:k])
+        term += mid[:, :-4]
+        term /= dx**4
+        core += np.abs(term, out=term)
+        # d2x = (w[+1] - 2 w + w[-1]) / dx^2, halo rows included
+        np.multiply(w[:, 2:-2], 2.0, out=d2x)
+        np.subtract(w[:, 3:-1], d2x, out=d2x)
+        d2x += w[:, 1:-3]
+        d2x /= dx**2
+        # dt d2x = (d2x[+1] - d2x[-1]) / (2 dt)
+        np.subtract(d2x[2:], d2x[:-2], out=term)
+        term /= 2.0 * dt
+        core += np.abs(term, out=term)
+        block_max.append(np.max(core))
     return float(np.max(block_max))
 
 
@@ -352,6 +395,40 @@ def _scaling_ok(values, ratio_cap=10.0, floor=1e-6) -> bool:
     return hi <= ratio_cap * max(lo, 1e-300)
 
 
+def _smoothing_row(surface: SampledSurface, eps: float) -> SmoothingRow:
+    """The checks of :func:`verify_smoothing_bounds` at one width."""
+    beta, a = surface.beta, surface.slack
+    sm = mollify(surface, MollifierSpec(eps))
+    nt_out, nx_out = sm.values.shape
+    q_trim = (surface.xs.size - nx_out) // 2
+    base = surface.values[:nt_out, q_trim : q_trim + nx_out]
+    sup_gap = float(np.max(np.abs(sm.values - base)))
+    sup_bound = 2.0 * eps**beta + a
+    denom = eps**beta + a
+
+    u, dt, dx = sm.values, sm.dt, sm.dx
+    scaled_deriv = eps**4 * _max_core_derivatives(u, dt, dx) / denom
+
+    # first time and second space derivatives at strided interior points
+    lines = _strided(nt_out - 2, VERIFY_LINES) + 1
+    cols = _strided(nx_out - 2, VERIFY_LINES) + 1
+    f1 = (u[lines + 1][:, cols] - u[lines - 1][:, cols]) / (2.0 * dt)
+    at = u[lines]
+    f2 = (at[:, cols + 1] - 2.0 * at[:, cols] + at[:, cols - 1]) / dx**2
+    temporal = _derivative_modulus(sm.times[lines], f1, f2, beta / 2.0, a)
+    spatial = _derivative_modulus(sm.xs[cols], f1.T, f2.T, beta, 0.0)
+
+    return SmoothingRow(
+        eps=eps,
+        sup_gap=sup_gap,
+        sup_bound=sup_bound,
+        sup_ok=sup_gap <= sup_bound * (1.0 + 1e-9) + FP_SLACK,
+        scaled_derivatives=scaled_deriv,
+        scaled_temporal_modulus=eps**2 * temporal,
+        scaled_spatial_modulus=eps**2 * spatial,
+    )
+
+
 def verify_smoothing_bounds(surface: SampledSurface, eps_list) -> SmoothingReport:
     """Check the mollification estimates on one surface across widths.
 
@@ -365,41 +442,9 @@ def verify_smoothing_bounds(surface: SampledSurface, eps_list) -> SmoothingRepor
     across the width list. ``beta`` and ``a`` are the surface's declared
     ``beta`` and ``slack``, which are audited first.
     """
-    beta, a = surface.beta, surface.slack
     audit_surface_hypotheses(surface)
-    rows = []
-    for eps in eps_list:
-        sm = mollify(surface, MollifierSpec(eps))
-        nt_out, nx_out = sm.values.shape
-        q_trim = (surface.xs.size - nx_out) // 2
-        base = surface.values[:nt_out, q_trim : q_trim + nx_out]
-        sup_gap = float(np.max(np.abs(sm.values - base)))
-        sup_bound = 2.0 * eps**beta + a
-        denom = eps**beta + a
-
-        u, dt, dx = sm.values, sm.dt, sm.dx
-        scaled_deriv = eps**4 * _max_core_derivatives(u, dt, dx) / denom
-
-        # first time and second space derivatives at strided interior points
-        lines = _strided(nt_out - 2, VERIFY_LINES) + 1
-        cols = _strided(nx_out - 2, VERIFY_LINES) + 1
-        f1 = (u[lines + 1][:, cols] - u[lines - 1][:, cols]) / (2.0 * dt)
-        at = u[lines]
-        f2 = (at[:, cols + 1] - 2.0 * at[:, cols] + at[:, cols - 1]) / dx**2
-        temporal = _derivative_modulus(sm.times[lines], f1, f2, beta / 2.0, a)
-        spatial = _derivative_modulus(sm.xs[cols], f1.T, f2.T, beta, 0.0)
-
-        rows.append(
-            SmoothingRow(
-                eps=float(eps),
-                sup_gap=sup_gap,
-                sup_bound=sup_bound,
-                sup_ok=sup_gap <= sup_bound * (1.0 + 1e-9) + FP_SLACK,
-                scaled_derivatives=scaled_deriv,
-                scaled_temporal_modulus=eps**2 * temporal,
-                scaled_spatial_modulus=eps**2 * spatial,
-            )
-        )
+    # one width at a time: a width's arrays are freed before the next mollify
+    rows = [_smoothing_row(surface, float(eps)) for eps in eps_list]
     return SmoothingReport(
         rows=tuple(rows),
         sup_ok=all(r.sup_ok for r in rows),
@@ -431,9 +476,10 @@ def regularity_audit(
     Temporal: ``|v(t,x) - v(s,x)| <= sigma_bar**beta * |t-s|**(beta/2)`` at
     shared points of level pairs. Checks are exhaustive up to
     ``REGULARITY_LEVELS`` levels and ``REGULARITY_POINTS`` points per level
-    (strided beyond them). Excess is reported raw; the verdict grants the
-    documented float-rounding envelope on top of ``slack``, so ``slack = 0``
-    means "no violation beyond rounding".
+    (strided beyond them); a level pair whose centred stretches differ by
+    more than 1e-9 shares no points and is skipped. Excess is reported raw;
+    the verdict grants the documented float-rounding envelope on top of
+    ``slack``, so ``slack = 0`` means "no violation beyond rounding".
     """
     strided_by_size: dict[int, np.ndarray] = {}
 
@@ -442,37 +488,53 @@ def regularity_audit(
             strided_by_size[size] = _strided(size, REGULARITY_POINTS)
         return strided_by_size[size]
 
+    # consecutive levels on equal points form a run; run[k] is its first level
+    run = np.arange(len(field.xs))
+    for k in range(1, run.size):
+        if np.array_equal(field.xs[k], field.xs[k - 1]):
+            run[k] = run[k - 1]
+
     spatial = 0.0
     points_checked = 0
-    for pts, vals in zip(field.xs, field.values):
-        idx = point_index(pts.size)
-        spatial = max(spatial, _holder_excess(pts[idx], vals[idx], beta, 0.0))
-        points_checked += idx.size
+    for first, members in itertools.groupby(range(run.size), key=run.__getitem__):
+        members = list(members)
+        idx = point_index(field.xs[first].size)
+        for b in range(0, len(members), LEVEL_BATCH):
+            batch = members[b : b + LEVEL_BATCH]
+            lines = np.stack([field.values[k][idx] for k in batch], axis=1)
+            spatial = max(spatial, _holder_excess(field.xs[first][idx], lines, beta, 0.0))
+        points_checked += idx.size * len(members)
 
+    # a pair compares the smaller level whole with the middle of the larger,
+    # so each level meets every larger level (or equal one stored later) at once
     levels = _strided(field.times.size, REGULARITY_LEVELS)
+    order = sorted(levels, key=lambda k: (field.xs[k].size, k))
+    sizes = np.array([field.xs[k].size for k in order])
+    offsets = np.cumsum(sizes) - sizes
+    flat_x = np.concatenate([field.xs[k] for k in order])
+    flat_v = np.concatenate([field.values[k] for k in order])
     temporal = 0.0
-    for ai in range(levels.size):
-        i = levels[ai]
-        xi, vi = field.xs[i], field.values[i]
-        for bi in range(ai + 1, levels.size):
-            j = levels[bi]
-            xj, vj = field.xs[j], field.values[j]
-            if xi.size <= xj.size:
-                off = (xj.size - xi.size) // 2
-                a_v, b_v = vi, vj[off : off + xi.size]
-                a_x, b_x = xi, xj[off : off + xi.size]
-            else:
-                off = (xi.size - xj.size) // 2
-                a_v, b_v = vi[off : off + xj.size], vj
-                a_x, b_x = xi[off : off + xj.size], xj
-            if a_x.size == 0 or np.max(np.abs(a_x - b_x)) > 1e-9:
-                continue  # no shared points to compare
-            idx = point_index(a_x.size)
-            bound = sigma_bar**beta * abs(field.times[j] - field.times[i]) ** (
-                beta / 2.0
-            )
-            diff = float(np.max(np.abs(a_v[idx] - b_v[idx])))
-            temporal = max(temporal, diff - bound)
+    for p, i in enumerate(order[:-1]):
+        size = sizes[p]
+        if size == 0:
+            continue  # no shared points to compare
+        larger = np.array(order[p + 1 :])
+        middle = offsets[p + 1 :] + (sizes[p + 1 :] - size) // 2  # in flat_x, flat_v
+        check = run[larger] != run[i]  # a run shares its points
+        if check.any():
+            gap = np.abs(flat_x[middle[check, None] + np.arange(size)] - field.xs[i])
+            shared = np.ones(larger.size, dtype=bool)
+            shared[check] = np.max(gap, axis=1) <= 1e-9
+            larger, middle = larger[shared], middle[shared]
+            if larger.size == 0:
+                continue
+        idx = point_index(size)
+        diff = np.max(np.abs(flat_v[middle[:, None] + idx] - field.values[i][idx]), axis=1)
+        bound = [
+            sigma_bar**beta * abs(field.times[j] - field.times[i]) ** (beta / 2.0)
+            for j in larger
+        ]
+        temporal = max(temporal, float(np.max(diff - bound)))
 
     worst = max(spatial, temporal)
     return RegularityReport(

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the package's solver code paths:
 expectation by exhaustive product enumeration, exact convolution of lattice
 laws, textbook Gaussian closed forms, seeded sample pairs for the payoff
-certificates, and a plain march of one volatility policy for the scheme.
+certificates, a plain march of one volatility policy for the scheme, and
+all-pairs Holder excesses for the regularity audits.
 """
 
 import itertools
@@ -105,3 +106,54 @@ def policy_march(terminal, a_lo, a_hi, steps: int, policy):
         d2 = u[2:] - 2.0 * u[1:-1] + u[:-2]
         u[1:-1] += np.clip(policy(k, d2), a_lo, a_hi) * d2
     return u
+
+
+def strided(n: int, cap: int) -> np.ndarray:
+    """``range(n)``, or ``cap`` evenly spread indices of it with both ends kept."""
+    if n <= cap:
+        return np.arange(n)
+    return np.unique(np.linspace(0, n - 1, cap).round().astype(int))
+
+
+def holder_excess(coords, lines, exponent: float, slack: float) -> float:
+    """Worst ``|f(x) - f(y)| - (|x - y|**exponent + slack)`` over every pair
+    ``(x, y)`` of ``coords`` (the diagonal included) and every line ``f`` of
+    ``lines``, floored at 0."""
+    bound = np.abs(coords[:, None] - coords[None, :]) ** exponent + slack
+    worst = 0.0
+    for line in lines:
+        worst = max(worst, float(np.max(np.abs(line[:, None] - line[None, :]) - bound)))
+    return worst
+
+
+def regularity_excess(field, beta: float, sigma_bar: float, points: int, levels: int):
+    """Spatial and temporal excess of a field, with the counts checked.
+
+    Spatial: every pair of the (at most ``points``) strided points of every
+    level, against ``|x - y|**beta``. Temporal: every pair of the (at most
+    ``levels``) strided levels, at the strided points of the middle stretch
+    of the larger level that matches the smaller one in size, against
+    ``sigma_bar**beta * |t - s|**(beta/2)``; a pair whose stretches differ
+    by more than 1e-9 anywhere is skipped. Returns ``(spatial, temporal,
+    levels_checked, points_checked)``.
+    """
+    spatial, points_checked = 0.0, 0
+    for xs, vs in zip(field.xs, field.values):
+        idx = strided(xs.size, points)
+        spatial = max(spatial, holder_excess(xs[idx], [vs[idx]], beta, 0.0))
+        points_checked += idx.size
+    temporal = 0.0
+    ks = strided(field.times.size, levels)
+    for a, i in enumerate(ks):
+        for j in ks[a + 1 :]:
+            xi, xj = field.xs[i], field.xs[j]
+            m = min(xi.size, xj.size)
+            oi, oj = (xi.size - m) // 2, (xj.size - m) // 2
+            if m == 0 or np.max(np.abs(xi[oi : oi + m] - xj[oj : oj + m])) > 1e-9:
+                continue
+            idx = strided(m, points)
+            vi = field.values[i][oi : oi + m][idx]
+            vj = field.values[j][oj : oj + m][idx]
+            bound = sigma_bar**beta * abs(field.times[j] - field.times[i]) ** (beta / 2.0)
+            temporal = max(temporal, float(np.max(np.abs(vi - vj))) - bound)
+    return spatial, temporal, int(ks.size), points_checked

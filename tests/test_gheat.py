@@ -293,7 +293,13 @@ def test_scheme_is_trinomial_sup_recursion(sigma_under, sigma_bar, payoff, h, cf
 
 @pytest.mark.parametrize(
     "payoff",
-    [abs_payoff(), neg_abs_payoff(), cosine_payoff(), abs_pow_payoff(0.5)],
+    [
+        abs_payoff(),
+        neg_abs_payoff(),
+        cosine_payoff(),
+        abs_pow_payoff(0.5),
+        piecewise_linear_payoff([-1.0, 0.0, 1.0], [0.5, 0.0, 0.5]),
+    ],
     ids=lambda p: p.kind,
 )
 @pytest.mark.parametrize("sigma_under, sigma_bar", [(0.5, 1.0), (1.0, 1.0), (0.0, 1.0)])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cltlab import (
+    GridSpec,
     abs_payoff,
     abs_pow_payoff,
     cosine_payoff,
@@ -88,6 +89,21 @@ class TestConvexity:
         assert not vee.convex  # flat extension breaks convexity at the ends
         flat = piecewise_linear_payoff([-1.0, 1.0], [0.3, 0.3])
         assert flat.convex
+
+
+@pytest.mark.parametrize("h", [1 / 400, 1 / 100, 0.05])
+@pytest.mark.parametrize(
+    "knots, values",
+    [([-1.0, 0.0, 1.0], [0.5, 0.0, 0.5]), ([-0.75, 0.0, 0.75], [0.2, 0.7, 0.2])],
+    ids=["vee", "tent"],
+)
+def test_mirrored_piecewise_is_exactly_even(knots, values, h):
+    # plain np.interp breaks evenness by up to 1.1e-16 on these grids
+    x = GridSpec(step=h, half_width=8.0).points()
+    terminal = piecewise_linear_payoff(knots, values)(x)
+    assert np.array_equal(terminal, terminal[::-1])
+    right = x >= 0.0
+    assert np.array_equal(terminal[right], np.interp(x[right], knots, values))
 
 
 class TestPiecewiseValidation:

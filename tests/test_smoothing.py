@@ -1,3 +1,6 @@
+import os
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from cltlab import (
     HypothesisViolatedError,
     MollifierSpec,
     ResolutionTooCoarseError,
+    ValueField,
     abs_payoff,
     abs_pow_payoff,
     builtin_family,
@@ -24,13 +28,22 @@ from cltlab import (
 from cltlab.recursion import solve_recursion
 from cltlab.smoothing import (
     DERIV_BLOCK,
+    FP_SLACK,
+    HYPOTHESIS_LINES,
+    LEVEL_BATCH,
+    REGULARITY_LEVELS,
+    REGULARITY_POINTS,
     VERIFY_LINES,
+    RegularityReport,
     SmoothingRow,
     _max_core_derivatives,
     _strided,
     _valid_correlation,
+    audit_surface_hypotheses,
     kernel_shape,
 )
+
+from oracles import holder_excess, regularity_excess, strided
 
 ABS = abs_payoff()
 RADEMACHER = builtin_family("rademacher")
@@ -130,6 +143,31 @@ class TestMollify:
         got = _valid_correlation(values, weights)
         assert got.shape == direct.shape == (41 - shape[0], 34 - shape[1])
         assert np.max(np.abs(got - direct)) <= 1e-12
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "values_shape, weights_shape",
+        [((97, 131), (9, 67)), ((301, 259), (17, 129)), ((45, 203), (5, 101)), ((33, 9), (3, 5))],
+    )
+    def test_valid_correlation_bits_do_not_depend_on_workers(
+        self, monkeypatch, workers, values_shape, weights_shape
+    ):
+        # the FFTs run on every CPU the process may use; each 1-d transform
+        # is the same whichever thread runs it, so no bit may move
+        from scipy import fft
+
+        cpus = set(range(workers))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        rng = np.random.default_rng(sum(values_shape + weights_shape))
+        values = rng.standard_normal(values_shape)
+        weights = rng.random(weights_shape)
+        shape = [fft.next_fast_len(a + b - 1, True) for a, b in zip(values_shape, weights_shape)]
+        spectrum = fft.rfftn(values, shape, workers=1) * fft.rfftn(
+            weights[::-1, ::-1], shape, workers=1
+        )
+        full = fft.irfftn(spectrum, shape, workers=1)
+        (p, q), (r, c) = weights_shape, values_shape
+        assert np.array_equal(_valid_correlation(values, weights), full[p - 1 : r, q - 1 : c])
 
     def test_domain_guard(self):
         surf = surface_from_function(
@@ -262,3 +300,98 @@ class TestRegularityAudit:
         report = regularity_audit(field, 1.0, 1.0, 0.0)
         assert not report.passed
         assert report.temporal_excess > 0.5
+
+
+def corrupted(field, bump=1.0):
+    """``field`` with one audited terminal value raised by ``bump``: a
+    spatial and a temporal kink in the last level."""
+    level = field.times.size - 1
+    point = strided(field.xs[level].size, REGULARITY_POINTS)[REGULARITY_POINTS // 3]
+    field.values[level] = field.values[level].copy()
+    field.values[level][point] += bump
+    return field
+
+
+def scheme_field(h):
+    prob = GHeatProblem(0.5, 1.0, ABS)
+    return solve_gheat(prob, default_spec(prob, h=h))
+
+
+def grid_field(n):
+    return solve_recursion(RADEMACHER, ABS, n, mode="grid", grid=GridSpec(0.05, 8.0))
+
+
+def disjoint_field():
+    """Levels whose middle stretches mostly share no points: levels 1 and 4
+    would fail every comparison with another level they were admitted to,
+    and level 2 is smaller than the earlier level 0 it shares x = 0 with."""
+    xs = [[-1.0, 0.0, 1.0], [-0.5, 0.5], [0.0], [-2.0, -1.0, 0.0, 1.0, 2.0], [-0.5, 0.5]]
+    values = [[1.0, 0.0, 1.0], [9.0, 9.0], [0.9], [2.0, 1.0, 0.0, 1.0, 2.0], [8.9, 9.0]]
+    return ValueField(
+        mode="lattice",
+        n=4,
+        h=0.5,
+        times=np.array([0.0, 0.25, 0.5, 0.75, 1.0]),
+        xs=[np.array(x) for x in xs],
+        values=[np.array(v) for v in values],
+    )
+
+
+REGULARITY_CASES = {
+    "lattice-8": lambda: (solve_recursion(RADEMACHER, ABS, 8), 1.0),
+    # 601 points on the last level and 301 levels: both are strided
+    "lattice-300": lambda: (solve_recursion(RADEMACHER, ABS, 300), 1.0),
+    "scheme": lambda: (scheme_field(1 / 20), 1.0),
+    "beta-half": lambda: (solve_recursion(RADEMACHER, abs_pow_payoff(0.5), 64), 0.5),
+    "corrupted-lattice": lambda: (corrupted(solve_recursion(RADEMACHER, ABS, 300)), 1.0),
+    "corrupted-scheme": lambda: (corrupted(scheme_field(1 / 20), bump=0.3), 1.0),
+    # 301 levels on one grid: more than one batch of LEVEL_BATCH levels
+    "corrupted-grid": lambda: (corrupted(grid_field(300)), 1.0),
+    "disjoint-levels": lambda: (disjoint_field(), 0.5),
+}
+
+
+@pytest.mark.parametrize("case", REGULARITY_CASES)
+def test_regularity_audit_is_the_all_pairs_loop(case):
+    field, beta = REGULARITY_CASES[case]()
+    slack = 0.01
+    spatial, temporal, levels, points = regularity_excess(
+        field, beta, 1.0, REGULARITY_POINTS, REGULARITY_LEVELS
+    )
+    assert regularity_audit(field, beta, 1.0, slack) == RegularityReport(
+        spatial_excess=spatial,
+        temporal_excess=temporal,
+        slack=slack,
+        passed=max(spatial, temporal) <= slack + FP_SLACK,
+        levels_checked=levels,
+        points_checked=points,
+    )
+    if case.startswith("corrupted"):
+        assert spatial > slack and temporal > slack
+    if case == "corrupted-grid":
+        assert field.times.size > LEVEL_BATCH
+    if case == "disjoint-levels":
+        assert 0.0 < temporal < 1.0  # level 2 against levels 0 and 3 only
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize("case", ["lattice-300", "scheme", "beta-half"])
+def test_hypothesis_audit_is_the_all_pairs_loop(case, corrupt):
+    field, beta = REGULARITY_CASES[case]()
+    surf = surface_from_field(
+        field, x_half_width=1.5, dt=1 / 400, dx=1 / 200, beta=beta, slack=0.5
+    )
+    rows = strided(surf.times.size, HYPOTHESIS_LINES)
+    cols = strided(surf.xs.size, HYPOTHESIS_LINES)
+    if corrupt:
+        surf.values[rows[80], cols[80]] += 1.0
+    vsub = surf.values[np.ix_(rows, cols)]
+    spatial = holder_excess(surf.xs[cols], vsub, beta, 0.0)
+    temporal = holder_excess(surf.times[rows], vsub.T, beta / 2.0, surf.slack)
+    if corrupt:
+        assert spatial > 1e-9 and temporal > 1e-9
+        expected = f"spatial excess {spatial}, temporal {temporal}"
+        with pytest.raises(HypothesisViolatedError, match=re.escape(expected)):
+            audit_surface_hypotheses(surf)
+    else:
+        assert audit_surface_hypotheses(surf) == (spatial, temporal)
