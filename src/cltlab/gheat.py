@@ -204,7 +204,8 @@ def richardson_value(
     the observed order ``log2(g1 / g2)`` is within ``ORDER_TOL`` of 2, it
     returns the extrapolation ``v(h) + (v(h) - v(2h)) / 3`` with bar
     ``|g2| / 3``, the size of the correction, which estimates the error of
-    the ``h`` field itself to leading order. Otherwise it returns ``v(h/2)``
+    the ``h`` field itself to leading order. When both gaps are exactly zero
+    it returns ``v(h)`` with bar 0. Otherwise it returns ``v(h/2)``
     with bar ``|v(h/2) - v(h)|``. It goes to that pair without the ``4h``
     and ``2h`` marches when their step counts do not nest in that of ``h``
     (``tau`` is rounded to land on ``t = 0``, which would change the CFL
@@ -228,6 +229,8 @@ def richardson_value(
     v1 = origin(spec) if origin_h is None else origin_h
     if v4 is not None:
         g1, g2 = v4 - v2, v2 - v1
+        if g1 == g2 == 0.0:  # the three levels agree exactly
+            return v1, 0.0
         if g2 != 0.0 and g1 / g2 > 0.0 and abs(math.log2(g1 / g2) - 2.0) <= ORDER_TOL:
             return v1 + (v1 - v2) / 3.0, abs(g2) / 3.0
     fine = origin(spec.scaled(0.5))

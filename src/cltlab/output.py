@@ -31,16 +31,30 @@ def _cell(value) -> str:
     return text
 
 
+def _write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temp file beside ``path``, then rename it into place.
+
+    A run killed mid-write leaves the previous file, or none, never half of
+    a new one; a failed write removes its temp file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_csv(path, header, rows) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    _write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def write_json(path, obj) -> None:
-    Path(path).write_bytes(
-        (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
-    )
+    _write_atomic(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def svg_loglog(path, xs, ys, *, slope=None, intercept=None, title="") -> None:
@@ -90,15 +104,19 @@ def svg_loglog(path, xs, ys, *, slope=None, intercept=None, title="") -> None:
             f'transform="rotate(-90 14 {height / 2})">log10 error</text>'
         )
     parts.append("</svg>")
-    Path(path).write_bytes(("\n".join(parts) + "\n").encode("utf-8"))
+    _write_atomic(path, ("\n".join(parts) + "\n").encode("utf-8"))
 
 
 class OutputDir:
     """Locked output directory that records a manifest on success.
 
-    Single-entrant per directory: a ``.lock`` file is created exclusively on
-    enter and removed on exit. Files registered through :meth:`path` land in
-    the manifest with the schema version.
+    Single-entrant per directory: a ``.lock`` file holding the owner's pid
+    is created exclusively on enter and removed on exit. A lock whose pid
+    names no running process (its owner was killed) is removed and the
+    create tried once more; an empty or unreadable lock, or one whose owner
+    lives or cannot be signalled, raises :class:`LockHeldError`. Files
+    registered through :meth:`path` land in the manifest with the schema
+    version.
     """
 
     SCHEMA = "cltlab.run/1"
@@ -111,12 +129,36 @@ class OutputDir:
 
     def __enter__(self) -> "OutputDir":
         self.root.mkdir(parents=True, exist_ok=True)
+        if not self._create_lock():
+            if self._owner_is_dead():
+                self._lock.unlink(missing_ok=True)  # left by a killed run
+            if not self._create_lock():
+                raise LockHeldError(f"lock file present: {self._lock}")
+        return self
+
+    def _create_lock(self) -> bool:
         try:
             fd = os.open(self._lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            raise LockHeldError(f"lock file present: {self._lock}") from None
-        os.close(fd)
-        return self
+            return False
+        with os.fdopen(fd, "w") as f:
+            f.write(str(os.getpid()))
+        return True
+
+    def _owner_is_dead(self) -> bool:
+        try:
+            pid = int(self._lock.read_text())
+        except (OSError, ValueError):  # unreadable, or empty while being written
+            return False
+        if pid <= 0:  # 0 and negative pids signal process groups
+            return False
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        except (OSError, OverflowError):  # e.g. alive but another user's
+            pass
+        return False
 
     def path(self, name: str) -> Path:
         if name not in self.files:

@@ -11,7 +11,7 @@ import pytest
 
 import cltlab
 from cltlab.cli import ConfigInvalidError, RunConfig, build_parser, main, run
-from cltlab.output import LockHeldError, OutputDir, write_csv
+from cltlab.output import LockHeldError, OutputDir, svg_loglog, write_csv, write_json
 
 
 def run_cli(args):
@@ -325,6 +325,49 @@ class TestOutputDir:
         with OutputDir(tmp_path / "o", "rates"):
             pass
 
+    def test_dead_owners_lock_is_reclaimed(self, tmp_path):
+        # a SIGKILLed run leaves its lock behind; its pid names no process
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        lock = tmp_path / "o" / ".lock"
+        lock.parent.mkdir()
+        lock.write_text(str(child.pid))
+        with OutputDir(tmp_path / "o", "rates"):
+            assert lock.read_text() == str(os.getpid())
+        assert not lock.exists()
+
+    @pytest.mark.parametrize("content", ["own pid", "", "garbage", "0", "-2147483647"])
+    def test_live_empty_or_unreadable_lock_is_kept(self, tmp_path, content):
+        lock = tmp_path / "o" / ".lock"
+        lock.parent.mkdir()
+        lock.write_text(str(os.getpid()) if content == "own pid" else content)
+        with pytest.raises(LockHeldError):
+            with OutputDir(tmp_path / "o", "rates"):
+                pass
+        assert lock.exists()
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda p: write_csv(p, ("a",), [(2.0,)]),
+            lambda p: write_json(p, {"a": 2.0}),
+            lambda p: svg_loglog(p, [1.0, 2.0], [1.0, 0.5]),
+        ],
+        ids=["csv", "json", "svg"],
+    )
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch, write):
+        path = tmp_path / "artifact"
+        path.write_bytes(b"previous\n")
+
+        def fail(src, dst):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk gone"):
+            write(path)
+        assert path.read_bytes() == b"previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
     def test_csv_quoting(self, tmp_path):
         path = tmp_path / "t.csv"
         write_csv(path, ("a", "b"), [("x,y", 0.5), ('he"llo', True)])
@@ -333,3 +376,5 @@ class TestOutputDir:
         assert '"he""llo"' in text
         assert text.endswith("\n")
         assert "\r" not in text
+        assert path.read_bytes() == b'a,b\n"x,y",0.5\n"he""llo",true\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]  # no temp file left

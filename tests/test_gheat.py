@@ -189,6 +189,14 @@ class TestRichardson:
         assert richardson_value(prob, spec) == self.refined_pair(prob, spec)
         assert marched == [spec.h, spec.h / 2]
 
+    def test_exactly_zero_gaps_return_h_with_zero_bar(self, marched):
+        # constant data: 4h, 2h and h agree exactly, so h/2 is not marched
+        const = piecewise_linear_payoff([-8.0, 8.0], [0.25, 0.25])
+        prob = GHeatProblem(0.5, 1.0, const)
+        spec = default_spec(prob, h=0.05)
+        assert richardson_value(prob, spec) == (0.25, 0.0)
+        assert sorted(marched) == [spec.h, 2 * spec.h, 4 * spec.h]
+
     @pytest.mark.parametrize(
         "prob",
         [

@@ -36,6 +36,7 @@ from cltlab.smoothing import (
     VERIFY_LINES,
     RegularityReport,
     SmoothingRow,
+    _max_abs_difference,
     _max_core_derivatives,
     _strided,
     _valid_correlation,
@@ -147,7 +148,14 @@ class TestMollify:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize(
         "values_shape, weights_shape",
-        [((97, 131), (9, 67)), ((301, 259), (17, 129)), ((45, 203), (5, 101)), ((33, 9), (3, 5))],
+        [
+            ((97, 131), (9, 67)),
+            ((301, 259), (17, 129)),
+            ((45, 203), (5, 101)),
+            ((33, 9), (3, 5)),
+            ((9, 40), (17, 5)),  # kernel rows exceed half the padded rows
+            ((50, 31), (7, 1)),  # a single kernel column
+        ],
     )
     def test_valid_correlation_bits_do_not_depend_on_workers(
         self, monkeypatch, workers, values_shape, weights_shape
@@ -259,6 +267,20 @@ class TestVerify:
             spiked[r, 4] += 100.0
             _, _, core = whole_array_derivatives(spiked, 0.5, 0.25)
             assert _max_core_derivatives(spiked, 0.5, 0.25) == float(np.max(core))
+
+    def test_blocked_sup_gap_sees_every_row(self):
+        # the sup gap runs in row blocks too; the row count is not a multiple
+        # of the block, and base is a column slice as in verify_smoothing_bounds
+        rng = np.random.default_rng(1)
+        sm = rng.random((2 * DERIV_BLOCK + 5, 9))
+        wide = rng.random((sm.shape[0] + 3, 13))
+        base = wide[: sm.shape[0], 2:11]
+        assert sm.shape[0] % DERIV_BLOCK != 0
+        for r in range(sm.shape[0]):
+            spiked = sm.copy()
+            spiked[r, r % 9] += 100.0 if r % 2 else -100.0
+            gap = _max_abs_difference(spiked, base)
+            assert gap == float(np.max(np.abs(spiked - base))) and gap > 99.0
 
     def test_hypothesis_gate(self):
         # x is 1-Lipschitz but not Holder-1/2 with constant 1 on a wide range
