@@ -36,7 +36,6 @@ from .gheat import (
     convex_oracle,
     default_spec,
     gauss_hermite_expectation,
-    gaussian_abs_mean,
     richardson_value,
     solve_gheat,
 )

@@ -30,7 +30,7 @@ from .gheat import GHeatProblem, SchemeSpec, default_spec, richardson_value, sol
 from .output import OutputDir, svg_loglog, write_csv, write_json
 from .payoffs import payoff_from_config
 from .rates import conjecture_experiment, error_curve
-from .recursion import solve_recursion
+from .recursion import default_grid, resolve_mode, solve_recursion
 from .smoothing import (
     FP_SLACK,
     regularity_audit,
@@ -126,6 +126,17 @@ def _resolve_payoff(cfg):
         raise ConfigInvalidError(f"bad phi: {exc}") from exc
 
 
+def _check_ranges(cfg: RunConfig) -> None:
+    """Refuse a zero or negative size or step, and a mollifier width outside (0, 1)."""
+    for name in ("n", "h", "half_width", "ref_h"):
+        value = getattr(cfg, name)
+        if value is not None and not value > 0:
+            raise ConfigInvalidError(f"{name} must be positive, got {value!r}")
+    for eps in cfg.eps or ():
+        if not 0.0 < eps < 1.0:
+            raise ConfigInvalidError(f"eps must lie in (0, 1), got {eps!r}")
+
+
 def _parse_family_arg(text: str):
     if text.startswith("{"):
         try:
@@ -165,7 +176,7 @@ def _run_value(cfg: RunConfig, out: OutputDir) -> int:
     if cfg.sigma_under is None or cfg.sigma_bar is None:
         raise ConfigInvalidError("value needs sigma_under and sigma_bar")
     prob = GHeatProblem(cfg.sigma_under, cfg.sigma_bar, payoff)
-    spec = default_spec(prob, h=cfg.h or 1.0 / 400.0)
+    spec = default_spec(prob, h=1.0 / 400.0 if cfg.h is None else cfg.h)
     if cfg.half_width is not None:
         spec = SchemeSpec(spec.h, spec.tau, cfg.half_width)
     field = solve_gheat(prob, spec) if cfg.emit_field else None
@@ -192,10 +203,12 @@ def _run_recurse(cfg: RunConfig, out: OutputDir) -> int:
     if cfg.n is None:
         raise ConfigInvalidError("recurse needs n")
     grid = None
-    if cfg.mode == "grid" or (cfg.mode is None and family.lattice_step is None):
-        h = cfg.h or 1.0 / cfg.n
-        hw = cfg.half_width or max(8.0 * family.sigma_bar, 1.0)
-        grid = GridSpec(step=h, half_width=hw)
+    if resolve_mode(family, cfg.mode) == "grid":
+        base = default_grid(family, cfg.n)
+        grid = GridSpec(
+            step=base.step if cfg.h is None else cfg.h,
+            half_width=base.half_width if cfg.half_width is None else cfg.half_width,
+        )
     field = solve_recursion(family, payoff, cfg.n, mode=cfg.mode, grid=grid)
     rows = [
         (k, float(x), float(v))
@@ -314,7 +327,7 @@ def _run_regularity(cfg: RunConfig, out: OutputDir) -> int:
         if cfg.sigma_under is None or cfg.sigma_bar is None:
             raise ConfigInvalidError("regularity (pde) needs sigma bounds")
         prob = GHeatProblem(cfg.sigma_under, cfg.sigma_bar, payoff)
-        spec = default_spec(prob, h=cfg.h or 1.0 / 100.0)
+        spec = default_spec(prob, h=1.0 / 100.0 if cfg.h is None else cfg.h)
         field = solve_gheat(prob, spec)
         sigma_bar = cfg.sigma_bar
         if cfg.slack in (None, "auto"):
@@ -361,12 +374,12 @@ def _run_mollify_check(cfg: RunConfig, out: OutputDir) -> int:
     min_eps = min(eps_list)
     dt = min_eps * min_eps / 16.0
     dx = min_eps / 16.0
+    hw = 2.0 if cfg.half_width is None else cfg.half_width
     if cfg.source == "dp":
         family = _resolve_family(cfg.family)
         payoff = _resolve_payoff(cfg.phi)
         if cfg.n is None:
             raise ConfigInvalidError("mollify-check (dp) needs n")
-        hw = cfg.half_width or 2.0
         grid = GridSpec(step=min(dx, 1.0 / cfg.n), half_width=max(8.0 * family.sigma_bar, hw))
         field = solve_recursion(family, payoff, cfg.n, mode="grid", grid=grid)
         a = float(cfg.n) ** (-payoff.beta / 2.0)
@@ -375,7 +388,6 @@ def _run_mollify_check(cfg: RunConfig, out: OutputDir) -> int:
         )
     else:
         payoff = _resolve_payoff(cfg.phi or {"phi": "abs"})
-        hw = cfg.half_width or 2.0
         surface = surface_from_function(
             lambda t, x: payoff(x) + 0.0 * t,
             x_half_width=hw,
@@ -420,6 +432,7 @@ def run(cfg: RunConfig) -> int:
     handler = _HANDLERS.get(cfg.command)
     if handler is None:
         raise ConfigInvalidError(f"unknown command {cfg.command!r}")
+    _check_ranges(cfg)
     with OutputDir(cfg.out_dir, cfg.command) as out:
         resolved = cfg.to_dict()
         if isinstance(cfg.family, dict):

@@ -237,19 +237,6 @@ def richardson_value(
     return fine, abs(fine - v1)
 
 
-def norm_cdf(z: float) -> float:
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-
-
-def gaussian_abs_mean(x: float, sigma: float) -> float:
-    """Closed form ``E |x + sigma * W|`` for a standard normal ``W``."""
-    if sigma == 0.0:
-        return abs(x)
-    return sigma * math.sqrt(2.0 / math.pi) * math.exp(
-        -(x * x) / (2.0 * sigma * sigma)
-    ) + x * (1.0 - 2.0 * norm_cdf(-x / sigma))
-
-
 @functools.lru_cache(maxsize=8)
 def _hermgauss(nodes: int):
     # scipy's rule stays stable into the thousands of nodes, unlike the
@@ -259,14 +246,12 @@ def _hermgauss(nodes: int):
     return roots_hermite(nodes)
 
 
-def gauss_hermite_expectation(
-    payoff: Payoff, x: float, sigma: float, nodes: int = 256
-) -> float:
-    """``E payoff(x + sigma * W)`` by Gauss-Hermite quadrature."""
+def gauss_hermite_expectation(payoff: Payoff, sigma: float, nodes: int = 256) -> float:
+    """``E payoff(sigma * W)`` by Gauss-Hermite quadrature."""
     if nodes < 64:
         raise ValueError("use at least 64 nodes")
     z, w = _hermgauss(nodes)
-    vals = payoff(x + sigma * math.sqrt(2.0) * z)
+    vals = payoff(sigma * math.sqrt(2.0) * z)
     return float(np.dot(w, vals) / math.sqrt(math.pi))
 
 
@@ -283,5 +268,5 @@ def convex_oracle(prob: GHeatProblem) -> float:
     if prob.payoff.kind == "abs" or (
         prob.payoff.kind == "abs_pow" and prob.payoff.beta == 1.0
     ):
-        return gaussian_abs_mean(0.0, prob.sigma_bar)
-    return gauss_hermite_expectation(prob.payoff, 0.0, prob.sigma_bar)
+        return prob.sigma_bar * math.sqrt(2.0 / math.pi)
+    return gauss_hermite_expectation(prob.payoff, prob.sigma_bar)

@@ -2,9 +2,10 @@
 
 The recursion starts from the terminal function and, one level at a time,
 replaces each value by the largest expectation of the next level over the
-family, with steps scaled by ``1/sqrt(n)``. One level loop serves two
-execution modes, which differ only in their points and in how one member's
-expectation is formed:
+family, with steps scaled by ``1/sqrt(n)``. Each execution mode has its own
+plain level loop, :func:`_lattice_march` or :func:`_grid_march`. (The G-heat
+scheme is a sup-recursion over three-point laws too, but keeps its own,
+faster stencil step.)
 
 * ``lattice`` (used whenever the family has a common support step ``delta``):
   level ``k`` lives on the cone ``{j * delta/sqrt(n) : |j| <= k * m}`` where
@@ -13,16 +14,12 @@ expectation is formed:
   exact up to float rounding (documented <= 1e-12 at desk scale) and a
   certified window bound <= ``WINDOW_TOL = 1e-16``. :func:`origin_value`
   marches only ``|j| <= min(k * m, J)`` and keeps the points beyond ``J``
-  at their terminal values, where
-  ``J = ceil(c m/3 + sqrt((c m/3)^2 + 2 c V)) + ceil(n mu)`` with
-  ``c = ln(2 L / WINDOW_TOL)``, ``L = sigma_bar**beta``, ``V = n s^2``,
-  ``s^2`` the largest member second moment and ``mu`` the largest
-  ``|mean|``, both in lattice units (Freedman's inequality; see
-  :func:`lattice_window`). For the sharpness family ``V = 2 sqrt(n)``, so
-  a march costs O(n^{5/4}) instead of O(n^2). :func:`solve_recursion`
-  stores every level and marches the whole cone. Rate experiments run
-  exclusively in this mode; even a small interpolation bias would pollute
-  slope fits for exponents as small as 1/6.
+  at their terminal values, where ``J`` comes from Freedman's inequality
+  (see :func:`lattice_window`). For the sharpness family ``J`` grows like
+  ``n^{1/4}``, so a march costs O(n^{5/4}) instead of O(n^2).
+  :func:`solve_recursion` stores every level and marches the whole cone.
+  Rate experiments run exclusively in this mode; even a small interpolation
+  bias would pollute slope fits for exponents as small as 1/6.
 * ``grid``: a fixed uniform grid with linear interpolation. Positions that
   step beyond the grid are priced by the terminal function itself; far from
   the evaluation cone the solution hugs the terminal data, so with a half
@@ -174,66 +171,58 @@ def _mirror_closed(terms) -> bool:
     )
 
 
-def _march(
-    family: Family, payoff: Payoff, n: int, mode: str, grid, collect=None, tol=WINDOW_TOL
-):
-    """Run the backward loop; returns the spacing and the level-0 value at x = 0.
-
-    When ``collect`` is given it receives ``(k, points, values)`` for every
-    level, with ``values`` a fresh full-width array of level k. Lattice mode
-    writes each level into one of two buffers sized once and forms products
-    in scratch rows, so a level allocates nothing. When every member's mirror
-    law is in the family and the terminal data is a palindrome, the field is
-    even and only ``j >= 0`` is marched, with ``reach`` ghost points at
-    ``j < 0`` copied from ``+j`` after each level. Lattice levels march only
-    ``|j| <= J`` of :func:`lattice_window` at ``tol``; ``tol = 0`` marches
-    the whole cone, operation for operation as without a window.
-    """
+def _depth(n) -> int:
     if int(n) != n or n < 1:
         raise ValueError(f"need integer n >= 1, got {n}")
-    n = int(n)
-    if mode == "lattice":
-        terms, reach = _lattice_terms(family)
-        h = family.lattice_step / math.sqrt(n)
-        cut = lattice_window(family, payoff, n, tol).J
-        size = min(n * reach, cut + reach)  # buffers hold j in [-size, size]
+    return int(n)
 
-        def points(k):
-            return np.arange(-k * reach, k * reach + 1) * h
 
-        terminal = np.asarray(payoff(np.arange(-size, size + 1) * h), dtype=float)
-        # even data stays even: keep j >= -reach, where index i holds j = i - reach
-        even = _mirror_closed(terms) and np.array_equal(terminal, terminal[::-1])
-        zero = reach if even else size  # index of j = 0
-        cur = terminal[size - reach :] if even else terminal
-        # both levels start as terminal data, so j beyond the window stays frozen
-        levels = (cur, cur.copy())  # level k lives in levels[(n - k) % 2]
-        scratch = np.empty((2, cur.size))
+def _level_views(nxt, cur, w, zero, even, atoms, scratch):
+    """Output row, scratch rows and per-member shifted reads of |j| <= w (j >= 0 if even)."""
+    lo, width = (zero, w + 1) if even else (zero - w, 2 * w + 1)
+    reads = [[(p, cur[lo + o : lo + o + width]) for p, o in m] for m in atoms]
+    return nxt[lo : lo + width], scratch[0, :width], scratch[1, :width], reads
 
-        def full(k, v):
-            top = zero + k * reach
-            if even:
-                return np.concatenate((v[top:reach:-1], v[reach : top + 1]))
-            return v[2 * zero - top : top + 1].copy()
 
-        # per member, (weight, offset) in ascending support
-        atoms = [list(zip(probs, offs)) for offs, probs in terms]
+def _lattice_march(family: Family, payoff: Payoff, n: int, tol: float, keep=None):
+    """Backward lattice loop; returns the spacing and the level-0 value at x = 0.
 
-        def views(nxt, cur, w):
-            # level k at 0 <= j <= w (even) or |j| <= w, read from level k + 1
-            lo, width = (zero, w + 1) if even else (zero - w, 2 * w + 1)
-            reads = [[(p, cur[lo + o : lo + o + width]) for p, o in m] for m in atoms]
-            return nxt[lo : lo + width], scratch[0, :width], scratch[1, :width], reads
-
-        # levels k >= cut / reach all march the window: each reuses one of these
-        saturated = None
-        if cut <= (n - 1) * reach:
-            saturated = [views(levels[i], levels[1 - i], cut) for i in (0, 1)]
-
-        def advance(k, cur):
+    ``keep`` receives ``(k, points, values)`` for every level, each a fresh
+    full-width array. Levels alternate between two buffers sized once, so a
+    level allocates nothing; even data marches ``j >= 0`` with ``reach``
+    ghost points mirrored from ``+j``. Levels march ``|j| <= J`` of
+    :func:`lattice_window` at ``tol``; ``tol = 0`` marches the whole cone.
+    """
+    n = _depth(n)
+    terms, reach = _lattice_terms(family)
+    h = family.lattice_step / math.sqrt(n)
+    cut = lattice_window(family, payoff, n, tol).J
+    size = min(n * reach, cut + reach)  # buffers hold j in [-size, size]
+    terminal = np.asarray(payoff(np.arange(-size, size + 1) * h), dtype=float)
+    # even data stays even: keep j >= -reach, where index i holds j = i - reach
+    even = _mirror_closed(terms) and np.array_equal(terminal, terminal[::-1])
+    zero = reach if even else size  # index of j = 0
+    cur = terminal[size - reach :] if even else terminal
+    # both levels start as terminal data, so j beyond the window stays frozen
+    levels = (cur, cur.copy())  # level k lives in levels[(n - k) % 2]
+    scratch = np.empty((2, cur.size))
+    # per member, (weight, offset) in ascending support
+    atoms = [list(zip(probs, offs)) for offs, probs in terms]
+    # levels k >= cut / reach all march the window: each reuses one of these
+    saturated = None
+    if cut <= (n - 1) * reach:
+        saturated = [
+            _level_views(levels[i], levels[1 - i], cut, zero, even, atoms, scratch)
+            for i in (0, 1)
+        ]
+    for k in range(n, -1, -1):
+        if k < n:  # level k from level k + 1
             nxt = levels[(n - k) % 2]
             w = min(k * reach, cut)
-            best, prod, acc, reads = saturated[(n - k) % 2] if w == cut else views(nxt, cur, w)
+            if w == cut:
+                best, prod, acc, reads = saturated[(n - k) % 2]
+            else:
+                best, prod, acc, reads = _level_views(nxt, cur, w, zero, even, atoms, scratch)
             out = best
             for (p, v), *rest in reads:
                 np.multiply(v, p, out=out)
@@ -245,46 +234,43 @@ def _march(
                 out = acc
             if even and k:
                 nxt[:reach] = nxt[2 * reach : reach : -1]
-            return nxt
+            cur = nxt
+        if keep is not None:
+            top = zero + k * reach
+            if even:
+                full = np.concatenate((cur[top:reach:-1], cur[reach : top + 1]))
+            else:
+                full = cur[2 * zero - top : top + 1].copy()
+            keep(k, np.arange(-k * reach, k * reach + 1) * h, full)
+    return h, float(cur[zero])
 
-        def origin(v):
-            return float(v[zero])
-    else:
-        grid = grid or default_grid(family, n)
-        if grid.half_width + 1e-12 < 8.0 * family.sigma_bar:
-            raise GridTooSmallError(
-                f"half width {grid.half_width} below 8*sigma_bar = "
-                f"{8.0 * family.sigma_bar}"
-            )
-        h, x = grid.step, grid.points()
-        if x.size < 3:
-            raise GridTooSmallError("grid needs at least 3 points")
 
-        def points(k):
-            return x
+def _grid_march(family: Family, payoff: Payoff, n: int, grid, keep=None):
+    """Backward loop on a fixed grid; returns the step and the level-0 value at x = 0.
 
-        cur = np.asarray(payoff(x), dtype=float)
-
-        def full(k, v):
-            return v.copy()
-
-        def advance(k, cur):
+    ``keep`` receives ``(k, points, values)`` for every level, each a fresh array.
+    """
+    n = _depth(n)
+    grid = grid or default_grid(family, n)
+    if grid.half_width + 1e-12 < 8.0 * family.sigma_bar:
+        raise GridTooSmallError(
+            f"half width {grid.half_width} below 8*sigma_bar = "
+            f"{8.0 * family.sigma_bar}"
+        )
+    h, x = grid.step, grid.points()
+    if x.size < 3:
+        raise GridTooSmallError("grid needs at least 3 points")
+    cur = np.asarray(payoff(x), dtype=float)
+    for k in range(n, -1, -1):
+        if k < n:  # pairwise max over members, in member order
             best = None
             for d in family.members:
                 e = _expect_grid(cur, x, d, n, payoff)
                 best = e if best is None else np.maximum(best, e)
-            return best
-
-        def origin(v):
-            return float(np.interp(0.0, x, v))
-
-    if collect is not None:
-        collect(n, points, full(n, cur))
-    for k in range(n - 1, -1, -1):
-        cur = advance(k, cur)
-        if collect is not None:
-            collect(k, points, full(k, cur))
-    return h, origin(cur)
+            cur = best
+        if keep is not None:
+            keep(k, x, cur)
+    return h, float(np.interp(0.0, x, cur))
 
 
 def solve_recursion(
@@ -302,18 +288,16 @@ def solve_recursion(
     xs: list[np.ndarray] = [None] * (n + 1)
     values: list[np.ndarray] = [None] * (n + 1)
 
-    def collect(k, points, v):
-        xs[k] = points(k)
+    def keep(k, points, v):
+        xs[k] = points
         values[k] = v
 
-    h, _ = _march(family, payoff, n, mode, grid, collect, tol=0.0)
+    if mode == "lattice":
+        h, _ = _lattice_march(family, payoff, n, 0.0, keep)
+    else:
+        h, _ = _grid_march(family, payoff, n, grid, keep)
     return ValueField(
-        mode=mode,
-        n=int(n),
-        h=h,
-        times=np.arange(n + 1) / n,
-        xs=xs,
-        values=values,
+        mode=mode, n=int(n), h=h, times=np.arange(n + 1) / n, xs=xs, values=values
     )
 
 
@@ -329,5 +313,6 @@ def origin_value(
     Lattice mode marches the window of :func:`lattice_window`, which moves
     the value by at most its certified bound (<= ``WINDOW_TOL``).
     """
-    mode = resolve_mode(family, mode)
-    return _march(family, payoff, n, mode, grid)[1]
+    if resolve_mode(family, mode) == "lattice":
+        return _lattice_march(family, payoff, n, WINDOW_TOL)[1]
+    return _grid_march(family, payoff, n, grid)[1]

@@ -293,6 +293,46 @@ class TestMollifyCheck:
         assert rows[1].endswith(",true")
 
 
+VALUE = ["value", "--sigma-under", 1, "--sigma-bar", 1, "--phi", "abs"]
+RECURSE = ["recurse", "--family", "rademacher", "--phi", "abs"]
+PDE = ["regularity", "--source", "pde", "--phi", "abs", "--sigma-under", 1, "--sigma-bar", 1]
+MOLLIFY = ["mollify-check", "--phi", "abs"]
+MOLLIFY_DP = [*MOLLIFY, "--source", "dp", "--family", "rademacher", "--eps", "0.2"]
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ([*VALUE, "--h", 0], "h"),
+        ([*VALUE, "--half-width", -1], "half_width"),
+        ([*RECURSE, "--n", 4, "--h", 0, "--half-width", 0], "h"),
+        ([*RECURSE, "--n", 4, "--mode", "grid", "--half-width", 0], "half_width"),
+        ([*RECURSE, "--n", 0, "--mode", "grid"], "n"),
+        ([*PDE, "--h", 0], "h"),
+        ([*MOLLIFY, "--eps", "0.2", "--half-width", 0], "half_width"),
+        ([*MOLLIFY, "--eps", "0"], "eps"),
+        ([*MOLLIFY, "--eps", "-0.1"], "eps"),
+        ([*MOLLIFY, "--eps", "0.2,1"], "eps"),
+        ([*MOLLIFY_DP, "--n", 0], "n"),
+        (["rates", "--family", "rademacher", "--phi", "abs", "--ns", "4,16", "--ref-h", 0],
+         "ref_h"),
+    ],
+    ids=[
+        "value_h", "value_half_width", "recurse_h", "recurse_half_width", "recurse_grid_n",
+        "regularity_pde_h", "mollify_half_width", "mollify_eps_zero", "mollify_eps_negative",
+        "mollify_eps_one", "mollify_dp_n", "rates_ref_h",
+    ],
+)
+def test_out_of_range_setting_exits_one_naming_it(tmp_path, capsys, args, name):
+    # zero is refused, not replaced by the default
+    rc = run_cli([*args, "--out", tmp_path / "o"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR ConfigInvalid: {name} must ")
+    assert "\n" not in err.strip()
+    assert not (tmp_path / "o").exists()  # refused before any artifact
+
+
 class TestConjectureCommand:
     def test_table(self, tmp_path):
         rc = run_cli(["conjecture", "--ns", "16,64", "--out", tmp_path / "c"])

@@ -19,7 +19,6 @@ from cltlab import (
     cosine_payoff,
     default_spec,
     gauss_hermite_expectation,
-    gaussian_abs_mean,
     make_discrete,
     neg_abs_payoff,
     origin_value,
@@ -234,13 +233,8 @@ class TestConvexOracle:
             convex_oracle(GHeatProblem(1.0, 1.0, neg_abs_payoff()))
 
     def test_closed_form_matches_quadrature(self):
-        gh = gauss_hermite_expectation(ABS, 0.3, 1.2, nodes=4096)
-        assert gaussian_abs_mean(0.3, 1.2) == pytest.approx(gh, abs=1e-3)
-
-    def test_closed_form_even_in_x(self):
-        assert gaussian_abs_mean(0.7, 0.9) == pytest.approx(
-            gaussian_abs_mean(-0.7, 0.9), abs=1e-15
-        )
+        gh = gauss_hermite_expectation(ABS, 1.2, nodes=4096)
+        assert convex_oracle(GHeatProblem(1.2, 1.2, ABS)) == pytest.approx(gh, abs=1e-3)
 
 
 @pytest.mark.parametrize(
@@ -261,8 +255,8 @@ def test_degenerate_reduction_matches_heat_quadrature(payoff):
     # the error at the larger count for every catalogue entry.
     prob = GHeatProblem(1.0, 1.0, payoff)
     value, scheme_err = richardson_value(prob, default_spec(prob, h=1 / 100))
-    gh = gauss_hermite_expectation(payoff, 0.0, 1.0, nodes=16384)
-    quad_err = abs(gh - gauss_hermite_expectation(payoff, 0.0, 1.0, nodes=4096))
+    gh = gauss_hermite_expectation(payoff, 1.0, nodes=16384)
+    quad_err = abs(gh - gauss_hermite_expectation(payoff, 1.0, nodes=4096))
     assert abs(value - gh) <= 3 * scheme_err + quad_err
 
 

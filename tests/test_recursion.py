@@ -25,7 +25,7 @@ from cltlab.recursion import (
     FLOAT_ROUNDING,
     WINDOW_TOL,
     Window,
-    _march,
+    _lattice_march,
     lattice_window,
     origin_value,
     solve_recursion,
@@ -163,8 +163,26 @@ class TestField:
                 bound = abs(field.times[j] - field.times[i]) ** 0.5
                 assert np.max(np.abs(small - big[off : off + small.size])) <= bound + 1e-12
 
+    @pytest.mark.parametrize(
+        "mode, payoff",
+        [
+            ("lattice", ABS),  # even: marched on j >= 0
+            ("lattice", piecewise_linear_payoff([-8.0, 0.25, 8.0], [8.25, 0.0, 7.75])),
+            ("grid", ABS),
+        ],
+        ids=["lattice_even", "lattice_uneven", "grid"],
+    )
+    def test_stored_levels_do_not_alias(self, mode, payoff):
+        field = solve_recursion(RADEMACHER, payoff, 6, mode=mode)
+        before = [v.copy() for v in field.values]
+        for k, level in enumerate(field.values):
+            level += 1.0
+            for j, (other, old) in enumerate(zip(field.values, before)):
+                assert j == k or np.array_equal(other, old), (k, j)
+            level[:] = before[k]
 
-SKEW = make_discrete([-1, 2], [2 / 3, 1 / 3])
+
+SKEW =make_discrete([-1, 2], [2 / 3, 1 / 3])
 SKEW_MIRROR = make_discrete([-2, 1], [1 / 3, 2 / 3])
 MIRROR_CLOSED = {
     "rademacher": builtin_family("rademacher"),
@@ -242,7 +260,7 @@ WINDOW_PAYOFFS = {
 
 
 def whole_cone(family, payoff, n):
-    return _march(family, payoff, n, "lattice", None, tol=0.0)[1]
+    return _lattice_march(family, payoff, n, tol=0.0)[1]
 
 
 @pytest.mark.parametrize("pname", WINDOW_PAYOFFS)
@@ -269,7 +287,7 @@ class TestWindow:
         oracle = sup_recursion_value(
             family.members, payoff, n, family.lattice_step, window=window.J
         )
-        windowed = _march(family, payoff, n, "lattice", None, tol=tol)[1]
+        windowed = _lattice_march(family, payoff, n, tol=tol)[1]
         assert windowed == pytest.approx(oracle, abs=FLOAT_ROUNDING)
         assert abs(windowed - whole_cone(family, payoff, n)) > FLOAT_ROUNDING
 
@@ -286,7 +304,7 @@ class TestWindow:
         m = window.cone // n
         var = n * max(moment(d, 2) for d in family.members) / family.lattice_step**2
         assert math.sqrt(2 * c * var) <= window.J <= math.sqrt(2 * c * var) + c * m + 1
-        err = abs(_march(family, payoff, n, "lattice", None, tol=tol)[1]
+        err = abs(_lattice_march(family, payoff, n, tol=tol)[1]
                   - whole_cone(family, payoff, n))
         assert 0.0 < err <= window.bound
 
