@@ -35,7 +35,6 @@ from .gheat import (
     SchemeSpec,
     convex_oracle,
     default_spec,
-    gauss_hermite_expectation,
     richardson_value,
     solve_gheat,
 )

@@ -1,10 +1,11 @@
 """Command-line front door: batch experiments with reproducible artifacts.
 
 Subcommands: value, recurse, rates, conjecture, regularity, mollify-check.
-Every run resolves its configuration, writes it as ``config.json`` next to
-the outputs together with a schema-versioned manifest, and emits CSV (plus
-optional SVG). Exit codes: 0 success, 1 error (with a single machine-parsable
-``ERROR <Code>: ...`` line on stderr), 2 verdict failure. Identical resolved
+Every run checks its configuration against the table of what its command
+reads, writes it as ``config.json`` next to the outputs together with a
+schema-versioned manifest, and emits CSV (plus optional SVG). Exit codes: 0
+success, 1 error (with a single machine-parsable ``ERROR <Code>: ...`` line
+on stderr, usage errors included), 2 verdict failure. Identical resolved
 configurations produce byte-identical CSV files.
 
 The default output root is ``./cltlab-out`` or the ``CLTLAB_OUT`` environment
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import types
@@ -104,8 +106,6 @@ def _conforms(value, tp) -> bool:
 
 
 def _resolve_family(spec) -> Family:
-    if spec is None:
-        raise ConfigInvalidError("a family is required")
     if isinstance(spec, dict):
         try:
             return family_from_config(spec)
@@ -118,23 +118,55 @@ def _resolve_family(spec) -> Family:
 
 
 def _resolve_payoff(cfg):
-    if cfg is None:
-        raise ConfigInvalidError("a phi selection is required")
     try:
         return payoff_from_config(cfg)
     except (ValueError, TypeError) as exc:
         raise ConfigInvalidError(f"bad phi: {exc}") from exc
 
 
+def _check_reads(cfg: RunConfig, label: str, required, optional) -> None:
+    """Refuse a missing required key, and a key set off its default but not read."""
+    for key in required:
+        if getattr(cfg, key) in (None, []):
+            raise ConfigInvalidError(f"{label} needs {key}")
+    for f in dataclasses.fields(cfg):
+        if f.name in ("command", "out_dir", "source", *required, *optional):
+            continue
+        if getattr(cfg, f.name) != f.default:
+            raise ConfigInvalidError(f"{label} does not read {f.name}")
+
+
 def _check_ranges(cfg: RunConfig) -> None:
-    """Refuse a zero or negative size or step, and a mollifier width outside (0, 1)."""
+    """Refuse values that no command runs with.
+
+    A zero or negative size or step, repeated depths, a mollifier width
+    outside (0, 1), volatility bounds out of order, a slack that is neither
+    a number nor "auto", and a value outside its flag's choices.
+    """
     for name in ("n", "h", "half_width", "ref_h"):
         value = getattr(cfg, name)
         if value is not None and not value > 0:
             raise ConfigInvalidError(f"{name} must be positive, got {value!r}")
+    if cfg.ns and (len(set(cfg.ns)) < len(cfg.ns) or min(cfg.ns) < 1):
+        raise ConfigInvalidError(f"ns must be distinct positive integers, got {cfg.ns!r}")
     for eps in cfg.eps or ():
         if not 0.0 < eps < 1.0:
             raise ConfigInvalidError(f"eps must lie in (0, 1), got {eps!r}")
+    su, sb = cfg.sigma_under, cfg.sigma_bar
+    if None not in (su, sb) and not 0.0 <= su <= sb < math.inf:
+        raise ConfigInvalidError(
+            f"sigma_under and sigma_bar must satisfy 0 <= {su!r} <= {sb!r} < inf"
+        )
+    if isinstance(cfg.slack, str) and cfg.slack != "auto":
+        try:
+            float(cfg.slack)
+        except ValueError:
+            msg = f'slack must be a number or "auto", got {cfg.slack!r}'
+            raise ConfigInvalidError(msg) from None
+    for name, flag in _FLAGS.items():
+        value = getattr(cfg, name)
+        if "choices" in flag and value not in (None, *flag["choices"]):
+            raise ConfigInvalidError(f"{name} must be one of {flag['choices']}, got {value!r}")
 
 
 def _parse_family_arg(text: str):
@@ -152,18 +184,14 @@ def _parse_family_arg(text: str):
 
 
 def _parse_phi_arg(text: str, beta):
-    if text.startswith("{"):
-        try:
-            cfg = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigInvalidError(f"phi JSON does not parse: {exc}") from exc
-        if "phi" not in cfg:
-            raise ConfigInvalidError('phi JSON needs a "phi" key')
-        return cfg
-    cfg = {"phi": text}
+    if not text.startswith("{"):
+        return {"phi": text} if beta is None else {"phi": text, "beta": beta}
     if beta is not None:
-        cfg["beta"] = beta
-    return cfg
+        raise ConfigInvalidError("beta goes inside the phi JSON")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigInvalidError(f"phi JSON does not parse: {exc}") from exc
 
 
 # ----------------------------------------------------------------------------
@@ -171,10 +199,8 @@ def _parse_phi_arg(text: str, beta):
 # ----------------------------------------------------------------------------
 
 
-def _run_value(cfg: RunConfig, out: OutputDir) -> int:
-    payoff = _resolve_payoff(cfg.phi)
-    if cfg.sigma_under is None or cfg.sigma_bar is None:
-        raise ConfigInvalidError("value needs sigma_under and sigma_bar")
+def _run_value(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
+    """Continuous value at the origin with its error bar."""
     prob = GHeatProblem(cfg.sigma_under, cfg.sigma_bar, payoff)
     spec = default_spec(prob, h=1.0 / 400.0 if cfg.h is None else cfg.h)
     if cfg.half_width is not None:
@@ -197,11 +223,8 @@ def _run_value(cfg: RunConfig, out: OutputDir) -> int:
     return 0
 
 
-def _run_recurse(cfg: RunConfig, out: OutputDir) -> int:
-    family = _resolve_family(cfg.family)
-    payoff = _resolve_payoff(cfg.phi)
-    if cfg.n is None:
-        raise ConfigInvalidError("recurse needs n")
+def _run_recurse(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
+    """Backward recursion field and origin value."""
     grid = None
     if resolve_mode(family, cfg.mode) == "grid":
         base = default_grid(family, cfg.n)
@@ -232,11 +255,8 @@ def _windows(rows):
     ]
 
 
-def _run_rates(cfg: RunConfig, out: OutputDir) -> int:
-    family = _resolve_family(cfg.family)
-    payoff = _resolve_payoff(cfg.phi)
-    if not cfg.ns:
-        raise ConfigInvalidError("rates needs ns")
+def _run_rates(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
+    """Error curve, log-log slope and verdict."""
     ref_spec = None
     if cfg.ref_h is not None:
         prob = GHeatProblem(family.sigma_under, family.sigma_bar, payoff)
@@ -285,9 +305,8 @@ def _run_rates(cfg: RunConfig, out: OutputDir) -> int:
     return 0 if report.verdict in ("pass", "degenerate") else 2
 
 
-def _run_conjecture(cfg: RunConfig, out: OutputDir) -> int:
-    if not cfg.ns:
-        raise ConfigInvalidError("conjecture needs ns")
+def _run_conjecture(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
+    """Scaled sharpness-family table."""
     report = conjecture_experiment(cfg.ns)
     write_csv(
         out.path("conjecture.csv"),
@@ -313,19 +332,13 @@ def _run_conjecture(cfg: RunConfig, out: OutputDir) -> int:
     return 0
 
 
-def _run_regularity(cfg: RunConfig, out: OutputDir) -> int:
-    payoff = _resolve_payoff(cfg.phi)
-    source = cfg.source or "dp"
-    if source == "dp":
-        family = _resolve_family(cfg.family)
-        if cfg.n is None:
-            raise ConfigInvalidError("regularity (dp) needs n")
+def _run_regularity(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
+    """Holder audits of a solved field."""
+    if family is not None:  # dp source
         field = solve_recursion(family, payoff, cfg.n, mode=cfg.mode)
         sigma_bar = family.sigma_bar
         slack = 0.0 if cfg.slack in (None, "auto") else float(cfg.slack)
-    elif source == "pde":
-        if cfg.sigma_under is None or cfg.sigma_bar is None:
-            raise ConfigInvalidError("regularity (pde) needs sigma bounds")
+    else:
         prob = GHeatProblem(cfg.sigma_under, cfg.sigma_bar, payoff)
         spec = default_spec(prob, h=1.0 / 100.0 if cfg.h is None else cfg.h)
         field = solve_gheat(prob, spec)
@@ -335,8 +348,6 @@ def _run_regularity(cfg: RunConfig, out: OutputDir) -> int:
             slack = 2.0 * err
         else:
             slack = float(cfg.slack)
-    else:
-        raise ConfigInvalidError(f"unknown regularity source {source!r}")
     report = regularity_audit(field, payoff.beta, sigma_bar, slack)
     write_csv(
         out.path("regularity.csv"),
@@ -367,19 +378,14 @@ def _run_regularity(cfg: RunConfig, out: OutputDir) -> int:
     return 0 if report.passed else 2
 
 
-def _run_mollify_check(cfg: RunConfig, out: OutputDir) -> int:
-    if not cfg.eps:
-        raise ConfigInvalidError("mollify-check needs eps")
+def _run_mollify_check(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
+    """Mollification bound verification."""
     eps_list = sorted(cfg.eps, reverse=True)
     min_eps = min(eps_list)
     dt = min_eps * min_eps / 16.0
     dx = min_eps / 16.0
     hw = 2.0 if cfg.half_width is None else cfg.half_width
-    if cfg.source == "dp":
-        family = _resolve_family(cfg.family)
-        payoff = _resolve_payoff(cfg.phi)
-        if cfg.n is None:
-            raise ConfigInvalidError("mollify-check (dp) needs n")
+    if family is not None:  # dp source
         grid = GridSpec(step=min(dx, 1.0 / cfg.n), half_width=max(8.0 * family.sigma_bar, hw))
         field = solve_recursion(family, payoff, cfg.n, mode="grid", grid=grid)
         a = float(cfg.n) ** (-payoff.beta / 2.0)
@@ -387,7 +393,6 @@ def _run_mollify_check(cfg: RunConfig, out: OutputDir) -> int:
             field, x_half_width=hw, dt=dt, dx=dx, beta=payoff.beta, slack=a
         )
     else:
-        payoff = _resolve_payoff(cfg.phi or {"phi": "abs"})
         surface = surface_from_function(
             lambda t, x: payoff(x) + 0.0 * t,
             x_half_width=hw,
@@ -417,28 +422,83 @@ def _run_mollify_check(cfg: RunConfig, out: OutputDir) -> int:
     return 0 if report.passed else 2
 
 
-_HANDLERS = {
-    "value": _run_value,
-    "recurse": _run_recurse,
-    "rates": _run_rates,
-    "conjecture": _run_conjecture,
-    "regularity": _run_regularity,
-    "mollify-check": _run_mollify_check,
+def _ints(text: str) -> list[int]:
+    return [int(s) for s in text.split(",") if s]
+
+
+def _floats(text: str) -> list[float]:
+    return [float(s) for s in text.split(",") if s]
+
+
+# What each command reads: per source, the keys it requires and the keys it
+# may read; every other key must keep its RunConfig default. A command with
+# several sources offers --source, and its first source is the default.
+_COMMANDS = {
+    "value": (_run_value, {None: ("phi sigma_under sigma_bar", "h half_width emit_field")}),
+    "recurse": (_run_recurse, {None: ("family phi n", "mode h half_width")}),
+    "rates": (_run_rates, {
+        None: ("family phi ns", "ref_h exponent_rule strict_reference emit_svg"),
+    }),
+    "conjecture": (_run_conjecture, {None: ("ns", "")}),
+    "regularity": (_run_regularity, {
+        "dp": ("family phi n", "mode slack"),
+        "pde": ("phi sigma_under sigma_bar", "h slack"),
+    }),
+    "mollify-check": (_run_mollify_check, {
+        "function": ("eps", "phi a half_width"),
+        "dp": ("family phi n eps", "half_width"),
+    }),
+}
+
+# argparse settings of each key's flag (--<key with dashes>)
+_FLAGS = {
+    "family": {"help": "builtin name, inline JSON, or @file.json"},
+    "phi": {"help": "payoff kind or inline JSON"},
+    "ns": {"type": _ints, "help": "comma-separated depths"},
+    "n": {"type": int, "help": "recursion depth"},
+    "mode": {"choices": ("lattice", "grid")},
+    "h": {"type": float, "help": "spatial step"},
+    "half_width": {"type": float},
+    "sigma_under": {"type": float},
+    "sigma_bar": {"type": float},
+    "eps": {"type": _floats, "help": "comma-separated widths"},
+    "a": {"type": float, "help": "temporal slack of the surface"},
+    "slack": {"default": "auto", "help": 'numeric slack or "auto"'},
+    "ref_h": {"type": float, "help": "reference scheme step"},
+    "exponent_rule": {"choices": ("auto", "basic")},
+    "strict_reference": {"action": "store_true"},
+    "emit_svg": {"action": "store_true"},
+    "emit_field": {"action": "store_true", "help": "write full-field CSV"},
 }
 
 
 def run(cfg: RunConfig) -> int:
-    """Dispatch a resolved configuration; returns the process exit code."""
-    handler = _HANDLERS.get(cfg.command)
-    if handler is None:
+    """Check a configuration against ``_COMMANDS`` and run it; returns the exit code.
+
+    Every refusal of the configuration comes before the run directory exists.
+    """
+    if cfg.command not in _COMMANDS:
         raise ConfigInvalidError(f"unknown command {cfg.command!r}")
+    handler, sources = _COMMANDS[cfg.command]
+    source = cfg.source or next(iter(sources))
+    if source not in sources:
+        raise ConfigInvalidError(f"{cfg.command} has no source {cfg.source!r}")
+    label = cfg.command if source is None else f"{cfg.command} ({source})"
+    required, optional = (keys.split() for keys in sources[source])
+    _check_reads(cfg, label, required, optional)
     _check_ranges(cfg)
+    family = None if cfg.family is None else _resolve_family(cfg.family)
+    # only mollify-check's function surface may omit phi; it samples |x|
+    reads_phi = "phi" in (*required, *optional)
+    payoff = _resolve_payoff(cfg.phi or {"phi": "abs"}) if reads_phi else None
+    if cfg.command == "recurse" and resolve_mode(family, cfg.mode) == "lattice":
+        _check_reads(cfg, "recurse (lattice)", required, ["mode"])
     with OutputDir(cfg.out_dir, cfg.command) as out:
         resolved = cfg.to_dict()
         if isinstance(cfg.family, dict):
-            resolved["family"] = family_to_config(_resolve_family(cfg.family))
+            resolved["family"] = family_to_config(family)
         write_json(out.path("config.json"), resolved)
-        return handler(cfg, out)
+        return handler(cfg, out, family, payoff)
 
 
 # ----------------------------------------------------------------------------
@@ -451,76 +511,30 @@ def _default_out(command: str) -> str:
     return os.path.join(root, command)
 
 
-def _add_common(p, *, family=False, phi=False):
-    p.add_argument("--out", help="output directory (default CLTLAB_OUT/<command>)")
-    if family:
-        p.add_argument("--family", help="builtin name, inline JSON, or @file.json")
-    if phi:
-        p.add_argument("--phi", help="payoff kind or inline JSON")
-        p.add_argument("--beta", type=float, help="payoff exponent (abs_pow)")
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ``ConfigInvalidError`` instead of exiting 2."""
 
-
-def _ints(text: str) -> list[int]:
-    return [int(s) for s in text.split(",") if s]
-
-
-def _floats(text: str) -> list[float]:
-    return [float(s) for s in text.split(",") if s]
+    def error(self, message):
+        raise ConfigInvalidError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """One subcommand per ``_COMMANDS`` entry, offering the keys its sources read."""
+    parser = _Parser(
         prog="cltlab",
         description="Batch experiments for central limit behaviour under "
         "volatility uncertainty; outputs are deterministic CSV/SVG artifacts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("value", help="continuous value at the origin with error bar")
-    _add_common(p, phi=True)
-    p.add_argument("--sigma-under", type=float, required=True)
-    p.add_argument("--sigma-bar", type=float, required=True)
-    p.add_argument("--h", type=float, help="spatial step (default 1/400)")
-    p.add_argument("--half-width", type=float)
-    p.add_argument("--emit-field", action="store_true", help="write full-field CSV")
-
-    p = sub.add_parser("recurse", help="backward recursion field and origin value")
-    _add_common(p, family=True, phi=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=("lattice", "grid"))
-    p.add_argument("--h", type=float)
-    p.add_argument("--half-width", type=float)
-
-    p = sub.add_parser("rates", help="error curve, log-log slope and verdict")
-    _add_common(p, family=True, phi=True)
-    p.add_argument("--ns", type=_ints, required=True, help="comma-separated depths")
-    p.add_argument("--ref-h", type=float, help="reference scheme step")
-    p.add_argument("--exponent-rule", choices=("auto", "basic"), default="auto")
-    p.add_argument("--strict-reference", action="store_true")
-    p.add_argument("--emit-svg", action="store_true")
-
-    p = sub.add_parser("conjecture", help="scaled sharpness-family table")
-    _add_common(p)
-    p.add_argument("--ns", type=_ints, required=True)
-
-    p = sub.add_parser("regularity", help="Holder audits of a solved field")
-    _add_common(p, family=True, phi=True)
-    p.add_argument("--source", choices=("dp", "pde"), default="dp")
-    p.add_argument("--n", type=int)
-    p.add_argument("--mode", choices=("lattice", "grid"))
-    p.add_argument("--sigma-under", type=float)
-    p.add_argument("--sigma-bar", type=float)
-    p.add_argument("--h", type=float)
-    p.add_argument("--slack", default="auto", help='numeric slack or "auto"')
-
-    p = sub.add_parser("mollify-check", help="mollification bound verification")
-    _add_common(p, family=True, phi=True)
-    p.add_argument("--eps", type=_floats, required=True, help="comma-separated widths")
-    p.add_argument("--a", type=float, default=0.0, help="temporal slack of the surface")
-    p.add_argument("--source", choices=("function", "dp"), default="function")
-    p.add_argument("--n", type=int)
-    p.add_argument("--half-width", type=float)
-
+    for command, (handler, sources) in _COMMANDS.items():
+        p = sub.add_parser(command, help=handler.__doc__, description=handler.__doc__)
+        p.add_argument("--out", help="output directory (default CLTLAB_OUT/<command>)")
+        if len(sources) > 1:
+            p.add_argument("--source", choices=tuple(sources), default=next(iter(sources)))
+        for key in dict.fromkeys(" ".join(" ".join(r) for r in sources.values()).split()):
+            p.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
+            if key == "phi":
+                p.add_argument("--beta", type=float, help="payoff exponent (abs_pow)")
     return parser
 
 
@@ -528,8 +542,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command, out_dir=args.out or _default_out(args.command))
     if getattr(args, "family", None) is not None:
         cfg.family = _parse_family_arg(args.family)
+    beta = getattr(args, "beta", None)
     if getattr(args, "phi", None) is not None:
-        cfg.phi = _parse_phi_arg(args.phi, getattr(args, "beta", None))
+        cfg.phi = _parse_phi_arg(args.phi, beta)
+    elif beta is not None:
+        raise ConfigInvalidError("beta needs a --phi kind")
     for f in dataclasses.fields(RunConfig):
         if f.name in ("command", "out_dir", "family", "phi"):
             continue  # set above
@@ -540,12 +557,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; 2 is reserved for verdict failures
+        return run(config_from_args(build_parser().parse_args(argv)))
+    except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
-    try:
-        return run(config_from_args(args))
     except LabError as exc:
         print(f"ERROR {exc.code}: {exc}", file=sys.stderr)
         return 1

@@ -44,7 +44,6 @@ is marched on the whole grid.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -237,36 +236,21 @@ def richardson_value(
     return fine, abs(fine - v1)
 
 
-@functools.lru_cache(maxsize=8)
-def _hermgauss(nodes: int):
-    # scipy's rule stays stable into the thousands of nodes, unlike the
-    # eigenvalue route in numpy.polynomial
-    from scipy.special import roots_hermite
-
-    return roots_hermite(nodes)
-
-
-def gauss_hermite_expectation(payoff: Payoff, sigma: float, nodes: int = 256) -> float:
-    """``E payoff(sigma * W)`` by Gauss-Hermite quadrature."""
-    if nodes < 64:
-        raise ValueError("use at least 64 nodes")
-    z, w = _hermgauss(nodes)
-    vals = payoff(sigma * math.sqrt(2.0) * z)
-    return float(np.dot(w, vals) / math.sqrt(math.pi))
-
-
 def convex_oracle(prob: GHeatProblem) -> float:
     """Analytic origin value for convex terminal data.
 
     For convex data the constant control at ``sigma_bar`` attains the sup,
-    so the value is the plain heat expectation ``E payoff(sigma_bar W)``:
-    closed form for the absolute-value payoff, Gauss-Hermite quadrature
-    otherwise. Refuses payoffs without a convexity certificate.
+    so the value is the plain heat expectation ``E payoff(sigma_bar W)``.
+    Every certified convex catalogue entry has a closed form: ``abs`` and
+    ``abs_pow`` at beta 1 give ``sigma_bar * sqrt(2/pi)``, and a convex
+    ``piecewise_linear`` is constant, since its ends are flat. Refuses
+    payoffs without a convexity certificate.
     """
-    if not prob.payoff.convex:
-        raise NotConvexError(f"payoff {prob.payoff.kind!r} is not certified convex")
-    if prob.payoff.kind == "abs" or (
-        prob.payoff.kind == "abs_pow" and prob.payoff.beta == 1.0
-    ):
+    payoff = prob.payoff
+    if not payoff.convex:
+        raise NotConvexError(f"payoff {payoff.kind!r} is not certified convex")
+    if payoff.kind == "piecewise_linear":
+        return payoff(0.0)
+    if payoff.kind in ("abs", "abs_pow"):
         return prob.sigma_bar * math.sqrt(2.0 / math.pi)
-    return gauss_hermite_expectation(prob.payoff, prob.sigma_bar)
+    raise ValueError(f"no closed form for convex payoff {payoff.kind!r}")

@@ -9,6 +9,7 @@ miscatalogued entry cannot slip through silently.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -94,31 +95,29 @@ def piecewise_linear_payoff(knots, values) -> Payoff:
     )
 
 
-def make_payoff(kind: str, *, beta=None, knots=None, values=None) -> Payoff:
-    if kind == "abs":
-        return abs_payoff()
-    if kind == "abs_pow":
-        if beta is None:
-            raise ValueError("abs_pow needs beta")
-        return abs_pow_payoff(beta)
-    if kind == "neg_abs":
-        return neg_abs_payoff()
-    if kind == "cosine_scaled":
-        return cosine_payoff()
-    if kind == "piecewise_linear":
-        if knots is None or values is None:
-            raise ValueError("piecewise_linear needs knots and values")
-        return piecewise_linear_payoff(knots, values)
-    raise ValueError(f"unknown payoff kind {kind!r}")
+def make_payoff(kind: str, /, **params) -> Payoff:
+    """Catalogue entry ``kind``, built from exactly the parameters it takes."""
+    builders = {
+        "abs": abs_payoff,
+        "abs_pow": abs_pow_payoff,
+        "neg_abs": neg_abs_payoff,
+        "cosine_scaled": cosine_payoff,
+        "piecewise_linear": piecewise_linear_payoff,
+    }
+    if kind not in builders:
+        raise ValueError(f"unknown payoff kind {kind!r}")
+    takes = inspect.signature(builders[kind]).parameters
+    extra = sorted(set(params) - set(takes))
+    if extra:
+        raise ValueError(f"{kind} does not take {', '.join(extra)}")
+    if set(takes) - set(params):
+        raise ValueError(f"{kind} needs {' and '.join(takes)}")
+    return builders[kind](**params)
 
 
 def payoff_from_config(cfg: dict) -> Payoff:
     """Load a payoff from ``{"phi": kind, ...params}``."""
     if not isinstance(cfg, dict) or "phi" not in cfg:
         raise ValueError('payoff config must be an object with a "phi" key')
-    return make_payoff(
-        cfg["phi"],
-        beta=cfg.get("beta"),
-        knots=cfg.get("knots"),
-        values=cfg.get("values"),
-    )
+    params = dict(cfg)
+    return make_payoff(params.pop("phi"), **params)

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -300,37 +301,134 @@ MOLLIFY = ["mollify-check", "--phi", "abs"]
 MOLLIFY_DP = [*MOLLIFY, "--source", "dp", "--family", "rademacher", "--eps", "0.2"]
 
 
+RATES = ["rates", "--family", "rademacher", "--phi", "abs"]
+DP = ["regularity", "--family", "rademacher_pair", "--phi", "abs", "--n", 32, "--slack", 0]
+
+
 @pytest.mark.parametrize(
-    "args, name",
+    "args, message",
     [
-        ([*VALUE, "--h", 0], "h"),
-        ([*VALUE, "--half-width", -1], "half_width"),
-        ([*RECURSE, "--n", 4, "--h", 0, "--half-width", 0], "h"),
-        ([*RECURSE, "--n", 4, "--mode", "grid", "--half-width", 0], "half_width"),
-        ([*RECURSE, "--n", 0, "--mode", "grid"], "n"),
-        ([*PDE, "--h", 0], "h"),
-        ([*MOLLIFY, "--eps", "0.2", "--half-width", 0], "half_width"),
-        ([*MOLLIFY, "--eps", "0"], "eps"),
-        ([*MOLLIFY, "--eps", "-0.1"], "eps"),
-        ([*MOLLIFY, "--eps", "0.2,1"], "eps"),
-        ([*MOLLIFY_DP, "--n", 0], "n"),
-        (["rates", "--family", "rademacher", "--phi", "abs", "--ns", "4,16", "--ref-h", 0],
-         "ref_h"),
-    ],
-    ids=[
-        "value_h", "value_half_width", "recurse_h", "recurse_half_width", "recurse_grid_n",
-        "regularity_pde_h", "mollify_half_width", "mollify_eps_zero", "mollify_eps_negative",
-        "mollify_eps_one", "mollify_dp_n", "rates_ref_h",
+        pytest.param([*VALUE, "--h", 0], "h must ", id="value_h"),
+        pytest.param([*VALUE, "--half-width", -1], "half_width must ", id="value_half_width"),
+        pytest.param([*RECURSE, "--n", 4, "--h", 0, "--half-width", 0], "h must ",
+                     id="recurse_h"),
+        pytest.param([*RECURSE, "--n", 4, "--mode", "grid", "--half-width", 0],
+                     "half_width must ", id="recurse_half_width"),
+        pytest.param([*RECURSE, "--n", 0, "--mode", "grid"], "n must ", id="recurse_grid_n"),
+        pytest.param([*PDE, "--h", 0], "h must ", id="regularity_pde_h"),
+        pytest.param([*MOLLIFY, "--eps", "0.2", "--half-width", 0], "half_width must ",
+                     id="mollify_half_width"),
+        pytest.param([*MOLLIFY, "--eps", "0"], "eps must ", id="mollify_eps_zero"),
+        pytest.param([*MOLLIFY, "--eps", "-0.1"], "eps must ", id="mollify_eps_negative"),
+        pytest.param([*MOLLIFY, "--eps", "0.2,1"], "eps must ", id="mollify_eps_one"),
+        pytest.param([*MOLLIFY_DP, "--n", 0], "n must ", id="mollify_dp_n"),
+        pytest.param([*RATES, "--ns", "4,16", "--ref-h", 0], "ref_h must ", id="rates_ref_h"),
+        pytest.param(["conjecture", "--ns", "0,16"], "ns must ", id="conjecture_ns_zero"),
+        pytest.param([*RATES, "--ns", "4,16,4"], "ns must ", id="rates_ns_repeated"),
+        pytest.param(["conjecture", "--ns", "16,16,64"], "ns must ",
+                     id="conjecture_ns_repeated"),
+        # a key the command needs
+        pytest.param(RECURSE, "recurse needs n", id="recurse_no_n"),
+        pytest.param(RATES, "rates needs ns", id="rates_no_ns"),
+        pytest.param(["rates", "--family", "rademacher", "--ns", "4,16"], "rates needs phi",
+                     id="rates_no_phi"),
+        pytest.param(MOLLIFY, "mollify-check (function) needs eps", id="mollify_no_eps"),
+        pytest.param(["value", "--sigma-under", 1, "--phi", "abs"], "value needs sigma_bar",
+                     id="value_no_sigma_bar"),
+        pytest.param(DP[:5], "regularity (dp) needs n", id="regularity_dp_no_n"),
+        # a key the command (or its source, or the resolved mode) does not read
+        pytest.param([*DP, "--mode", "grid", "--h", 0.3], "regularity (dp) does not read h",
+                     id="regularity_dp_h"),
+        pytest.param([*PDE, "--family", "rademacher_pair"],
+                     "regularity (pde) does not read family", id="regularity_pde_family"),
+        pytest.param([*PDE, "--n", 7], "regularity (pde) does not read n",
+                     id="regularity_pde_n"),
+        pytest.param([*PDE, "--mode", "grid"], "regularity (pde) does not read mode",
+                     id="regularity_pde_mode"),
+        pytest.param([*MOLLIFY_DP, "--n", 8, "--a", 5], "mollify-check (dp) does not read a",
+                     id="mollify_dp_a"),
+        pytest.param([*MOLLIFY, "--eps", "0.2", "--family", "rademacher"],
+                     "mollify-check (function) does not read family",
+                     id="mollify_function_family"),
+        pytest.param([*MOLLIFY, "--eps", "0.2", "--n", 8],
+                     "mollify-check (function) does not read n", id="mollify_function_n"),
+        pytest.param([*RECURSE, "--n", 4, "--h", 0.3], "recurse (lattice) does not read h",
+                     id="recurse_lattice_h"),
+        pytest.param([*RECURSE, "--n", 4, "--mode", "lattice", "--half-width", 9],
+                     "recurse (lattice) does not read half_width",
+                     id="recurse_lattice_half_width"),
+        pytest.param([*VALUE, "--family", "rademacher"], "unrecognized arguments: --family",
+                     id="value_family"),
+        # a malformed or inconsistent value
+        pytest.param([*VALUE, "--beta", 0.3], "bad phi: abs does not take beta",
+                     id="phi_abs_beta"),
+        pytest.param([*VALUE[:-1], '{"phi": "abs", "beta": 1}'],
+                     "bad phi: abs does not take beta", id="phi_json_abs_beta"),
+        pytest.param([*VALUE[:-1], '{"phi": "abs_pow", "beta": 0.5}', "--beta", 0.5],
+                     "beta goes inside the phi JSON", id="phi_json_and_beta"),
+        pytest.param(["mollify-check", "--beta", 0.5, "--eps", "0.2"],
+                     "beta needs a --phi kind", id="beta_without_phi"),
+        pytest.param([*VALUE[:-1], "foo"], "bad phi: unknown payoff kind 'foo'",
+                     id="phi_unknown_kind"),
+        pytest.param(["rates", "--family", "gauss", "--phi", "abs", "--ns", "4,16"],
+                     "unknown family 'gauss'", id="family_unknown_builtin"),
+        pytest.param(["rates", "--family", '{"beta": 1, "members": []}', "--phi", "abs",
+                      "--ns", "4,16"], "bad family: ", id="family_empty_inline"),
+        pytest.param(["value", "--sigma-under", 2, "--sigma-bar", 1, "--phi", "abs"],
+                     "sigma_under and sigma_bar must ", id="value_sigma_order"),
+        pytest.param([*DP[:-1], "foo"], 'slack must be a number or "auto"',
+                     id="regularity_slack_text"),
+        pytest.param([*RECURSE, "--n", "abc"], "argument --n: invalid int value: 'abc'",
+                     id="recurse_n_text"),
     ],
 )
-def test_out_of_range_setting_exits_one_naming_it(tmp_path, capsys, args, name):
+def test_out_of_range_setting_exits_one_naming_it(tmp_path, capsys, args, message):
     # zero is refused, not replaced by the default
     rc = run_cli([*args, "--out", tmp_path / "o"])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"ERROR ConfigInvalid: {name} must ")
+    assert err.startswith(f"ERROR ConfigInvalid: {message}")
     assert "\n" not in err.strip()
     assert not (tmp_path / "o").exists()  # refused before any artifact
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    for command in ("value", "recurse", "rates", "conjecture", "regularity", "mollify-check"):
+        assert main([command, "--help"]) == 0
+    assert "usage: cltlab" in capsys.readouterr().out
+
+
+def readme_commands() -> list[list[str]]:
+    """The ``cltlab ...`` example commands of the README's command-line section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [line.split("#")[0] for line in lines if line.startswith("cltlab ")]
+    return [shlex.split(line)[1:] for line in commands]
+
+
+@pytest.mark.parametrize("args", readme_commands(), ids=lambda args: "-".join(args[:3]))
+def test_readme_command_replays_from_its_config(tmp_path, capsys, args):
+    # a run is reproducible from its artifact directory alone
+    rc = main([*args, "--out", str(tmp_path / "a")])
+    assert rc in (0, 2)
+    data = json.loads((tmp_path / "a" / "config.json").read_text())
+    data["out_dir"] = str(tmp_path / "b")
+    assert run(RunConfig.from_dict(data)) == rc
+    for name in [p.name for p in (tmp_path / "a").glob("*.csv")] + ["summary.json"]:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_replayed_config_is_checked_like_the_command_line(tmp_path):
+    cfg = RunConfig(command="value", out_dir=str(tmp_path / "v"), phi={"phi": "abs"},
+                    sigma_under=1.0, sigma_bar=1.0, n=8)
+    with pytest.raises(ConfigInvalidError, match="value does not read n"):
+        run(cfg)
+    cfg = RunConfig(command="regularity", out_dir=str(tmp_path / "v"), source="mc")
+    with pytest.raises(ConfigInvalidError, match="regularity has no source 'mc'"):
+        run(cfg)
+    assert not (tmp_path / "v").exists()
 
 
 class TestConjectureCommand:

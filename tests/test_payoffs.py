@@ -145,3 +145,18 @@ class TestConfig:
     def test_missing_beta(self):
         with pytest.raises(ValueError):
             make_payoff("abs_pow")
+
+    @pytest.mark.parametrize(
+        "cfg, extra",
+        [
+            ({"phi": "abs", "beta": 0.3}, "beta"),
+            ({"phi": "cosine_scaled", "knots": [-1, 1], "values": [0, 0]}, "knots, values"),
+            ({"phi": "abs_pow", "beta": 0.5, "values": [0, 0]}, "values"),
+            ({"phi": "piecewise_linear", "knots": [-1, 1], "values": [0, 0], "beta": 1},
+             "beta"),
+            ({"phi": "abs_pow", "beta": 0.5, "exponent": 0.5}, "exponent"),
+        ],
+    )
+    def test_refuses_a_parameter_the_kind_does_not_take(self, cfg, extra):
+        with pytest.raises(ValueError, match=f"{cfg['phi']} does not take {extra}$"):
+            payoff_from_config(cfg)
