@@ -65,7 +65,6 @@ from .smoothing import (
     MollifierSpec,
     ResolutionTooCoarseError,
     SampledSurface,
-    mollify,
     regularity_audit,
     surface_from_field,
     surface_from_function,

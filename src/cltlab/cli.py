@@ -5,8 +5,9 @@ Every run checks its configuration against the table of what its command
 reads, writes it as ``config.json`` next to the outputs together with a
 schema-versioned manifest, and emits CSV (plus optional SVG). Exit codes: 0
 success, 1 error (with a single machine-parsable ``ERROR <Code>: ...`` line
-on stderr, usage errors included), 2 verdict failure. Identical resolved
-configurations produce byte-identical CSV files.
+on stderr, usage errors included), 2 verdict failure. A run that a
+``LabError`` stops after its directory exists removes what it wrote.
+Identical resolved configurations produce byte-identical CSV files.
 
 The default output root is ``./cltlab-out`` or the ``CLTLAB_OUT`` environment
 variable.
@@ -139,9 +140,10 @@ def _check_reads(cfg: RunConfig, label: str, required, optional) -> None:
 def _check_ranges(cfg: RunConfig) -> None:
     """Refuse values that no command runs with.
 
-    A zero or negative size or step, repeated depths, a mollifier width
-    outside (0, 1), volatility bounds out of order, a slack that is neither
-    a number nor "auto", and a value outside its flag's choices.
+    A zero or negative size or step, repeated depths or widths, a mollifier
+    width outside (0, 1), a negative or non-finite surface slack ``a``,
+    volatility bounds out of order, a slack that is neither a number nor
+    "auto", and a value outside its flag's choices.
     """
     for name in ("n", "h", "half_width", "ref_h"):
         value = getattr(cfg, name)
@@ -149,9 +151,11 @@ def _check_ranges(cfg: RunConfig) -> None:
             raise ConfigInvalidError(f"{name} must be positive, got {value!r}")
     if cfg.ns and (len(set(cfg.ns)) < len(cfg.ns) or min(cfg.ns) < 1):
         raise ConfigInvalidError(f"ns must be distinct positive integers, got {cfg.ns!r}")
-    for eps in cfg.eps or ():
-        if not 0.0 < eps < 1.0:
-            raise ConfigInvalidError(f"eps must lie in (0, 1), got {eps!r}")
+    eps = cfg.eps or []
+    if len(set(eps)) < len(eps) or not all(0.0 < e < 1.0 for e in eps):
+        raise ConfigInvalidError(f"eps must be distinct widths in (0, 1), got {eps!r}")
+    if not 0.0 <= cfg.a < math.inf:
+        raise ConfigInvalidError(f"a must be finite and non-negative, got {cfg.a!r}")
     su, sb = cfg.sigma_under, cfg.sigma_bar
     if None not in (su, sb) and not 0.0 <= su <= sb < math.inf:
         raise ConfigInvalidError(

@@ -8,6 +8,7 @@ no library-dependent ids or timestamps.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -116,7 +117,9 @@ class OutputDir:
     create tried once more; an empty or unreadable lock, or one whose owner
     lives or cannot be signalled, raises :class:`LockHeldError`. Files
     registered through :meth:`path` land in the manifest with the schema
-    version.
+    version. A run refused with a :class:`LabError` leaves nothing it wrote:
+    its registered files and the lock go, and so do the directories it made
+    when nothing else is in them.
     """
 
     SCHEMA = "cltlab.run/1"
@@ -128,6 +131,8 @@ class OutputDir:
         self._lock = self.root / ".lock"
 
     def __enter__(self) -> "OutputDir":
+        missing = itertools.takewhile(lambda d: not d.exists(), (self.root, *self.root.parents))
+        self._made = list(missing)  # the directories this run makes, innermost first
         self.root.mkdir(parents=True, exist_ok=True)
         if not self._create_lock():
             if self._owner_is_dead():
@@ -166,6 +171,7 @@ class OutputDir:
         return self.root / name
 
     def __exit__(self, exc_type, exc, tb):
+        refused = exc_type is not None and issubclass(exc_type, LabError)
         try:
             if exc_type is None:
                 write_json(
@@ -176,6 +182,15 @@ class OutputDir:
                         "files": sorted(self.files),
                     },
                 )
+            elif refused:
+                for name in self.files:
+                    (self.root / name).unlink(missing_ok=True)
         finally:
             self._lock.unlink(missing_ok=True)
+        if refused:
+            for made in self._made:  # innermost first
+                try:
+                    made.rmdir()
+                except OSError:  # holds files of its own
+                    break
         return False

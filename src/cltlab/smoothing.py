@@ -23,9 +23,19 @@ pair is formed for ``j >= i`` only, levels on equal points are compared as
 lines of batches that share one bound matrix, and a level meets all larger
 levels in one vectorized row. The mollifier's FFTs run on every CPU
 the process may use; a one-dimensional transform is the same whichever
-thread computes it, so the reports do not depend on the worker count. The
-mollified surface is swept in cache-sized row blocks for its derivative
-maxima and its sup gap.
+thread computes it, so the reports do not depend on the worker count.
+
+The mollified surface is never formed whole in the checks. Per width, the
+surface's spectrum (reused while consecutive widths pad to the same shape)
+is multiplied into the kernel's spectrum buffer, inverted along t in place,
+and inverted along x a chunk of ``CHUNK_ROWS`` rows at a time; each chunk,
+with a one-row halo on either side, feeds the sup gap, the derivative
+maxima (swept in cache-sized row blocks) and the rows around the strided
+lines of the derivative moduli, and is then dropped. Outside the forward
+transform, three surface-sized arrays are alive at once: the surface, its
+spectrum and the product. The reports keep their bits: the chunks run the same
+one-dimensional transforms as one whole-array inverse, scaled once by the
+same factor, and maxima do not depend on how rows are grouped.
 """
 
 from __future__ import annotations
@@ -51,6 +61,7 @@ REGULARITY_LEVELS = 150  # strided levels in the regularity audit
 PAIR_BLOCK = 1 << 14  # pair differences per block; cache-sized beats whole matrices
 LEVEL_BATCH = 256  # levels per batched spatial audit; bounds its pair blocks' memory
 DERIV_BLOCK = 32  # surface rows per block of the derivative and sup-gap passes
+CHUNK_ROWS = 256  # mollified rows per chunk of the streamed inverse transform
 
 
 class ResolutionTooCoarseError(LabError, ValueError):
@@ -148,9 +159,9 @@ class SampledSurface:
 def surface_from_function(
     fn, *, x_half_width: float, dt: float, dx: float, beta: float, slack: float = 0.0
 ) -> SampledSurface:
-    """Sample ``fn(t, x)`` on [0, 1] x [-L, L] at resolution (dt, dx)."""
-    nt = round(1.0 / dt)
-    nx = round(x_half_width / dx)
+    """Sample ``fn(t, x)`` on [0, 1] x [-L, L] with steps at most (dt, dx)."""
+    nt = math.ceil(1.0 / dt - 1e-9)  # the realized steps never exceed dt and dx
+    nx = math.ceil(x_half_width / dx - 1e-9)
     times = np.arange(nt + 1) / nt
     xs = (np.arange(2 * nx + 1) - nx) * (x_half_width / nx)
     vals = np.asarray(fn(times[:, None], xs[None, :]), dtype=float)
@@ -167,14 +178,14 @@ def surface_from_field(
     beta: float,
     slack: float,
 ) -> SampledSurface:
-    """Resample a solved field onto a uniform surface grid.
+    """Resample a solved field onto a uniform surface grid, steps at most (dt, dx).
 
     Time uses the field's piecewise-constant extension; space interpolates
     linearly, which preserves a Lipschitz certificate exactly (use beta = 1
     surfaces for field-derived inputs).
     """
-    nt = round(1.0 / dt)
-    nx = round(x_half_width / dx)
+    nt = math.ceil(1.0 / dt - 1e-9)  # the realized steps never exceed dt and dx
+    nx = math.ceil(x_half_width / dx - 1e-9)
     times = np.arange(nt + 1) / nt
     xs = (np.arange(2 * nx + 1) - nx) * (x_half_width / nx)
     vals = np.empty((times.size, xs.size))
@@ -184,20 +195,15 @@ def surface_from_field(
     return SampledSurface(times, xs, vals, beta=beta, slack=slack)
 
 
-def mollify(surface: SampledSurface, spec: MollifierSpec) -> SampledSurface:
-    """Discrete convolution with the scaled kernel by tensor quadrature.
+def _kernel_weights(surface: SampledSurface, spec: MollifierSpec) -> np.ndarray:
+    """The width's kernel on the surface grid, normalized to unit discrete mass.
 
-    Requires grid resolution at most ``eps/16`` in x and ``eps**2/16`` in t.
-    The kernel weights are normalized to unit discrete mass, so constants are
-    preserved exactly and the sup norm never grows. Output lives on times
-    ``[t0, t_end - eps^2]`` and the x-grid shrunk by ``ceil(eps/dx)`` points
-    per side. The sum over kernel cells is a valid correlation computed with
-    real FFTs from ``scipy.fft``, which is imported on the first call, so
-    importing this module loads no part of scipy. The FFTs use one worker
-    thread per CPU in the process's affinity mask; the output is bit for bit
-    the same for any worker count. The kernel is transformed from its
-    nonzero rows only, and the output values are a view into the inverse
-    transform rather than a copy.
+    Row ``p`` holds time offset ``-p * dt`` and column ``q`` space offset
+    ``(q - q_count) * dx``: the kernel's time support is ``(-eps^2, 0)``, so
+    row ``r`` of the correlation draws on times ``t_r .. t_r + eps^2``.
+    Requires grid resolution at most ``eps/16`` in x and ``eps**2/16`` in t,
+    and a surface that leaves at least 3 x 5 mollified points, the
+    derivative stencils' extent.
     """
     e = spec.epsilon
     dt, dx = surface.dt, surface.dx
@@ -208,32 +214,34 @@ def mollify(surface: SampledSurface, spec: MollifierSpec) -> SampledSurface:
     p_count = math.ceil(e * e / dt - 1e-9)
     q_count = math.ceil(e / dx - 1e-9)
     nt, nx = surface.values.shape
-    if p_count >= nt or 2 * q_count >= nx:
-        raise DomainTooSmallError("surface smaller than the kernel support")
-
+    if nt - p_count < 3 or nx - 2 * q_count < 5:
+        raise DomainTooSmallError(
+            f"surface leaves {nt - p_count} x {nx - 2 * q_count} mollified points, need 3 x 5"
+        )
     t_off = -np.arange(p_count + 1) * dt
     x_off = (np.arange(2 * q_count + 1) - q_count) * dx
     weights = spec.kernel(t_off[:, None], x_off[None, :]) * (dt * dx)
     weights /= weights.sum()
-
-    # Kernel time support is (-eps^2, 0), so row r draws on times t_r..t_r+eps^2.
-    out = _valid_correlation(surface.values, weights)
-    return SampledSurface(
-        times=surface.times[: nt - p_count],
-        xs=surface.xs[q_count : nx - q_count],
-        values=out,
-        beta=surface.beta,
-        slack=surface.slack,
-    )
+    return weights
 
 
-def _valid_correlation(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``out[r, c] = sum_{p, q} values[r + p, c + q] * weights[p, q]`` by real FFTs.
+def _correlation_chunks(values: np.ndarray, weights: np.ndarray, spectra: dict):
+    """``out[r, c] = sum_{p, q} values[r + p, c + q] * weights[p, q]``, streamed.
 
-    The product of the transforms of ``values`` and of the flipped
-    ``weights``, both zero-padded to the next fast length of the full
-    correlation, is the full correlation; the valid part starts at
-    ``weights.shape - 1`` on each axis.
+    Yields ``(lo, hi, block)`` per chunk of ``CHUNK_ROWS`` output rows:
+    the rows ``lo:hi`` partition ``out``, and ``block`` holds rows
+    ``max(lo - 1, 0):min(hi + 1, len(out))``, a one-row halo on each side
+    where there is a row. The product of the real FFTs of ``values`` and of
+    the flipped ``weights``, both zero-padded to the next fast length of the
+    full correlation, is the full correlation's spectrum. ``spectra`` keeps
+    the transform of ``values`` keyed by that padded shape; it is reused
+    while the shape holds and dropped before another one is made. The
+    product goes into the kernel's buffer and is inverted along t in
+    place; the inverse along x then runs a chunk at a time, so the full
+    correlation never exists. The blocks are bit for bit the valid part of
+    ``irfftn`` of the product: that is the same c2c along t and c2r along x,
+    scaled once by pocketfft's ``1/(L1 L2)``. ``scipy.fft`` is imported on
+    the first call, so importing this module loads no part of scipy.
     """
     from scipy import fft  # here, so that importing cltlab loads no scipy module
 
@@ -242,19 +250,53 @@ def _valid_correlation(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     else:  # no affinity mask on this platform
         workers = os.cpu_count() or 1
     s1, s2 = values.shape, weights.shape
-    shape = [fft.next_fast_len(a + b - 1, True) for a, b in zip(s1, s2)]
-    spectrum = fft.rfftn(values, shape, workers=workers)
+    shape = tuple(fft.next_fast_len(a + b - 1, True) for a, b in zip(s1, s2))
+    if shape not in spectra:
+        spectra.clear()  # one surface spectrum alive at a time
+        spectra[shape] = fft.rfftn(values, shape, workers=workers)
     # rfftn is an r2c along x and then a c2c along t; the r2c of a zero row
     # is zero, so the kernel's spectrum needs the r2c of its own rows only
-    kernel = np.zeros((shape[0], shape[1] // 2 + 1), dtype=complex)
-    kernel[: s2[0]] = fft.rfft(weights[::-1, ::-1], shape[1], axis=1, workers=workers)
-    kernel = fft.fft(kernel, axis=0, overwrite_x=True, workers=workers)
+    product = np.zeros(spectra[shape].shape, dtype=complex)
+    product[: s2[0]] = fft.rfft(weights[::-1, ::-1], shape[1], axis=1, workers=workers)
+    product = fft.fft(product, axis=0, overwrite_x=True, workers=workers)
     # complex multiplication is not bitwise commutative: the surface's
     # spectrum stays the first operand
-    spectrum *= kernel
-    del kernel  # not kept alive through the inverse transform
-    full = fft.irfftn(spectrum, shape, workers=workers)
-    return full[s2[0] - 1 : s1[0], s2[1] - 1 : s1[1]]  # a view: no copy
+    np.multiply(spectra[shape], product, out=product)
+    product = fft.ifft(product, axis=0, norm="forward", overwrite_x=True, workers=workers)
+    scale = float(1 / np.longdouble(shape[0] * shape[1]))  # pocketfft's irfftn factor
+    rows, cols = s1[0] - s2[0] + 1, s1[1] - s2[1] + 1
+    for lo in range(0, rows, CHUNK_ROWS):
+        hi = min(lo + CHUNK_ROWS, rows)
+        first, last = s2[0] - 1 + max(lo - 1, 0), s2[0] - 1 + min(hi + 1, rows)
+        full = fft.irfft(product[first:last], shape[1], axis=1, norm="forward", workers=workers)
+        block = full[:, s2[1] - 1 : s2[1] - 1 + cols]
+        block *= scale
+        yield lo, hi, block
+
+
+def mollify(surface: SampledSurface, spec: MollifierSpec) -> SampledSurface:
+    """Discrete convolution with the scaled kernel by tensor quadrature.
+
+    The kernel weights are normalized to unit discrete mass, so constants
+    are preserved exactly and the sup norm never grows. Output lives on
+    times ``[t0, t_end - eps^2]`` and the x-grid shrunk by ``ceil(eps/dx)``
+    points per side. The chunks of the streamed correlation are gathered
+    into one array; :func:`verify_smoothing_bounds` consumes them as they
+    come instead.
+    """
+    weights = _kernel_weights(surface, spec)
+    (nt, nx), (p, q) = surface.values.shape, weights.shape
+    values = np.empty((nt - p + 1, nx - q + 1))
+    for lo, hi, block in _correlation_chunks(surface.values, weights, {}):
+        start = max(lo - 1, 0)
+        values[lo:hi] = block[lo - start : hi - start]
+    return SampledSurface(
+        times=surface.times[: nt - p + 1],
+        xs=surface.xs[q // 2 : nx - q // 2],
+        values=values,
+        beta=surface.beta,
+        slack=surface.slack,
+    )
 
 
 def _strided(n: int, cap: int) -> np.ndarray:
@@ -309,19 +351,22 @@ def audit_surface_hypotheses(surface: SampledSurface) -> tuple[float, float]:
     return spatial, temporal
 
 
-def _max_core_derivatives(u: np.ndarray, dt: float, dx: float) -> float:
+def _derivative_scratch(width: int):
+    """Scratch arrays of :func:`_max_core_derivatives` for rows ``width`` wide."""
+    return np.empty((2, DERIV_BLOCK, width - 4)), np.empty((DERIV_BLOCK + 2, width - 4))
+
+
+def _max_core_derivatives(u: np.ndarray, dt: float, dx: float, scratch) -> float:
     """Largest ``|d2t| + |d4x| + |dt d2x|`` over interior rows, two columns in.
 
     Centre rows go a block of ``DERIV_BLOCK`` at a time, each with a one-row
-    halo, through scratch arrays sized once, so no whole-surface derivative
-    array is ever formed; at 32 rows a block's arrays stay in cache, which
-    beats larger and smaller blocks on surfaces about 1,250 columns wide.
-    Every element sees the operations of the written formulas in their
-    order, so the scratch arrays change no bit.
+    halo, through the arrays of :func:`_derivative_scratch`, so no
+    whole-surface derivative array is ever formed; at 32 rows a block's
+    arrays stay in cache, which beats larger and smaller blocks on surfaces
+    about 1,250 columns wide. Every element sees the operations of the
+    written formulas in their order, so the scratch arrays change no bit.
     """
-    rows, cols = min(DERIV_BLOCK, u.shape[0] - 2), u.shape[1] - 4
-    core_buf, term_buf = np.empty((2, rows, cols))
-    d2x_buf = np.empty((rows + 2, cols))
+    (core_buf, term_buf), d2x_buf = scratch
     block_max = []
     for r0 in range(1, u.shape[0] - 1, DERIV_BLOCK):
         w = u[r0 - 1 : r0 + DERIV_BLOCK + 1]
@@ -425,28 +470,46 @@ def _scaling_ok(values, ratio_cap=10.0, floor=1e-6) -> bool:
     return hi <= ratio_cap * max(lo, 1e-300)
 
 
-def _smoothing_row(surface: SampledSurface, eps: float) -> SmoothingRow:
-    """The checks of :func:`verify_smoothing_bounds` at one width."""
-    beta, a = surface.beta, surface.slack
-    sm = mollify(surface, MollifierSpec(eps))
-    nt_out, nx_out = sm.values.shape
-    q_trim = (surface.xs.size - nx_out) // 2
-    base = surface.values[:nt_out, q_trim : q_trim + nx_out]
-    sup_gap = _max_abs_difference(sm.values, base)
-    sup_bound = 2.0 * eps**beta + a
-    denom = eps**beta + a
+def _smoothing_row(surface: SampledSurface, eps: float, spectra: dict) -> SmoothingRow:
+    """The checks of :func:`verify_smoothing_bounds` at one width.
 
-    u, dt, dx = sm.values, sm.dt, sm.dx
-    scaled_deriv = eps**4 * _max_core_derivatives(u, dt, dx) / denom
+    The mollified surface streams past in chunks: each feeds the sup gap,
+    the derivative maxima and the rows around the strided lines, and only
+    those rows are kept.
+    """
+    beta, a = surface.beta, surface.slack
+    weights = _kernel_weights(surface, MollifierSpec(eps))
+    (nt, nx), (p, q) = surface.values.shape, weights.shape
+    nt_out, nx_out, q_trim = nt - p + 1, nx - q + 1, q // 2
+    times = surface.times[:nt_out]
+    xs = surface.xs[q_trim : q_trim + nx_out]
+    dt, dx = float(times[1] - times[0]), float(xs[1] - xs[0])  # of the output grid
 
     # first time and second space derivatives at strided interior points
     lines = _strided(nt_out - 2, VERIFY_LINES) + 1
     cols = _strided(nx_out - 2, VERIFY_LINES) + 1
-    f1 = (u[lines + 1][:, cols] - u[lines - 1][:, cols]) / (2.0 * dt)
-    at = u[lines]
+    near = lines + np.arange(-1, 2)[:, None]  # rows lines - 1, lines, lines + 1
+    kept = np.empty((*near.shape, nx_out))
+    scratch = _derivative_scratch(nx_out)
+    gaps, derivs = [], []
+    for lo, hi, block in _correlation_chunks(surface.values, weights, spectra):
+        start = max(lo - 1, 0)
+        base = surface.values[lo:hi, q_trim : q_trim + nx_out]
+        gaps.append(_max_abs_difference(block[lo - start : hi - start], base))
+        if block.shape[0] > 2:
+            derivs.append(_max_core_derivatives(block, dt, dx, scratch))
+        inside = (near >= start) & (near < start + block.shape[0])
+        kept[inside] = block[near[inside] - start]
+    sup_gap = float(np.max(gaps))
+    sup_bound = 2.0 * eps**beta + a
+    denom = eps**beta + a
+    scaled_deriv = eps**4 * float(np.max(derivs)) / denom
+
+    below, at, above = kept
+    f1 = (above[:, cols] - below[:, cols]) / (2.0 * dt)
     f2 = (at[:, cols + 1] - 2.0 * at[:, cols] + at[:, cols - 1]) / dx**2
-    temporal = _derivative_modulus(sm.times[lines], f1, f2, beta / 2.0, a)
-    spatial = _derivative_modulus(sm.xs[cols], f1.T, f2.T, beta, 0.0)
+    temporal = _derivative_modulus(times[lines], f1, f2, beta / 2.0, a)
+    spatial = _derivative_modulus(xs[cols], f1.T, f2.T, beta, 0.0)
 
     return SmoothingRow(
         eps=eps,
@@ -473,8 +536,8 @@ def verify_smoothing_bounds(surface: SampledSurface, eps_list) -> SmoothingRepor
     ``beta`` and ``slack``, which are audited first.
     """
     audit_surface_hypotheses(surface)
-    # one width at a time: a width's arrays are freed before the next mollify
-    rows = [_smoothing_row(surface, float(eps)) for eps in eps_list]
+    spectra = {}  # the surface's spectrum, shared by widths of one padded shape
+    rows = [_smoothing_row(surface, float(eps), spectra) for eps in eps_list]
     return SmoothingReport(
         rows=tuple(rows),
         sup_ok=all(r.sup_ok for r in rows),

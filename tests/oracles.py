@@ -3,8 +3,9 @@
 Everything here deliberately avoids the package's solver code paths:
 expectation by exhaustive product enumeration, exact convolution of lattice
 laws, textbook Gaussian closed forms, Gauss-Hermite quadrature, seeded
-sample pairs for the payoff certificates, a plain march of one volatility policy for the scheme, and
-all-pairs Holder excesses for the regularity audits.
+sample pairs for the payoff certificates, a plain march of one volatility policy for the scheme,
+all-pairs Holder excesses for the regularity audits, and whole-array FFTs and
+derivatives for the mollification checks.
 """
 
 import functools
@@ -176,3 +177,70 @@ def regularity_excess(field, beta: float, sigma_bar: float, points: int, levels:
             bound = sigma_bar**beta * abs(field.times[j] - field.times[i]) ** (beta / 2.0)
             temporal = max(temporal, float(np.max(np.abs(vi - vj))) - bound)
     return spatial, temporal, int(ks.size), points_checked
+
+
+def valid_correlation(values, weights):
+    """``out[r, c] = sum_{p, q} values[r + p, c + q] * weights[p, q]`` by one
+    ``irfftn`` of the product of whole-array ``rfftn`` transforms, padded to
+    the next fast length of the full correlation."""
+    from scipy import fft
+
+    s1, s2 = values.shape, weights.shape
+    shape = [fft.next_fast_len(a + b - 1, True) for a, b in zip(s1, s2)]
+    spectrum = fft.rfftn(values, shape) * fft.rfftn(weights[::-1, ::-1], shape)
+    return fft.irfftn(spectrum, shape)[s2[0] - 1 : s1[0], s2[1] - 1 : s1[1]]
+
+
+def whole_array_derivatives(u, dt, dx):
+    """First time and second space derivatives, and the core derivative sum."""
+    d2t = (u[2:, :] - 2.0 * u[1:-1, :] + u[:-2, :]) / dt**2
+    d4x = (
+        u[:, 4:] - 4.0 * u[:, 3:-1] + 6.0 * u[:, 2:-2] - 4.0 * u[:, 1:-3] + u[:, :-4]
+    ) / dx**4
+    d2x = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / dx**2
+    d1t = (u[2:, :] - u[:-2, :]) / (2.0 * dt)
+    dt_d2x = (d2x[2:, :] - d2x[:-2, :]) / (2.0 * dt)
+    core = np.abs(d2t[:, 2:-2]) + np.abs(d4x[1:-1, :]) + np.abs(dt_d2x[:, 1:-1])
+    return d1t, d2x, core
+
+
+def smoothing_row(surface, eps: float, kernel, lines_cap: int) -> dict:
+    """One width's mollification check from whole arrays, its verdict left out.
+
+    ``kernel(t, x)`` is the width-``eps`` kernel, sampled on the surface
+    grid and normalized to unit discrete mass; the mollified surface is its
+    :func:`valid_correlation` with the surface. The derivative moduli take
+    every pair of at most ``lines_cap`` strided lines, as one pair matrix.
+    """
+    dt, dx = surface.dt, surface.dx
+    p, q = math.ceil(eps * eps / dt - 1e-9), math.ceil(eps / dx - 1e-9)
+    t_off = -np.arange(p + 1) * dt
+    x_off = (np.arange(2 * q + 1) - q) * dx
+    weights = kernel(t_off[:, None], x_off[None, :]) * (dt * dx)
+    weights /= weights.sum()
+    u = valid_correlation(surface.values, weights)
+    times, xs = surface.times[: u.shape[0]], surface.xs[q : q + u.shape[1]]
+    dt, dx = times[1] - times[0], xs[1] - xs[0]
+    beta, a = surface.beta, surface.slack
+
+    d1t, d2x, core = whole_array_derivatives(u, dt, dx)
+    lines = strided(d1t.shape[0], lines_cap)
+    cols = strided(d1t.shape[1] - 2, lines_cap)
+    f1 = d1t[np.ix_(lines, cols + 1)]
+    f2 = d2x[np.ix_(lines + 1, cols)]
+    # pair_t[i, j, c]: both derivative gaps between strided lines i and j
+    pair_t = np.abs(f1[:, None] - f1[None, :]) + np.abs(f2[:, None] - f2[None, :])
+    t = times[1:-1][lines]
+    t_gap = np.abs(t[:, None] - t[None, :]) ** (beta / 2.0) + a + 1e-300
+    pair_x = np.abs(f1[:, :, None] - f1[:, None]) + np.abs(f2[:, :, None] - f2[:, None])
+    x = xs[1:-1][cols]
+    x_gap = np.abs(x[:, None] - x[None, :]) ** beta + 0.0 + 1e-300
+
+    return {
+        "eps": eps,
+        "sup_gap": float(np.max(np.abs(u - surface.values[: u.shape[0], q : q + u.shape[1]]))),
+        "sup_bound": 2.0 * eps**beta + a,
+        "scaled_derivatives": eps**4 * float(np.max(core)) / (eps**beta + a),
+        "scaled_temporal_modulus": eps**2 * float(np.max(np.max(pair_t, axis=2) / t_gap)),
+        "scaled_spatial_modulus": eps**2 * float(np.max(np.max(pair_x, axis=0) / x_gap)),
+    }

@@ -293,6 +293,49 @@ class TestMollifyCheck:
         assert rows[0] == "eps,bound,observed,pass"
         assert rows[1].endswith(",true")
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--eps", "0.3,0.15"], ["--eps", "0.22"], ["--eps", "0.3", "--half-width", 1]],
+        ids=["eps-0.3-0.15", "eps-0.22", "half-width-1"],
+    )
+    def test_widths_off_the_integer_grid_run(self, tmp_path, args):
+        # 1/dt and half_width/dx are not integers here; the surface grid
+        # rounds its point counts up, so its steps stay within eps^2/16, eps/16
+        rc = run_cli(["mollify-check", "--phi", "abs", *args, "--out", tmp_path / "m"])
+        assert rc == 0
+        rows = (tmp_path / "m" / "mollify.csv").read_text().splitlines()[1:]
+        assert all(row.endswith(",true") for row in rows)
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        pytest.param(["value", "--sigma-under", 1, "--sigma-bar", 1, "--phi", "abs",
+                      "--half-width", 1], "GridTooSmall", id="value"),
+        pytest.param(["recurse", "--family", "rademacher_pair", "--phi", "abs", "--n", 4,
+                      "--mode", "grid", "--half-width", 2], "GridTooSmall", id="recurse"),
+        pytest.param(["conjecture", "--ns", "2,16"], "BadN", id="conjecture"),
+        pytest.param(["mollify-check", "--phi", "abs", "--eps", 0.5, "--half-width", 0.1],
+                     "DomainTooSmall", id="mollify-check"),
+        # 17 time steps, eps^2 spans 16.2 of them: one mollified time
+        pytest.param(["mollify-check", "--phi", "abs", "--eps", 0.975], "DomainTooSmall",
+                     id="mollify-check-wide"),
+        pytest.param(["mollify-check", "--phi", "abs", "--eps", 0.99], "DomainTooSmall",
+                     id="mollify-check-widest"),
+    ],
+)
+def test_refused_run_leaves_no_artifact(tmp_path, capsys, args, code):
+    out = tmp_path / "new" / "o"
+    assert run_cli([*args, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR {code}: ") and "\n" not in err.strip()
+    assert not (tmp_path / "new").exists()  # nor the directories made for it
+    # a directory that was there keeps what the run did not write
+    out.mkdir(parents=True)
+    (out / "notes.txt").write_text("kept\n")
+    assert run_cli([*args, "--out", out]) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+
 
 VALUE = ["value", "--sigma-under", 1, "--sigma-bar", 1, "--phi", "abs"]
 RECURSE = ["recurse", "--family", "rademacher", "--phi", "abs"]
@@ -327,6 +370,11 @@ DP = ["regularity", "--family", "rademacher_pair", "--phi", "abs", "--n", 32, "-
         pytest.param([*RATES, "--ns", "4,16,4"], "ns must ", id="rates_ns_repeated"),
         pytest.param(["conjecture", "--ns", "16,16,64"], "ns must ",
                      id="conjecture_ns_repeated"),
+        pytest.param([*MOLLIFY, "--eps", "0.2,0.2"], "eps must ", id="mollify_eps_repeated"),
+        pytest.param([*MOLLIFY, "--eps", "0.2,nan"], "eps must ", id="mollify_eps_nan"),
+        pytest.param([*MOLLIFY, "--eps", "0.2", "--a", -1], "a must ", id="mollify_a_negative"),
+        pytest.param([*MOLLIFY, "--eps", "0.2", "--a", "nan"], "a must ", id="mollify_a_nan"),
+        pytest.param([*MOLLIFY, "--eps", "0.2", "--a", "inf"], "a must ", id="mollify_a_inf"),
         # a key the command needs
         pytest.param(RECURSE, "recurse needs n", id="recurse_no_n"),
         pytest.param(RATES, "rates needs ns", id="rates_no_ns"),

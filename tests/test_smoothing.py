@@ -1,3 +1,4 @@
+import math
 import os
 import re
 
@@ -16,7 +17,6 @@ from cltlab import (
     abs_pow_payoff,
     builtin_family,
     default_spec,
-    mollify,
     piecewise_linear_payoff,
     regularity_audit,
     richardson_value,
@@ -25,8 +25,10 @@ from cltlab import (
     surface_from_function,
     verify_smoothing_bounds,
 )
+from cltlab import smoothing
 from cltlab.recursion import solve_recursion
 from cltlab.smoothing import (
+    CHUNK_ROWS,
     DERIV_BLOCK,
     FP_SLACK,
     HYPOTHESIS_LINES,
@@ -36,15 +38,23 @@ from cltlab.smoothing import (
     VERIFY_LINES,
     RegularityReport,
     SmoothingRow,
+    _correlation_chunks,
+    _derivative_scratch,
     _max_abs_difference,
     _max_core_derivatives,
-    _strided,
-    _valid_correlation,
     audit_surface_hypotheses,
     kernel_shape,
+    mollify,
 )
 
-from oracles import holder_excess, regularity_excess, strided
+from oracles import (
+    holder_excess,
+    regularity_excess,
+    smoothing_row,
+    strided,
+    valid_correlation,
+    whole_array_derivatives,
+)
 
 ABS = abs_payoff()
 RADEMACHER = builtin_family("rademacher")
@@ -61,17 +71,18 @@ def abs_surface(beta=1.0, eps=0.2, half_width=1.5):
     )
 
 
-def whole_array_derivatives(u, dt, dx):
-    """First time and second space derivatives, and the core derivative sum."""
-    d2t = (u[2:, :] - 2.0 * u[1:-1, :] + u[:-2, :]) / dt**2
-    d4x = (
-        u[:, 4:] - 4.0 * u[:, 3:-1] + 6.0 * u[:, 2:-2] - 4.0 * u[:, 1:-3] + u[:, :-4]
-    ) / dx**4
-    d2x = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / dx**2
-    d1t = (u[2:, :] - u[:-2, :]) / (2.0 * dt)
-    dt_d2x = (d2x[2:, :] - d2x[:-2, :]) / (2.0 * dt)
-    core = np.abs(d2t[:, 2:-2]) + np.abs(d4x[1:-1, :]) + np.abs(dt_d2x[:, 1:-1])
-    return d1t, d2x, core
+def gathered(values, weights, spectra=None):
+    """The streamed correlation's chunks put back together, and their count."""
+    rows = values.shape[0] - weights.shape[0] + 1
+    out = np.full((rows, values.shape[1] - weights.shape[1] + 1), np.nan)
+    chunks = 0
+    for lo, hi, block in _correlation_chunks(values, weights, {} if spectra is None else spectra):
+        start = max(lo - 1, 0)
+        assert start + block.shape[0] == min(hi + 1, rows)  # a halo where there is a row
+        assert np.isnan(out[lo:hi]).all()  # the chunks partition the rows
+        out[lo:hi] = block[lo - start : hi - start]
+        chunks += 1
+    return out, chunks
 
 
 class TestKernel:
@@ -133,49 +144,70 @@ class TestMollify:
             mollify(surf, MollifierSpec(0.05))
 
     @pytest.mark.parametrize("shape", [(5, 7), (9, 4), (2, 2)])
-    def test_valid_correlation_is_the_direct_sum(self, shape):
+    @pytest.mark.parametrize("chunk_rows", [CHUNK_ROWS, 4])
+    def test_streamed_correlation_is_the_direct_sum(self, monkeypatch, shape, chunk_rows):
         # random weights are asymmetric on both axes, so a kernel that is not
         # flipped, or a window off by one, gives a different sum
+        monkeypatch.setattr(smoothing, "CHUNK_ROWS", chunk_rows)
         rng = np.random.default_rng(7)
         values = rng.standard_normal((40, 33))
         weights = rng.random(shape)
         windows = np.lib.stride_tricks.sliding_window_view(values, shape)
         direct = np.einsum("rcpq,pq->rc", windows, weights)
-        got = _valid_correlation(values, weights)
+        got, _ = gathered(values, weights)
         assert got.shape == direct.shape == (41 - shape[0], 34 - shape[1])
         assert np.max(np.abs(got - direct)) <= 1e-12
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize(
-        "values_shape, weights_shape",
+        "values_shape, weights_shape, chunk_rows",
         [
-            ((97, 131), (9, 67)),
-            ((301, 259), (17, 129)),
-            ((45, 203), (5, 101)),
-            ((33, 9), (3, 5)),
-            ((9, 40), (17, 5)),  # kernel rows exceed half the padded rows
-            ((50, 31), (7, 1)),  # a single kernel column
+            ((97, 131), (9, 67), 16),  # 89 rows: 6 chunks, the last one 9 rows
+            ((301, 259), (17, 129), 256),  # one full chunk and a part
+            ((45, 203), (5, 101), 40),  # a last chunk of 1 row
+            ((33, 9), (3, 5), 7),
+            ((14, 40), (14, 5), 3),  # kernel rows exceed half the padded rows, 27
+            ((50, 31), (7, 1), 11),  # a single kernel column
+            ((64, 48), (8, 16), 19),  # even shapes
+            ((255, 77), (33, 13), 32),  # 223 rows: 7 chunks, the last one 31 rows
         ],
     )
-    def test_valid_correlation_bits_do_not_depend_on_workers(
-        self, monkeypatch, workers, values_shape, weights_shape
+    def test_chunked_inverse_is_irfftn_bit_for_bit(
+        self, monkeypatch, workers, values_shape, weights_shape, chunk_rows
     ):
-        # the FFTs run on every CPU the process may use; each 1-d transform
-        # is the same whichever thread runs it, so no bit may move
-        from scipy import fft
-
+        # the FFTs run on every CPU the process may use and the inverse along x
+        # runs a chunk of rows at a time; each 1-d transform is the same
+        # whichever thread runs it and whichever rows share its call, and the
+        # scale is pocketfft's, so no bit may move against one irfftn
         cpus = set(range(workers))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(smoothing, "CHUNK_ROWS", chunk_rows)
         rng = np.random.default_rng(sum(values_shape + weights_shape))
         values = rng.standard_normal(values_shape)
         weights = rng.random(weights_shape)
-        shape = [fft.next_fast_len(a + b - 1, True) for a, b in zip(values_shape, weights_shape)]
-        spectrum = fft.rfftn(values, shape, workers=1) * fft.rfftn(
-            weights[::-1, ::-1], shape, workers=1
-        )
-        full = fft.irfftn(spectrum, shape, workers=1)
-        (p, q), (r, c) = weights_shape, values_shape
-        assert np.array_equal(_valid_correlation(values, weights), full[p - 1 : r, q - 1 : c])
+        got, chunks = gathered(values, weights)
+        rows = values_shape[0] - weights_shape[0] + 1
+        assert chunks == -(-rows // chunk_rows)
+        assert np.array_equal(got, valid_correlation(values, weights))
+
+    def test_surface_spectrum_is_reused_while_the_padded_shape_holds(self, monkeypatch):
+        from scipy import fft
+
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((60, 50))
+        # 60 x 50 pads to 64 x 54 under the first two kernels and to 72 x 54
+        # under the last two
+        kernels = [rng.random(shape) for shape in [(4, 5), (5, 5), (9, 4), (9, 5)]]
+        expected = [valid_correlation(values, weights) for weights in kernels]
+        calls = []
+        rfftn = fft.rfftn
+        monkeypatch.setattr(fft, "rfftn", lambda *a, **k: calls.append(a[1]) or rfftn(*a, **k))
+        spectra = {}
+        for weights, want in zip(kernels, expected):
+            got, _ = gathered(values, weights, spectra)
+            assert np.array_equal(got, want)
+            assert len(spectra) == 1
+        assert calls == [(64, 54), (72, 54)]
 
     def test_domain_guard(self):
         surf = surface_from_function(
@@ -184,6 +216,34 @@ class TestMollify:
         )
         with pytest.raises(DomainTooSmallError):
             mollify(surf, MollifierSpec(0.25))
+
+
+@pytest.mark.parametrize(
+    "eps, half_width, shape",
+    [
+        (0.05, 2.0, (6401, 1281)),  # the README grid
+        (0.1, 2.0, (1601, 641)),
+        (0.15, 2.0, (712 + 1, 2 * 214 + 1)),  # 1/dt = 711.1, 2/dx = 213.3
+        (0.22, 2.0, (331 + 1, 2 * 146 + 1)),  # 1/dt = 330.6, 2/dx = 145.5
+        (0.3, 1.0, (178 + 1, 2 * 54 + 1)),  # 1/dt = 177.8, 1/dx = 53.3
+    ],
+)
+def test_surface_steps_never_exceed_the_requested_ones(eps, half_width, shape):
+    # point counts round up, so the realized steps pass the mollifier's
+    # resolution check; integer ratios keep their exact grids
+    dt, dx = eps**2 / 16.0, eps / 16.0
+    field = solve_recursion(RADEMACHER, ABS, 4, mode="grid", grid=GridSpec(0.01, 8.0))
+    surfaces = [
+        surface_from_function(
+            lambda t, x: 0.0 * t + 0.0 * x, x_half_width=half_width, dt=dt, dx=dx, beta=1.0
+        ),
+        surface_from_field(field, x_half_width=half_width, dt=dt, dx=dx, beta=1.0, slack=0.5),
+    ]
+    for surf in surfaces:
+        assert surf.values.shape == shape
+        assert surf.times[-1] == 1.0 and surf.xs[-1] == pytest.approx(half_width, rel=1e-15)
+        assert surf.dt <= dt + 1e-12 and surf.dx <= dx + 1e-12
+        mollify(surf, MollifierSpec(eps))  # resolution and domain accepted
 
 
 class TestVerify:
@@ -216,48 +276,37 @@ class TestVerify:
         report = verify_smoothing_bounds(surf, [0.2])
         assert report.passed
 
-    def test_rows_match_whole_array_derivatives(self):
-        # the derivative pass runs in row blocks; on a surface taller than one
-        # block every row field equals the whole-array computation exactly
-        eps, beta = 0.2, 1.0
-        surf = surface_from_function(
+    @pytest.mark.parametrize("chunk_rows, slack", [(CHUNK_ROWS, 0.0), (7, 0.05)])
+    def test_rows_equal_the_whole_array_oracle(self, monkeypatch, chunk_rows, slack):
+        # the mollified surface streams past in chunks of rows; on a surface
+        # taller than one chunk every row field equals the whole-array one
+        # exactly, for widths that share the surface spectrum and ones that do not
+        from scipy import fft
+
+        monkeypatch.setattr(smoothing, "CHUNK_ROWS", chunk_rows)
+        eps_list = [0.3, 0.2, 0.19, 0.15]
+        surf = surface_from_function(  # Lipschitz in x, Holder-1/2 in t
             lambda t, x: 0.5 * np.abs(x) + 0.5 * np.sqrt(1.0 - t) * np.cos(x),
-            x_half_width=1.0, dt=0.0025, dx=0.0125, beta=beta,
+            x_half_width=1.0, dt=0.15**2 / 16.0, dx=0.15 / 16.0, beta=1.0, slack=slack,
         )
-        (row,) = verify_smoothing_bounds(surf, [eps]).rows
-        sm = mollify(surf, MollifierSpec(eps))
-        u, dt, dx = sm.values, sm.dt, sm.dx
-        assert u.shape[0] - 2 > DERIV_BLOCK
-
-        q = (surf.xs.size - sm.xs.size) // 2
-        sup_gap = float(np.max(np.abs(u - surf.values[: u.shape[0], q : q + sm.xs.size])))
-
-        d1t, d2x, core = whole_array_derivatives(u, dt, dx)
-        lines = _strided(d1t.shape[0], VERIFY_LINES)
-        cols = _strided(d1t.shape[1] - 2, VERIFY_LINES)
-        f1 = d1t[np.ix_(lines, cols + 1)]
-        f2 = d2x[np.ix_(lines + 1, cols)]
-        # pair[i, j, c]: both derivative gaps between strided lines i and j
-        pair_t = np.abs(f1[:, None] - f1[None, :]) + np.abs(f2[:, None] - f2[None, :])
-        t = sm.times[1:-1][lines]
-        t_gap = np.abs(t[:, None] - t[None, :]) ** (beta / 2.0) + 1e-300
-        temporal = float(np.max(np.max(pair_t, axis=2) / t_gap))
-        pair_x = np.abs(f1[:, :, None] - f1[:, None]) + np.abs(f2[:, :, None] - f2[:, None])
-        x = sm.xs[1:-1][cols]
-        x_gap = np.abs(x[:, None] - x[None, :])
-        np.fill_diagonal(x_gap, np.inf)
-        spatial = float(np.max(np.max(pair_x, axis=0) / x_gap**beta))
-
-        assert row == SmoothingRow(
-            eps=eps,
-            sup_gap=sup_gap,
-            sup_bound=2.0 * eps**beta,
-            sup_ok=True,
-            scaled_derivatives=eps**4 * float(np.max(core)) / eps**beta,
-            scaled_temporal_modulus=eps**2 * temporal,
-            scaled_spatial_modulus=eps**2 * spatial,
-        )
-        assert temporal > 0.0 and spatial > 0.0
+        report = verify_smoothing_bounds(surf, eps_list)
+        shapes = []
+        for eps in eps_list:
+            p = math.ceil(eps**2 / surf.dt - 1e-9) + 1
+            q = 2 * math.ceil(eps / surf.dx - 1e-9) + 1
+            assert surf.times.size - p + 1 > CHUNK_ROWS
+            shapes.append(
+                (fft.next_fast_len(surf.times.size + p - 1, True),
+                 fft.next_fast_len(surf.xs.size + q - 1, True))
+            )
+        assert shapes[1] == shapes[2] and len(set(shapes)) == 3
+        expected = []
+        for eps in eps_list:
+            row = smoothing_row(surf, eps, MollifierSpec(eps).kernel, VERIFY_LINES)
+            ok = row["sup_gap"] <= row["sup_bound"] * (1.0 + 1e-9) + FP_SLACK
+            expected.append(SmoothingRow(**row, sup_ok=ok))
+        assert report.rows == tuple(expected)
+        assert all(r.scaled_temporal_modulus > 0.0 < r.scaled_spatial_modulus for r in report.rows)
 
     def test_blocked_derivative_max_sees_every_row(self):
         # a spike makes its own row the largest; no row may fall between blocks
@@ -266,7 +315,8 @@ class TestVerify:
             spiked = u.copy()
             spiked[r, 4] += 100.0
             _, _, core = whole_array_derivatives(spiked, 0.5, 0.25)
-            assert _max_core_derivatives(spiked, 0.5, 0.25) == float(np.max(core))
+            scratch = _derivative_scratch(spiked.shape[1])
+            assert _max_core_derivatives(spiked, 0.5, 0.25, scratch) == float(np.max(core))
 
     def test_blocked_sup_gap_sees_every_row(self):
         # the sup gap runs in row blocks too; the row count is not a multiple
