@@ -140,15 +140,15 @@ def _check_reads(cfg: RunConfig, label: str, required, optional) -> None:
 def _check_ranges(cfg: RunConfig) -> None:
     """Refuse values that no command runs with.
 
-    A zero or negative size or step, repeated depths or widths, a mollifier
-    width outside (0, 1), a negative or non-finite surface slack ``a``,
-    volatility bounds out of order, a slack that is neither a number nor
-    "auto", and a value outside its flag's choices.
+    A zero, negative or non-finite size or step, repeated depths or widths,
+    a mollifier width outside (0, 1), a negative or non-finite surface slack
+    ``a``, volatility bounds out of order, a slack that is neither "auto"
+    nor a finite non-negative number, and a value outside its flag's choices.
     """
     for name in ("n", "h", "half_width", "ref_h"):
         value = getattr(cfg, name)
-        if value is not None and not value > 0:
-            raise ConfigInvalidError(f"{name} must be positive, got {value!r}")
+        if value is not None and not 0 < value < math.inf:
+            raise ConfigInvalidError(f"{name} must be positive and finite, got {value!r}")
     if cfg.ns and (len(set(cfg.ns)) < len(cfg.ns) or min(cfg.ns) < 1):
         raise ConfigInvalidError(f"ns must be distinct positive integers, got {cfg.ns!r}")
     eps = cfg.eps or []
@@ -161,12 +161,15 @@ def _check_ranges(cfg: RunConfig) -> None:
         raise ConfigInvalidError(
             f"sigma_under and sigma_bar must satisfy 0 <= {su!r} <= {sb!r} < inf"
         )
-    if isinstance(cfg.slack, str) and cfg.slack != "auto":
+    if cfg.slack not in (None, "auto"):
         try:
-            float(cfg.slack)
+            slack = float(cfg.slack)
         except ValueError:
             msg = f'slack must be a number or "auto", got {cfg.slack!r}'
             raise ConfigInvalidError(msg) from None
+        if not 0.0 <= slack < math.inf:
+            msg = f"slack must be finite and non-negative, got {cfg.slack!r}"
+            raise ConfigInvalidError(msg)
     for name, flag in _FLAGS.items():
         value = getattr(cfg, name)
         if "choices" in flag and value not in (None, *flag["choices"]):

@@ -5,11 +5,11 @@ finite weighted sum and a pointwise max, so the backward recursion is exact
 up to floating-point rounding. Continuous laws are out of scope.
 
 A family carries the moment summaries used throughout: ``sigma_bar`` and
-``sigma_under`` (largest and smallest standard deviation across members),
-the worst absolute moment of order ``2 + beta``, and, when every support
-point of every member sits on a common grid ``c * Z`` with ``c <= 1``, that
-lattice step. Families are identified with sets of laws; only laws enter
-the recursion, so the underlying probability spaces are irrelevant.
+``sigma_under`` (largest and smallest standard deviation across members)
+and, when every support point of every member sits on a common grid
+``c * Z`` with ``c <= 1``, that lattice step. Families are identified with
+sets of laws; only laws enter the recursion, so the underlying probability
+spaces are irrelevant.
 """
 
 from __future__ import annotations
@@ -107,7 +107,6 @@ class Family:
     beta: float
     sigma_bar: float
     sigma_under: float
-    m_beta: float
     lattice_step: float | None
 
     def describe(self) -> str:
@@ -115,11 +114,11 @@ class Family:
         return f"{len(self.members)}laws[{kinds}]beta{self.beta:g}"
 
 
-def _float_gcd(values, tol=LATTICE_TOL) -> float:
+def _float_gcd(values) -> float:
     g = 0.0
     for v in values:
         v = abs(v)
-        while v > tol:
+        while v > LATTICE_TOL:
             g, v = v, math.fmod(g, v)
     return g
 
@@ -156,14 +155,12 @@ def build_family(members, beta) -> Family:
     if not (0.0 < beta <= 1.0 or beta == 2.0):
         raise ValueError(f"beta must lie in (0, 1] or equal 2, got {beta}")
     sds = [math.sqrt(moment(d, 2)) for d in members]
-    m_beta = max(moment(d, 2.0 + beta, absolute=True) for d in members)
     points = [x for d in members for x in d.support]
     return Family(
         members=members,
         beta=beta,
         sigma_bar=max(sds),
         sigma_under=min(sds),
-        m_beta=m_beta,
         lattice_step=common_lattice_step(points),
     )
 

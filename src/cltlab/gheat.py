@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridTooSmallError, LabError
-from .fields import ValueField
+from .fields import GridSpec, ValueField
 from .payoffs import Payoff
 
 CFL_TOL = 1e-12
@@ -134,8 +134,7 @@ def solve_gheat(
         raise GridTooSmallError(
             f"half width {spec.half_width} below 8*sigma_bar = {8.0 * prob.sigma_bar}"
         )
-    half = round(spec.half_width / spec.h)
-    x = (np.arange(2 * half + 1) - half) * spec.h
+    x = GridSpec(spec.h, spec.half_width).points()
     if x.size - 2 < 3:
         raise DegenerateGridError("need at least 3 interior points")
     terminal = np.asarray(prob.payoff(x), dtype=float)
@@ -156,7 +155,7 @@ def solve_gheat(
 
     # even data stays even: march x >= 0 with a mirrored ghost cell at -h
     even = np.array_equal(terminal, terminal[::-1])
-    u = terminal[half - 1 :].copy() if even else terminal.copy()
+    u = terminal[x.size // 2 - 1 :].copy() if even else terminal.copy()
 
     def full(w):
         return np.concatenate((w[:1:-1], w[1:])) if even else w.copy()

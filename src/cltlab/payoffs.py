@@ -24,7 +24,6 @@ class Payoff:
     beta: float
     convex: bool
     fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    params: tuple = ()
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
@@ -43,9 +42,7 @@ def abs_pow_payoff(beta: float) -> Payoff:
     beta = float(beta)
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
-    return Payoff(
-        "abs_pow", beta, beta == 1.0, lambda a: np.abs(a) ** beta, (("beta", beta),)
-    )
+    return Payoff("abs_pow", beta, beta == 1.0, lambda a: np.abs(a) ** beta)
 
 
 def neg_abs_payoff() -> Payoff:
@@ -86,13 +83,7 @@ def piecewise_linear_payoff(knots, values) -> Payoff:
     def interp(a):
         return np.interp(np.abs(a) if mirrored else a, kx, ky)
 
-    return Payoff(
-        "piecewise_linear",
-        1.0,
-        convex,
-        interp,
-        (("knots", tuple(kx)), ("values", tuple(ky))),
-    )
+    return Payoff("piecewise_linear", 1.0, convex, interp)
 
 
 def make_payoff(kind: str, /, **params) -> Payoff:

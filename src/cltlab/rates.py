@@ -228,7 +228,7 @@ def conjecture_experiment(ns) -> ConjectureReport:
     rows = []
     for n in ns:
         family = conjecture_family(n)  # raises BadNError below 4
-        vnn = origin_value(family, payoff, n, mode="lattice")
+        vnn = origin_value(family, payoff, n)  # lattice step 1
         rows.append(
             ConjectureRow(
                 n=n,

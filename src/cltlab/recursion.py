@@ -18,13 +18,16 @@ faster stencil step.)
   (see :func:`lattice_window`). For the sharpness family ``J`` grows like
   ``n^{1/4}``, so a march costs O(n^{5/4}) instead of O(n^2).
   :func:`solve_recursion` stores every level and marches the whole cone.
-  Rate experiments run exclusively in this mode; even a small interpolation
-  bias would pollute slope fits for exponents as small as 1/6.
+  :func:`origin_value`, and so every rate experiment, uses this mode
+  whenever the family has a lattice step: even a small interpolation bias
+  would pollute slope fits for exponents as small as 1/6.
 * ``grid``: a fixed uniform grid with linear interpolation. Positions that
   step beyond the grid are priced by the terminal function itself; far from
   the evaluation cone the solution hugs the terminal data, so with a half
   width of at least ``8 * sigma_bar`` the boundary bias is Gaussian-tail
-  negligible. Smaller grids are refused.
+  negligible. Smaller grids are refused. :func:`origin_value` marches a
+  family without a lattice step on :func:`default_grid` (step ``1/n``),
+  whose interpolation bias is part of the value it returns.
 
 Determinism contract: per-point sums run over ascending support, members are
 reduced with a pointwise max in fixed order after all expectations are
@@ -301,18 +304,15 @@ def solve_recursion(
     )
 
 
-def origin_value(
-    family: Family,
-    payoff: Payoff,
-    n: int,
-    mode: str | None = None,
-    grid: GridSpec | None = None,
-) -> float:
+def origin_value(family: Family, payoff: Payoff, n: int) -> float:
     """Initial-time value at x = 0 without storing the field (O(n) memory).
 
-    Lattice mode marches the window of :func:`lattice_window`, which moves
-    the value by at most its certified bound (<= ``WINDOW_TOL``).
+    A family with a common lattice step marches the window of
+    :func:`lattice_window`, which moves the value by at most its certified
+    bound (<= ``WINDOW_TOL``); any other family marches :func:`default_grid`.
+    A field of :func:`solve_recursion` gives the value in a chosen mode or
+    on a chosen grid.
     """
-    if resolve_mode(family, mode) == "lattice":
+    if family.lattice_step is not None:
         return _lattice_march(family, payoff, n, WINDOW_TOL)[1]
-    return _grid_march(family, payoff, n, grid)[1]
+    return _grid_march(family, payoff, n, None)[1]

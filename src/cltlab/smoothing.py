@@ -29,11 +29,12 @@ The mollified surface is never formed whole in the checks. Per width, the
 surface's spectrum (reused while consecutive widths pad to the same shape)
 is multiplied into the kernel's spectrum buffer, inverted along t in place,
 and inverted along x a chunk of ``CHUNK_ROWS`` rows at a time; each chunk,
-with a one-row halo on either side, feeds the sup gap, the derivative
-maxima (swept in cache-sized row blocks) and the rows around the strided
-lines of the derivative moduli, and is then dropped. Outside the forward
-transform, three surface-sized arrays are alive at once: the surface, its
-spectrum and the product. The reports keep their bits: the chunks run the same
+with a one-row halo on either side, feeds the sup gap (one chunk-sized
+difference), the derivative maxima (swept in cache-sized blocks of
+``DERIV_BLOCK`` rows) and the rows around the strided lines of the
+derivative moduli, and is then dropped. Outside the forward transform,
+three surface-sized arrays are alive at once: the surface, its spectrum and
+the product. The reports keep their bits: the chunks run the same
 one-dimensional transforms as one whole-array inverse, scaled once by the
 same factor, and maxima do not depend on how rows are grouped.
 """
@@ -60,7 +61,7 @@ REGULARITY_POINTS = 512  # strided points per level in the regularity audit
 REGULARITY_LEVELS = 150  # strided levels in the regularity audit
 PAIR_BLOCK = 1 << 14  # pair differences per block; cache-sized beats whole matrices
 LEVEL_BATCH = 256  # levels per batched spatial audit; bounds its pair blocks' memory
-DERIV_BLOCK = 32  # surface rows per block of the derivative and sup-gap passes
+DERIV_BLOCK = 32  # surface rows per block of the derivative pass
 CHUNK_ROWS = 256  # mollified rows per chunk of the streamed inverse transform
 
 
@@ -156,14 +157,18 @@ class SampledSurface:
         return float(self.xs[1] - self.xs[0])
 
 
+def _surface_grid(x_half_width: float, dt: float, dx: float):
+    """Times on [0, 1] and points on [-L, L] with steps at most (dt, dx)."""
+    nt = math.ceil(1.0 / dt - 1e-9)  # the realized steps never exceed dt and dx
+    nx = math.ceil(x_half_width / dx - 1e-9)
+    return np.arange(nt + 1) / nt, (np.arange(2 * nx + 1) - nx) * (x_half_width / nx)
+
+
 def surface_from_function(
     fn, *, x_half_width: float, dt: float, dx: float, beta: float, slack: float = 0.0
 ) -> SampledSurface:
     """Sample ``fn(t, x)`` on [0, 1] x [-L, L] with steps at most (dt, dx)."""
-    nt = math.ceil(1.0 / dt - 1e-9)  # the realized steps never exceed dt and dx
-    nx = math.ceil(x_half_width / dx - 1e-9)
-    times = np.arange(nt + 1) / nt
-    xs = (np.arange(2 * nx + 1) - nx) * (x_half_width / nx)
+    times, xs = _surface_grid(x_half_width, dt, dx)
     vals = np.asarray(fn(times[:, None], xs[None, :]), dtype=float)
     vals = np.broadcast_to(vals, (times.size, xs.size)).copy()
     return SampledSurface(times, xs, vals, beta=beta, slack=slack)
@@ -184,10 +189,7 @@ def surface_from_field(
     linearly, which preserves a Lipschitz certificate exactly (use beta = 1
     surfaces for field-derived inputs).
     """
-    nt = math.ceil(1.0 / dt - 1e-9)  # the realized steps never exceed dt and dx
-    nx = math.ceil(x_half_width / dx - 1e-9)
-    times = np.arange(nt + 1) / nt
-    xs = (np.arange(2 * nx + 1) - nx) * (x_half_width / nx)
+    times, xs = _surface_grid(x_half_width, dt, dx)
     vals = np.empty((times.size, xs.size))
     for i, t in enumerate(times):
         lvl = field.level_index(t)
@@ -351,22 +353,18 @@ def audit_surface_hypotheses(surface: SampledSurface) -> tuple[float, float]:
     return spatial, temporal
 
 
-def _derivative_scratch(width: int):
-    """Scratch arrays of :func:`_max_core_derivatives` for rows ``width`` wide."""
-    return np.empty((2, DERIV_BLOCK, width - 4)), np.empty((DERIV_BLOCK + 2, width - 4))
-
-
-def _max_core_derivatives(u: np.ndarray, dt: float, dx: float, scratch) -> float:
+def _max_core_derivatives(u: np.ndarray, dt: float, dx: float) -> float:
     """Largest ``|d2t| + |d4x| + |dt d2x|`` over interior rows, two columns in.
 
     Centre rows go a block of ``DERIV_BLOCK`` at a time, each with a one-row
-    halo, through the arrays of :func:`_derivative_scratch`, so no
-    whole-surface derivative array is ever formed; at 32 rows a block's
+    halo, through three block arrays allocated once per call, so no
+    chunk-sized derivative array is ever formed; at 32 rows a block's
     arrays stay in cache, which beats larger and smaller blocks on surfaces
     about 1,250 columns wide. Every element sees the operations of the
-    written formulas in their order, so the scratch arrays change no bit.
+    written formulas in their order, so the block arrays change no bit.
     """
-    (core_buf, term_buf), d2x_buf = scratch
+    core_buf, term_buf = np.empty((2, DERIV_BLOCK, u.shape[1] - 4))
+    d2x_buf = np.empty((DERIV_BLOCK + 2, u.shape[1] - 4))
     block_max = []
     for r0 in range(1, u.shape[0] - 1, DERIV_BLOCK):
         w = u[r0 - 1 : r0 + DERIV_BLOCK + 1]
@@ -397,22 +395,6 @@ def _max_core_derivatives(u: np.ndarray, dt: float, dx: float, scratch) -> float
         term /= 2.0 * dt
         core += np.abs(term, out=term)
         block_max.append(np.max(core))
-    return float(np.max(block_max))
-
-
-def _max_abs_difference(a: np.ndarray, b: np.ndarray) -> float:
-    """``max |a - b|``, a block of ``DERIV_BLOCK`` rows at a time.
-
-    The differences go through one scratch block sized once, so no
-    surface-sized temporary is formed; ``max`` is exact, so blocking moves
-    no bit.
-    """
-    buf = np.empty((min(DERIV_BLOCK, a.shape[0]), a.shape[1]))
-    block_max = []
-    for r0 in range(0, a.shape[0], DERIV_BLOCK):
-        d = buf[: a.shape[0] - r0]
-        np.subtract(a[r0 : r0 + DERIV_BLOCK], b[r0 : r0 + DERIV_BLOCK], out=d)
-        block_max.append(np.max(np.abs(d, out=d)))
     return float(np.max(block_max))
 
 
@@ -460,14 +442,15 @@ class SmoothingReport:
         )
 
 
-def _scaling_ok(values, ratio_cap=10.0, floor=1e-6) -> bool:
+def _scaling_ok(values) -> bool:
     # genuinely present scaled quantities are kernel-constant sized, O(0.1)
-    # and up; anything below the floor is finite-difference/FFT noise around
-    # an absent quantity (e.g. time moduli of a time-constant surface)
+    # and up, and must stay within a factor 10; anything below 1e-6 is
+    # finite-difference/FFT noise around an absent quantity (e.g. time moduli
+    # of a time-constant surface)
     lo, hi = min(values), max(values)
-    if hi <= floor:
+    if hi <= 1e-6:
         return True
-    return hi <= ratio_cap * max(lo, 1e-300)
+    return hi <= 10.0 * max(lo, 1e-300)
 
 
 def _smoothing_row(surface: SampledSurface, eps: float, spectra: dict) -> SmoothingRow:
@@ -490,14 +473,13 @@ def _smoothing_row(surface: SampledSurface, eps: float, spectra: dict) -> Smooth
     cols = _strided(nx_out - 2, VERIFY_LINES) + 1
     near = lines + np.arange(-1, 2)[:, None]  # rows lines - 1, lines, lines + 1
     kept = np.empty((*near.shape, nx_out))
-    scratch = _derivative_scratch(nx_out)
     gaps, derivs = [], []
     for lo, hi, block in _correlation_chunks(surface.values, weights, spectra):
         start = max(lo - 1, 0)
-        base = surface.values[lo:hi, q_trim : q_trim + nx_out]
-        gaps.append(_max_abs_difference(block[lo - start : hi - start], base))
+        gap = block[lo - start : hi - start] - surface.values[lo:hi, q_trim : q_trim + nx_out]
+        gaps.append(np.max(np.abs(gap, out=gap)))
         if block.shape[0] > 2:
-            derivs.append(_max_core_derivatives(block, dt, dx, scratch))
+            derivs.append(_max_core_derivatives(block, dt, dx))
         inside = (near >= start) & (near < start + block.shape[0])
         kept[inside] = block[near[inside] - start]
     sup_gap = float(np.max(gaps))
@@ -574,13 +556,6 @@ def regularity_audit(
     the verdict grants the documented float-rounding envelope on top of
     ``slack``, so ``slack = 0`` means "no violation beyond rounding".
     """
-    strided_by_size: dict[int, np.ndarray] = {}
-
-    def point_index(size: int) -> np.ndarray:
-        if size not in strided_by_size:
-            strided_by_size[size] = _strided(size, REGULARITY_POINTS)
-        return strided_by_size[size]
-
     # consecutive levels on equal points form a run; run[k] is its first level
     run = np.arange(len(field.xs))
     for k in range(1, run.size):
@@ -591,7 +566,7 @@ def regularity_audit(
     points_checked = 0
     for first, members in itertools.groupby(range(run.size), key=run.__getitem__):
         members = list(members)
-        idx = point_index(field.xs[first].size)
+        idx = _strided(field.xs[first].size, REGULARITY_POINTS)
         for b in range(0, len(members), LEVEL_BATCH):
             batch = members[b : b + LEVEL_BATCH]
             lines = np.stack([field.values[k][idx] for k in batch], axis=1)
@@ -621,7 +596,7 @@ def regularity_audit(
             larger, middle = larger[shared], middle[shared]
             if larger.size == 0:
                 continue
-        idx = point_index(size)
+        idx = _strided(size, REGULARITY_POINTS)
         diff = np.max(np.abs(flat_v[middle[:, None] + idx] - field.values[i][idx]), axis=1)
         bound = [
             sigma_bar**beta * abs(field.times[j] - field.times[i]) ** (beta / 2.0)

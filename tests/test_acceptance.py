@@ -115,7 +115,7 @@ def test_criterion_1_brute_force_equivalence():
             dist = family.members[0]
             for n in range(1, 11):
                 exhaustive = enumerate_value(dist, ABS, n)
-                lattice = origin_value(family, ABS, n, mode="lattice")
+                lattice = origin_value(family, ABS, n)  # lattice step 1
                 assert abs(lattice - exhaustive) <= 1e-10, (family.describe(), n)
 
 
@@ -233,8 +233,8 @@ def test_criterion_8_monotonicity_properties():
             fa = build_family(base, 1.0)
             fb = build_family(larger, 1.0)
             grid = GridSpec(step=0.05, half_width=8.0 * fb.sigma_bar + 0.1)
-            va = origin_value(fa, ABS, 6, mode="grid", grid=grid)
-            vb = origin_value(fb, ABS, 6, mode="grid", grid=grid)
+            va = solve_recursion(fa, ABS, 6, mode="grid", grid=grid).origin_value()
+            vb = solve_recursion(fb, ABS, 6, mode="grid", grid=grid).origin_value()
             assert vb >= va
 
         knots = np.array([-3.0, -1.0, 0.5, 2.0])

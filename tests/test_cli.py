@@ -375,6 +375,21 @@ DP = ["regularity", "--family", "rademacher_pair", "--phi", "abs", "--n", 32, "-
         pytest.param([*MOLLIFY, "--eps", "0.2", "--a", -1], "a must ", id="mollify_a_negative"),
         pytest.param([*MOLLIFY, "--eps", "0.2", "--a", "nan"], "a must ", id="mollify_a_nan"),
         pytest.param([*MOLLIFY, "--eps", "0.2", "--a", "inf"], "a must ", id="mollify_a_inf"),
+        pytest.param([*VALUE, "--half-width", "inf"], "half_width must ",
+                     id="value_half_width_inf"),
+        pytest.param([*RECURSE, "--n", 4, "--mode", "grid", "--half-width", "inf"],
+                     "half_width must ", id="recurse_half_width_inf"),
+        pytest.param([*MOLLIFY, "--eps", "0.2", "--half-width", "inf"], "half_width must ",
+                     id="mollify_half_width_inf"),
+        pytest.param([*VALUE, "--h", "inf"], "h must ", id="value_h_inf"),
+        pytest.param([*RATES, "--ns", "4,16", "--ref-h", "inf"], "ref_h must ",
+                     id="rates_ref_h_inf"),
+        pytest.param([*PDE, "--h", "inf"], "h must ", id="regularity_pde_h_inf"),
+        pytest.param([*DP[:-1], "inf"], "slack must be finite", id="regularity_slack_inf"),
+        pytest.param([*DP[:-1], "nan"], "slack must be finite", id="regularity_slack_nan"),
+        pytest.param([*DP[:-1], "-1"], "slack must be finite", id="regularity_slack_negative"),
+        pytest.param([*PDE, "--slack", "-0.5"], "slack must be finite",
+                     id="regularity_pde_slack_negative"),
         # a key the command needs
         pytest.param(RECURSE, "recurse needs n", id="recurse_no_n"),
         pytest.param(RATES, "rates needs ns", id="rates_no_ns"),
@@ -475,6 +490,27 @@ def test_replayed_config_is_checked_like_the_command_line(tmp_path):
         run(cfg)
     cfg = RunConfig(command="regularity", out_dir=str(tmp_path / "v"), source="mc")
     with pytest.raises(ConfigInvalidError, match="regularity has no source 'mc'"):
+        run(cfg)
+    assert not (tmp_path / "v").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("h", math.inf, "h must be positive and finite"),
+        ("half_width", math.inf, "half_width must be positive and finite"),
+        ("slack", -1.0, "slack must be finite and non-negative"),
+        ("slack", math.nan, "slack must be finite and non-negative"),
+        ("slack", "inf", "slack must be finite and non-negative"),
+    ],
+)
+def test_replayed_non_finite_setting_is_refused(tmp_path, key, value, message):
+    data = {"command": "regularity", "out_dir": str(tmp_path / "v"), "source": "pde",
+            "phi": {"phi": "abs"}, "sigma_under": 1.0, "sigma_bar": 1.0, key: value}
+    if key == "half_width":
+        data.update(command="value", source=None)
+    cfg = RunConfig.from_dict(json.loads(json.dumps(data)))  # JSON spells Infinity, NaN
+    with pytest.raises(ConfigInvalidError, match=message):
         run(cfg)
     assert not (tmp_path / "v").exists()
 

@@ -77,7 +77,6 @@ class TestBuildFamily:
     def test_single_rademacher(self):
         f = build_family([rademacher()], beta=1.0)
         assert f.sigma_bar == f.sigma_under == 1.0
-        assert f.m_beta == 1.0
         assert f.lattice_step == 1.0
 
     def test_pair(self):
@@ -90,7 +89,6 @@ class TestBuildFamily:
         d = make_discrete([-1, 0, 1], [0.25, 0.5, 0.25])
         f = build_family([d], beta=2.0)
         assert f.sigma_bar == f.sigma_under == pytest.approx(math.sqrt(0.5), abs=1e-15)
-        assert f.m_beta == 0.5  # fourth moment
 
     def test_empty(self):
         with pytest.raises(EmptyFamilyError):
@@ -165,7 +163,6 @@ class TestConfig:
 def test_family_invariants(f):
     assert f.sigma_under <= f.sigma_bar
     for d in f.members:
-        assert moment(d, 2.0 + f.beta, absolute=True) <= f.m_beta + 1e-15
         if f.lattice_step is not None:
             for x in d.support:
                 assert abs(x - round(x / f.lattice_step) * f.lattice_step) <= 1e-12

@@ -293,7 +293,8 @@ def test_scheme_is_trinomial_sup_recursion(sigma_under, sigma_bar, payoff, h, cf
     family = build_family(
         [make_discrete([-s, 0.0, s], [a, 1.0 - 2.0 * a, a]) for a in weights], beta=1.0
     )
-    recursion = origin_value(family, payoff, n, mode="lattice")
+    assert family.lattice_step is not None  # so origin_value marches the lattice
+    recursion = origin_value(family, payoff, n)
     assert recursion == pytest.approx(field.origin_value(), abs=1e-12)
 
 

@@ -76,8 +76,8 @@ class TestStepExpectation:
     def test_point_mass_identity(self):
         fam = build_family([make_discrete([0.0], [1.0])], beta=1.0)
         tilted = piecewise_linear_payoff([-1.0, 1.0], [0.3, -0.2])
-        for mode in ("lattice", "grid"):
-            assert origin_value(fam, tilted, 4, mode=mode) == tilted(0.0)
+        assert origin_value(fam, tilted, 4) == tilted(0.0)  # lattice step 1
+        assert solve_recursion(fam, tilted, 4, mode="grid").origin_value() == tilted(0.0)
 
     def test_constant_slice(self):
         fam = build_family([make_discrete([-2, 1], [1 / 3, 2 / 3])], beta=1.0)
@@ -98,7 +98,7 @@ class TestStepExpectation:
     def test_mode_mismatch(self):
         fam = build_family([rademacher(), rademacher(math.sqrt(2))], beta=1.0)
         with pytest.raises(ModeMismatchError):
-            origin_value(fam, ABS, 4, mode="lattice")
+            solve_recursion(fam, ABS, 4, mode="lattice")
 
 
 class TestBruteForce:
@@ -335,22 +335,22 @@ class TestWindowBounds:
 class TestGridMode:
     def test_constant_payoff_both_modes(self):
         const = piecewise_linear_payoff([-1.0, 1.0], [0.7, 0.7])
-        for mode in ("lattice", "grid"):
-            v = origin_value(RADEMACHER, const, 12, mode=mode)
-            assert v == pytest.approx(0.7, abs=1e-12)
+        assert origin_value(RADEMACHER, const, 12) == pytest.approx(0.7, abs=1e-12)
+        grid = solve_recursion(RADEMACHER, const, 12, mode="grid").origin_value()
+        assert grid == pytest.approx(0.7, abs=1e-12)
 
     def test_converges_to_lattice_under_refinement(self):
-        lattice = origin_value(RADEMACHER, ABS, 6, mode="lattice")
+        lattice = origin_value(RADEMACHER, ABS, 6)
         errs = [
-            abs(origin_value(RADEMACHER, ABS, 6, mode="grid",
-                             grid=GridSpec(step=h, half_width=8.0)) - lattice)
+            abs(solve_recursion(RADEMACHER, ABS, 6, mode="grid",
+                                grid=GridSpec(step=h, half_width=8.0)).origin_value() - lattice)
             for h in (0.2, 0.05, 0.0125)
         ]
         assert errs[0] > errs[1] > errs[2]
 
     def test_grid_too_small(self):
         with pytest.raises(GridTooSmallError):
-            origin_value(
+            solve_recursion(
                 RADEMACHER, ABS, 4, mode="grid", grid=GridSpec(step=0.1, half_width=2.0)
             )
 
@@ -358,8 +358,9 @@ class TestGridMode:
         fam = build_family([rademacher(), rademacher(math.sqrt(2))], beta=1.0)
         assert fam.lattice_step is None
         with pytest.raises(ModeMismatchError):
-            origin_value(fam, ABS, 4, mode="lattice")
-        v = origin_value(fam, ABS, 4)  # auto-selects grid mode
+            solve_recursion(fam, ABS, 4, mode="lattice")
+        v = origin_value(fam, ABS, 4)  # marches the default grid
+        assert v == solve_recursion(fam, ABS, 4).origin_value()
         assert v > 0
 
 
@@ -370,8 +371,8 @@ def test_enlarging_family_never_decreases_value(family, n):
         family.members + (make_discrete([-0.5, 0.5], [0.5, 0.5]),), family.beta
     )
     grid = GridSpec(step=0.1, half_width=8.0 * extra.sigma_bar + 0.1)
-    small = origin_value(family, ABS, n, mode="grid", grid=grid)
-    big = origin_value(extra, ABS, n, mode="grid", grid=grid)
+    small = solve_recursion(family, ABS, n, mode="grid", grid=grid).origin_value()
+    big = solve_recursion(extra, ABS, n, mode="grid", grid=grid).origin_value()
     assert big >= small  # float-monotone ops keep this exact
 
 
@@ -408,5 +409,6 @@ def test_enlarging_family_never_decreases_lattice_value(payoff, n, family, extra
     # both families live on Z/8, so both march in lattice mode, where the
     # value is exact up to the 1e-12 rounding envelope
     bigger = build_family(family.members + (extra,), family.beta)
-    small = origin_value(family, payoff, n, mode="lattice")
-    assert origin_value(bigger, payoff, n, mode="lattice") >= small - FLOAT_ROUNDING
+    assert None not in (family.lattice_step, bigger.lattice_step)
+    small = origin_value(family, payoff, n)
+    assert origin_value(bigger, payoff, n) >= small - FLOAT_ROUNDING

@@ -12,6 +12,7 @@ from cltlab import (
     HypothesisViolatedError,
     MollifierSpec,
     ResolutionTooCoarseError,
+    SampledSurface,
     ValueField,
     abs_payoff,
     abs_pow_payoff,
@@ -39,8 +40,6 @@ from cltlab.smoothing import (
     RegularityReport,
     SmoothingRow,
     _correlation_chunks,
-    _derivative_scratch,
-    _max_abs_difference,
     _max_core_derivatives,
     audit_surface_hypotheses,
     kernel_shape,
@@ -315,22 +314,31 @@ class TestVerify:
             spiked = u.copy()
             spiked[r, 4] += 100.0
             _, _, core = whole_array_derivatives(spiked, 0.5, 0.25)
-            scratch = _derivative_scratch(spiked.shape[1])
-            assert _max_core_derivatives(spiked, 0.5, 0.25, scratch) == float(np.max(core))
+            assert _max_core_derivatives(spiked, 0.5, 0.25) == float(np.max(core))
 
-    def test_blocked_sup_gap_sees_every_row(self):
-        # the sup gap runs in row blocks too; the row count is not a multiple
-        # of the block, and base is a column slice as in verify_smoothing_bounds
-        rng = np.random.default_rng(1)
-        sm = rng.random((2 * DERIV_BLOCK + 5, 9))
-        wide = rng.random((sm.shape[0] + 3, 13))
-        base = wide[: sm.shape[0], 2:11]
-        assert sm.shape[0] % DERIV_BLOCK != 0
-        for r in range(sm.shape[0]):
-            spiked = sm.copy()
-            spiked[r, r % 9] += 100.0 if r % 2 else -100.0
-            gap = _max_abs_difference(spiked, base)
-            assert gap == float(np.max(np.abs(spiked - base))) and gap > 99.0
+    def test_sup_gap_sees_the_edge_rows_of_every_chunk(self, monkeypatch):
+        # a row lifted by 100 (the temporal slack allows it) makes its own
+        # sup gap the largest, since the kernel gives a row no weight in its
+        # own mollified value; the first and last row of every 7-row chunk
+        # take the lift in turn, and every row field equals the whole-array one
+        monkeypatch.setattr(smoothing, "CHUNK_ROWS", 7)
+        eps = 0.3
+        surf = surface_from_function(
+            lambda t, x: np.abs(x) + 0.0 * t,
+            x_half_width=0.5, dt=eps**2 / 16.0, dx=eps / 16.0, beta=1.0, slack=100.0,
+        )
+        rows = surf.times.size - math.ceil(eps**2 / surf.dt - 1e-9)
+        edges = sorted({r for lo in range(0, rows, 7) for r in (lo, min(lo + 7, rows) - 1)})
+        assert rows % 7 != 0 and len(edges) > 40
+        for r in edges:
+            values = surf.values.copy()
+            values[r] += 100.0 if r % 2 else -100.0
+            spiked = SampledSurface(surf.times, surf.xs, values, beta=1.0, slack=100.0)
+            (got,) = verify_smoothing_bounds(spiked, [eps]).rows
+            row = smoothing_row(spiked, eps, MollifierSpec(eps).kernel, VERIFY_LINES)
+            ok = row["sup_gap"] <= row["sup_bound"] * (1.0 + 1e-9) + FP_SLACK
+            assert got == SmoothingRow(**row, sup_ok=ok), r
+            assert got.sup_gap > 99.0
 
     def test_hypothesis_gate(self):
         # x is 1-Lipschitz but not Holder-1/2 with constant 1 on a wide range
