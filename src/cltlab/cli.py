@@ -422,6 +422,8 @@ def _run_mollify_check(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
             "temporal_scaling_ok": report.temporal_scaling_ok,
             "spatial_scaling_ok": report.spatial_scaling_ok,
             "scaled_derivatives": [r.scaled_derivatives for r in report.rows],
+            "surface_points": list(surface.values.shape),
+            "kernel_points": [list(r.kernel_points) for r in report.rows],
             "passed": report.passed,
         },
     )

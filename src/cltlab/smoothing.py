@@ -26,22 +26,17 @@ the process may use; a one-dimensional transform is the same whichever
 thread computes it, so the reports do not depend on the worker count.
 
 The mollified surface is never formed whole in the checks. Per width, the
-surface's spectrum (reused while consecutive widths pad to the same shape)
-is multiplied into the kernel's spectrum buffer, inverted along t in place,
-and inverted along x a chunk of ``CHUNK_ROWS`` rows at a time; each chunk,
-with a one-row halo on either side, feeds the sup gap (one chunk-sized
-difference), the derivative maxima (swept in cache-sized blocks of
-``DERIV_BLOCK`` rows) and the rows around the strided lines of the
-derivative moduli, and is then dropped. Outside the forward transform,
-three surface-sized arrays are alive at once: the surface, its spectrum and
-the product. The reports keep their bits: the chunks run the same
-one-dimensional transforms as one whole-array inverse, scaled once by the
-same factor, and maxima do not depend on how rows are grouped.
+correlation runs by overlap-save, one slab of ``CHUNK_ROWS`` output rows at
+a time, so the surface is the only array as large as the surface. Each
+chunk, with a one-row halo on either side, feeds the sup gap, the
+derivative maxima (swept in cache-sized blocks of ``DERIV_BLOCK`` rows)
+and the rows around the strided lines of the derivative moduli, and is
+then dropped. A halo row has the bits of the chunk that owns it, so the
+checks see exactly the array that :func:`mollify` gathers.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
@@ -62,7 +57,7 @@ REGULARITY_LEVELS = 150  # strided levels in the regularity audit
 PAIR_BLOCK = 1 << 14  # pair differences per block; cache-sized beats whole matrices
 LEVEL_BATCH = 256  # levels per batched spatial audit; bounds its pair blocks' memory
 DERIV_BLOCK = 32  # surface rows per block of the derivative pass
-CHUNK_ROWS = 256  # mollified rows per chunk of the streamed inverse transform
+CHUNK_ROWS = 256  # mollified rows per overlap-save slab of the correlation
 
 
 class ResolutionTooCoarseError(LabError, ValueError):
@@ -91,16 +86,11 @@ def kernel_shape(t, x) -> np.ndarray:
     return _bump((2.0 * t + 1.0) ** 2 + x**2)
 
 
-@functools.lru_cache(maxsize=1)
 def _kernel_mass() -> float:
-    # midpoint rule; the bump is smooth with all derivatives vanishing at the
-    # support boundary, so the rule converges faster than any power of the mesh
-    m = 2048
-    dt, dx = 1.0 / m, 2.0 / m
-    ts = -1.0 + (np.arange(m) + 0.5) * dt
-    xs = -1.0 + (np.arange(m) + 0.5) * dx
-    vals = kernel_shape(ts[:, None], xs[None, :])
-    return float(vals.sum() * dt * dx)
+    # with s = 2t + 1 and polar coordinates in (s, x), the mass is
+    # pi * int_0^1 r exp(-1/(1 - r^2)) dr = (pi/2) E_2(1) = (pi/2)(1/e - E_1(1))
+    e1 = 0.21938393439552027368  # the exponential integral E_1(1)
+    return 0.5 * math.pi * (math.exp(-1.0) - e1)
 
 
 @dataclass(frozen=True)
@@ -170,7 +160,8 @@ def surface_from_function(
     """Sample ``fn(t, x)`` on [0, 1] x [-L, L] with steps at most (dt, dx)."""
     times, xs = _surface_grid(x_half_width, dt, dx)
     vals = np.asarray(fn(times[:, None], xs[None, :]), dtype=float)
-    vals = np.broadcast_to(vals, (times.size, xs.size)).copy()
+    if vals.shape != (times.size, xs.size):  # fn broadcast: fill the grid
+        vals = np.broadcast_to(vals, (times.size, xs.size)).copy()
     return SampledSurface(times, xs, vals, beta=beta, slack=slack)
 
 
@@ -227,23 +218,18 @@ def _kernel_weights(surface: SampledSurface, spec: MollifierSpec) -> np.ndarray:
     return weights
 
 
-def _correlation_chunks(values: np.ndarray, weights: np.ndarray, spectra: dict):
+def _correlation_chunks(values: np.ndarray, weights: np.ndarray):
     """``out[r, c] = sum_{p, q} values[r + p, c + q] * weights[p, q]``, streamed.
 
     Yields ``(lo, hi, block)`` per chunk of ``CHUNK_ROWS`` output rows:
     the rows ``lo:hi`` partition ``out``, and ``block`` holds rows
     ``max(lo - 1, 0):min(hi + 1, len(out))``, a one-row halo on each side
-    where there is a row. The product of the real FFTs of ``values`` and of
-    the flipped ``weights``, both zero-padded to the next fast length of the
-    full correlation, is the full correlation's spectrum. ``spectra`` keeps
-    the transform of ``values`` keyed by that padded shape; it is reused
-    while the shape holds and dropped before another one is made. The
-    product goes into the kernel's buffer and is inverted along t in
-    place; the inverse along x then runs a chunk at a time, so the full
-    correlation never exists. The blocks are bit for bit the valid part of
-    ``irfftn`` of the product: that is the same c2c along t and c2r along x,
-    scaled once by pocketfft's ``1/(L1 L2)``. ``scipy.fft`` is imported on
-    the first call, so importing this module loads no part of scipy.
+    where there is a row. Each chunk is an overlap-save slab: the FFT of
+    the input rows it draws on times the flipped kernel's, padded in x only
+    to the surface width (wrap-around reaches only the ``q - 1`` dropped
+    columns). A row is computed in one slab only, so a halo row has its
+    owner's bits. ``scipy.fft`` is imported on the first call, so importing
+    this module loads no part of scipy.
     """
     from scipy import fft  # here, so that importing cltlab loads no scipy module
 
@@ -251,29 +237,38 @@ def _correlation_chunks(values: np.ndarray, weights: np.ndarray, spectra: dict):
         workers = len(os.sched_getaffinity(0))  # every CPU this process may use
     else:  # no affinity mask on this platform
         workers = os.cpu_count() or 1
-    s1, s2 = values.shape, weights.shape
-    shape = tuple(fft.next_fast_len(a + b - 1, True) for a, b in zip(s1, s2))
-    if shape not in spectra:
-        spectra.clear()  # one surface spectrum alive at a time
-        spectra[shape] = fft.rfftn(values, shape, workers=workers)
-    # rfftn is an r2c along x and then a c2c along t; the r2c of a zero row
-    # is zero, so the kernel's spectrum needs the r2c of its own rows only
-    product = np.zeros(spectra[shape].shape, dtype=complex)
-    product[: s2[0]] = fft.rfft(weights[::-1, ::-1], shape[1], axis=1, workers=workers)
-    product = fft.fft(product, axis=0, overwrite_x=True, workers=workers)
-    # complex multiplication is not bitwise commutative: the surface's
-    # spectrum stays the first operand
-    np.multiply(spectra[shape], product, out=product)
-    product = fft.ifft(product, axis=0, norm="forward", overwrite_x=True, workers=workers)
-    scale = float(1 / np.longdouble(shape[0] * shape[1]))  # pocketfft's irfftn factor
-    rows, cols = s1[0] - s2[0] + 1, s1[1] - s2[1] + 1
-    for lo in range(0, rows, CHUNK_ROWS):
+    (nt, nx), (p, q) = values.shape, weights.shape
+    rows, cols = nt - p + 1, nx - q + 1
+    shape = (
+        fft.next_fast_len(min(CHUNK_ROWS, rows) + p - 1, True),
+        fft.next_fast_len(nx, True),
+    )
+    kernel = fft.rfft2(weights[::-1, ::-1], shape, workers=workers)
+    # input rows transformed along x, zero-padded to the slab; consecutive
+    # slabs share p - 1 input rows, whose transforms move to the front
+    slab = np.zeros((shape[0], shape[1] // 2 + 1), dtype=complex)
+
+    def correlate(lo: int) -> np.ndarray:  # rows lo:lo + CHUNK_ROWS of out
         hi = min(lo + CHUNK_ROWS, rows)
-        first, last = s2[0] - 1 + max(lo - 1, 0), s2[0] - 1 + min(hi + 1, rows)
-        full = fft.irfft(product[first:last], shape[1], axis=1, norm="forward", workers=workers)
-        block = full[:, s2[1] - 1 : s2[1] - 1 + cols]
-        block *= scale
-        yield lo, hi, block
+        done = 0 if lo == 0 else p - 1  # input rows already transformed
+        slab[:done] = slab[CHUNK_ROWS : CHUNK_ROWS + done]
+        new = values[lo + done : hi + p - 1]
+        slab[done : hi - lo + p - 1] = fft.rfft(new, shape[1], axis=1, workers=workers)
+        slab[hi - lo + p - 1 :] = 0.0
+        spectrum = fft.fft(slab, axis=0, workers=workers)
+        # complex multiplication is not bitwise commutative: the data's
+        # spectrum stays the first operand
+        np.multiply(spectrum, kernel, out=spectrum)
+        spectrum = fft.ifft(spectrum, axis=0, overwrite_x=True, workers=workers)
+        full = fft.irfft(spectrum[p - 1 : p - 1 + hi - lo], shape[1], axis=1, workers=workers)
+        return full[:, q - 1 : q - 1 + cols]
+
+    below, middle = np.empty((0, cols)), correlate(0)
+    for lo in range(0, rows, CHUNK_ROWS):
+        hi = lo + middle.shape[0]
+        above = correlate(hi) if hi < rows else below[:0]
+        yield lo, hi, np.concatenate([below, middle, above[:1]])
+        below, middle = middle[-1:].copy(), above  # a copy frees the slab below
 
 
 def mollify(surface: SampledSurface, spec: MollifierSpec) -> SampledSurface:
@@ -289,7 +284,7 @@ def mollify(surface: SampledSurface, spec: MollifierSpec) -> SampledSurface:
     weights = _kernel_weights(surface, spec)
     (nt, nx), (p, q) = surface.values.shape, weights.shape
     values = np.empty((nt - p + 1, nx - q + 1))
-    for lo, hi, block in _correlation_chunks(surface.values, weights, {}):
+    for lo, hi, block in _correlation_chunks(surface.values, weights):
         start = max(lo - 1, 0)
         values[lo:hi] = block[lo - start : hi - start]
     return SampledSurface(
@@ -416,6 +411,7 @@ def _derivative_modulus(coords, f1, f2, exponent: float, a: float) -> float:
 @dataclass(frozen=True)
 class SmoothingRow:
     eps: float
+    kernel_points: tuple[int, int]
     sup_gap: float
     sup_bound: float
     sup_ok: bool
@@ -453,7 +449,7 @@ def _scaling_ok(values) -> bool:
     return hi <= 10.0 * max(lo, 1e-300)
 
 
-def _smoothing_row(surface: SampledSurface, eps: float, spectra: dict) -> SmoothingRow:
+def _smoothing_row(surface: SampledSurface, eps: float) -> SmoothingRow:
     """The checks of :func:`verify_smoothing_bounds` at one width.
 
     The mollified surface streams past in chunks: each feeds the sup gap,
@@ -474,7 +470,7 @@ def _smoothing_row(surface: SampledSurface, eps: float, spectra: dict) -> Smooth
     near = lines + np.arange(-1, 2)[:, None]  # rows lines - 1, lines, lines + 1
     kept = np.empty((*near.shape, nx_out))
     gaps, derivs = [], []
-    for lo, hi, block in _correlation_chunks(surface.values, weights, spectra):
+    for lo, hi, block in _correlation_chunks(surface.values, weights):
         start = max(lo - 1, 0)
         gap = block[lo - start : hi - start] - surface.values[lo:hi, q_trim : q_trim + nx_out]
         gaps.append(np.max(np.abs(gap, out=gap)))
@@ -495,6 +491,7 @@ def _smoothing_row(surface: SampledSurface, eps: float, spectra: dict) -> Smooth
 
     return SmoothingRow(
         eps=eps,
+        kernel_points=(p, q),
         sup_gap=sup_gap,
         sup_bound=sup_bound,
         sup_ok=sup_gap <= sup_bound * (1.0 + 1e-9) + FP_SLACK,
@@ -518,8 +515,7 @@ def verify_smoothing_bounds(surface: SampledSurface, eps_list) -> SmoothingRepor
     ``beta`` and ``slack``, which are audited first.
     """
     audit_surface_hypotheses(surface)
-    spectra = {}  # the surface's spectrum, shared by widths of one padded shape
-    rows = [_smoothing_row(surface, float(eps), spectra) for eps in eps_list]
+    rows = [_smoothing_row(surface, float(eps)) for eps in eps_list]
     return SmoothingReport(
         rows=tuple(rows),
         sup_ok=all(r.sup_ok for r in rows),

@@ -179,18 +179,6 @@ def regularity_excess(field, beta: float, sigma_bar: float, points: int, levels:
     return spatial, temporal, int(ks.size), points_checked
 
 
-def valid_correlation(values, weights):
-    """``out[r, c] = sum_{p, q} values[r + p, c + q] * weights[p, q]`` by one
-    ``irfftn`` of the product of whole-array ``rfftn`` transforms, padded to
-    the next fast length of the full correlation."""
-    from scipy import fft
-
-    s1, s2 = values.shape, weights.shape
-    shape = [fft.next_fast_len(a + b - 1, True) for a, b in zip(s1, s2)]
-    spectrum = fft.rfftn(values, shape) * fft.rfftn(weights[::-1, ::-1], shape)
-    return fft.irfftn(spectrum, shape)[s2[0] - 1 : s1[0], s2[1] - 1 : s1[1]]
-
-
 def whole_array_derivatives(u, dt, dx):
     """First time and second space derivatives, and the core derivative sum."""
     d2t = (u[2:, :] - 2.0 * u[1:-1, :] + u[:-2, :]) / dt**2
@@ -204,21 +192,17 @@ def whole_array_derivatives(u, dt, dx):
     return d1t, d2x, core
 
 
-def smoothing_row(surface, eps: float, kernel, lines_cap: int) -> dict:
+def smoothing_row(surface, eps: float, u, lines_cap: int) -> dict:
     """One width's mollification check from whole arrays, its verdict left out.
 
-    ``kernel(t, x)`` is the width-``eps`` kernel, sampled on the surface
-    grid and normalized to unit discrete mass; the mollified surface is its
-    :func:`valid_correlation` with the surface. The derivative moduli take
-    every pair of at most ``lines_cap`` strided lines, as one pair matrix.
+    ``u`` is the width-``eps`` mollified surface as one array; its kernel
+    has ``ceil(eps**2 / dt) + 1`` rows and ``2 ceil(eps / dx) + 1`` columns.
+    The derivative moduli take every pair of at most ``lines_cap`` strided
+    lines, as one pair matrix.
     """
     dt, dx = surface.dt, surface.dx
     p, q = math.ceil(eps * eps / dt - 1e-9), math.ceil(eps / dx - 1e-9)
-    t_off = -np.arange(p + 1) * dt
-    x_off = (np.arange(2 * q + 1) - q) * dx
-    weights = kernel(t_off[:, None], x_off[None, :]) * (dt * dx)
-    weights /= weights.sum()
-    u = valid_correlation(surface.values, weights)
+    assert u.shape == (surface.times.size - p, surface.xs.size - 2 * q)
     times, xs = surface.times[: u.shape[0]], surface.xs[q : q + u.shape[1]]
     dt, dx = times[1] - times[0], xs[1] - xs[0]
     beta, a = surface.beta, surface.slack
@@ -238,6 +222,7 @@ def smoothing_row(surface, eps: float, kernel, lines_cap: int) -> dict:
 
     return {
         "eps": eps,
+        "kernel_points": (p + 1, 2 * q + 1),
         "sup_gap": float(np.max(np.abs(u - surface.values[: u.shape[0], q : q + u.shape[1]]))),
         "sup_bound": 2.0 * eps**beta + a,
         "scaled_derivatives": eps**4 * float(np.max(core)) / (eps**beta + a),

@@ -293,6 +293,16 @@ class TestMollifyCheck:
         assert rows[0] == "eps,bound,observed,pass"
         assert rows[1].endswith(",true")
 
+    def test_summary_records_the_slab_shapes(self, tmp_path):
+        # the surface's and each kernel's points set the mollifier's memory
+        rc = run_cli(["mollify-check", "--phi", "abs", "--eps", "0.1,0.2",
+                      "--out", tmp_path / "m"])
+        assert rc == 0
+        summary = json.loads((tmp_path / "m" / "summary.json").read_text())
+        # dt = 0.1^2/16 on [0, 1] and dx = 0.1/16 on [-2, 2]; widths descend
+        assert summary["surface_points"] == [1601, 641]
+        assert summary["kernel_points"] == [[65, 65], [17, 33]]
+
     @pytest.mark.parametrize(
         "args",
         [["--eps", "0.3,0.15"], ["--eps", "0.22"], ["--eps", "0.3", "--half-width", 1]],

@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,7 +52,6 @@ from oracles import (
     regularity_excess,
     smoothing_row,
     strided,
-    valid_correlation,
     whole_array_derivatives,
 )
 
@@ -70,18 +70,35 @@ def abs_surface(beta=1.0, eps=0.2, half_width=1.5):
     )
 
 
-def gathered(values, weights, spectra=None):
+def gathered(values, weights):
     """The streamed correlation's chunks put back together, and their count."""
     rows = values.shape[0] - weights.shape[0] + 1
     out = np.full((rows, values.shape[1] - weights.shape[1] + 1), np.nan)
     chunks = 0
-    for lo, hi, block in _correlation_chunks(values, weights, {} if spectra is None else spectra):
+    for lo, hi, block in _correlation_chunks(values, weights):
         start = max(lo - 1, 0)
         assert start + block.shape[0] == min(hi + 1, rows)  # a halo where there is a row
         assert np.isnan(out[lo:hi]).all()  # the chunks partition the rows
         out[lo:hi] = block[lo - start : hi - start]
         chunks += 1
     return out, chunks
+
+
+def direct_correlation(values, weights):
+    windows = np.lib.stride_tricks.sliding_window_view(values, weights.shape)
+    return np.einsum("rcpq,pq->rc", windows, weights)
+
+
+SLAB_CASES = [  # values shape, weights shape, CHUNK_ROWS
+    ((97, 131), (9, 67), 16),  # 89 rows: 6 chunks, the last one 9 rows
+    ((301, 259), (17, 129), 256),  # one full chunk and a part
+    ((45, 203), (5, 101), 40),  # a last chunk of 1 row
+    ((33, 9), (3, 5), 7),
+    ((14, 40), (14, 5), 3),  # a kernel taller than the chunk, 1 output row
+    ((50, 31), (7, 1), 11),  # a single kernel column
+    ((64, 48), (8, 16), 19),  # even shapes
+    ((255, 77), (33, 13), 32),  # kernel taller than the chunk; 7 chunks, the last 31 rows
+]
 
 
 class TestKernel:
@@ -100,6 +117,17 @@ class TestKernel:
         xs = -spec.epsilon + (np.arange(m) + 0.5) * dx
         mass = float(spec.kernel(ts[:, None], xs[None, :]).sum() * dt * dx)
         assert mass == pytest.approx(1.0, abs=1e-8)
+
+    def test_mass_is_the_closed_form(self):
+        from scipy import special
+
+        m = 2048  # the midpoint rule the closed form replaced
+        dt, dx = 1.0 / m, 2.0 / m
+        ts = -1.0 + (np.arange(m) + 0.5) * dt
+        xs = -1.0 + (np.arange(m) + 0.5) * dx
+        quadrature = float(kernel_shape(ts[:, None], xs[None, :]).sum() * dt * dx)
+        assert smoothing._kernel_mass() == quadrature
+        assert abs(smoothing._kernel_mass() - special.expn(2, 1.0) * math.pi / 2) <= 1e-15
 
     def test_epsilon_range(self):
         with pytest.raises(ValueError):
@@ -151,35 +179,18 @@ class TestMollify:
         rng = np.random.default_rng(7)
         values = rng.standard_normal((40, 33))
         weights = rng.random(shape)
-        windows = np.lib.stride_tricks.sliding_window_view(values, shape)
-        direct = np.einsum("rcpq,pq->rc", windows, weights)
+        direct = direct_correlation(values, weights)
         got, _ = gathered(values, weights)
         assert got.shape == direct.shape == (41 - shape[0], 34 - shape[1])
         assert np.max(np.abs(got - direct)) <= 1e-12
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize(
-        "values_shape, weights_shape, chunk_rows",
-        [
-            ((97, 131), (9, 67), 16),  # 89 rows: 6 chunks, the last one 9 rows
-            ((301, 259), (17, 129), 256),  # one full chunk and a part
-            ((45, 203), (5, 101), 40),  # a last chunk of 1 row
-            ((33, 9), (3, 5), 7),
-            ((14, 40), (14, 5), 3),  # kernel rows exceed half the padded rows, 27
-            ((50, 31), (7, 1), 11),  # a single kernel column
-            ((64, 48), (8, 16), 19),  # even shapes
-            ((255, 77), (33, 13), 32),  # 223 rows: 7 chunks, the last one 31 rows
-        ],
-    )
-    def test_chunked_inverse_is_irfftn_bit_for_bit(
-        self, monkeypatch, workers, values_shape, weights_shape, chunk_rows
+    @pytest.mark.parametrize("values_shape, weights_shape, chunk_rows", SLAB_CASES)
+    def test_overlap_save_is_the_direct_sum(
+        self, monkeypatch, values_shape, weights_shape, chunk_rows
     ):
-        # the FFTs run on every CPU the process may use and the inverse along x
-        # runs a chunk of rows at a time; each 1-d transform is the same
-        # whichever thread runs it and whichever rows share its call, and the
-        # scale is pocketfft's, so no bit may move against one irfftn
-        cpus = set(range(workers))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        # each chunk transforms only the input rows it draws on, padded in x
+        # only to the surface width; a slab too short or a wrap-around into
+        # kept columns gives a different sum
         monkeypatch.setattr(smoothing, "CHUNK_ROWS", chunk_rows)
         rng = np.random.default_rng(sum(values_shape + weights_shape))
         values = rng.standard_normal(values_shape)
@@ -187,26 +198,24 @@ class TestMollify:
         got, chunks = gathered(values, weights)
         rows = values_shape[0] - weights_shape[0] + 1
         assert chunks == -(-rows // chunk_rows)
-        assert np.array_equal(got, valid_correlation(values, weights))
+        assert np.max(np.abs(got - direct_correlation(values, weights))) <= 1e-12
 
-    def test_surface_spectrum_is_reused_while_the_padded_shape_holds(self, monkeypatch):
-        from scipy import fft
-
-        rng = np.random.default_rng(3)
-        values = rng.standard_normal((60, 50))
-        # 60 x 50 pads to 64 x 54 under the first two kernels and to 72 x 54
-        # under the last two
-        kernels = [rng.random(shape) for shape in [(4, 5), (5, 5), (9, 4), (9, 5)]]
-        expected = [valid_correlation(values, weights) for weights in kernels]
-        calls = []
-        rfftn = fft.rfftn
-        monkeypatch.setattr(fft, "rfftn", lambda *a, **k: calls.append(a[1]) or rfftn(*a, **k))
-        spectra = {}
-        for weights, want in zip(kernels, expected):
-            got, _ = gathered(values, weights, spectra)
-            assert np.array_equal(got, want)
-            assert len(spectra) == 1
-        assert calls == [(64, 54), (72, 54)]
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("values_shape, weights_shape, chunk_rows", SLAB_CASES)
+    def test_overlap_save_bits_do_not_depend_on_workers(
+        self, monkeypatch, workers, values_shape, weights_shape, chunk_rows
+    ):
+        # the FFTs run on every CPU the process may use; each 1-d transform is
+        # the same whichever thread runs it, so no bit may move against one
+        monkeypatch.setattr(smoothing, "CHUNK_ROWS", chunk_rows)
+        rng = np.random.default_rng(sum(values_shape + weights_shape))
+        values = rng.standard_normal(values_shape)
+        weights = rng.random(weights_shape)
+        got = []
+        for cpus in (set(range(workers)), {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            got.append(gathered(values, weights)[0])
+        assert np.array_equal(*got)
 
     def test_domain_guard(self):
         surf = surface_from_function(
@@ -277,11 +286,10 @@ class TestVerify:
 
     @pytest.mark.parametrize("chunk_rows, slack", [(CHUNK_ROWS, 0.0), (7, 0.05)])
     def test_rows_equal_the_whole_array_oracle(self, monkeypatch, chunk_rows, slack):
-        # the mollified surface streams past in chunks of rows; on a surface
-        # taller than one chunk every row field equals the whole-array one
-        # exactly, for widths that share the surface spectrum and ones that do not
-        from scipy import fft
-
+        # the mollified surface streams past in chunks of rows, each with a
+        # halo; on a surface taller than one chunk every row field equals the
+        # one computed from mollify's gathered array exactly, for kernels
+        # shorter and taller than a chunk
         monkeypatch.setattr(smoothing, "CHUNK_ROWS", chunk_rows)
         eps_list = [0.3, 0.2, 0.19, 0.15]
         surf = surface_from_function(  # Lipschitz in x, Holder-1/2 in t
@@ -289,19 +297,11 @@ class TestVerify:
             x_half_width=1.0, dt=0.15**2 / 16.0, dx=0.15 / 16.0, beta=1.0, slack=slack,
         )
         report = verify_smoothing_bounds(surf, eps_list)
-        shapes = []
-        for eps in eps_list:
-            p = math.ceil(eps**2 / surf.dt - 1e-9) + 1
-            q = 2 * math.ceil(eps / surf.dx - 1e-9) + 1
-            assert surf.times.size - p + 1 > CHUNK_ROWS
-            shapes.append(
-                (fft.next_fast_len(surf.times.size + p - 1, True),
-                 fft.next_fast_len(surf.xs.size + q - 1, True))
-            )
-        assert shapes[1] == shapes[2] and len(set(shapes)) == 3
         expected = []
-        for eps in eps_list:
-            row = smoothing_row(surf, eps, MollifierSpec(eps).kernel, VERIFY_LINES)
+        for eps, got in zip(eps_list, report.rows):
+            assert surf.times.size - got.kernel_points[0] + 1 > CHUNK_ROWS
+            u = mollify(surf, MollifierSpec(eps)).values
+            row = smoothing_row(surf, eps, u, VERIFY_LINES)
             ok = row["sup_gap"] <= row["sup_bound"] * (1.0 + 1e-9) + FP_SLACK
             expected.append(SmoothingRow(**row, sup_ok=ok))
         assert report.rows == tuple(expected)
@@ -320,7 +320,8 @@ class TestVerify:
         # a row lifted by 100 (the temporal slack allows it) makes its own
         # sup gap the largest, since the kernel gives a row no weight in its
         # own mollified value; the first and last row of every 7-row chunk
-        # take the lift in turn, and every row field equals the whole-array one
+        # take the lift in turn, and every row field equals the one computed
+        # from mollify's gathered array
         monkeypatch.setattr(smoothing, "CHUNK_ROWS", 7)
         eps = 0.3
         surf = surface_from_function(
@@ -335,7 +336,8 @@ class TestVerify:
             values[r] += 100.0 if r % 2 else -100.0
             spiked = SampledSurface(surf.times, surf.xs, values, beta=1.0, slack=100.0)
             (got,) = verify_smoothing_bounds(spiked, [eps]).rows
-            row = smoothing_row(spiked, eps, MollifierSpec(eps).kernel, VERIFY_LINES)
+            u = mollify(spiked, MollifierSpec(eps)).values
+            row = smoothing_row(spiked, eps, u, VERIFY_LINES)
             ok = row["sup_gap"] <= row["sup_bound"] * (1.0 + 1e-9) + FP_SLACK
             assert got == SmoothingRow(**row, sup_ok=ok), r
             assert got.sup_gap > 99.0
@@ -348,6 +350,55 @@ class TestVerify:
         )
         with pytest.raises(HypothesisViolatedError):
             verify_smoothing_bounds(surf, [0.2])
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak of the memory it allocated, in bytes.
+
+    numpy reports its array buffers to ``tracemalloc``; the FFT library's
+    own scratch is not traced.
+    """
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    @staticmethod
+    def tall_surface(fn=lambda t, x: np.abs(x) + 0.0 * t):
+        return surface_from_function(fn, x_half_width=1.0, dt=1 / 4000, dx=1 / 160, beta=1.0)
+
+    def test_checks_hold_the_surface_and_a_few_slabs(self):
+        # the surface is the only array as large as itself: each width's
+        # correlation runs a slab of CHUNK_ROWS rows at a time
+        def run():
+            surf = self.tall_surface()
+            return surf, verify_smoothing_bounds(surf, [0.2])
+
+        (surf, report), peak = traced_peak(run)
+        assert report.passed and surf.values.shape == (4001, 321)
+        # one complex array as tall as the input rows of a chunk (the kernel
+        # has ceil(0.2^2 / dt) + 1 = 161 rows) and as wide as the surface
+        slab = (CHUNK_ROWS + 161) * surf.xs.size * 16
+        assert peak < surf.values.nbytes + 4 * slab
+
+    @pytest.mark.parametrize(
+        "fn",
+        [lambda t, x: np.abs(x) + 0.0 * t, lambda t, x: np.abs(x)],
+        ids=["full-shape", "broadcast"],
+    )
+    def test_sampling_holds_one_surface(self, fn):
+        surf, peak = traced_peak(lambda: self.tall_surface(fn))
+        assert surf.values.shape == (4001, 321)
+        assert peak < 1.05 * surf.values.nbytes
+
+    def test_kernel_mass_allocates_no_array(self):
+        mass, peak = traced_peak(smoothing._kernel_mass)
+        assert mass > 0.0 and peak < 1000
 
 
 class TestRegularityAudit:
