@@ -401,7 +401,7 @@ def _run_mollify_check(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
         )
     else:
         surface = surface_from_function(
-            lambda t, x: payoff(x) + 0.0 * t,
+            lambda t, x: payoff(x),
             x_half_width=hw,
             dt=dt,
             dx=dx,

@@ -21,25 +21,23 @@ slack ``a``.
 The audits do each comparison once and keep every reported bit: a Holder
 pair is formed for ``j >= i`` only, levels on equal points are compared as
 lines of batches that share one bound matrix, and a level meets all larger
-levels in one vectorized row. The mollifier's FFTs run on every CPU
-the process may use; a one-dimensional transform is the same whichever
-thread computes it, so the reports do not depend on the worker count.
+levels in one vectorized row.
 
 The mollified surface is never formed whole in the checks. Per width, the
-correlation runs by overlap-save, one slab of ``CHUNK_ROWS`` output rows at
-a time, so the surface is the only array as large as the surface. Each
-chunk, with a one-row halo on either side, feeds the sup gap, the
-derivative maxima (swept in cache-sized blocks of ``DERIV_BLOCK`` rows)
-and the rows around the strided lines of the derivative moduli, and is
-then dropped. A halo row has the bits of the chunk that owns it, so the
-checks see exactly the array that :func:`mollify` gathers.
+correlation runs by overlap-save on ``numpy.fft``, one slab of
+``CHUNK_ROWS`` output rows at a time in buffers made once, so the surface
+is the only array as large as the surface. Each chunk, with a one-row halo
+on either side, feeds the sup gap, the derivative maxima (swept in
+cache-sized blocks of ``DERIV_BLOCK`` rows) and the rows around the
+strided lines of the derivative moduli, and is then dropped. A halo row
+has the bits of the chunk that owns it, so the checks see exactly the
+array that :func:`mollify` gathers.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,8 +158,8 @@ def surface_from_function(
     """Sample ``fn(t, x)`` on [0, 1] x [-L, L] with steps at most (dt, dx)."""
     times, xs = _surface_grid(x_half_width, dt, dx)
     vals = np.asarray(fn(times[:, None], xs[None, :]), dtype=float)
-    if vals.shape != (times.size, xs.size):  # fn broadcast: fill the grid
-        vals = np.broadcast_to(vals, (times.size, xs.size)).copy()
+    if vals.shape != (times.size, xs.size):  # fn broadcast: a read-only view, no copy
+        vals = np.broadcast_to(vals, (times.size, xs.size))
     return SampledSurface(times, xs, vals, beta=beta, slack=slack)
 
 
@@ -218,6 +216,17 @@ def _kernel_weights(surface: SampledSurface, spec: MollifierSpec) -> np.ndarray:
     return weights
 
 
+def _fast_len(n: int) -> int:
+    """The smallest 5-smooth integer ``>= n``, a length pocketfft transforms fast."""
+    best, p5 = 1 << (n - 1).bit_length(), 1  # a power of two to start from
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # p35 times the least power of two that reaches n
+            best, p35 = min(best, p35 << (-(-n // p35) - 1).bit_length()), 3 * p35
+        p5 *= 5
+    return best
+
+
 def _correlation_chunks(values: np.ndarray, weights: np.ndarray):
     """``out[r, c] = sum_{p, q} values[r + p, c + q] * weights[p, q]``, streamed.
 
@@ -228,47 +237,39 @@ def _correlation_chunks(values: np.ndarray, weights: np.ndarray):
     the input rows it draws on times the flipped kernel's, padded in x only
     to the surface width (wrap-around reaches only the ``q - 1`` dropped
     columns). A row is computed in one slab only, so a halo row has its
-    owner's bits. ``scipy.fft`` is imported on the first call, so importing
-    this module loads no part of scipy.
+    owner's bits. The transforms write into arrays made once per call, and
+    ``block`` is a view that holds only until the next chunk is asked for.
     """
-    from scipy import fft  # here, so that importing cltlab loads no scipy module
-
-    if hasattr(os, "sched_getaffinity"):
-        workers = len(os.sched_getaffinity(0))  # every CPU this process may use
-    else:  # no affinity mask on this platform
-        workers = os.cpu_count() or 1
     (nt, nx), (p, q) = values.shape, weights.shape
     rows, cols = nt - p + 1, nx - q + 1
-    shape = (
-        fft.next_fast_len(min(CHUNK_ROWS, rows) + p - 1, True),
-        fft.next_fast_len(nx, True),
-    )
-    kernel = fft.rfft2(weights[::-1, ::-1], shape, workers=workers)
+    shape = (_fast_len(min(CHUNK_ROWS, rows) + p - 1), _fast_len(nx))
+    kernel = np.fft.rfft2(weights[::-1, ::-1], shape)
     # input rows transformed along x, zero-padded to the slab; consecutive
     # slabs share p - 1 input rows, whose transforms move to the front
-    slab = np.zeros((shape[0], shape[1] // 2 + 1), dtype=complex)
+    slab, spectrum = np.zeros_like(kernel), np.empty_like(kernel)
+    buffers = np.empty((2, CHUNK_ROWS + 2, shape[1]))  # taking the chunks in turn
 
-    def correlate(lo: int) -> np.ndarray:  # rows lo:lo + CHUNK_ROWS of out
-        hi = min(lo + CHUNK_ROWS, rows)
+    def correlate(lo: int, buf: np.ndarray):  # out rows lo:lo + n into buf[1 : 1 + n]
+        n = min(CHUNK_ROWS, rows - lo)
         done = 0 if lo == 0 else p - 1  # input rows already transformed
         slab[:done] = slab[CHUNK_ROWS : CHUNK_ROWS + done]
-        new = values[lo + done : hi + p - 1]
-        slab[done : hi - lo + p - 1] = fft.rfft(new, shape[1], axis=1, workers=workers)
-        slab[hi - lo + p - 1 :] = 0.0
-        spectrum = fft.fft(slab, axis=0, workers=workers)
-        # complex multiplication is not bitwise commutative: the data's
-        # spectrum stays the first operand
+        new = values[lo + done : lo + n + p - 1]
+        np.fft.rfft(new, shape[1], axis=1, out=slab[done : n + p - 1])
+        slab[n + p - 1 :] = 0.0
+        np.fft.fft(slab, axis=0, out=spectrum)
+        # the data's spectrum stays the first operand: complex products do not commute bitwise
         np.multiply(spectrum, kernel, out=spectrum)
-        spectrum = fft.ifft(spectrum, axis=0, overwrite_x=True, workers=workers)
-        full = fft.irfft(spectrum[p - 1 : p - 1 + hi - lo], shape[1], axis=1, workers=workers)
-        return full[:, q - 1 : q - 1 + cols]
+        np.fft.ifft(spectrum, axis=0, out=spectrum)
+        np.fft.irfft(spectrum[p - 1 : p - 1 + n], shape[1], axis=1, out=buf[1 : 1 + n])
 
-    below, middle = np.empty((0, cols)), correlate(0)
-    for lo in range(0, rows, CHUNK_ROWS):
-        hi = lo + middle.shape[0]
-        above = correlate(hi) if hi < rows else below[:0]
-        yield lo, hi, np.concatenate([below, middle, above[:1]])
-        below, middle = middle[-1:].copy(), above  # a copy frees the slab below
+    correlate(0, buffers[0])
+    for i, lo in enumerate(range(0, rows, CHUNK_ROWS)):
+        now, later = buffers[i % 2], buffers[1 - i % 2]
+        hi = min(lo + CHUNK_ROWS, rows)
+        if hi < rows:  # the next chunk, and the halo rows the two share
+            correlate(hi, later)
+            now[1 + hi - lo], later[0] = later[1], now[hi - lo]
+        yield lo, hi, now[int(lo == 0) : 1 + hi - lo + (hi < rows), q - 1 : q - 1 + cols]
 
 
 def mollify(surface: SampledSurface, spec: MollifierSpec) -> SampledSurface:
@@ -285,8 +286,7 @@ def mollify(surface: SampledSurface, spec: MollifierSpec) -> SampledSurface:
     (nt, nx), (p, q) = surface.values.shape, weights.shape
     values = np.empty((nt - p + 1, nx - q + 1))
     for lo, hi, block in _correlation_chunks(surface.values, weights):
-        start = max(lo - 1, 0)
-        values[lo:hi] = block[lo - start : hi - start]
+        values[lo:hi] = block[int(lo > 0) :][: hi - lo]  # past the halo below
     return SampledSurface(
         times=surface.times[: nt - p + 1],
         xs=surface.xs[q // 2 : nx - q // 2],

@@ -19,19 +19,29 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
-def test_cli_import_loads_no_fft_or_signal_module():
-    # the mollifier imports scipy.fft on first use; starting a command must not
+def test_mollifier_runs_without_scipy(tmp_path):
+    # the mollifier's FFTs are numpy's, loaded on first use: importing the
+    # CLI loads no numpy.fft, and a mollify-check of either source no scipy
     code = (
-        "import sys, cltlab.cli; "
-        "print([m for m in ('scipy.signal', 'scipy.fft') if m in sys.modules])"
+        "import sys, cltlab.cli\n"
+        "print('numpy.fft' in sys.modules)\n"
+        "for args in sys.argv[1:]:\n"
+        "    assert cltlab.cli.main(args.split()) == 0\n"
+        "print('numpy.fft' in sys.modules, [m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
     )
+    runs = [
+        f"mollify-check --phi abs --eps 0.3,0.25 --out {tmp_path / 'function'}",
+        f"mollify-check --source dp --family rademacher --phi abs --n 8 --eps 0.3 "
+        f"--out {tmp_path / 'dp'}",
+    ]
     src = str(Path(cltlab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, *runs], env=env, capture_output=True, text=True, check=True
     )
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[0] == "False"
+    assert proc.stdout.splitlines()[-1] == "True []"
 
 
 class TestRunConfig:

@@ -1,5 +1,4 @@
 import math
-import os
 import re
 import tracemalloc
 
@@ -41,6 +40,7 @@ from cltlab.smoothing import (
     RegularityReport,
     SmoothingRow,
     _correlation_chunks,
+    _fast_len,
     _max_core_derivatives,
     audit_surface_hypotheses,
     kernel_shape,
@@ -200,22 +200,12 @@ class TestMollify:
         assert chunks == -(-rows // chunk_rows)
         assert np.max(np.abs(got - direct_correlation(values, weights))) <= 1e-12
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    @pytest.mark.parametrize("values_shape, weights_shape, chunk_rows", SLAB_CASES)
-    def test_overlap_save_bits_do_not_depend_on_workers(
-        self, monkeypatch, workers, values_shape, weights_shape, chunk_rows
-    ):
-        # the FFTs run on every CPU the process may use; each 1-d transform is
-        # the same whichever thread runs it, so no bit may move against one
-        monkeypatch.setattr(smoothing, "CHUNK_ROWS", chunk_rows)
-        rng = np.random.default_rng(sum(values_shape + weights_shape))
-        values = rng.standard_normal(values_shape)
-        weights = rng.random(weights_shape)
-        got = []
-        for cpus in (set(range(workers)), {0}):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-            got.append(gathered(values, weights)[0])
-        assert np.array_equal(*got)
+    def test_fast_len_is_scipys_next_fast_len(self):
+        # the slab shapes, and with them the bits, are those scipy.fft pads to
+        from scipy import fft
+
+        ns = range(1, 100_001)
+        assert [_fast_len(n) for n in ns] == [fft.next_fast_len(n, True) for n in ns]
 
     def test_domain_guard(self):
         surf = surface_from_function(
@@ -307,6 +297,27 @@ class TestVerify:
         assert report.rows == tuple(expected)
         assert all(r.scaled_temporal_modulus > 0.0 < r.scaled_spatial_modulus for r in report.rows)
 
+    @pytest.mark.parametrize("chunk_rows", [CHUNK_ROWS, 128])
+    def test_broadcast_surface_has_the_bits_of_its_copy(self, monkeypatch, chunk_rows):
+        # a time-constant surface is kept as a one-row view; the reports and
+        # mollified arrays are those of the full array, bit for bit. Widths
+        # 0.3 and 0.2 leave 365 and 385 output rows: no multiple of either
+        # chunk height, and 385 = 3 * 128 + 1 ends in a 1-row slab
+        monkeypatch.setattr(smoothing, "CHUNK_ROWS", chunk_rows)
+        pay = abs_pow_payoff(0.5)
+        view = surface_from_function(
+            lambda t, x: pay(x), x_half_width=1.5, dt=0.2**2 / 16.0, dx=0.2 / 16.0,
+            beta=0.5, slack=0.01,
+        )
+        full = SampledSurface(view.times, view.xs, np.array(view.values), beta=0.5, slack=0.01)
+        assert view.values.strides[0] == 0 and full.values.flags.writeable
+        eps_list = [0.3, 0.2]
+        assert verify_smoothing_bounds(view, eps_list) == verify_smoothing_bounds(full, eps_list)
+        for eps, rows in zip(eps_list, [365, 385]):
+            got, want = (mollify(s, MollifierSpec(eps)).values for s in (view, full))
+            assert got.shape[0] == rows and rows % chunk_rows != 0
+            assert got.tobytes() == want.tobytes()
+
     def test_blocked_derivative_max_sees_every_row(self):
         # a spike makes its own row the largest; no row may fall between blocks
         u = np.random.default_rng(0).random((2 * DERIV_BLOCK + 3, 9))
@@ -394,7 +405,11 @@ class TestMemory:
     def test_sampling_holds_one_surface(self, fn):
         surf, peak = traced_peak(lambda: self.tall_surface(fn))
         assert surf.values.shape == (4001, 321)
-        assert peak < 1.05 * surf.values.nbytes
+        if surf.values.strides[0]:
+            assert peak < 1.05 * surf.values.nbytes
+        else:  # a read-only view of one row: the time axis's temporaries set the peak
+            assert not surf.values.flags.writeable
+            assert peak < 4 * surf.times.nbytes + surf.values[0].nbytes
 
     def test_kernel_mass_allocates_no_array(self):
         mass, peak = traced_peak(smoothing._kernel_mass)
