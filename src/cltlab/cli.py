@@ -422,12 +422,14 @@ def _run_mollify_check(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
             "temporal_scaling_ok": report.temporal_scaling_ok,
             "spatial_scaling_ok": report.spatial_scaling_ok,
             "scaled_derivatives": [r.scaled_derivatives for r in report.rows],
-            "surface_points": list(surface.values.shape),
+            "surface_points": [surface.times.size, surface.xs.size],
             "kernel_points": [list(r.kernel_points) for r in report.rows],
+            "modulus_lines": [list(r.modulus_lines) for r in report.rows],
             "passed": report.passed,
         },
     )
-    print(f"sup_ok {report.sup_ok} scaling_ok {report.derivative_scaling_ok} passed {report.passed}")
+    checks = ("sup_ok", "derivative_scaling_ok", "temporal_scaling_ok", "spatial_scaling_ok")
+    print(" ".join(f"{k} {getattr(report, k)}" for k in (*checks, "passed")))
     return 0 if report.passed else 2
 
 

@@ -31,7 +31,9 @@ on either side, feeds the sup gap, the derivative maxima (swept in
 cache-sized blocks of ``DERIV_BLOCK`` rows) and the rows around the
 strided lines of the derivative moduli, and is then dropped. A halo row
 has the bits of the chunk that owns it, so the checks see exactly the
-array that :func:`mollify` gathers.
+array that :func:`mollify` gathers. A one-row surface is constant in time,
+and so is its mollification: one direct sum of the row with the kernel
+summed over time, whose time differences are exactly 0.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .recursion import FLOAT_ROUNDING
 FP_SLACK = FLOAT_ROUNDING  # rounding envelope granted on exact inequalities
 HYPOTHESIS_LINES = 160  # strided times and points per axis in the hypothesis audit
 HYPOTHESIS_TOL = 1e-9  # excess the hypothesis audit forgives
-VERIFY_LINES = 64  # strided lines per axis for the derivative moduli
+VERIFY_LINES = 64  # strided times, and least strided points, of the derivative moduli
 REGULARITY_POINTS = 512  # strided points per level in the regularity audit
 REGULARITY_LEVELS = 150  # strided levels in the regularity audit
 PAIR_BLOCK = 1 << 14  # pair differences per block; cache-sized beats whole matrices
@@ -112,6 +114,7 @@ class MollifierSpec:
 class SampledSurface:
     """Values on a uniform rectangular (t, x) grid with declared regularity.
 
+    ``values`` shaped ``(1, len(xs))`` is a surface constant in time.
     ``beta`` is the spatial Holder exponent (constant 1) and ``slack`` the
     additive temporal allowance ``a`` in
     ``|u(t, x) - u(s, x)| <= |t - s|**(beta/2) + a``.
@@ -127,8 +130,8 @@ class SampledSurface:
         self.times = np.asarray(self.times, dtype=float)
         self.xs = np.asarray(self.xs, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.times.size, self.xs.size):
-            raise ValueError("values must be shaped (len(times), len(xs))")
+        if self.values.shape not in ((self.times.size, self.xs.size), (1, self.xs.size)):
+            raise ValueError("values must be shaped (len(times), len(xs)) or (1, len(xs))")
         for axis in (self.times, self.xs):
             if axis.size < 2:
                 raise ValueError("grids need at least 2 points per axis")
@@ -155,12 +158,12 @@ def _surface_grid(x_half_width: float, dt: float, dx: float):
 def surface_from_function(
     fn, *, x_half_width: float, dt: float, dx: float, beta: float, slack: float = 0.0
 ) -> SampledSurface:
-    """Sample ``fn(t, x)`` on [0, 1] x [-L, L] with steps at most (dt, dx)."""
+    """Sample ``fn(t, x)`` on [0, 1] x [-L, L] with steps at most (dt, dx).
+
+    A result of one row, such as ``phi(x)``, is a time-constant surface.
+    """
     times, xs = _surface_grid(x_half_width, dt, dx)
-    vals = np.asarray(fn(times[:, None], xs[None, :]), dtype=float)
-    if vals.shape != (times.size, xs.size):  # fn broadcast: a read-only view, no copy
-        vals = np.broadcast_to(vals, (times.size, xs.size))
-    return SampledSurface(times, xs, vals, beta=beta, slack=slack)
+    return SampledSurface(times, xs, fn(times[:, None], xs[None, :]), beta=beta, slack=slack)
 
 
 def surface_from_field(
@@ -204,7 +207,7 @@ def _kernel_weights(surface: SampledSurface, spec: MollifierSpec) -> np.ndarray:
         raise ResolutionTooCoarseError(f"need dx <= eps/16, got {dx}")
     p_count = math.ceil(e * e / dt - 1e-9)
     q_count = math.ceil(e / dx - 1e-9)
-    nt, nx = surface.values.shape
+    nt, nx = surface.times.size, surface.xs.size
     if nt - p_count < 3 or nx - 2 * q_count < 5:
         raise DomainTooSmallError(
             f"surface leaves {nt - p_count} x {nx - 2 * q_count} mollified points, need 3 x 5"
@@ -272,28 +275,35 @@ def _correlation_chunks(values: np.ndarray, weights: np.ndarray):
         yield lo, hi, now[int(lo == 0) : 1 + hi - lo + (hi < rows), q - 1 : q - 1 + cols]
 
 
+def _mollified(surface: SampledSurface, spec: MollifierSpec):
+    """The width's output times and points, kernel shape and chunk stream.
+
+    A one-row surface's mollification is its row correlated once with the
+    kernel summed over time, constant in time: its one chunk ``(0, 1)``
+    holds that row three times, as its own equal neighbours in time.
+    """
+    weights = _kernel_weights(surface, spec)
+    (p, q), nt, nx = weights.shape, surface.times.size, surface.xs.size
+    grid = surface.times[: nt - p + 1], surface.xs[q // 2 : nx - q // 2], (p, q)
+    if surface.values.shape[0] > 1:
+        return *grid, _correlation_chunks(surface.values, weights)
+    row = np.correlate(surface.values[0], weights.sum(axis=0), "valid")
+    return *grid, iter([(0, 1, np.repeat(row[None], 3, axis=0))])
+
+
 def mollify(surface: SampledSurface, spec: MollifierSpec) -> SampledSurface:
     """Discrete convolution with the scaled kernel by tensor quadrature.
 
     The kernel weights are normalized to unit discrete mass, so constants
     are preserved exactly and the sup norm never grows. Output lives on
     times ``[t0, t_end - eps^2]`` and the x-grid shrunk by ``ceil(eps/dx)``
-    points per side. The chunks of the streamed correlation are gathered
-    into one array; :func:`verify_smoothing_bounds` consumes them as they
-    come instead.
+    points per side, in one row for a one-row surface. The streamed
+    correlation's chunks are gathered, which the checks never do.
     """
-    weights = _kernel_weights(surface, spec)
-    (nt, nx), (p, q) = surface.values.shape, weights.shape
-    values = np.empty((nt - p + 1, nx - q + 1))
-    for lo, hi, block in _correlation_chunks(surface.values, weights):
-        values[lo:hi] = block[int(lo > 0) :][: hi - lo]  # past the halo below
-    return SampledSurface(
-        times=surface.times[: nt - p + 1],
-        xs=surface.xs[q // 2 : nx - q // 2],
-        values=values,
-        beta=surface.beta,
-        slack=surface.slack,
-    )
+    times, xs, _, chunks = _mollified(surface, spec)
+    # past the halo below; a block holds only until the next chunk
+    values = np.concatenate([block[int(lo > 0) :][: hi - lo].copy() for lo, hi, block in chunks])
+    return SampledSurface(times, xs, values, beta=surface.beta, slack=surface.slack)
 
 
 def _strided(n: int, cap: int) -> np.ndarray:
@@ -334,7 +344,7 @@ def audit_surface_hypotheses(surface: SampledSurface) -> tuple[float, float]:
     :class:`HypothesisViolatedError` when either excess exceeds
     ``HYPOTHESIS_TOL``.
     """
-    rows = _strided(surface.times.size, HYPOTHESIS_LINES)
+    rows = _strided(surface.values.shape[0], HYPOTHESIS_LINES)  # one for a time-constant surface
     cols = _strided(surface.xs.size, HYPOTHESIS_LINES)
     vsub = surface.values[np.ix_(rows, cols)]
     spatial = _holder_excess(surface.xs[cols], vsub.T, surface.beta, 0.0)
@@ -412,6 +422,7 @@ def _derivative_modulus(coords, f1, f2, exponent: float, a: float) -> float:
 class SmoothingRow:
     eps: float
     kernel_points: tuple[int, int]
+    modulus_lines: tuple[int, int]  # strided times and points of the derivative moduli
     sup_gap: float
     sup_bound: float
     sup_ok: bool
@@ -441,8 +452,8 @@ class SmoothingReport:
 def _scaling_ok(values) -> bool:
     # genuinely present scaled quantities are kernel-constant sized, O(0.1)
     # and up, and must stay within a factor 10; anything below 1e-6 is
-    # finite-difference/FFT noise around an absent quantity (e.g. time moduli
-    # of a time-constant surface)
+    # rounding noise around an absent quantity (e.g. the d4x of a constant
+    # phi); a one-row surface's time moduli are exactly 0 and need no floor
     lo, hi = min(values), max(values)
     if hi <= 1e-6:
         return True
@@ -457,22 +468,20 @@ def _smoothing_row(surface: SampledSurface, eps: float) -> SmoothingRow:
     those rows are kept.
     """
     beta, a = surface.beta, surface.slack
-    weights = _kernel_weights(surface, MollifierSpec(eps))
-    (nt, nx), (p, q) = surface.values.shape, weights.shape
-    nt_out, nx_out, q_trim = nt - p + 1, nx - q + 1, q // 2
-    times = surface.times[:nt_out]
-    xs = surface.xs[q_trim : q_trim + nx_out]
+    times, xs, (p, q), chunks = _mollified(surface, MollifierSpec(eps))
+    q_trim = q // 2  # ceil(eps / dx)
     dt, dx = float(times[1] - times[0]), float(xs[1] - xs[0])  # of the output grid
 
-    # first time and second space derivatives at strided interior points
-    lines = _strided(nt_out - 2, VERIFY_LINES) + 1
-    cols = _strided(nx_out - 2, VERIFY_LINES) + 1
-    near = lines + np.arange(-1, 2)[:, None]  # rows lines - 1, lines, lines + 1
-    kept = np.empty((*near.shape, nx_out))
+    # first time and second space derivatives at strided interior lines (a
+    # one-row output's row is every row), columns at most ceil(q_trim / 4) apart
+    lines = _strided(times.size - 2, VERIFY_LINES) + 1
+    cols = _strided(xs.size - 2, max(VERIFY_LINES, -(-(xs.size - 3) // -(-q_trim // 4)) + 1)) + 1
+    near = np.minimum(lines + np.arange(-1, 2)[:, None], surface.values.shape[0] - 1)
+    kept = np.empty((*near.shape, xs.size))
     gaps, derivs = [], []
-    for lo, hi, block in _correlation_chunks(surface.values, weights):
+    for lo, hi, block in chunks:
         start = max(lo - 1, 0)
-        gap = block[lo - start : hi - start] - surface.values[lo:hi, q_trim : q_trim + nx_out]
+        gap = block[lo - start : hi - start] - surface.values[lo:hi, q_trim : q_trim + xs.size]
         gaps.append(np.max(np.abs(gap, out=gap)))
         if block.shape[0] > 2:
             derivs.append(_max_core_derivatives(block, dt, dx))
@@ -480,24 +489,21 @@ def _smoothing_row(surface: SampledSurface, eps: float) -> SmoothingRow:
         kept[inside] = block[near[inside] - start]
     sup_gap = float(np.max(gaps))
     sup_bound = 2.0 * eps**beta + a
-    denom = eps**beta + a
-    scaled_deriv = eps**4 * float(np.max(derivs)) / denom
 
     below, at, above = kept
     f1 = (above[:, cols] - below[:, cols]) / (2.0 * dt)
     f2 = (at[:, cols + 1] - 2.0 * at[:, cols] + at[:, cols - 1]) / dx**2
-    temporal = _derivative_modulus(times[lines], f1, f2, beta / 2.0, a)
-    spatial = _derivative_modulus(xs[cols], f1.T, f2.T, beta, 0.0)
 
     return SmoothingRow(
         eps=eps,
         kernel_points=(p, q),
+        modulus_lines=(lines.size, cols.size),
         sup_gap=sup_gap,
         sup_bound=sup_bound,
         sup_ok=sup_gap <= sup_bound * (1.0 + 1e-9) + FP_SLACK,
-        scaled_derivatives=scaled_deriv,
-        scaled_temporal_modulus=eps**2 * temporal,
-        scaled_spatial_modulus=eps**2 * spatial,
+        scaled_derivatives=eps**4 * float(np.max(derivs)) / (eps**beta + a),
+        scaled_temporal_modulus=eps**2 * _derivative_modulus(times[lines], f1, f2, beta / 2.0, a),
+        scaled_spatial_modulus=eps**2 * _derivative_modulus(xs[cols], f1.T, f2.T, beta, 0.0),
     )
 
 

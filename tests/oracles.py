@@ -198,7 +198,9 @@ def smoothing_row(surface, eps: float, u, lines_cap: int) -> dict:
     ``u`` is the width-``eps`` mollified surface as one array; its kernel
     has ``ceil(eps**2 / dt) + 1`` rows and ``2 ceil(eps / dx) + 1`` columns.
     The derivative moduli take every pair of at most ``lines_cap`` strided
-    lines, as one pair matrix.
+    times and of strided points at most ``ceil(ceil(eps / dx) / 4)`` apart
+    (at least ``lines_cap`` of them), as one pair matrix. A one-row
+    ``surface`` stands for that row at every time.
     """
     dt, dx = surface.dt, surface.dx
     p, q = math.ceil(eps * eps / dt - 1e-9), math.ceil(eps / dx - 1e-9)
@@ -209,7 +211,9 @@ def smoothing_row(surface, eps: float, u, lines_cap: int) -> dict:
 
     d1t, d2x, core = whole_array_derivatives(u, dt, dx)
     lines = strided(d1t.shape[0], lines_cap)
-    cols = strided(d1t.shape[1] - 2, lines_cap)
+    n = d1t.shape[1] - 2
+    cols = strided(n, max(lines_cap, math.ceil((n - 1) / math.ceil(q / 4)) + 1))
+    assert np.max(np.diff(cols)) <= math.ceil(q / 4)
     f1 = d1t[np.ix_(lines, cols + 1)]
     f2 = d2x[np.ix_(lines + 1, cols)]
     # pair_t[i, j, c]: both derivative gaps between strided lines i and j
@@ -223,6 +227,7 @@ def smoothing_row(surface, eps: float, u, lines_cap: int) -> dict:
     return {
         "eps": eps,
         "kernel_points": (p + 1, 2 * q + 1),
+        "modulus_lines": (lines.size, cols.size),
         "sup_gap": float(np.max(np.abs(u - surface.values[: u.shape[0], q : q + u.shape[1]]))),
         "sup_bound": 2.0 * eps**beta + a,
         "scaled_derivatives": eps**4 * float(np.max(core)) / (eps**beta + a),

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import cltlab
+import cltlab.cli as cli_module
 from cltlab.cli import ConfigInvalidError, RunConfig, build_parser, main, run
 from cltlab.output import LockHeldError, OutputDir, svg_loglog, write_csv, write_json
 
@@ -312,6 +313,37 @@ class TestMollifyCheck:
         # dt = 0.1^2/16 on [0, 1] and dx = 0.1/16 on [-2, 2]; widths descend
         assert summary["surface_points"] == [1601, 641]
         assert summary["kernel_points"] == [[65, 65], [17, 33]]
+
+    def test_four_widths_pass_with_columns_tied_to_the_kernel(self, tmp_path, capsys):
+        # at eps = 0.025 the kernel spans 33 of 2,561 points; 64 strided
+        # columns stepped over it and failed the spatial check. Columns at
+        # most ceil(ceil(eps / dx) / 4) apart see the flat scaled modulus
+        rc = run_cli(["mollify-check", "--phi", "abs_pow", "--beta", "0.5",
+                      "--eps", "0.2,0.1,0.05,0.025", "--out", tmp_path / "m"])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "sup_ok True derivative_scaling_ok True temporal_scaling_ok True "
+            "spatial_scaling_ok True passed True\n"
+        )
+        summary = json.loads((tmp_path / "m" / "summary.json").read_text())
+        assert summary["surface_points"] == [25601, 2561]
+        assert summary["modulus_lines"] == [[64, 73], [64, 153], [64, 313], [64, 633]]
+
+    def test_stdout_names_a_failing_spatial_check(self, tmp_path, capsys, monkeypatch):
+        # every check is named, so a failure shows which one failed
+        verify = cli_module.verify_smoothing_bounds
+        monkeypatch.setattr(
+            cli_module, "verify_smoothing_bounds",
+            lambda *a: dataclasses.replace(verify(*a), spatial_scaling_ok=False),
+        )
+        rc = run_cli(["mollify-check", "--phi", "abs", "--eps", "0.3,0.2",
+                      "--out", tmp_path / "m"])
+        assert rc == 2
+        assert capsys.readouterr().out == (
+            "sup_ok True derivative_scaling_ok True temporal_scaling_ok True "
+            "spatial_scaling_ok False passed False\n"
+        )
+        assert json.loads((tmp_path / "m" / "summary.json").read_text())["passed"] is False
 
     @pytest.mark.parametrize(
         "args",

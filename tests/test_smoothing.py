@@ -244,6 +244,13 @@ def test_surface_steps_never_exceed_the_requested_ones(eps, half_width, shape):
         mollify(surf, MollifierSpec(eps))  # resolution and domain accepted
 
 
+def test_values_of_any_other_shape_are_refused():
+    # one row is a time-constant surface; a column or a transposed grid is none
+    for fn in (lambda t, x: t + 0.0, lambda t, x: (t + x).T):
+        with pytest.raises(ValueError, match="shaped"):
+            surface_from_function(fn, x_half_width=1.0, dt=0.01, dx=0.05, beta=1.0)
+
+
 class TestVerify:
     def test_abs_power_surfaces_pass(self):
         surf = abs_surface(beta=0.5, eps=0.1)
@@ -298,25 +305,95 @@ class TestVerify:
         assert all(r.scaled_temporal_modulus > 0.0 < r.scaled_spatial_modulus for r in report.rows)
 
     @pytest.mark.parametrize("chunk_rows", [CHUNK_ROWS, 128])
-    def test_broadcast_surface_has_the_bits_of_its_copy(self, monkeypatch, chunk_rows):
-        # a time-constant surface is kept as a one-row view; the reports and
-        # mollified arrays are those of the full array, bit for bit. Widths
-        # 0.3 and 0.2 leave 365 and 385 output rows: no multiple of either
-        # chunk height, and 385 = 3 * 128 + 1 ends in a 1-row slab
+    def test_one_row_surface_matches_its_repeated_copy(self, monkeypatch, chunk_rows):
+        # a time-constant surface is kept as one row and mollified by one 1-D
+        # correlation per width; its full copy takes the 2-D overlap-save
+        # path. Widths 0.3 and 0.2 leave 365 and 385 output rows: no multiple
+        # of either chunk height, and 385 = 3 * 128 + 1 ends in a 1-row slab.
+        # The two sums round differently, so the reports agree within the
+        # stated envelopes, and the one row's time moduli are exactly 0
         monkeypatch.setattr(smoothing, "CHUNK_ROWS", chunk_rows)
         pay = abs_pow_payoff(0.5)
-        view = surface_from_function(
+        one = surface_from_function(
             lambda t, x: pay(x), x_half_width=1.5, dt=0.2**2 / 16.0, dx=0.2 / 16.0,
             beta=0.5, slack=0.01,
         )
-        full = SampledSurface(view.times, view.xs, np.array(view.values), beta=0.5, slack=0.01)
-        assert view.values.strides[0] == 0 and full.values.flags.writeable
+        full = SampledSurface(
+            one.times, one.xs, np.repeat(one.values, one.times.size, axis=0), beta=0.5, slack=0.01
+        )
+        assert one.values.shape == (1, one.xs.size)
         eps_list = [0.3, 0.2]
-        assert verify_smoothing_bounds(view, eps_list) == verify_smoothing_bounds(full, eps_list)
-        for eps, rows in zip(eps_list, [365, 385]):
-            got, want = (mollify(s, MollifierSpec(eps)).values for s in (view, full))
-            assert got.shape[0] == rows and rows % chunk_rows != 0
-            assert got.tobytes() == want.tobytes()
+        got, want = (verify_smoothing_bounds(s, eps_list) for s in (one, full))
+        assert got.passed and want.passed
+        for g, w in zip(got.rows, want.rows):
+            assert (g.kernel_points, g.modulus_lines) == (w.kernel_points, w.modulus_lines)
+            assert abs(g.sup_gap - w.sup_gap) <= FP_SLACK
+            assert g.scaled_derivatives == pytest.approx(w.scaled_derivatives, rel=1e-8, abs=0)
+            assert g.scaled_spatial_modulus == pytest.approx(
+                w.scaled_spatial_modulus, rel=1e-10, abs=0
+            )
+            assert g.scaled_temporal_modulus == 0.0 and w.scaled_temporal_modulus < 1e-6
+        for eps, rows, g in zip(eps_list, [365, 385], got.rows):
+            mine, copy = (mollify(s, MollifierSpec(eps)) for s in (one, full))
+            assert copy.values.shape[0] == rows and rows % chunk_rows != 0
+            assert mine.values.shape == (1, copy.xs.size)
+            assert np.array_equal(mine.times, copy.times) and np.array_equal(mine.xs, copy.xs)
+            assert np.max(np.abs(copy.values - mine.values)) <= FP_SLACK
+            # the one-row report is the whole-array oracle's on that row at
+            # every time, bit for bit
+            u = np.repeat(mine.values, rows, axis=0)
+            row = smoothing_row(one, eps, u, VERIFY_LINES)
+            assert g == SmoothingRow(**row, sup_ok=g.sup_ok)
+
+    @pytest.mark.parametrize("eps", [0.3, 0.2, 0.15])
+    def test_one_row_correlation_is_the_direct_sum(self, eps):
+        # the one row is correlated with the kernel summed over time; the 2-D
+        # direct sum over a copy tall enough for three output rows gives it
+        # in every row, for random values, so no symmetry hides a flip
+        rng = np.random.default_rng(11)
+        one = surface_from_function(
+            lambda t, x: rng.standard_normal(x.shape),
+            x_half_width=1.0, dt=0.15**2 / 16.0, dx=0.15 / 16.0, beta=1.0,
+        )
+        weights = smoothing._kernel_weights(one, MollifierSpec(eps))
+        tall = np.repeat(one.values, weights.shape[0] + 2, axis=0)
+        direct = direct_correlation(tall, weights)
+        got = mollify(one, MollifierSpec(eps)).values
+        assert got.shape == (1, direct.shape[1]) and direct.shape[0] == 3
+        assert np.max(np.abs(direct - got)) <= 1e-12
+
+    def test_moduli_see_a_spike_between_sixty_four_strided_columns(self):
+        # at eps = 0.025 on [-2, 2] the kernel spans 33 points and 64 strided
+        # columns lie about 40 apart; a Lipschitz hat midway between two of
+        # them moves the mollified d2x only within 17 points of its peak,
+        # which columns at most ceil(16 / 4) = 4 apart cannot step over
+        eps = 0.025
+        flat = surface_from_function(
+            lambda t, x: 0.0 * x, x_half_width=2.0, dt=eps**2 / 16.0, dx=eps / 16.0, beta=1.0,
+        )
+        q = math.ceil(eps / flat.dx - 1e-9)
+        n_out = flat.xs.size - 2 * q
+        old = strided(n_out - 2, VERIFY_LINES) + 1  # interior mollified columns
+        mid = (old[31] + old[32]) // 2
+        assert min(mid - old[31], old[32] - mid) > q + 1
+        peak = flat.xs[q + mid]
+        hat = surface_from_function(
+            lambda t, x: np.maximum(0.0, 4.0 * flat.dx - np.abs(x - peak)),
+            x_half_width=2.0, dt=eps**2 / 16.0, dx=eps / 16.0, beta=1.0,
+        )
+        u = mollify(hat, MollifierSpec(eps)).values[0]
+        d2x = u[2:] - 2.0 * u[1:-1] + u[:-2]  # at interior columns 1 .. n_out - 2
+        assert np.all(d2x[old - 1] == 0.0) and np.max(np.abs(d2x)) > 0.0
+        (row,) = verify_smoothing_bounds(hat, [eps]).rows
+        (zero,) = verify_smoothing_bounds(flat, [eps]).rows
+        assert row.modulus_lines == (VERIFY_LINES, 633)
+        assert zero.scaled_spatial_modulus == 0.0 < row.scaled_spatial_modulus
+        # every pair of every column bounds the sampled modulus from above
+        f2 = d2x / flat.dx**2
+        x = flat.xs[q + 1 : q + n_out - 1]
+        gap = np.abs(x[:, None] - x[None, :]) + 1e-300
+        exhaustive = eps**2 * float(np.max(np.abs(f2[:, None] - f2[None, :]) / gap))
+        assert 0.5 * exhaustive < row.scaled_spatial_modulus <= exhaustive * (1.0 + 1e-12)
 
     def test_blocked_derivative_max_sees_every_row(self):
         # a spike makes its own row the largest; no row may fall between blocks
@@ -398,18 +475,18 @@ class TestMemory:
         assert peak < surf.values.nbytes + 4 * slab
 
     @pytest.mark.parametrize(
-        "fn",
-        [lambda t, x: np.abs(x) + 0.0 * t, lambda t, x: np.abs(x)],
+        "fn, rows",
+        [(lambda t, x: np.abs(x) + 0.0 * t, 4001), (lambda t, x: np.abs(x), 1)],
         ids=["full-shape", "broadcast"],
     )
-    def test_sampling_holds_one_surface(self, fn):
+    def test_sampling_holds_one_surface(self, fn, rows):
+        # a fn whose result broadcasts along t is stored as its one row
         surf, peak = traced_peak(lambda: self.tall_surface(fn))
-        assert surf.values.shape == (4001, 321)
-        if surf.values.strides[0]:
+        assert surf.values.shape == (rows, 321) and surf.values.flags.owndata
+        if rows > 1:
             assert peak < 1.05 * surf.values.nbytes
-        else:  # a read-only view of one row: the time axis's temporaries set the peak
-            assert not surf.values.flags.writeable
-            assert peak < 4 * surf.times.nbytes + surf.values[0].nbytes
+        else:  # the time axis's temporaries set the peak
+            assert peak < 4 * surf.times.nbytes + surf.values.nbytes
 
     def test_kernel_mass_allocates_no_array(self):
         mass, peak = traced_peak(smoothing._kernel_mass)
