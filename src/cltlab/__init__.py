@@ -63,6 +63,7 @@ from .smoothing import (
     DomainTooSmallError,
     HypothesisViolatedError,
     MollifierSpec,
+    NonFiniteValuesError,
     ResolutionTooCoarseError,
     SampledSurface,
     regularity_audit,

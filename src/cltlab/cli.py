@@ -373,7 +373,8 @@ def _run_regularity(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
             "spatial_excess": report.spatial_excess,
             "temporal_excess": report.temporal_excess,
             "slack": slack,
-            "levels_checked": report.levels_checked,
+            "spatial_levels_checked": report.spatial_levels_checked,
+            "temporal_levels_checked": report.temporal_levels_checked,
             "points_checked": report.points_checked,
             "passed": report.passed,
         },
@@ -394,10 +395,11 @@ def _run_mollify_check(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
     hw = 2.0 if cfg.half_width is None else cfg.half_width
     if family is not None:  # dp source
         grid = GridSpec(step=min(dx, 1.0 / cfg.n), half_width=max(8.0 * family.sigma_bar, hw))
-        field = solve_recursion(family, payoff, cfg.n, mode="grid", grid=grid)
         a = float(cfg.n) ** (-payoff.beta / 2.0)
+        # the field is dropped once resampled: the checks read the surface only
         surface = surface_from_field(
-            field, x_half_width=hw, dt=dt, dx=dx, beta=payoff.beta, slack=a
+            solve_recursion(family, payoff, cfg.n, mode="grid", grid=grid),
+            x_half_width=hw, dt=dt, dx=dx, beta=payoff.beta, slack=a,
         )
     else:
         surface = surface_from_function(

@@ -18,10 +18,13 @@ specific constant; the sole explicit-constant check is the sup bound
 Holder-beta in space with constant 1 and Holder-beta/2 in time with additive
 slack ``a``.
 
-The audits do each comparison once and keep every reported bit: a Holder
-pair is formed for ``j >= i`` only, levels on equal points are compared as
-lines of batches that share one bound matrix, and a level meets all larger
-levels in one vectorized row.
+The audits do each comparison once: a Lipschitz (``beta = 1``) audit of
+a line is one running-minimum scan, within a few ulps of the pairwise
+``|.|`` form (:func:`_holder_excess` bounds the gap); other exponents form
+each pair ``j >= i`` once; levels on equal points are compared as lines
+of batches that share one bound matrix, and a level meets all larger
+levels in one vectorized row. NaN or infinite values are refused, since
+they would drop out of every max.
 
 The mollified surface is never formed whole in the checks. Per width, the
 correlation runs by overlap-save on ``numpy.fft``, one slab of
@@ -55,7 +58,7 @@ VERIFY_LINES = 64  # strided times, and least strided points, of the derivative 
 REGULARITY_POINTS = 512  # strided points per level in the regularity audit
 REGULARITY_LEVELS = 150  # strided levels in the regularity audit
 PAIR_BLOCK = 1 << 14  # pair differences per block; cache-sized beats whole matrices
-LEVEL_BATCH = 256  # levels per batched spatial audit; bounds its pair blocks' memory
+LEVEL_BATCH = 256  # levels per batched spatial audit; bounds its scan buffers and pair blocks
 DERIV_BLOCK = 32  # surface rows per block of the derivative pass
 CHUNK_ROWS = 256  # mollified rows per overlap-save slab of the correlation
 
@@ -70,6 +73,17 @@ class DomainTooSmallError(LabError, ValueError):
 
 class HypothesisViolatedError(LabError, ValueError):
     """Surface fails its declared regularity."""
+
+
+class NonFiniteValuesError(LabError, ValueError):
+    """Audited values hold a NaN or an infinity."""
+
+
+def _check_finite(values: np.ndarray, what: str) -> None:
+    # min and max carry any NaN or infinity out without a temporary array;
+    # a NaN pair would drop out of the audits' max with 0 and pass them
+    if values.size and not (math.isfinite(np.min(values)) and math.isfinite(np.max(values))):
+        raise NonFiniteValuesError(f"{what} holds a NaN or an infinity")
 
 
 def _bump(r2: np.ndarray) -> np.ndarray:
@@ -316,16 +330,44 @@ def _holder_excess(coords, values, exponent: float, slack: float) -> float:
     """Worst excess of a Holder-type modulus over pairs along axis 0.
 
     Returns the largest ``|values[i] - values[j]|`` minus
-    ``|coords[i] - coords[j]|**exponent + slack``, floored at zero. Further
-    axes of ``values`` are lines compared at the same pair, so a batch of
-    levels on shared points forms its bound matrix once. Both differences
-    are symmetric, so only the pairs ``j >= i`` are formed; the diagonal
-    stays, which keeps a negative ``slack`` visible. Pair rows go a block at
-    a time, about ``PAIR_BLOCK`` differences per block.
+    ``|coords[i] - coords[j]|**exponent + slack``, floored at zero, over
+    the pairs ``j >= i`` of the ascending ``coords`` (non-ascending ones
+    raise ``ValueError``); the diagonal keeps a negative ``slack`` visible.
+    Further axes of ``values`` are lines compared at the same pair.
+
+    For ``exponent == 1`` the pair excess is ``max(a_j - a_i, b_j - b_i)``
+    with ``a = v - x`` and ``b = -v - x``, so the worst pair is one scan:
+    ``max_j (a_j - min_{i <= j} a_i)``, and the same for ``b``, minus
+    ``slack``, in O(n) per line. Float subtraction rounds monotonically, so
+    this is bit for bit the all-pairs max of ``(v_j - x_j) - (v_i - x_i)``
+    minus ``slack``. In exact arithmetic that is the ``|.|`` form; in
+    floats the two differ. With ``u = 2**-53``, ``A = max|v| + max|x|`` and
+    ``s = |slack|``, the scan rounds ``v - x`` at both ends of a pair (up to
+    ``2uA``), their difference (``2uA``) and the slack subtraction
+    (``u (2A + s)``), so it lies within ``6uA + us`` of the exact excess.
+    The ``|.|`` form rounds the two differences (``2uA``), the bound plus
+    slack (``u (2 max|x| + s)``) and the excess (``u (2A + s)``), so it lies
+    within ``6uA + 2us``. Taking the max over pairs and flooring at zero
+    widen neither gap, so the forms differ by at most ``12uA + 3us`` plus
+    terms in ``u**2``, below ``2**-49 * (A + s)``.
+
+    Other exponents form the pairs ``j >= i``, a block of pair rows at a
+    time, about ``PAIR_BLOCK`` differences per block.
     """
+    if np.any(np.diff(coords) < 0):
+        raise ValueError("Holder coordinates must ascend")
+    line_axes = (1,) * (values.ndim - 1)
+    if exponent == 1:
+        x = coords.reshape(-1, *line_axes)
+        line, run_min = np.empty(values.shape), np.empty(values.shape)
+        worst = 0.0
+        for sign in (1.0, -1.0):
+            np.subtract(np.multiply(values, sign, out=line), x, out=line)
+            np.minimum.accumulate(line, axis=0, out=run_min)
+            worst = max(worst, float(np.max(np.subtract(line, run_min, out=line))))
+        return max(0.0, worst - slack)
     worst = 0.0
     rows = max(1, PAIR_BLOCK // values.size)
-    line_axes = (1,) * (values.ndim - 1)
     for i in range(0, coords.size, rows):
         bound = np.abs(coords[i:, None] - coords[None, i : i + rows]) ** exponent + slack
         diff = np.abs(values[i:, None] - values[None, i : i + rows])
@@ -342,8 +384,10 @@ def audit_surface_hypotheses(surface: SampledSurface) -> tuple[float, float]:
     the surface's ``beta`` and ``slack``, checked on at most
     ``HYPOTHESIS_LINES`` strided times and points. Raises
     :class:`HypothesisViolatedError` when either excess exceeds
-    ``HYPOTHESIS_TOL``.
+    ``HYPOTHESIS_TOL``, and :class:`NonFiniteValuesError` on a NaN or an
+    infinity anywhere in the surface.
     """
+    _check_finite(surface.values, "the surface")
     rows = _strided(surface.values.shape[0], HYPOTHESIS_LINES)  # one for a time-constant surface
     cols = _strided(surface.xs.size, HYPOTHESIS_LINES)
     vsub = surface.values[np.ix_(rows, cols)]
@@ -472,9 +516,10 @@ def _smoothing_row(surface: SampledSurface, eps: float) -> SmoothingRow:
     q_trim = q // 2  # ceil(eps / dx)
     dt, dx = float(times[1] - times[0]), float(xs[1] - xs[0])  # of the output grid
 
-    # first time and second space derivatives at strided interior lines (a
-    # one-row output's row is every row), columns at most ceil(q_trim / 4) apart
-    lines = _strided(times.size - 2, VERIFY_LINES) + 1
+    # first time and second space derivatives at strided interior lines (one
+    # for a one-row output, whose row is every row), columns at most
+    # ceil(q_trim / 4) apart
+    lines = _strided(times.size - 2, VERIFY_LINES if surface.values.shape[0] > 1 else 1) + 1
     cols = _strided(xs.size - 2, max(VERIFY_LINES, -(-(xs.size - 3) // -(-q_trim // 4)) + 1)) + 1
     near = np.minimum(lines + np.arange(-1, 2)[:, None], surface.values.shape[0] - 1)
     kept = np.empty((*near.shape, xs.size))
@@ -537,8 +582,9 @@ class RegularityReport:
     temporal_excess: float
     slack: float
     passed: bool
-    levels_checked: int
-    points_checked: int
+    spatial_levels_checked: int
+    temporal_levels_checked: int
+    points_checked: int  # by the spatial audit
 
 
 def regularity_audit(
@@ -549,15 +595,21 @@ def regularity_audit(
 ) -> RegularityReport:
     """Audit a solved field against its Holder certificates.
 
-    Spatial: ``|v(t,x) - v(t,y)| <= |x-y|**beta`` within every stored level.
-    Temporal: ``|v(t,x) - v(s,x)| <= sigma_bar**beta * |t-s|**(beta/2)`` at
-    shared points of level pairs. Checks are exhaustive up to
-    ``REGULARITY_LEVELS`` levels and ``REGULARITY_POINTS`` points per level
-    (strided beyond them); a level pair whose centred stretches differ by
-    more than 1e-9 shares no points and is skipped. Excess is reported raw;
-    the verdict grants the documented float-rounding envelope on top of
-    ``slack``, so ``slack = 0`` means "no violation beyond rounding".
+    Spatial: ``|v(t,x) - v(t,y)| <= |x-y|**beta`` within every stored
+    level, at up to ``REGULARITY_POINTS`` strided points per level; for
+    ``beta = 1`` a level is one running-minimum scan (see
+    :func:`_holder_excess` for its rounding bound). Temporal:
+    ``|v(t,x) - v(s,x)| <= sigma_bar**beta * |t-s|**(beta/2)`` at shared
+    points of every pair of up to ``REGULARITY_LEVELS`` strided levels; a
+    level pair whose centred stretches differ by more than 1e-9 shares no
+    points and is skipped. The report counts the levels of each audit.
+    Excess is reported raw; the verdict grants the documented float-rounding
+    envelope on top of ``slack``, so ``slack = 0`` means "no violation
+    beyond rounding". A NaN or an infinity in any stored level raises
+    :class:`NonFiniteValuesError`.
     """
+    for k, values in enumerate(field.values):
+        _check_finite(values, f"level {k}")
     # consecutive levels on equal points form a run; run[k] is its first level
     run = np.arange(len(field.xs))
     for k in range(1, run.size):
@@ -612,6 +664,7 @@ def regularity_audit(
         temporal_excess=temporal,
         slack=slack,
         passed=worst <= slack + FP_SLACK,
-        levels_checked=int(levels.size),
+        spatial_levels_checked=run.size,
+        temporal_levels_checked=int(levels.size),
         points_checked=points_checked,
     )

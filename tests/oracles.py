@@ -135,7 +135,7 @@ def strided(n: int, cap: int) -> np.ndarray:
     return np.unique(np.linspace(0, n - 1, cap).round().astype(int))
 
 
-def holder_excess(coords, lines, exponent: float, slack: float) -> float:
+def pair_excess(coords, lines, exponent: float, slack: float) -> float:
     """Worst ``|f(x) - f(y)| - (|x - y|**exponent + slack)`` over every pair
     ``(x, y)`` of ``coords`` (the diagonal included) and every line ``f`` of
     ``lines``, floored at 0."""
@@ -143,6 +143,21 @@ def holder_excess(coords, lines, exponent: float, slack: float) -> float:
     worst = 0.0
     for line in lines:
         worst = max(worst, float(np.max(np.abs(line[:, None] - line[None, :]) - bound)))
+    return worst
+
+
+def holder_excess(coords, lines, exponent: float, slack: float) -> float:
+    """:func:`pair_excess`, with an exponent-1 pair ``x <= y`` evaluated as
+    ``max((s f(y) - y) - (s f(x) - x) for s in (1, -1)) - slack``: the same
+    number in exact arithmetic, and the form the audit's scan rounds."""
+    if exponent != 1:
+        return pair_excess(coords, lines, exponent, slack)
+    ordered = coords[:, None] >= coords[None, :]  # [y, x] with x <= y
+    worst = 0.0
+    for line in lines:
+        for a in (line - coords, -line - coords):
+            gain = a[:, None] - a[None, :]
+            worst = max(worst, float(np.max(gain[ordered] - slack)))
     return worst
 
 
@@ -155,7 +170,7 @@ def regularity_excess(field, beta: float, sigma_bar: float, points: int, levels:
     of the larger level that matches the smaller one in size, against
     ``sigma_bar**beta * |t - s|**(beta/2)``; a pair whose stretches differ
     by more than 1e-9 anywhere is skipped. Returns ``(spatial, temporal,
-    levels_checked, points_checked)``.
+    spatial_levels, temporal_levels, points_checked)``.
     """
     spatial, points_checked = 0.0, 0
     for xs, vs in zip(field.xs, field.values):
@@ -176,7 +191,7 @@ def regularity_excess(field, beta: float, sigma_bar: float, points: int, levels:
             vj = field.values[j][oj : oj + m][idx]
             bound = sigma_bar**beta * abs(field.times[j] - field.times[i]) ** (beta / 2.0)
             temporal = max(temporal, float(np.max(np.abs(vi - vj))) - bound)
-    return spatial, temporal, int(ks.size), points_checked
+    return spatial, temporal, len(field.xs), int(ks.size), points_checked
 
 
 def whole_array_derivatives(u, dt, dx):
@@ -200,7 +215,8 @@ def smoothing_row(surface, eps: float, u, lines_cap: int) -> dict:
     The derivative moduli take every pair of at most ``lines_cap`` strided
     times and of strided points at most ``ceil(ceil(eps / dx) / 4)`` apart
     (at least ``lines_cap`` of them), as one pair matrix. A one-row
-    ``surface`` stands for that row at every time.
+    ``surface`` stands for that row at every time, and its moduli read one
+    strided time.
     """
     dt, dx = surface.dt, surface.dx
     p, q = math.ceil(eps * eps / dt - 1e-9), math.ceil(eps / dx - 1e-9)
@@ -210,7 +226,7 @@ def smoothing_row(surface, eps: float, u, lines_cap: int) -> dict:
     beta, a = surface.beta, surface.slack
 
     d1t, d2x, core = whole_array_derivatives(u, dt, dx)
-    lines = strided(d1t.shape[0], lines_cap)
+    lines = strided(d1t.shape[0], lines_cap if surface.values.shape[0] > 1 else 1)
     n = d1t.shape[1] - 2
     cols = strided(n, max(lines_cap, math.ceil((n - 1) / math.ceil(q / 4)) + 1))
     assert np.max(np.diff(cols)) <= math.ceil(q / 4)

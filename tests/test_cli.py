@@ -278,7 +278,7 @@ class TestRegularity:
         assert rows[0] == "check,excess,slack,pass"
         summary = json.loads((tmp_path / "g" / "summary.json").read_text())
         # every level 0..8 and every point of its cone (2k + 1 points)
-        assert summary["levels_checked"] == 9
+        assert summary["spatial_levels_checked"] == summary["temporal_levels_checked"] == 9
         assert summary["points_checked"] == sum(2 * k + 1 for k in range(9))
 
     def test_pde_auto_slack(self, tmp_path):
@@ -327,7 +327,8 @@ class TestMollifyCheck:
         )
         summary = json.loads((tmp_path / "m" / "summary.json").read_text())
         assert summary["surface_points"] == [25601, 2561]
-        assert summary["modulus_lines"] == [[64, 73], [64, 153], [64, 313], [64, 633]]
+        # the time-constant surface's moduli read one time line
+        assert summary["modulus_lines"] == [[1, 73], [1, 153], [1, 313], [1, 633]]
 
     def test_stdout_names_a_failing_spatial_check(self, tmp_path, capsys, monkeypatch):
         # every check is named, so a failure shows which one failed
@@ -387,6 +388,39 @@ def test_refused_run_leaves_no_artifact(tmp_path, capsys, args, code):
     (out / "notes.txt").write_text("kept\n")
     assert run_cli([*args, "--out", out]) == 1
     assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+
+
+def spoil_level(field, bad):
+    field.values[5] = field.values[5].copy()
+    field.values[5][3] = bad
+    return field
+
+
+def spoil_surface(surface, bad):
+    surface.values[0, 3] = bad
+    return surface
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "args, maker, spoil",
+    [
+        pytest.param(["regularity", "--family", "rademacher", "--phi", "abs", "--n", 16,
+                      "--slack", 0], "solve_recursion", spoil_level, id="regularity"),
+        pytest.param(["mollify-check", "--phi", "abs", "--eps", 0.3],
+                     "surface_from_function", spoil_surface, id="mollify-check"),
+    ],
+)
+def test_non_finite_audit_input_is_refused(tmp_path, capsys, monkeypatch, bad, args, maker, spoil):
+    # a NaN pair would drop out of the audits' max with 0 and pass them
+    make = getattr(cli_module, maker)
+    monkeypatch.setattr(cli_module, maker, lambda *a, **k: spoil(make(*a, **k), bad))
+    out = tmp_path / "new" / "o"
+    assert run_cli([*args, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR NonFiniteValues: ") and "\n" not in err.strip()
+    assert "holds a NaN or an infinity" in err
+    assert not (tmp_path / "new").exists()
 
 
 VALUE = ["value", "--sigma-under", 1, "--sigma-bar", 1, "--phi", "abs"]

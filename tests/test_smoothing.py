@@ -11,6 +11,7 @@ from cltlab import (
     GridSpec,
     HypothesisViolatedError,
     MollifierSpec,
+    NonFiniteValuesError,
     ResolutionTooCoarseError,
     SampledSurface,
     ValueField,
@@ -49,6 +50,7 @@ from cltlab.smoothing import (
 
 from oracles import (
     holder_excess,
+    pair_excess,
     regularity_excess,
     smoothing_row,
     strided,
@@ -326,7 +328,10 @@ class TestVerify:
         got, want = (verify_smoothing_bounds(s, eps_list) for s in (one, full))
         assert got.passed and want.passed
         for g, w in zip(got.rows, want.rows):
-            assert (g.kernel_points, g.modulus_lines) == (w.kernel_points, w.modulus_lines)
+            # the one row's moduli read one time line, the copy's every strided one
+            assert g.kernel_points == w.kernel_points
+            assert g.modulus_lines == (1, w.modulus_lines[1])
+            assert w.modulus_lines[0] == VERIFY_LINES
             assert abs(g.sup_gap - w.sup_gap) <= FP_SLACK
             assert g.scaled_derivatives == pytest.approx(w.scaled_derivatives, rel=1e-8, abs=0)
             assert g.scaled_spatial_modulus == pytest.approx(
@@ -386,7 +391,7 @@ class TestVerify:
         assert np.all(d2x[old - 1] == 0.0) and np.max(np.abs(d2x)) > 0.0
         (row,) = verify_smoothing_bounds(hat, [eps]).rows
         (zero,) = verify_smoothing_bounds(flat, [eps]).rows
-        assert row.modulus_lines == (VERIFY_LINES, 633)
+        assert row.modulus_lines == (1, 633)  # a one-row surface reads one time line
         assert zero.scaled_spatial_modulus == 0.0 < row.scaled_spatial_modulus
         # every pair of every column bounds the sampled modulus from above
         f2 = d2x / flat.dx**2
@@ -438,6 +443,18 @@ class TestVerify:
         )
         with pytest.raises(HypothesisViolatedError):
             verify_smoothing_bounds(surf, [0.2])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("one_row", [True, False], ids=["one-row", "full"])
+    def test_non_finite_surface_is_refused(self, bad, one_row):
+        # a NaN pair drops out of a max with 0, so the audit would pass it
+        surf = abs_surface(eps=0.3)
+        if not one_row:
+            surf.values = np.repeat(surf.values, surf.times.size, axis=0)
+        surf.values[-1, 7] = bad
+        for check in (audit_surface_hypotheses, lambda s: verify_smoothing_bounds(s, [0.3])):
+            with pytest.raises(NonFiniteValuesError, match="the surface holds a NaN"):
+                check(surf)
 
 
 def traced_peak(fn):
@@ -524,6 +541,69 @@ class TestRegularityAudit:
         assert not report.passed
         assert report.temporal_excess > 0.5
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("beta", [1.0, 0.5])
+    def test_non_finite_level_is_refused(self, bad, beta):
+        # both audits read level 5; a NaN would drop out of their max with 0
+        field = solve_recursion(RADEMACHER, ABS, 16)
+        field.values[5] = field.values[5].copy()
+        field.values[5][3] = bad
+        with pytest.raises(NonFiniteValuesError, match="level 5 holds a NaN or an infinity"):
+            regularity_audit(field, beta, 1.0, 0.0)
+
+
+def lipschitz_lines(kind, coords, count, rng):
+    """``count`` lines on ``coords`` as columns: uniform in [-8, 8], or
+    slope-1 ramps (a pair meets its bound up to rounding) with one spike."""
+    if kind == "random":
+        return rng.uniform(-8.0, 8.0, (coords.size, count))
+    signs = np.where(rng.random(count) < 0.5, 1.0, -1.0)
+    lines = signs * coords[:, None] + rng.uniform(-4.0, 4.0, count)
+    lines[rng.integers(coords.size, size=count), np.arange(count)] += rng.uniform(0.0, 2.0, count)
+    return np.clip(lines, -8.0, 8.0)
+
+
+class TestLipschitzScan:
+    @pytest.mark.parametrize("slack", [0.0, 0.25, -0.25])
+    @pytest.mark.parametrize("kind", ["random", "spike"])
+    @pytest.mark.parametrize("grid", ["lattice", "random"])
+    def test_scan_is_within_its_rounding_bound_of_the_pair_form(self, grid, kind, slack):
+        # the scan takes max(a_j - a_i) for a = +-v - x; the pair form
+        # |v_j - v_i| - (|x_j - x_i| + slack) rounds differently, within
+        # 2**-49 (max|v| + max|x| + |slack|) by _holder_excess's derivation
+        rng = np.random.default_rng(sum(map(ord, grid + kind)) + int(8 * slack))
+        for n, count in [(2, 1), (37, 1), (200, 5), (512, 3)]:
+            if grid == "lattice":
+                coords = (np.arange(n) - n // 2) * (8.0 / n)
+            else:
+                coords = np.sort(rng.uniform(-8.0, 8.0, n))
+            lines = lipschitz_lines(kind, coords, count, rng)
+            got = smoothing._holder_excess(coords, lines, 1.0, slack)
+            want = pair_excess(coords, lines.T, 1.0, slack)
+            bound = 2.0**-49 * (np.max(np.abs(lines)) + np.max(np.abs(coords)) + abs(slack))
+            assert abs(got - want) <= bound
+            assert got == holder_excess(coords, lines.T, 1.0, slack)  # the scan's own form
+
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_negative_slack_stays_visible_on_the_diagonal(self, n):
+        coords = np.arange(n) / 8.0
+        lines = np.full((n, 2), 0.5)
+        assert smoothing._holder_excess(coords, lines, 1.0, -0.25) == 0.25
+        assert smoothing._holder_excess(coords, lines, 1.0, 0.25) == 0.0
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_violation_between_the_ends_is_found(self, sign):
+        # slope 2 exceeds the bound most between the two ends of the grid
+        coords = np.linspace(-1.0, 1.0, 33)
+        assert smoothing._holder_excess(coords, sign * 2.0 * coords, 1.0, 0.0) == 2.0
+        assert smoothing._holder_excess(coords, sign * 2.0 * coords, 1.0, 0.5) == 1.5
+
+    @pytest.mark.parametrize("exponent", [1.0, 0.5])
+    def test_unsorted_coords_raise(self, exponent):
+        coords = np.array([0.0, 0.5, 0.25, 1.0])
+        with pytest.raises(ValueError, match="must ascend"):
+            smoothing._holder_excess(coords, np.zeros(4), exponent, 0.0)
+
 
 def corrupted(field, bump=1.0):
     """``field`` with one audited terminal value raised by ``bump``: a
@@ -578,7 +658,7 @@ REGULARITY_CASES = {
 def test_regularity_audit_is_the_all_pairs_loop(case):
     field, beta = REGULARITY_CASES[case]()
     slack = 0.01
-    spatial, temporal, levels, points = regularity_excess(
+    spatial, temporal, spatial_levels, temporal_levels, points = regularity_excess(
         field, beta, 1.0, REGULARITY_POINTS, REGULARITY_LEVELS
     )
     assert regularity_audit(field, beta, 1.0, slack) == RegularityReport(
@@ -586,7 +666,8 @@ def test_regularity_audit_is_the_all_pairs_loop(case):
         temporal_excess=temporal,
         slack=slack,
         passed=max(spatial, temporal) <= slack + FP_SLACK,
-        levels_checked=levels,
+        spatial_levels_checked=spatial_levels,
+        temporal_levels_checked=temporal_levels,
         points_checked=points,
     )
     if case.startswith("corrupted"):
