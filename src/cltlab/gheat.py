@@ -30,16 +30,27 @@ sup-recursion over two trinomial laws on ``{-s, 0, s}``, ``s = h * sqrt(n)``
 ``sigma = sigma_under``. Up to rounding and the frozen boundary the two
 agree; the test suite pins that identity.
 
-Degenerate bounds need no special handling: ``sigma_under = 0`` only
-flattens the negative-curvature branch of the endpoint reduction, and
-``sigma_bar = 0`` zeroes every update, leaving the terminal data in place.
+Degenerate bounds need no special handling in the march: ``sigma_under = 0``
+only flattens the negative-curvature branch of the endpoint reduction.
 
-Time levels are sequential; each level's stencil sweep is a pure per-point
-map, vectorized in a fixed order. Terminal data that is even on the grid
-(an exact palindrome) is marched on ``x >= 0`` only, with a ghost cell at
-``-h`` mirrored from ``+h`` before every step, and stored levels are
-rebuilt by reflection, so the stored field is then exactly even. Other data
-is marched on the whole grid.
+With ``sigma_under < sigma_bar`` time levels are sequential; each level's
+stencil sweep is a pure per-point map, vectorized in a fixed order.
+Terminal data that is even on the grid (an exact palindrome) is marched on
+``x >= 0`` only, with a ghost cell at ``-h`` mirrored from ``+h`` before
+every step, and stored levels are rebuilt by reflection, so the stored
+field is then exactly even. Other data is marched on the whole grid.
+
+With ``sigma_under == sigma_bar`` the scheme is the linear heat step
+``u += a * d2u`` with frozen ends, and the sine basis diagonalizes it. So
+each stored level is built in closed form, with no time loop
+(:func:`_heat_levels`): one FFT of the data, then one inverse FFT per
+stored level, whatever the number of steps. The ``(h/2, tau/4)`` pair of
+:func:`richardson_value` is then as cheap as any other equal-volatility
+solve. It is also the more accurate: against a long-double march of
+``abs`` at ``h = 0.005`` (40,000 steps) every stored level is within
+6.4e-15, where the float64 march drifts to 2.1e-13. Even data gives
+exactly even levels here too, and ``sigma_bar = 0`` leaves the terminal
+data in place bit for bit.
 """
 
 from __future__ import annotations
@@ -121,7 +132,11 @@ def solve_gheat(
     spec: SchemeSpec,
     store: str = "levels",
 ) -> ValueField:
-    """Explicit backward march from the terminal data.
+    """Explicit scheme from the terminal data, backwards to ``t = 0``.
+
+    With ``sigma_under < sigma_bar`` the scheme is marched step by step.
+    With equal bounds it is linear, and every stored level is built in
+    closed form by :func:`_heat_levels`, with no time loop.
 
     ``store="levels"`` keeps a strided subset of at most
     ``MAX_STORED_LEVELS`` time levels (always including the initial and
@@ -146,20 +161,37 @@ def solve_gheat(
     tau = 1.0 / steps  # lands exactly on t = 0; only shrinks the ratio
     a_hi = tau * prob.sigma_bar**2 / (2.0 * spec.h**2)
     a_lo = tau * prob.sigma_under**2 / (2.0 * spec.h**2)
-    equal = prob.sigma_under == prob.sigma_bar
 
-    stride = max(1, -(-(steps + 1) // MAX_STORED_LEVELS)) if store == "levels" else 0
-    kept: dict[int, np.ndarray] = {}
     if store == "levels":
-        kept[steps] = terminal.copy()
-
-    # even data stays even: march x >= 0 with a mirrored ghost cell at -h
+        stride = -(-(steps + 1) // MAX_STORED_LEVELS)
+        ks = [*range(0, steps, stride), steps]
+    else:
+        ks = [0]
     even = np.array_equal(terminal, terminal[::-1])
-    u = terminal[x.size // 2 - 1 :].copy() if even else terminal.copy()
+    if prob.sigma_under == prob.sigma_bar:
+        values = _heat_levels(terminal, a_hi, [steps - k for k in ks], even)
+    else:
+        values = _march(terminal, a_hi, a_lo, steps, ks, even)
+    return ValueField(
+        mode="grid",
+        n=steps,
+        h=spec.h,
+        times=np.array(ks) / steps,
+        xs=[x] * len(ks),
+        values=values,
+    )
+
+
+def _march(terminal, a_hi, a_lo, steps, ks, even) -> list[np.ndarray]:
+    """Levels ``ks`` of the nonlinear scheme, marched one step at a time."""
+    # even data stays even: march x >= 0 with a mirrored ghost cell at -h
+    u = terminal[terminal.size // 2 - 1 :].copy() if even else terminal.copy()
 
     def full(w):
         return np.concatenate((w[:1:-1], w[1:])) if even else w.copy()
 
+    keep = set(ks)
+    kept = {steps: terminal}
     right, mid, left = u[2:], u[1:-1], u[:-2]
     d = np.empty(mid.size)
     alt = np.empty(mid.size)
@@ -169,27 +201,60 @@ def solve_gheat(
         np.subtract(right, mid, out=d)
         d -= mid
         d += left
-        if equal:
-            d *= a_hi
-        else:
-            np.multiply(d, a_lo, out=alt)
-            d *= a_hi
-            np.maximum(d, alt, out=d)
+        np.multiply(d, a_lo, out=alt)
+        d *= a_hi
+        np.maximum(d, alt, out=d)
         mid += d
-        if store == "levels" and (k % stride == 0 or k == 0):
+        if k in keep:
             kept[k] = full(u)
+    return [kept[k] for k in ks]
 
-    if store == "final":
-        kept[0] = full(u)
-    ks = sorted(kept)
-    return ValueField(
-        mode="grid",
-        n=steps,
-        h=spec.h,
-        times=np.array(ks) / steps,
-        xs=[x] * len(ks),
-        values=[kept[k] for k in ks],
-    )
+
+def _heat_levels(terminal, a, ms, even) -> list[np.ndarray]:
+    """The linear scheme ``u += a * D2 u`` after ``m`` steps, for each ``m`` in ``ms``.
+
+    The frozen ends fix the straight line through them, whose second
+    difference is zero, so only the remainder ``w``, zero at both ends,
+    evolves. On ``M + 1`` points the sine modes ``sin(pi j i / M)``
+    diagonalize the step with factors ``mu_j = 1 - 4 a sin^2(pi j / 2M)``.
+    One real FFT of the odd extension of ``w`` (length ``2M``) gives its
+    coefficients, and one inverse FFT per level rebuilds ``w`` after ``m``
+    steps. ``mu_j ** m`` is ``+-exp(m * log1p(-e_j))`` with
+    ``e_j = 1 - |mu_j|`` formed without cancellation, since a plain power
+    drifts by about 3e-11 at ``m`` = 160,000. Even data takes its
+    ``x >= 0`` half and mirrors it, so every level is an exact palindrome.
+    ``a = 0`` leaves the data in place, bit for bit.
+    """
+    out = np.empty((len(ms), terminal.size))
+    size = terminal.size - 1  # M
+    line = terminal[0] + (terminal[-1] - terminal[0]) * (np.arange(size + 1) / size)
+    odd = np.zeros(2 * size)
+    odd[1:size] = terminal[1:-1] - line[1:-1]
+    odd[size + 1 :] = -odd[size - 1 : 0 : -1]
+    coef = np.fft.rfft(odd).imag
+    angle = np.pi / (2 * size) * np.arange(size + 1)
+    down = 4.0 * a * np.sin(angle) ** 2
+    flips = down > 1.0  # mu_j < 0
+    up = 2.0 * (1.0 - 2.0 * a) + 4.0 * a * np.cos(angle) ** 2  # 1 - |mu_j| if mu_j < 0
+    log_abs_mu = np.log1p(-np.where(flips, up, down))
+    sign = np.where(flips, -1.0, 1.0)
+    spectrum = np.zeros(size + 1, dtype=complex)
+    w = np.empty(2 * size)
+    lo = terminal.size // 2 if even else 0
+    for row, m in zip(out, ms):
+        if m == 0 or a == 0.0:
+            row[:] = terminal
+            continue
+        power = np.exp(m * log_abs_mu)
+        if m % 2:
+            power *= sign
+        np.multiply(coef, power, out=spectrum.imag)
+        np.fft.irfft(spectrum, 2 * size, out=w)
+        np.add(line[lo:], w[lo : size + 1], out=row[lo:])
+        row[0], row[-1] = terminal[0], terminal[-1]  # frozen, not rebuilt
+        if even:
+            row[:lo] = row[: lo : -1]
+    return list(out)
 
 
 def richardson_value(
@@ -207,7 +272,10 @@ def richardson_value(
     with bar ``|v(h/2) - v(h)|``. It goes to that pair without the ``4h``
     and ``2h`` marches when their step counts do not nest in that of ``h``
     (``tau`` is rounded to land on ``t = 0``, which would change the CFL
-    ratio between levels) or when the ``4h`` grid is degenerate.
+    ratio between levels) or when the ``4h`` grid is degenerate. That march
+    at ``h/2`` costs about 8x the ``h`` march when ``sigma_under <
+    sigma_bar``; with equal bounds every level is a closed form, and it costs
+    about as little as the others.
 
     A caller that has already marched ``spec`` (with either ``store`` mode)
     passes that field's origin value as ``origin_h``; the ``h`` march is

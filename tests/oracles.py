@@ -3,8 +3,9 @@
 Everything here deliberately avoids the package's solver code paths:
 expectation by exhaustive product enumeration, exact convolution of lattice
 laws, textbook Gaussian closed forms, Gauss-Hermite quadrature, seeded
-sample pairs for the payoff certificates, a plain march of one volatility policy for the scheme,
-all-pairs Holder excesses for the regularity audits, and whole-array FFTs and
+sample pairs for the payoff certificates, a plain march of one volatility
+policy for the scheme, a long-double march of the linear scheme, all-pairs
+Holder excesses for the regularity audits, and whole-array FFTs and
 derivatives for the mollification checks.
 """
 
@@ -126,6 +127,22 @@ def policy_march(terminal, a_lo, a_hi, steps: int, policy):
         d2 = u[2:] - 2.0 * u[1:-1] + u[:-2]
         u[1:-1] += np.clip(policy(k, d2), a_lo, a_hi) * d2
     return u
+
+
+def long_double_heat_march(terminal, a, ms):
+    """Levels of the linear scheme ``u += a * d2u`` after each ``m`` in ``ms`` steps.
+
+    The march runs in ``np.longdouble`` (64-bit significand on x86-64) with
+    the two end values frozen; the levels come back as float64.
+    """
+    u = np.array(terminal, dtype=np.longdouble)
+    a = np.longdouble(a)
+    levels = {}
+    for m in range(max(ms) + 1):
+        if m in ms:
+            levels[m] = u.astype(float)
+        u[1:-1] += a * (u[2:] - 2 * u[1:-1] + u[:-2])
+    return [levels[m] for m in ms]
 
 
 def strided(n: int, cap: int) -> np.ndarray:

@@ -31,6 +31,7 @@ from oracles import (
     ROOT_2_OVER_PI,
     TWO_OVER_ROOT_PI,
     gauss_hermite_expectation,
+    long_double_heat_march,
     policy_march,
 )
 
@@ -137,6 +138,52 @@ class TestSolver:
                 store="final",
             )
             assert np.all(u1.values[0] <= u2.values[0] + 1e-12)
+
+
+class TestEqualVolatility:
+    """Equal bounds: every stored level of the linear scheme in closed form."""
+
+    @pytest.mark.parametrize("h", [0.05, 0.01])
+    def test_origin_is_the_binomial_mean_at_cfl_ratio_one(self, h):
+        # at ratio 1 a step averages the two neighbours, so n steps are a
+        # fair +-h walk and the origin holds h * E|S_n|, S_n even
+        prob = GHeatProblem(1.0, 1.0, ABS)
+        field = solve_gheat(prob, default_spec(prob, h=h), store="final")
+        n = field.n
+        assert n % 2 == 0
+        exact = h * (n * math.comb(n, n // 2) / 2**n)
+        assert abs(field.origin_value() - exact) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "payoff, h, cfl_ratio",
+        [
+            (abs_payoff(), 0.04, 1.0),  # 625 steps: mu < 0 to an odd power
+            (cosine_payoff(), 0.04, 1.0),
+            (abs_payoff(), 0.05, 0.7),  # mu < 0 for the top modes only
+            (neg_abs_payoff(), 0.05, 0.4),  # mu > 0 throughout
+            # not even, and the frozen ends differ: 0.5 at -8, 1.0 at +8
+            (piecewise_linear_payoff([-1.0, 0.0, 2.0], [0.5, 0.0, 1.0]), 0.04, 0.9),
+        ],
+        ids=["abs-odd-steps", "cosine", "abs-ratio-0.7", "neg_abs-ratio-0.4", "uneven-ends"],
+    )
+    def test_levels_match_a_long_double_march(self, payoff, h, cfl_ratio):
+        prob = GHeatProblem(1.0, 1.0, payoff)
+        field = solve_gheat(prob, SchemeSpec(h, cfl_ratio * h * h, 8.0))
+        n = field.n
+        ms = [n - round(t * n) for t in field.times]
+        a = 1.0 / n / (2.0 * h * h)
+        for level, oracle in zip(field.values, long_double_heat_march(payoff(field.xs[0]), a, ms)):
+            assert np.max(np.abs(level - oracle)) <= 1e-14
+        assert np.array_equal(field.values[-1], payoff(field.xs[0]))
+
+    @pytest.mark.parametrize("payoff", [abs_payoff(), cosine_payoff()], ids=lambda p: p.kind)
+    def test_final_is_the_first_stored_level(self, payoff):
+        prob = GHeatProblem(1.0, 1.0, payoff)
+        spec = SchemeSpec(0.04, 0.9 * 0.04**2, 8.0)
+        levels = solve_gheat(prob, spec, store="levels")
+        final = solve_gheat(prob, spec, store="final")
+        assert len(levels.values) > 2
+        assert np.array_equal(final.values[0], levels.values[0])
 
 
 class TestRichardson:
