@@ -3,8 +3,9 @@
 
 Both columns are multiplied by n**(1/4): the continuous side is the constant
 2/sqrt(pi) by its closed form; the discrete side comes from the exact
-three-point lattice recursion. The table reports the data without asserting
-a limit for the discrete column.
+three-point lattice recursion, priced by the law of its walk (the family
+has one member, so the recursion is linear). The table reports the data
+without asserting a limit for the discrete column.
 """
 
 import argparse

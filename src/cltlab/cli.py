@@ -252,14 +252,18 @@ def _run_recurse(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
     return 0
 
 
-def _windows(rows):
-    """Per n, the lattice window of the march, or None for grid-mode rows."""
-    if any(r.window is None for r in rows):
-        return None
-    return [
-        {"n": r.n, "J": r.window.J, "cone": r.window.cone, "bound": r.window.bound}
-        for r in rows
-    ]
+def _windows(rows) -> dict:
+    """The recursion mode and, per n in lattice mode, the method and window of vn."""
+    if any(r.method == "grid" for r in rows):
+        return {"mode": "grid", "window": None}
+    return {
+        "mode": "lattice",
+        "window": [
+            {"n": r.n, "method": r.method, "J": r.window.J, "cone": r.window.cone,
+             "bound": r.window.bound}
+            for r in rows
+        ],
+    }
 
 
 def _run_rates(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
@@ -293,7 +297,7 @@ def _run_rates(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
             "reference": report.reference,
             "reference_limited": report.reference_limited,
             "verdict": report.verdict,
-            "window": _windows(report.rows),
+            **_windows(report.rows),
         },
     )
     if cfg.emit_svg:
@@ -331,7 +335,7 @@ def _run_conjecture(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
             "approach_rate": [
                 {"n": [a, b], "rate": rate} for a, b, rate in report.approach_rates()
             ],
-            "window": _windows(report.rows),
+            **_windows(report.rows),
         },
     )
     for r in report.rows:

@@ -30,7 +30,7 @@ from .errors import LabError
 from .families import Family, check_cubic_condition, conjecture_family
 from .gheat import GHeatProblem, SchemeSpec, convex_oracle, default_spec, richardson_value
 from .payoffs import Payoff, abs_payoff
-from .recursion import Window, lattice_window, origin_value
+from .recursion import Window, origin_value, origin_window
 
 SLOPE_TOL = 0.05  # empirical-rate thresholds; artifact policy, not theory
 RESIDUAL_CAP = 0.1
@@ -91,7 +91,8 @@ class RateRow:
     vref: float
     vref_err: float
     err: float
-    window: Window | None = None  # lattice window of vn; None in grid mode
+    method: str  # what priced vn: law | march | grid
+    window: Window | None  # certified window of that method; None on the grid
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,8 @@ def error_curve(
 ) -> RateReport:
     """Per-n recursion errors against the continuous reference, with verdict.
 
-    The recursion runs in lattice mode when the family has a common step.
+    The recursion runs in lattice mode when the family has a common step;
+    each row records what priced it (:func:`origin_window`).
     The reference is analytic (zero bar) when the volatility bounds coincide
     and the payoff is certified convex; otherwise one Richardson scheme
     value, shared by all n, with its gap as the error bar. The report's
@@ -136,12 +138,11 @@ def error_curve(
         reference = "scheme"
         vref, vref_err = richardson_value(prob, ref_spec or default_spec(prob))
 
-    lattice = family.lattice_step is not None  # origin_value's automatic mode
     rows = []
     for n in ns:
         vn = origin_value(family, payoff, n)
-        window = lattice_window(family, payoff, n) if lattice else None
-        rows.append(RateRow(n, vn, vref, vref_err, abs(vn - vref), window))
+        method, window = origin_window(family, payoff, n)
+        rows.append(RateRow(n, vn, vref, vref_err, abs(vn - vref), method, window))
 
     fit_rows = [r for r in rows if r.err > ERR_FLOOR]
     reference_limited = bool(fit_rows) and vref_err > min(r.err for r in fit_rows) / 10.0
@@ -183,7 +184,8 @@ class ConjectureRow:
     n: int
     scaled_continuous: float
     scaled_discrete: float
-    window: Window | None = None
+    method: str
+    window: Window | None
 
 
 @dataclass(frozen=True)
@@ -215,13 +217,13 @@ def conjecture_experiment(ns) -> ConjectureReport:
     The continuous side has equal volatility bounds ``sqrt(2) * n**-0.25``
     and convex data, so ``n**0.25`` times its closed-form value simplifies
     algebraically to ``2/sqrt(pi)``; the column is emitted as that constant.
-    The discrete side is the three-point lattice recursion, exact up to a
-    certified window bound <= 1e-16 (each row carries its window): the walk's
-    variance is only ``2 sqrt(n)`` lattice units squared, so the window
-    ``J = ceil(c/3 + sqrt(c^2/9 + 4 c sqrt(n)))``, ``c = ln(2 L / 1e-16)``,
-    ``L = sqrt(2) n**-0.25``, grows like ``n**(1/4)`` and the work is
-    O(n^{5/4}) instead of the whole cone's O(n^2). The report states both
-    sequences and leaves their limits to the reader.
+    The family has one member, so the discrete side is ``E |S_n| / sqrt(n)``
+    under the law of the three-point walk, built by binary powering and
+    exact up to a certified window bound <= 1e-16 (each row carries its
+    method and window). The walk's variance is only ``2 sqrt(n)`` lattice
+    units squared, so the window ``J`` grows like ``n**(1/4)`` and a row costs
+    about ``2 log2 n`` convolutions of at most ``2 J + 1`` points. The report
+    states both sequences and leaves their limits to the reader.
     """
     ns = sorted(int(n) for n in ns)
     payoff = abs_payoff()
@@ -229,12 +231,6 @@ def conjecture_experiment(ns) -> ConjectureReport:
     for n in ns:
         family = conjecture_family(n)  # raises BadNError below 4
         vnn = origin_value(family, payoff, n)  # lattice step 1
-        rows.append(
-            ConjectureRow(
-                n=n,
-                scaled_continuous=SCALED_TARGET,
-                scaled_discrete=float(n) ** 0.25 * vnn,
-                window=lattice_window(family, payoff, n),
-            )
-        )
+        method, window = origin_window(family, payoff, n)
+        rows.append(ConjectureRow(n, SCALED_TARGET, float(n) ** 0.25 * vnn, method, window))
     return ConjectureReport(rows=tuple(rows), target=SCALED_TARGET)

@@ -15,8 +15,11 @@ faster stencil step.)
   certified window bound <= ``WINDOW_TOL = 1e-16``. :func:`origin_value`
   marches only ``|j| <= min(k * m, J)`` and keeps the points beyond ``J``
   at their terminal values, where ``J`` comes from Freedman's inequality
-  (see :func:`lattice_window`). For the sharpness family ``J`` grows like
-  ``n^{1/4}``, so a march costs O(n^{5/4}) instead of O(n^2).
+  (see :func:`lattice_window`). A family with one member has one law to
+  pick, so its recursion is linear: :func:`origin_value` then skips the
+  march and takes ``E payoff(S_n h)`` from the law of the walk, built by
+  binary powering of the step law in about ``2 log2 n`` convolutions of at
+  most ``2 J + 1`` points (:func:`_law_value`, window :func:`law_window`).
   :func:`solve_recursion` stores every level and marches the whole cone.
   :func:`origin_value`, and so every rate experiment, uses this mode
   whenever the family has a lattice step: even a small interpolation bias
@@ -79,12 +82,13 @@ def _lattice_terms(family: Family):
 
 @dataclass(frozen=True)
 class Window:
-    """Lattice window of a depth-n march, in lattice units.
+    """Lattice window of a depth-n march or law, in lattice units.
 
-    Levels march ``|j| <= min(k * reach, J)``; ``cone = n * reach`` is the
+    A march updates ``|j| <= min(k * reach, J)`` per level; the law path
+    trims every partial sum to ``|j| <= J``. ``cone = n * reach`` is the
     half-width of the whole reachable cone, and ``bound`` certifies how far
-    freezing the points beyond ``J`` can move the origin value (0 when
-    ``J == cone``, so nothing is frozen).
+    the points beyond ``J`` can move the origin value (0 when
+    ``J == cone``, so nothing is frozen or trimmed).
     """
 
     J: int
@@ -130,6 +134,109 @@ def lattice_window(
         return Window(cone, cone, 0.0)
     tail = 2.0 * math.exp(-free * free / (2.0 * (var + m * free / 3.0)))
     return Window(free + drift, cone, min(tail, 1.0) * lip)
+
+
+def _powering_nodes(n: int) -> list[tuple[int, int]]:
+    """``(steps, count)`` of every partial sum that :func:`_law_value` trims.
+
+    The law of ``2^i`` steps (``i = 0`` is the step law itself) stands for
+    ``n >> i`` blocks of the walk; each accumulation of a set bit above the
+    lowest one is one more partial sum, of ``n mod 2^(k+1)`` steps.
+    """
+    bits = range(n.bit_length())
+    sums = [(n & ((2 << k) - 1), 1) for k in bits if n >> k & 1 and 1 << k > n & -n]
+    return [(1 << i, n >> i) for i in bits] + sums
+
+
+def law_window(family: Family, payoff: Payoff, n: int, tol: float = WINDOW_TOL) -> Window:
+    """Smallest window of :func:`_law_value` whose trims move the origin by at most ``tol``.
+
+    Every partial sum that the powering trims to ``|j| <= J`` sums ``steps``
+    iid draws, and Bernstein's inequality bounds the chance that it leaves the
+    window by ``2 exp(-x^2 / (2 (steps s^2 + b x / 3)))``, ``x = J - steps mu``
+    (``s^2`` the second moment, ``mu`` the absolute mean, ``b = m + mu`` the
+    centred step bound; lattice units, the law normalised by its mass). The
+    union over :func:`_powering_nodes` bounds the dropped paths' probability
+    ``q``. Rescaling every trimmed power to its exact mass makes the result
+    the law conditioned on never leaving the window, so the origin moves by
+    at most ``q (J h)^beta + sqrt(q) (E (S_n h)^2)^(beta/2)`` (Holder constant
+    1 and Cauchy-Schwarz on the dropped paths), times the mass ``(sum p)^n``
+    where that exceeds 1. ``tol <= 0`` asks for the whole cone.
+    """
+    if family.lattice_step is None or len(family.members) != 1:
+        raise ModeMismatchError("the law path needs one member on a lattice")
+    n = _depth(n)
+    (dist,), step, beta = family.members, family.lattice_step, payoff.beta
+    _, m = _lattice_terms(family)
+    cone = n * m
+    if tol <= 0.0 or cone == 0:
+        return Window(cone, cone, 0.0)
+    mass = math.fsum(dist.probs)
+    s2 = moment(dist, 2) / mass / step**2
+    mu = abs(moment(dist, 1)) / mass / step
+    spread = (step * step * (s2 + n * mu * mu)) ** (beta / 2.0)
+    scale = max(1.0, mass**n)
+    h = step / math.sqrt(n)
+    nodes = _powering_nodes(n)
+
+    def bound(J):  # certified shift, and the union bound q on leaving |j| <= J at some trim
+        q = 0.0
+        for steps, count in nodes:
+            if steps * m > J:
+                x = max(J - steps * mu, 0.0)
+                q += count * 2.0 * math.exp(-x * x / (2.0 * (steps * s2 + (m + mu) * x / 3.0)))
+        q = min(q, 1.0)
+        return scale * (q * (J * h) ** beta + math.sqrt(q) * spread), q
+
+    lo, hi = -1, cone  # bound(cone) is 0: nothing is trimmed
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        b, q = bound(mid)
+        lo, hi = (lo, mid) if b <= tol and q < 1.0 else (mid, hi)
+    return Window(hi, cone, bound(hi)[0])
+
+
+def _law_value(family: Family, payoff: Payoff, n: int, tol: float):
+    """Origin value of a one-member lattice family as ``E payoff(S_n h)``.
+
+    With one member the sup has one law to pick, so the recursion is linear
+    and the value is the expectation under the law of ``S_n``. That law is
+    built by binary powering of the step law with ``np.convolve`` (about
+    ``2 log2 n`` calls). Each power is trimmed to ``|j| <= J`` of
+    :func:`law_window` at ``tol`` and rescaled to its exact mass
+    ``(sum p)^steps``, with ``sum p - 1`` taken exactly by ``math.fsum``. The
+    law lives on ``steps * min(offsets) + g Z``, ``g`` the gcd of the offset
+    gaps, and is stored on that sublattice. Returns the spacing and the value.
+    """
+    n = _depth(n)
+    J = law_window(family, payoff, n, tol).J
+    ((offs, probs),), _ = _lattice_terms(family)
+    h = family.lattice_step / math.sqrt(n)
+    low = offs[0]  # ascending support
+    g = math.gcd(*(o - low for o in offs)) or 1
+    log_mass = math.log1p(math.fsum([*probs, -1.0]))
+    step_law = np.zeros((offs[-1] - low) // g + 1)
+    step_law[[(o - low) // g for o in offs]] = probs
+
+    def trimmed(start, law, steps):  # law[i] is the mass at j = start + g i
+        first = max(0, -((J + start) // g))
+        law = law[first : (J - start) // g + 1]
+        law *= math.exp(steps * log_mass) / math.fsum(law.tolist())
+        return start + g * first, law, steps
+
+    def combine(a, b):
+        return trimmed(a[0] + b[0], np.convolve(a[1], b[1]), a[2] + b[2])
+
+    power = trimmed(low, step_law, 1)
+    total = None
+    for k in range(n.bit_length()):
+        if k:
+            power = combine(power, power)
+        if n >> k & 1:
+            total = power if total is None else combine(total, power)
+    start, law, _ = total
+    j = start + g * np.arange(law.size)
+    return h, math.fsum((law * payoff(j * h)).tolist())
 
 
 def _expect_grid(values, x, dist: DiscreteDist, n: int, payoff: Payoff):
@@ -304,15 +411,37 @@ def solve_recursion(
     )
 
 
-def origin_value(family: Family, payoff: Payoff, n: int) -> float:
-    """Initial-time value at x = 0 without storing the field (O(n) memory).
+def _origin_method(family: Family) -> str:
+    if family.lattice_step is None:
+        return "grid"
+    return "law" if len(family.members) == 1 else "march"
 
-    A family with a common lattice step marches the window of
-    :func:`lattice_window`, which moves the value by at most its certified
-    bound (<= ``WINDOW_TOL``); any other family marches :func:`default_grid`.
-    A field of :func:`solve_recursion` gives the value in a chosen mode or
-    on a chosen grid.
+
+def origin_window(family: Family, payoff: Payoff, n: int) -> tuple[str, Window | None]:
+    """How :func:`origin_value` prices ``n``: its method and certified window.
+
+    ``("law", law_window)``, ``("march", lattice_window)`` or ``("grid", None)``.
     """
-    if family.lattice_step is not None:
+    method = _origin_method(family)
+    if method == "grid":
+        return method, None
+    return method, (law_window if method == "law" else lattice_window)(family, payoff, n)
+
+
+def origin_value(family: Family, payoff: Payoff, n: int) -> float:
+    """Initial-time value at x = 0 without storing the field.
+
+    A one-member lattice family is priced by the law of its walk
+    (:func:`_law_value`, window :func:`law_window`); a larger lattice family
+    marches the window of :func:`lattice_window` (O(n) memory). Both windows
+    move the value by at most their certified bound (<= ``WINDOW_TOL``). Any
+    other family marches :func:`default_grid`. A field of
+    :func:`solve_recursion` gives the value in a chosen mode or on a chosen
+    grid.
+    """
+    method = _origin_method(family)
+    if method == "law":
+        return _law_value(family, payoff, n, WINDOW_TOL)[1]
+    if method == "march":
         return _lattice_march(family, payoff, n, WINDOW_TOL)[1]
     return _grid_march(family, payoff, n, None)[1]

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the package's solver code paths:
 expectation by exhaustive product enumeration, exact convolution of lattice
-laws, textbook Gaussian closed forms, Gauss-Hermite quadrature, seeded
+laws, exact-rational expectations under the law of a lattice walk, textbook
+Gaussian closed forms, Gauss-Hermite quadrature, seeded
 sample pairs for the payoff certificates, a plain march of one volatility
 policy for the scheme, a long-double march of the linear scheme, all-pairs
 Holder excesses for the regularity audits, and whole-array FFTs and
@@ -12,6 +13,7 @@ derivatives for the mollification checks.
 import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -70,11 +72,52 @@ def gauss_hermite_expectation(payoff, sigma: float, nodes: int = 256) -> float:
 
 
 def binomial_abs_mean(n: int) -> float:
-    """E |S_n| / sqrt(n) for a fair +-1 walk, from the binomial pmf."""
-    total = 0.0
+    """E |S_n| / sqrt(n) for a fair +-1 walk, from the binomial pmf.
+
+    The sum runs in exact integers and is divided by ``2**n`` once, so it
+    neither overflows nor rounds at any depth.
+    """
+    total, comb = 0, 1  # comb = C(n, k)
     for k in range(n + 1):
-        total += math.comb(n, k) * 0.5**n * abs(n - 2 * k)
-    return total / math.sqrt(n)
+        total += comb * abs(n - 2 * k)
+        comb = comb * (n - k) // (k + 1)
+    return total / 2**n / math.sqrt(n)
+
+
+@functools.lru_cache(maxsize=16)
+def _walk_law(probs, offsets, n: int):
+    """Integer weights of ``S_n`` on ``n * offsets[0] + g * t`` and their denominator."""
+    ratios = [Fraction(p) for p in probs]
+    den = max(r.denominator for r in ratios)  # every denominator is a power of two
+    weights = [int(r * den) for r in ratios]
+    lo = offsets[0]
+    g = math.gcd(*(o - lo for o in offsets)) or 1
+    width = (offsets[-1] - lo) // g
+    size = (sum(weights).bit_length() * n) // 8 + 1  # bytes per coefficient
+    base = sum(w << (8 * size * ((o - lo) // g)) for o, w in zip(offsets, weights))
+    raw = (base**n).to_bytes(size * (width * n + 1), "little")
+    coeffs = [
+        int.from_bytes(raw[t * size : (t + 1) * size], "little") for t in range(width * n + 1)
+    ]
+    return g, coeffs, den**n
+
+
+def law_expectation(dist, payoff, n: int, step: float) -> Fraction:
+    """``E payoff(S_n h)``, ``h = step / sqrt(n)``, as an exact rational.
+
+    ``S_n`` sums n draws of ``dist`` in lattice units. The float probabilities
+    are taken as exact fractions, so the law of ``S_n`` is the n-th power of
+    an integer polynomial, taken as one big-integer power by Kronecker
+    substitution. The payoff is evaluated in floats at ``j * h``, the points
+    the solvers price, and its values enter exactly.
+    """
+    offsets = tuple(round(s / step) for s in dist.support)
+    g, coeffs, den = _walk_law(dist.probs, offsets, n)
+    j = n * offsets[0] + g * np.arange(len(coeffs))
+    ratios = [float(v).as_integer_ratio() for v in payoff(j * (step / math.sqrt(n)))]
+    scale = max(d for _, d in ratios)  # a power of two
+    total = sum(c * num * (scale // d) for c, (num, d) in zip(coeffs, ratios))
+    return Fraction(total, den * scale)
 
 
 def sup_recursion_value(dists, payoff, n: int, step: float, window=None) -> float:

@@ -130,9 +130,12 @@ class TestRates:
         summary = json.loads((tmp_path / "a" / "summary.json").read_text())
         assert summary["verdict"] == "pass"
         assert summary["reference"] == "analytic"  # equal bounds, convex data
+        assert summary["mode"] == "lattice"
         *whole, cut = summary["window"]
-        assert whole == [{"n": n, "J": n, "cone": n, "bound": 0.0} for n in (4, 16, 64)]
-        assert cut["n"] == cut["cone"] == 256
+        assert whole == [
+            {"n": n, "method": "law", "J": n, "cone": n, "bound": 0.0} for n in (4, 16, 64)
+        ]
+        assert cut["n"] == cut["cone"] == 256 and cut["method"] == "law"
         assert cut["J"] < 256 and 0.0 < cut["bound"] <= 1e-16
         manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
         assert manifest["schema"] == "cltlab.run/1"
@@ -167,6 +170,17 @@ class TestRates:
         assert rc == 0
         cfg = json.loads((tmp_path / "r" / "config.json").read_text())
         assert cfg["family"]["members"][0]["support"] == [-1.0, 1.0]
+
+    def test_grid_mode_summary_names_its_mode(self, tmp_path):
+        # members on incommensurable lattices leave only the interpolation grid
+        fam = json.dumps({"beta": 1.0, "members": [
+            {"support": [-1, 1], "probs": [0.5, 0.5]},
+            {"support": [-2**0.5, 2**0.5], "probs": [0.5, 0.5]},
+        ]})
+        run_cli(["rates", "--family", fam, "--phi", "abs", "--ns", "4,8,16",
+                 "--ref-h", 0.1, "--out", tmp_path / "r"])
+        summary = json.loads((tmp_path / "r" / "summary.json").read_text())
+        assert summary["mode"] == "grid" and summary["window"] is None
 
     def test_family_from_file(self, tmp_path):
         fam_path = tmp_path / "family.json"
@@ -616,7 +630,8 @@ class TestConjectureCommand:
         windows = summary["window"]
         assert [w["n"] for w in windows] == [16, 64, 1024, 4096]
         assert all(w["cone"] == w["n"] for w in windows)  # reach 1
-        assert windows[0] == {"n": 16, "J": 16, "cone": 16, "bound": 0.0}
+        assert windows[0] == {"n": 16, "method": "law", "J": 16, "cone": 16, "bound": 0.0}
+        assert summary["mode"] == "lattice"
         assert windows[-1]["J"] < 4096 and 0.0 < windows[-1]["bound"] <= 1e-16
         rates = summary["approach_rate"]
         assert [r["n"] for r in rates] == [[64, 1024], [1024, 4096]]

@@ -19,7 +19,7 @@ from cltlab import (
 )
 from cltlab.gheat import GHeatProblem, default_spec
 from cltlab.rates import SCALED_TARGET, ConjectureReport, ConjectureRow
-from cltlab.recursion import lattice_window
+from cltlab.recursion import lattice_window, law_window
 
 from oracles import (
     ROOT_2_OVER_PI,
@@ -102,11 +102,18 @@ class TestErrorCurve:
             error_curve(pair, ABS, [16, 64, 256], ref_spec=coarse, strict_reference=True)
 
     def test_rows_carry_the_window_of_their_march(self):
+        # a one-member family is priced by its law, a pair by the march
         report = error_curve(RADEMACHER, ABS, [16, 4096])
-        assert [r.window for r in report.rows] == [
-            lattice_window(RADEMACHER, ABS, n) for n in (16, 4096)
+        assert [(r.method, r.window) for r in report.rows] == [
+            ("law", law_window(RADEMACHER, ABS, n)) for n in (16, 4096)
         ]
         assert report.rows[1].window.J < 4096
+        pair = builtin_family("rademacher_pair")
+        prob = GHeatProblem(pair.sigma_under, pair.sigma_bar, ABS)
+        report = error_curve(pair, ABS, [16, 64, 256], ref_spec=default_spec(prob, h=1 / 10))
+        assert [(r.method, r.window) for r in report.rows] == [
+            ("march", lattice_window(pair, ABS, n)) for n in (16, 64, 256)
+        ]
 
     def test_grid_mode_rows_have_no_window(self):
         fam = build_family([make_discrete([-1, 1], [0.5, 0.5]),
@@ -114,7 +121,7 @@ class TestErrorCurve:
         assert fam.lattice_step is None
         prob = GHeatProblem(fam.sigma_under, fam.sigma_bar, ABS)
         report = error_curve(fam, ABS, [4, 8, 16], ref_spec=default_spec(prob, h=1 / 10))
-        assert all(r.window is None for r in report.rows)
+        assert all(r.method == "grid" and r.window is None for r in report.rows)
 
     def test_ns_validation(self):
         with pytest.raises(ValueError):
@@ -159,7 +166,10 @@ class TestConjecture:
     def test_approach_rates_over_the_last_three_rows(self):
         def report(*gaps):
             ns = [4**i for i in range(1, len(gaps) + 1)]
-            rows = [ConjectureRow(n, SCALED_TARGET, SCALED_TARGET - g) for n, g in zip(ns, gaps)]
+            rows = [
+                ConjectureRow(n, SCALED_TARGET, SCALED_TARGET - g, "law", None)
+                for n, g in zip(ns, gaps)
+            ]
             return ConjectureReport(tuple(rows), SCALED_TARGET)
 
         # each 4x in n halves the gap: rate log 2 / log 4 = 1/2

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,8 +27,12 @@ from cltlab.recursion import (
     WINDOW_TOL,
     Window,
     _lattice_march,
+    _law_value,
+    _powering_nodes,
     lattice_window,
+    law_window,
     origin_value,
+    origin_window,
     solve_recursion,
 )
 
@@ -36,11 +41,18 @@ from oracles import (
     binomial_abs_mean,
     convolution_value,
     enumerate_value,
+    law_expectation,
     sup_recursion_value,
 )
 
 RADEMACHER = builtin_family("rademacher")
 ABS = abs_payoff()
+
+
+def streaming_march(family, payoff, n):
+    # the windowed march; origin_value takes it for families of two or more
+    # members and prices one-member families by the law of the walk
+    return _lattice_march(family, payoff, n, WINDOW_TOL)[1]
 
 
 class TestKnownValues:
@@ -60,7 +72,7 @@ class TestKnownValues:
 
     def test_solve_matches_streaming(self):
         field = solve_recursion(RADEMACHER, ABS, 8)
-        assert field.origin_value() == origin_value(RADEMACHER, ABS, 8)
+        assert field.origin_value() == streaming_march(RADEMACHER, ABS, 8)
 
 
 class TestStepExpectation:
@@ -114,7 +126,7 @@ class TestBruteForce:
         bf = enumerate_value(d, ABS, n)
         assert origin_value(fam, ABS, n) == pytest.approx(bf, abs=1e-10)
 
-    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("n", [16, 64, 256, 1100, 16384])
     def test_binomial_closed_form_beyond_enumeration(self, n):
         # at depths enumeration cannot reach, the fair-walk value still has
         # an exact binomial expression
@@ -220,7 +232,9 @@ class TestHalfCone:
     @pytest.mark.parametrize("n", [1, 2, 5, 24])
     def test_origin_matches_oracle(self, family, payoff, n):
         v = origin_value(family, payoff, n)
-        assert solve_recursion(family, payoff, n).origin_value() == v
+        assert solve_recursion(family, payoff, n).origin_value() == streaming_march(
+            family, payoff, n
+        )
         assert v == pytest.approx(lattice_oracle(family, payoff, n), abs=FLOAT_ROUNDING)
 
     @pytest.mark.parametrize(
@@ -237,7 +251,7 @@ class TestHalfCone:
         field = solve_recursion(family, payoff, n)
         assert not all(np.array_equal(v, v[::-1]) for v in field.values[1:])
         v = origin_value(family, payoff, n)
-        assert field.origin_value() == v
+        assert field.origin_value() == streaming_march(family, payoff, n)
         assert v == pytest.approx(lattice_oracle(family, payoff, n), abs=FLOAT_ROUNDING)
         assert v == pytest.approx(enumerate_value(family.members[0], payoff, n), abs=1e-10)
 
@@ -266,7 +280,7 @@ def whole_cone(family, payoff, n):
 @pytest.mark.parametrize("pname", WINDOW_PAYOFFS)
 @pytest.mark.parametrize("fname", WINDOW_FAMILIES)
 class TestWindow:
-    """origin_value marches only |j| <= J; beyond it levels keep terminal data."""
+    """The streaming march updates only |j| <= J; beyond it levels keep terminal data."""
 
     @pytest.mark.parametrize("n", [300, 4096])
     def test_matches_the_whole_cone(self, fname, pname, n):
@@ -274,7 +288,7 @@ class TestWindow:
         window = lattice_window(family, payoff, n)
         assert window.J < window.cone  # the window bites
         assert 0.0 < window.bound <= WINDOW_TOL
-        assert origin_value(family, payoff, n) == pytest.approx(
+        assert streaming_march(family, payoff, n) == pytest.approx(
             whole_cone(family, payoff, n), abs=1e-15
         )
 
@@ -330,6 +344,66 @@ class TestWindowBounds:
         for k, (pts, vals) in enumerate(zip(field.xs, field.values)):
             assert pts.size == vals.size == 2 * k + 1, k
         assert field.origin_value() == whole_cone(family, ABS, 256)
+
+
+LAW_FAMILIES = {
+    **{f: WINDOW_FAMILIES[f] for f in ("rademacher", "rademacher_half", "conjecture", "skew_law")},
+    "point_mass": lambda n: build_family([make_discrete([0.0], [1.0])], beta=1.0),
+}
+# the skew law's exact 1024-step power takes about 16 s, so it stops at n = 300
+LAW_CASES = [(f, n) for n in (300, 1024) for f in LAW_FAMILIES if (f, n) != ("skew_law", 1024)]
+
+
+@pytest.mark.parametrize("pname", WINDOW_PAYOFFS)
+class TestLawPath:
+    """origin_value prices a one-member lattice family by the law of its walk."""
+
+    @pytest.mark.parametrize("fname, n", LAW_CASES)
+    def test_matches_the_exact_rational_expectation(self, fname, n, pname):
+        family, payoff = LAW_FAMILIES[fname](n), WINDOW_PAYOFFS[pname]
+        assert origin_window(family, payoff, n)[0] == "law"
+        exact = law_expectation(family.members[0], payoff, n, family.lattice_step)
+        assert abs(Fraction(origin_value(family, payoff, n)) - exact) <= 1e-15
+        assert law_window(family, payoff, n).bound <= WINDOW_TOL
+
+    @pytest.mark.parametrize("fname", [f for f in LAW_FAMILIES if f != "point_mass"])
+    def test_bound_is_honest_at_a_small_window(self, fname, pname):
+        # at tol = 1e-4 L the trims move the value by 1e-12 to 1e-9: well
+        # above rounding, and below the certified bound
+        n = 1024
+        family, payoff = LAW_FAMILIES[fname](n), WINDOW_PAYOFFS[pname]
+        tol = 1e-4 * family.sigma_bar**payoff.beta
+        window = law_window(family, payoff, n, tol)
+        assert window.J < law_window(family, payoff, n).J
+        err = abs(_law_value(family, payoff, n, tol)[1] - _law_value(family, payoff, n, 0.0)[1])
+        assert 1e-13 < err <= window.bound <= tol
+
+
+class TestLawWindow:
+    def test_whole_cone_below_the_window(self):
+        assert law_window(RADEMACHER, ABS, 64) == Window(J=64, cone=64, bound=0.0)
+        assert law_window(RADEMACHER, ABS, 64, tol=0.0) == Window(J=64, cone=64, bound=0.0)
+
+    def test_point_mass_has_an_empty_window(self):
+        fam = build_family([make_discrete([0.0], [1.0])], beta=1.0)
+        assert law_window(fam, ABS, 100) == Window(J=0, cone=0, bound=0.0)
+
+    def test_needs_one_member_on_a_lattice(self):
+        with pytest.raises(ModeMismatchError):
+            law_window(builtin_family("rademacher_pair"), ABS, 64)
+
+    def test_powering_nodes_are_the_trimmed_partial_sums(self):
+        # 13 = 1 + 4 + 8: powers of 1, 2, 4 and 8 steps stand for 13, 6, 3 and 1
+        # blocks; the accumulations hold 5 and then 13 steps
+        assert _powering_nodes(13) == [(1, 13), (2, 6), (4, 3), (8, 1), (5, 1), (13, 1)]
+        assert _powering_nodes(8) == [(1, 8), (2, 4), (4, 2), (8, 1)]
+
+    def test_origin_window_names_the_method(self):
+        pair = builtin_family("rademacher_pair")
+        off_lattice = build_family([rademacher(), rademacher(math.sqrt(2))], beta=1.0)
+        assert origin_window(RADEMACHER, ABS, 4096) == ("law", law_window(RADEMACHER, ABS, 4096))
+        assert origin_window(pair, ABS, 4096) == ("march", lattice_window(pair, ABS, 4096))
+        assert origin_window(off_lattice, ABS, 16) == ("grid", None)
 
 
 class TestGridMode:
