@@ -32,7 +32,7 @@ from .fields import GridSpec
 from .gheat import GHeatProblem, SchemeSpec, default_spec, richardson_value, solve_gheat
 from .output import OutputDir, svg_loglog, write_csv, write_json
 from .payoffs import payoff_from_config
-from .rates import conjecture_experiment, error_curve
+from .rates import analytic_reference, conjecture_experiment, error_curve
 from .recursion import default_grid, resolve_mode, solve_recursion
 from .smoothing import (
     FP_SLACK,
@@ -510,6 +510,9 @@ def run(cfg: RunConfig) -> int:
     payoff = _resolve_payoff(cfg.phi or {"phi": "abs"}) if reads_phi else None
     if cfg.command == "recurse" and resolve_mode(family, cfg.mode) == "lattice":
         _check_reads(cfg, "recurse (lattice)", required, ["mode"])
+    if cfg.command == "rates" and analytic_reference(family, payoff):
+        reads = [key for key in optional if key != "ref_h"]
+        _check_reads(cfg, "rates (analytic reference)", required, reads)
     with OutputDir(cfg.out_dir, cfg.command) as out:
         resolved = cfg.to_dict()
         if isinstance(cfg.family, dict):

@@ -109,6 +109,15 @@ class RateReport:
     verdict: str  # pass | fail | degenerate | reference-limited
 
 
+def analytic_reference(family: Family, payoff: Payoff) -> bool:
+    """Whether :func:`error_curve` takes its reference from :func:`convex_oracle`.
+
+    That needs equal volatility bounds and certified convex terminal data;
+    every other reference is a Richardson scheme value.
+    """
+    return family.sigma_under == family.sigma_bar and payoff.convex
+
+
 def error_curve(
     family: Family,
     payoff: Payoff,
@@ -122,16 +131,16 @@ def error_curve(
 
     The recursion runs in lattice mode when the family has a common step;
     each row records what priced it (:func:`origin_window`).
-    The reference is analytic (zero bar) when the volatility bounds coincide
-    and the payoff is certified convex; otherwise one Richardson scheme
-    value, shared by all n, with its gap as the error bar. The report's
-    ``reference`` says which (``"analytic"`` or ``"scheme"``).
+    The reference is analytic (zero bar) when :func:`analytic_reference`
+    holds; otherwise one Richardson scheme value, shared by all n, with its
+    gap as the error bar. The report's ``reference`` says which
+    (``"analytic"`` or ``"scheme"``).
     """
     ns = sorted(int(n) for n in ns)
     if len(ns) != len(set(ns)) or any(n < 1 for n in ns):
         raise ValueError("ns must be distinct integers >= 1")
     prob = GHeatProblem(family.sigma_under, family.sigma_bar, payoff)
-    if family.sigma_under == family.sigma_bar and payoff.convex:
+    if analytic_reference(family, payoff):
         reference = "analytic"
         vref, vref_err = convex_oracle(prob), 0.0
     else:

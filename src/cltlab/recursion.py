@@ -13,17 +13,17 @@ faster stencil step.)
   exact shift, so the origin value carries no interpolation error: it is
   exact up to float rounding (documented <= 1e-12 at desk scale) and a
   certified window bound <= ``WINDOW_TOL = 1e-16``. :func:`origin_value`
-  marches only ``|j| <= min(k * m, J)`` and keeps the points beyond ``J``
-  at their terminal values, where ``J`` comes from Freedman's inequality
+  marches ``|j| <= J`` at every level and keeps the points beyond ``J`` at
+  their terminal values, where ``J`` comes from Freedman's inequality
   (see :func:`lattice_window`). A family with one member has one law to
   pick, so its recursion is linear: :func:`origin_value` then skips the
   march and takes ``E payoff(S_n h)`` from the law of the walk, built by
   binary powering of the step law in about ``2 log2 n`` convolutions of at
   most ``2 J + 1`` points (:func:`_law_value`, window :func:`law_window`).
-  :func:`solve_recursion` stores every level and marches the whole cone.
-  :func:`origin_value`, and so every rate experiment, uses this mode
-  whenever the family has a lattice step: even a small interpolation bias
-  would pollute slope fits for exponents as small as 1/6.
+  :func:`solve_recursion` marches the whole cone at every level and stores
+  each level's cone. :func:`origin_value`, and so every rate experiment,
+  uses this mode whenever the family has a lattice step: even a small
+  interpolation bias would pollute slope fits for exponents as small as 1/6.
 * ``grid``: a fixed uniform grid with linear interpolation. Positions that
   step beyond the grid are priced by the terminal function itself; far from
   the evaluation cone the solution hugs the terminal data, so with a half
@@ -35,13 +35,12 @@ faster stencil step.)
 Determinism contract: per-point sums run over ascending support, members are
 reduced with a pointwise max in fixed order after all expectations are
 formed, and levels are sequential. Vectorization across points preserves the
-sequential result bit for bit. In lattice mode, when every member's mirror
-law is in the family and the terminal data is an exact palindrome, the field
-is even and only ``j >= 0`` is marched; the points ``j < 0`` are copies, so
-every stored lattice level is then an exact palindrome. For families of
-two-atom laws this is the whole-cone result bit for bit. For a law with
-three or more atoms the sum at ``-j`` runs in the reverse order of the one
-at ``+j``, so values can differ from a whole-cone march by about 1 ulp.
+sequential result bit for bit, and a value on the cone does not depend on
+how far beyond the cone its level is marched. Even data under a family that
+holds every member's mirror law (``-X``) gives exact palindromes when every
+law has two atoms, since float ``+`` and ``max`` commute; a law with three
+or more atoms sums its atoms at ``-j`` in the reverse order of ``+j``, so
+the two sides can differ by about 1 ulp.
 """
 
 from __future__ import annotations
@@ -84,11 +83,11 @@ def _lattice_terms(family: Family):
 class Window:
     """Lattice window of a depth-n march or law, in lattice units.
 
-    A march updates ``|j| <= min(k * reach, J)`` per level; the law path
-    trims every partial sum to ``|j| <= J``. ``cone = n * reach`` is the
-    half-width of the whole reachable cone, and ``bound`` certifies how far
-    the points beyond ``J`` can move the origin value (0 when
-    ``J == cone``, so nothing is frozen or trimmed).
+    A march updates ``|j| <= J`` at every level; the law path trims every
+    partial sum to ``|j| <= J``. ``cone = n * reach`` is the half-width of
+    the whole reachable cone, and ``bound`` certifies how far the points
+    beyond ``J`` can move the origin value (0 when ``J == cone``, so nothing
+    is frozen or trimmed).
     """
 
     J: int
@@ -272,67 +271,45 @@ def default_grid(family: Family, n: int) -> GridSpec:
     return GridSpec(step=1.0 / n, half_width=max(8.0 * family.sigma_bar, 1.0))
 
 
-def _mirror_closed(terms) -> bool:
-    """Whether each member's mirror law (``-X``) is itself a member."""
-    laws = {(offs, probs) for offs, probs in terms}
-    return all(
-        (tuple(-o for o in reversed(offs)), tuple(reversed(probs))) in laws
-        for offs, probs in terms
-    )
-
-
 def _depth(n) -> int:
     if int(n) != n or n < 1:
         raise ValueError(f"need integer n >= 1, got {n}")
     return int(n)
 
 
-def _level_views(nxt, cur, w, zero, even, atoms, scratch):
-    """Output row, scratch rows and per-member shifted reads of |j| <= w (j >= 0 if even)."""
-    lo, width = (zero, w + 1) if even else (zero - w, 2 * w + 1)
-    reads = [[(p, cur[lo + o : lo + o + width]) for p, o in m] for m in atoms]
-    return nxt[lo : lo + width], scratch[0, :width], scratch[1, :width], reads
-
-
 def _lattice_march(family: Family, payoff: Payoff, n: int, tol: float, keep=None):
     """Backward lattice loop; returns the spacing and the level-0 value at x = 0.
 
-    ``keep`` receives ``(k, points, values)`` for every level, each a fresh
-    full-width array. Levels alternate between two buffers sized once, so a
-    level allocates nothing; even data marches ``j >= 0`` with ``reach``
-    ghost points mirrored from ``+j``. Levels march ``|j| <= J`` of
-    :func:`lattice_window` at ``tol``; ``tol = 0`` marches the whole cone.
+    Every level marches ``|j| <= J`` of :func:`lattice_window` at ``tol``
+    (``tol = 0`` marches the whole cone), and the ``reach`` points beyond
+    ``J`` on each side keep their terminal values. Level ``k`` is exact on
+    its cone ``|j| <= k * reach``, which reads only level ``k + 1``'s cone,
+    so what is marched beyond the cone never reaches the origin or a stored
+    level. Levels alternate between two buffers sized once, each with one
+    fixed set of views, so a level allocates nothing. ``keep`` (with
+    ``tol = 0``) receives ``(k, points, values)`` for every level, each a
+    fresh array of its cone.
     """
     n = _depth(n)
     terms, reach = _lattice_terms(family)
     h = family.lattice_step / math.sqrt(n)
-    cut = lattice_window(family, payoff, n, tol).J
-    size = min(n * reach, cut + reach)  # buffers hold j in [-size, size]
+    J = lattice_window(family, payoff, n, tol).J
+    size, width = J + reach, 2 * J + 1  # buffers hold j in [-size, size] at index j + size
     terminal = np.asarray(payoff(np.arange(-size, size + 1) * h), dtype=float)
-    # even data stays even: keep j >= -reach, where index i holds j = i - reach
-    even = _mirror_closed(terms) and np.array_equal(terminal, terminal[::-1])
-    zero = reach if even else size  # index of j = 0
-    cur = terminal[size - reach :] if even else terminal
-    # both levels start as terminal data, so j beyond the window stays frozen
-    levels = (cur, cur.copy())  # level k lives in levels[(n - k) % 2]
-    scratch = np.empty((2, cur.size))
-    # per member, (weight, offset) in ascending support
-    atoms = [list(zip(probs, offs)) for offs, probs in terms]
-    # levels k >= cut / reach all march the window: each reuses one of these
-    saturated = None
-    if cut <= (n - 1) * reach:
-        saturated = [
-            _level_views(levels[i], levels[1 - i], cut, zero, even, atoms, scratch)
-            for i in (0, 1)
-        ]
+    levels = (terminal, terminal.copy())  # level k lives in levels[(n - k) % 2]
+    prod, acc = np.empty((2, width))
+    # per buffer: its row |j| <= J and, per member in ascending support,
+    # (weight, shifted read of the other buffer)
+    views = [
+        (levels[i][reach : reach + width],
+         [[(p, levels[1 - i][reach + o : reach + o + width]) for o, p in zip(offs, probs)]
+          for offs, probs in terms])
+        for i in (0, 1)
+    ]
     for k in range(n, -1, -1):
+        i = (n - k) % 2
         if k < n:  # level k from level k + 1
-            nxt = levels[(n - k) % 2]
-            w = min(k * reach, cut)
-            if w == cut:
-                best, prod, acc, reads = saturated[(n - k) % 2]
-            else:
-                best, prod, acc, reads = _level_views(nxt, cur, w, zero, even, atoms, scratch)
+            best, reads = views[i]
             out = best
             for (p, v), *rest in reads:
                 np.multiply(v, p, out=out)
@@ -342,17 +319,10 @@ def _lattice_march(family: Family, payoff: Payoff, n: int, tol: float, keep=None
                 if out is acc:
                     np.maximum(best, acc, out=best)
                 out = acc
-            if even and k:
-                nxt[:reach] = nxt[2 * reach : reach : -1]
-            cur = nxt
         if keep is not None:
-            top = zero + k * reach
-            if even:
-                full = np.concatenate((cur[top:reach:-1], cur[reach : top + 1]))
-            else:
-                full = cur[2 * zero - top : top + 1].copy()
-            keep(k, np.arange(-k * reach, k * reach + 1) * h, full)
-    return h, float(cur[zero])
+            cone = k * reach
+            keep(k, np.arange(-cone, cone + 1) * h, levels[i][size - cone : size + cone + 1].copy())
+    return h, float(levels[n % 2][size])
 
 
 def _grid_march(family: Family, payoff: Payoff, n: int, grid, keep=None):

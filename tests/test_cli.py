@@ -499,7 +499,7 @@ DP = ["regularity", "--family", "rademacher_pair", "--phi", "abs", "--n", 32, "-
         pytest.param(["value", "--sigma-under", 1, "--phi", "abs"], "value needs sigma_bar",
                      id="value_no_sigma_bar"),
         pytest.param(DP[:5], "regularity (dp) needs n", id="regularity_dp_no_n"),
-        # a key the command (or its source, or the resolved mode) does not read
+        # a key the command (or its source, the resolved mode or reference) does not read
         pytest.param([*DP, "--mode", "grid", "--h", 0.3], "regularity (dp) does not read h",
                      id="regularity_dp_h"),
         pytest.param([*PDE, "--family", "rademacher_pair"],
@@ -520,6 +520,9 @@ DP = ["regularity", "--family", "rademacher_pair", "--phi", "abs", "--n", 32, "-
         pytest.param([*RECURSE, "--n", 4, "--mode", "lattice", "--half-width", 9],
                      "recurse (lattice) does not read half_width",
                      id="recurse_lattice_half_width"),
+        # equal bounds and convex data: the reference is analytic, no scheme is marched
+        pytest.param([*RATES, "--ns", "4,16,64", "--ref-h", 0.01],
+                     "rates (analytic reference) does not read ref_h", id="rates_analytic_ref_h"),
         pytest.param([*VALUE, "--family", "rademacher"], "unrecognized arguments: --family",
                      id="value_family"),
         # a malformed or inconsistent value

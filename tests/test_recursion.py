@@ -178,7 +178,7 @@ class TestField:
     @pytest.mark.parametrize(
         "mode, payoff",
         [
-            ("lattice", ABS),  # even: marched on j >= 0
+            ("lattice", ABS),
             ("lattice", piecewise_linear_payoff([-8.0, 0.25, 8.0], [8.25, 0.0, 7.75])),
             ("grid", ABS),
         ],
@@ -194,13 +194,24 @@ class TestField:
             level[:] = before[k]
 
 
-SKEW =make_discrete([-1, 2], [2 / 3, 1 / 3])
+SKEW = make_discrete([-1, 2], [2 / 3, 1 / 3])
 SKEW_MIRROR = make_discrete([-2, 1], [1 / 3, 2 / 3])
+# two three-atom laws on {-1, 0, 1}: the sup switches between them
+THREE_ATOM_PAIR = build_family(
+    [make_discrete([-1, 0, 1], [0.25, 0.5, 0.25]), make_discrete([-1, 0, 1], [0.1, 0.8, 0.1])],
+    beta=1.0,
+)
 MIRROR_CLOSED = {
     "rademacher": builtin_family("rademacher"),
     "rademacher_pair": builtin_family("rademacher_pair"),
     "conjecture_64": conjecture_family(64),
     "skew_and_mirror": build_family([SKEW, SKEW_MIRROR], beta=1.0),
+    "three_atom_pair": THREE_ATOM_PAIR,
+}
+# two-atom laws: the sum at -j adds the same two products as at +j, and
+# float + and max commute, so even data stays an exact palindrome
+TWO_ATOM_MIRROR_CLOSED = {
+    f: MIRROR_CLOSED[f] for f in ("rademacher", "rademacher_pair", "skew_and_mirror")
 }
 EVEN_PAYOFFS = {
     "abs": ABS,
@@ -216,10 +227,12 @@ def lattice_oracle(family, payoff, n):
 
 
 class TestHalfCone:
-    """Even data under a mirror-closed family is marched on j >= 0 only."""
+    """Even data under a mirror-closed family: the march covers both half cones."""
 
     @pytest.mark.parametrize("payoff", EVEN_PAYOFFS.values(), ids=EVEN_PAYOFFS)
-    @pytest.mark.parametrize("family", MIRROR_CLOSED.values(), ids=MIRROR_CLOSED)
+    @pytest.mark.parametrize(
+        "family", TWO_ATOM_MIRROR_CLOSED.values(), ids=TWO_ATOM_MIRROR_CLOSED
+    )
     def test_levels_are_palindromes(self, family, payoff):
         field = solve_recursion(family, payoff, 24)
         for k, (pts, vals) in enumerate(zip(field.xs, field.values)):
@@ -262,13 +275,14 @@ WINDOW_FAMILIES = {
     "rademacher_pair": lambda n: builtin_family("rademacher_pair"),
     "conjecture": conjecture_family,
     "skew_law": lambda n: build_family([SKEW], beta=1.0),  # not mirror-closed
+    "three_atom_pair": lambda n: THREE_ATOM_PAIR,
 }
 WINDOW_PAYOFFS = {
     "abs": ABS,
     "neg_abs": neg_abs_payoff(),
     "cosine_scaled": cosine_payoff(),
     "abs_pow_0.5": abs_pow_payoff(0.5),
-    # not even: marched on the whole window
+    # not even
     "piecewise_linear": piecewise_linear_payoff([-1.0, 0.25, 2.0], [0.5, -0.25, 0.5]),
 }
 
