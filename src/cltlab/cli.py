@@ -379,6 +379,7 @@ def _run_regularity(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
             "slack": slack,
             "spatial_levels_checked": report.spatial_levels_checked,
             "temporal_levels_checked": report.temporal_levels_checked,
+            "temporal_pairs_checked": report.temporal_pairs_checked,
             "points_checked": report.points_checked,
             "passed": report.passed,
         },

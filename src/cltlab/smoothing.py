@@ -18,13 +18,15 @@ specific constant; the sole explicit-constant check is the sup bound
 Holder-beta in space with constant 1 and Holder-beta/2 in time with additive
 slack ``a``.
 
-The audits do each comparison once: a Lipschitz (``beta = 1``) audit of
-a line is one running-minimum scan, within a few ulps of the pairwise
-``|.|`` form (:func:`_holder_excess` bounds the gap); other exponents form
-each pair ``j >= i`` once; levels on equal points are compared as lines
-of batches that share one bound matrix, and a level meets all larger
-levels in one vectorized row. NaN or infinite values are refused, since
-they would drop out of every max.
+The audits do each comparison once, in whole-array passes: a Lipschitz
+(``beta = 1``) audit of a line is one running-minimum scan, within a few
+ulps of the pairwise ``|.|`` form (:func:`_holder_excess` bounds the gap),
+and a field's levels share batches of such lines; other exponents form
+each pair ``j >= i`` once, and levels on equal points share one bound
+matrix. The temporal audit centres the strided levels in the rows of one
+matrix, so a level meets every larger one in one pass over a block of
+columns. NaN or infinite values are refused, since they would drop out of
+every max.
 
 The mollified surface is never formed whole in the checks. Per width, the
 correlation runs by overlap-save on ``numpy.fft``, one slab of
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LabError
-from .fields import ValueField
+from .fields import TIME_LOOKUP_TOL, ValueField
 from .recursion import FLOAT_ROUNDING
 
 FP_SLACK = FLOAT_ROUNDING  # rounding envelope granted on exact inequalities
@@ -58,7 +60,7 @@ VERIFY_LINES = 64  # strided times, and least strided points, of the derivative 
 REGULARITY_POINTS = 512  # strided points per level in the regularity audit
 REGULARITY_LEVELS = 150  # strided levels in the regularity audit
 PAIR_BLOCK = 1 << 14  # pair differences per block; cache-sized beats whole matrices
-LEVEL_BATCH = 256  # levels per batched spatial audit; bounds its scan buffers and pair blocks
+LEVEL_BATCH = 32  # levels per spatial-audit batch; bounds its scan buffers (0.5 MB) and pair blocks
 DERIV_BLOCK = 32  # surface rows per block of the derivative pass
 CHUNK_ROWS = 256  # mollified rows per overlap-save slab of the correlation
 
@@ -193,13 +195,16 @@ def surface_from_field(
 
     Time uses the field's piecewise-constant extension; space interpolates
     linearly, which preserves a Lipschitz certificate exactly (use beta = 1
-    surfaces for field-derived inputs).
+    surfaces for field-derived inputs). Each stored level that some row
+    reads is interpolated once, into all of its rows.
     """
     times, xs = _surface_grid(x_half_width, dt, dx)
+    # every row's level as field.level_index finds it; a level's rows are consecutive
+    lvl = np.maximum(np.searchsorted(field.times, times + TIME_LOOKUP_TOL, side="right") - 1, 0)
+    ends = [*np.flatnonzero(np.diff(lvl)) + 1, times.size]
     vals = np.empty((times.size, xs.size))
-    for i, t in enumerate(times):
-        lvl = field.level_index(t)
-        vals[i] = np.interp(xs, field.xs[lvl], field.values[lvl])
+    for lo, hi in zip([0, *ends], ends):
+        vals[lo:hi] = np.interp(xs, field.xs[lvl[lo]], field.values[lvl[lo]])
     return SampledSurface(times, xs, vals, beta=beta, slack=slack)
 
 
@@ -321,9 +326,10 @@ def mollify(surface: SampledSurface, spec: MollifierSpec) -> SampledSurface:
 
 
 def _strided(n: int, cap: int) -> np.ndarray:
+    # past the cap the points step by (n - 1)/(cap - 1) > 1, so rounding keeps them ascending
     if n <= cap:
         return np.arange(n)
-    return np.unique(np.linspace(0, n - 1, cap).round().astype(int))
+    return np.linspace(0, n - 1, cap).round().astype(int)
 
 
 def _holder_excess(coords, values, exponent: float, slack: float) -> float:
@@ -333,7 +339,9 @@ def _holder_excess(coords, values, exponent: float, slack: float) -> float:
     ``|coords[i] - coords[j]|**exponent + slack``, floored at zero, over
     the pairs ``j >= i`` of the ascending ``coords`` (non-ascending ones
     raise ``ValueError``); the diagonal keeps a negative ``slack`` visible.
-    Further axes of ``values`` are lines compared at the same pair.
+    Further axes of ``values`` are lines compared at the same pair. For
+    ``exponent == 1`` the coordinates may also be shaped like ``values``,
+    each line on its own ones.
 
     For ``exponent == 1`` the pair excess is ``max(a_j - a_i, b_j - b_i)``
     with ``a = v - x`` and ``b = -v - x``, so the worst pair is one scan:
@@ -354,12 +362,12 @@ def _holder_excess(coords, values, exponent: float, slack: float) -> float:
     Other exponents form the pairs ``j >= i``, a block of pair rows at a
     time, about ``PAIR_BLOCK`` differences per block.
     """
-    if np.any(np.diff(coords) < 0):
+    if np.any(np.diff(coords, axis=0) < 0):
         raise ValueError("Holder coordinates must ascend")
     line_axes = (1,) * (values.ndim - 1)
     if exponent == 1:
-        x = coords.reshape(-1, *line_axes)
-        line, run_min = np.empty(values.shape), np.empty(values.shape)
+        x = coords if coords.shape == values.shape else coords.reshape(-1, *line_axes)
+        line, run_min = np.empty_like(values), np.empty_like(values)
         worst = 0.0
         for sign in (1.0, -1.0):
             np.subtract(np.multiply(values, sign, out=line), x, out=line)
@@ -452,13 +460,17 @@ def _derivative_modulus(coords, f1, f2, exponent: float, a: float) -> float:
 
     Rows ``i`` and ``j`` run along axis 0 and the numerator takes its max
     over the remaining axis. The ``1e-300`` guard sends the diagonal to 0
-    and rounds away in every other denominator.
+    and rounds away in every other denominator. Both sides are symmetric in
+    ``i`` and ``j``, so a block of rows ``i`` meets the rows ``j >= i`` only,
+    about ``PAIR_BLOCK`` differences per block.
     """
     worst = 0.0
-    for i in range(coords.size):
-        num = np.max(np.abs(f1 - f1[i]) + np.abs(f2 - f2[i]), axis=1)
-        gap = np.abs(coords - coords[i])
-        worst = max(worst, float(np.max(num / (gap**exponent + a + 1e-300))))
+    rows = max(1, PAIR_BLOCK // f1.size)
+    for i in range(0, coords.size, rows):
+        num = np.abs(f1[i:, None] - f1[None, i : i + rows])
+        num += np.abs(f2[i:, None] - f2[None, i : i + rows])
+        gap = np.abs(coords[i:, None] - coords[None, i : i + rows])
+        worst = max(worst, float(np.max(np.max(num, axis=2) / (gap**exponent + a + 1e-300))))
     return worst
 
 
@@ -576,6 +588,94 @@ def verify_smoothing_bounds(surface: SampledSurface, eps_list) -> SmoothingRepor
     )
 
 
+def _spatial_excess(field: ValueField, run: np.ndarray, beta: float) -> tuple[float, int]:
+    """The spatial audit's worst excess and the points it checked.
+
+    A Lipschitz scan reads each line's own points, so levels of any size
+    share a batch, each padded at the top with its first point (adding
+    exactly 0); other exponents share one bound matrix within a run.
+    """
+    strided = {n: _strided(n, REGULARITY_POINTS) for n in {x.size for x in field.xs}}
+    full = [k for k in range(run.size) if field.xs[k].size]  # empty levels compare nothing
+    groups = itertools.groupby(full, key=lambda k: 0 if beta == 1 else run[k])
+    spatial, points_checked = 0.0, 0
+    for members in (list(g) for _, g in groups):
+        for b in range(0, len(members), LEVEL_BATCH):
+            batch = members[b : b + LEVEL_BATCH]
+            idxs = [strided[field.xs[k].size] for k in batch]
+            rows = max(idx.size for idx in idxs)
+            lines = np.empty((2, len(batch), rows))  # points and values
+            for line, k, idx in zip(lines.transpose(1, 0, 2), batch, idxs):
+                line[:, rows - idx.size :] = field.xs[k][idx], field.values[k][idx]
+                line[:, : rows - idx.size] = line[:, rows - idx.size, None]
+            x = lines[0].T if beta == 1 else lines[0, 0]
+            spatial = max(spatial, _holder_excess(x, lines[1].T, beta, 0.0))
+            points_checked += sum(idx.size for idx in idxs)
+    return spatial, points_checked
+
+
+def _pair_bounds(times: np.ndarray, beta: float, sigma_bar: float) -> np.ndarray:
+    """``sigma_bar**beta * |t_i - t_j|**(beta/2)`` for all pairs of ``times``:
+    one scalar power per distinct gap, since numpy's array power rounds
+    some inputs otherwise."""
+    gaps, pair_gap = np.unique(np.abs(times[:, None] - times).ravel(), return_inverse=True)
+    bounds = sigma_bar**beta * np.array([g ** (beta / 2.0) for g in gaps.tolist()])
+    return bounds[pair_gap].reshape(times.size, times.size)
+
+
+def _temporal_excess(
+    field: ValueField, run: np.ndarray, levels: np.ndarray, beta: float, sigma_bar: float
+) -> tuple[float, int]:
+    """Worst temporal excess over pairs of ``levels``, and the pairs compared.
+
+    The levels, smallest first, sit centred in the rows of one matrix. A
+    pair's stretch of the larger level q lies at the smaller p's columns,
+    or one column earlier when ``W - n_q`` and ``n_q - n_p`` are odd. Runs
+    and exact stretches of the widest level read in place share their
+    points; other pairs do if every gap is within 1e-9.
+    """
+    order = sorted((k for k in levels if field.xs[k].size), key=lambda k: (field.xs[k].size, k))
+    sizes = np.array([field.xs[k].size for k in order], dtype=int)
+    width = sizes[-1] if order else 0
+    offsets, odd = (width - sizes) // 2, (width - sizes) % 2 == 1
+    early = ~odd[:, None] & odd  # [p, q]
+    bound = _pair_bounds(field.times[order], beta, sigma_bar)
+    matrix = np.zeros((len(order), width))
+    exact = np.empty(len(order), dtype=bool)
+    for p, k in enumerate(order):
+        cols = slice(offsets[p], offsets[p] + sizes[p])
+        matrix[p, cols] = field.values[k]
+        exact[p] = np.array_equal(field.xs[k], field.xs[order[-1]][cols])
+    shared = np.triu((run[order][:, None] == run[order]) | (exact[:, None] & exact & ~early), 1)
+    look = np.triu(~shared, 1)
+    if look.any():
+        xs_matrix = np.zeros_like(matrix)
+        for p, k in enumerate(order):
+            xs_matrix[p, offsets[p] : offsets[p] + sizes[p]] = field.xs[k]
+    diffs = np.zeros((len(order), len(order)))  # [p, q]: max |v_q - v_p| at p's strided points
+    buf = np.empty(len(order) * min(width, REGULARITY_POINTS))
+    for p in range(len(order) - 1):
+        size, offset = sizes[p], offsets[p]
+        if p == 0 or size != sizes[p - 1]:  # the levels of one size read one block
+            first, idx = p, _strided(size, REGULARITY_POINTS)
+            block = matrix[p:, offset : offset + size]
+            if idx.size < size:  # take keeps the gathered rows contiguous
+                block = np.take(block, idx, axis=1)
+        rest = block[p - first + 1 :]  # a view of one block only, so two are never alive
+        diff = np.subtract(rest, block[p - first], out=buf[: rest.size].reshape(rest.shape))
+        np.max(np.abs(diff, out=diff), axis=1, out=diffs[p, p + 1 :])
+        q = np.flatnonzero(look[p])
+        if q.size:
+            start = (offset - early[p, q])[:, None]
+            gap = np.abs(xs_matrix[q[:, None], start + np.arange(size)] - field.xs[order[p]])
+            shared[p, q] = np.max(gap, axis=1) <= 1e-9
+            q, start = q[shared[p, q]], start[shared[p, q]]
+            diffs[p, q] = np.max(np.abs(matrix[q[:, None], start + idx] - block[p - first]), axis=1)
+    pairs = int(np.count_nonzero(shared))
+    excess = np.subtract(diffs, bound, out=diffs)
+    return (max(0.0, float(np.max(excess[shared]))) if pairs else 0.0), pairs
+
+
 @dataclass(frozen=True)
 class RegularityReport:
     spatial_excess: float
@@ -584,6 +684,7 @@ class RegularityReport:
     passed: bool
     spatial_levels_checked: int
     temporal_levels_checked: int
+    temporal_pairs_checked: int  # level pairs that share points, compared
     points_checked: int  # by the spatial audit
 
 
@@ -602,7 +703,8 @@ def regularity_audit(
     ``|v(t,x) - v(s,x)| <= sigma_bar**beta * |t-s|**(beta/2)`` at shared
     points of every pair of up to ``REGULARITY_LEVELS`` strided levels; a
     level pair whose centred stretches differ by more than 1e-9 shares no
-    points and is skipped. The report counts the levels of each audit.
+    points and is skipped, and so is a level with no points. The report
+    counts the levels of each audit and the level pairs compared.
     Excess is reported raw; the verdict grants the documented float-rounding
     envelope on top of ``slack``, so ``slack = 0`` means "no violation
     beyond rounding". A NaN or an infinity in any stored level raises
@@ -616,48 +718,9 @@ def regularity_audit(
         if np.array_equal(field.xs[k], field.xs[k - 1]):
             run[k] = run[k - 1]
 
-    spatial = 0.0
-    points_checked = 0
-    for first, members in itertools.groupby(range(run.size), key=run.__getitem__):
-        members = list(members)
-        idx = _strided(field.xs[first].size, REGULARITY_POINTS)
-        for b in range(0, len(members), LEVEL_BATCH):
-            batch = members[b : b + LEVEL_BATCH]
-            lines = np.stack([field.values[k][idx] for k in batch], axis=1)
-            spatial = max(spatial, _holder_excess(field.xs[first][idx], lines, beta, 0.0))
-        points_checked += idx.size * len(members)
-
-    # a pair compares the smaller level whole with the middle of the larger,
-    # so each level meets every larger level (or equal one stored later) at once
+    spatial, points_checked = _spatial_excess(field, run, beta)
     levels = _strided(field.times.size, REGULARITY_LEVELS)
-    order = sorted(levels, key=lambda k: (field.xs[k].size, k))
-    sizes = np.array([field.xs[k].size for k in order])
-    offsets = np.cumsum(sizes) - sizes
-    flat_x = np.concatenate([field.xs[k] for k in order])
-    flat_v = np.concatenate([field.values[k] for k in order])
-    temporal = 0.0
-    for p, i in enumerate(order[:-1]):
-        size = sizes[p]
-        if size == 0:
-            continue  # no shared points to compare
-        larger = np.array(order[p + 1 :])
-        middle = offsets[p + 1 :] + (sizes[p + 1 :] - size) // 2  # in flat_x, flat_v
-        check = run[larger] != run[i]  # a run shares its points
-        if check.any():
-            gap = np.abs(flat_x[middle[check, None] + np.arange(size)] - field.xs[i])
-            shared = np.ones(larger.size, dtype=bool)
-            shared[check] = np.max(gap, axis=1) <= 1e-9
-            larger, middle = larger[shared], middle[shared]
-            if larger.size == 0:
-                continue
-        idx = _strided(size, REGULARITY_POINTS)
-        diff = np.max(np.abs(flat_v[middle[:, None] + idx] - field.values[i][idx]), axis=1)
-        bound = [
-            sigma_bar**beta * abs(field.times[j] - field.times[i]) ** (beta / 2.0)
-            for j in larger
-        ]
-        temporal = max(temporal, float(np.max(diff - bound)))
-
+    temporal, pairs = _temporal_excess(field, run, levels, beta, sigma_bar)
     worst = max(spatial, temporal)
     return RegularityReport(
         spatial_excess=spatial,
@@ -666,5 +729,6 @@ def regularity_audit(
         passed=worst <= slack + FP_SLACK,
         spatial_levels_checked=run.size,
         temporal_levels_checked=int(levels.size),
+        temporal_pairs_checked=pairs,
         points_checked=points_checked,
     )

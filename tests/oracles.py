@@ -6,8 +6,9 @@ laws, exact-rational expectations under the law of a lattice walk, textbook
 Gaussian closed forms, Gauss-Hermite quadrature, seeded
 sample pairs for the payoff certificates, a plain march of one volatility
 policy for the scheme, a long-double march of the linear scheme, all-pairs
-Holder excesses for the regularity audits, and whole-array FFTs and
-derivatives for the mollification checks.
+Holder excesses for the regularity audits, row-by-row resampling of
+fields, and whole-array FFTs, derivatives and per-line moduli for the
+mollification checks.
 """
 
 import functools
@@ -229,15 +230,18 @@ def regularity_excess(field, beta: float, sigma_bar: float, points: int, levels:
     ``levels``) strided levels, at the strided points of the middle stretch
     of the larger level that matches the smaller one in size, against
     ``sigma_bar**beta * |t - s|**(beta/2)``; a pair whose stretches differ
-    by more than 1e-9 anywhere is skipped. Returns ``(spatial, temporal,
-    spatial_levels, temporal_levels, points_checked)``.
+    by more than 1e-9 anywhere is skipped, and so is every pair and level
+    with no points. Returns ``(spatial, temporal, spatial_levels,
+    temporal_levels, temporal_pairs, points_checked)``, where
+    ``temporal_pairs`` counts the pairs compared.
     """
     spatial, points_checked = 0.0, 0
     for xs, vs in zip(field.xs, field.values):
-        idx = strided(xs.size, points)
-        spatial = max(spatial, holder_excess(xs[idx], [vs[idx]], beta, 0.0))
-        points_checked += idx.size
-    temporal = 0.0
+        if xs.size:
+            idx = strided(xs.size, points)
+            spatial = max(spatial, holder_excess(xs[idx], [vs[idx]], beta, 0.0))
+            points_checked += idx.size
+    temporal, pairs = 0.0, 0
     ks = strided(field.times.size, levels)
     for a, i in enumerate(ks):
         for j in ks[a + 1 :]:
@@ -251,7 +255,30 @@ def regularity_excess(field, beta: float, sigma_bar: float, points: int, levels:
             vj = field.values[j][oj : oj + m][idx]
             bound = sigma_bar**beta * abs(field.times[j] - field.times[i]) ** (beta / 2.0)
             temporal = max(temporal, float(np.max(np.abs(vi - vj))) - bound)
-    return spatial, temporal, len(field.xs), int(ks.size), points_checked
+            pairs += 1
+    return spatial, temporal, len(field.xs), int(ks.size), pairs, points_checked
+
+
+def field_rows(field, times, xs):
+    """``field`` resampled one time at a time: the level ``field.level_index``
+    finds, interpolated linearly at ``xs``."""
+    rows = np.empty((times.size, xs.size))
+    for i, t in enumerate(times):
+        level = field.level_index(t)
+        rows[i] = np.interp(xs, field.xs[level], field.values[level])
+    return rows
+
+
+def derivative_modulus(coords, f1, f2, exponent: float, a: float) -> float:
+    """Worst ``(|f1[i] - f1[j]| + |f2[i] - f2[j]|) / (|c_i - c_j|**exponent + a)``,
+    one line ``i`` of axis 0 at a time against all of them, the numerator's
+    max taken over axis 1, with the ``1e-300`` guard on the diagonal."""
+    worst = 0.0
+    for i in range(coords.size):
+        num = np.max(np.abs(f1 - f1[i]) + np.abs(f2 - f2[i]), axis=1)
+        gap = np.abs(coords - coords[i])
+        worst = max(worst, float(np.max(num / (gap**exponent + a + 1e-300))))
+    return worst
 
 
 def whole_array_derivatives(u, dt, dx):

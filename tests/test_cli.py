@@ -291,8 +291,10 @@ class TestRegularity:
         rows = (tmp_path / "g" / "regularity.csv").read_text().splitlines()
         assert rows[0] == "check,excess,slack,pass"
         summary = json.loads((tmp_path / "g" / "summary.json").read_text())
-        # every level 0..8 and every point of its cone (2k + 1 points)
+        # every level 0..8 and every point of its cone (2k + 1 points); the
+        # cones are nested, so every pair of levels shares points
         assert summary["spatial_levels_checked"] == summary["temporal_levels_checked"] == 9
+        assert summary["temporal_pairs_checked"] == 9 * 8 // 2
         assert summary["points_checked"] == sum(2 * k + 1 for k in range(9))
 
     def test_pde_auto_slack(self, tmp_path):

@@ -35,20 +35,25 @@ from cltlab.smoothing import (
     FP_SLACK,
     HYPOTHESIS_LINES,
     LEVEL_BATCH,
+    PAIR_BLOCK,
     REGULARITY_LEVELS,
     REGULARITY_POINTS,
     VERIFY_LINES,
     RegularityReport,
     SmoothingRow,
     _correlation_chunks,
+    _derivative_modulus,
     _fast_len,
     _max_core_derivatives,
+    _strided,
     audit_surface_hypotheses,
     kernel_shape,
     mollify,
 )
 
 from oracles import (
+    derivative_modulus,
+    field_rows,
     holder_excess,
     pair_excess,
     regularity_excess,
@@ -253,6 +258,16 @@ def test_values_of_any_other_shape_are_refused():
             surface_from_function(fn, x_half_width=1.0, dt=0.01, dx=0.05, beta=1.0)
 
 
+@pytest.mark.parametrize(
+    "cap", [1, 2, VERIFY_LINES, REGULARITY_LEVELS, HYPOTHESIS_LINES, REGULARITY_POINTS]
+)
+def test_strided_indices_need_no_unique(cap):
+    # past the cap the spread points step by more than 1, so rounding keeps
+    # them strictly ascending and np.unique has nothing to drop
+    for n in range(5001):
+        assert np.array_equal(_strided(n, cap), strided(n, cap)), n
+
+
 class TestVerify:
     def test_abs_power_surfaces_pass(self):
         surf = abs_surface(beta=0.5, eps=0.1)
@@ -435,6 +450,21 @@ class TestVerify:
             assert got == SmoothingRow(**row, sup_ok=ok), r
             assert got.sup_gap > 99.0
 
+    @pytest.mark.parametrize("pair_block", [PAIR_BLOCK, 100])
+    @pytest.mark.parametrize("shape", [(64, 73), (64, 153), (1, 313), (313, 1), (7, 5)])
+    def test_derivative_modulus_is_the_per_line_loop(self, monkeypatch, shape, pair_block):
+        # mollify-dp's strided lines and points, the one line of a
+        # time-constant surface, and blocks that leave a short last one
+        monkeypatch.setattr(smoothing, "PAIR_BLOCK", pair_block)
+        rng = np.random.default_rng(sum(shape))
+        f1, f2 = rng.standard_normal((2, *shape))
+        t, x = np.sort(rng.random(shape[0])), np.sort(rng.random(shape[1]))
+        for beta, a in [(1.0, 0.0), (0.5, 0.125), (1.0, 0.05)]:
+            got = _derivative_modulus(t, f1, f2, beta / 2.0, a)
+            assert got == derivative_modulus(t, f1, f2, beta / 2.0, a)
+            got = _derivative_modulus(x, f1.T, f2.T, beta, 0.0)
+            assert got == derivative_modulus(x, f1.T, f2.T, beta, 0.0)
+
     def test_hypothesis_gate(self):
         # x is 1-Lipschitz but not Holder-1/2 with constant 1 on a wide range
         surf = surface_from_function(
@@ -504,6 +534,31 @@ class TestMemory:
             assert peak < 1.05 * surf.values.nbytes
         else:  # the time axis's temporaries set the peak
             assert peak < 4 * surf.times.nbytes + surf.values.nbytes
+
+    def test_audit_temporaries_are_bounded(self):
+        # the regularity-pde field: the temporal pass holds the largest set,
+        # its level matrix of 150 x 1601 floats, one block of strided
+        # columns and one scratch of 150 x 512, and the pair maxima and
+        # bounds, 150 x 150 each: 3.50 MB. Measured: 3.69 MB, where flat
+        # copies of the levels and per-level gathers peaked at 6.27 MB
+        prob = GHeatProblem(1.0, 1.0, ABS)
+        field = solve_gheat(prob, default_spec(prob, h=0.01))
+        report, peak = traced_peak(lambda: regularity_audit(field, 1.0, 1.0, 0.0))
+        assert report.passed and report.temporal_pairs_checked == 150 * 149 // 2
+        levels, width = REGULARITY_LEVELS, field.xs[0].size
+        assert peak < 1.1 * 8 * levels * (width + 2 * REGULARITY_POINTS + 2 * levels)
+        # mollify-dp's moduli, (64, 73) and (64, 153) lines by points: a
+        # block holds about PAIR_BLOCK differences and three arrays of them
+        # live at once. Measured: at most 356 KB
+        rng = np.random.default_rng(3)
+        for shape in [(64, 73), (64, 153)]:
+            f1, f2 = rng.standard_normal((2, *shape))
+            t, x = np.sort(rng.random(shape[0])), np.sort(rng.random(shape[1]))
+            for call in (
+                lambda: _derivative_modulus(t, f1, f2, 0.5, 0.1),
+                lambda: _derivative_modulus(x, f1.T, f2.T, 1.0, 0.0),
+            ):
+                assert traced_peak(call)[1] < 4 * PAIR_BLOCK * 8
 
     def test_kernel_mass_allocates_no_array(self):
         mass, peak = traced_peak(smoothing._kernel_mass)
@@ -640,6 +695,39 @@ def disjoint_field():
     )
 
 
+def near_shared_field():
+    """Lattice-like levels of 1 to 1041 points on ``j/8`` shifted by
+    ``(k % 4) * 4e-10``: no level is exactly a stretch of another, and
+    levels whose shifts differ by 1.2e-9 share no points."""
+    times = np.arange(41) / 40
+    xs = [np.arange(-13 * k, 13 * k + 1) / 8 + (k % 4) * 4e-10 for k in range(41)]
+    values = [np.abs(x) + 0.3 * np.sqrt(1.0 - t) * np.cos(x) for t, x in zip(times, xs)]
+    return ValueField(mode="lattice", n=40, h=1 / 8, times=times, xs=xs, values=values)
+
+
+def mixed_parity_field():
+    """Levels of 3 to 1201 points on one grid of 1201, each the stretch that
+    starts at the floor or the ceiling of its centred offset, with rough
+    values: a pair read one point off sees a large gap, one read in its
+    place a gap of 0.01 |t - s|. Sizes differ from the widest in both
+    parities, so a pair's middle stretch sits at the smaller level's
+    centred offset or one point before it."""
+    rng = np.random.default_rng(5)
+    grid = (np.arange(1201) - 600) / 200
+    rough = rng.uniform(-1.0, 1.0, grid.size)
+    sizes = [*rng.integers(3, 1201, 59), 1201]
+    starts = [(1201 - n) // 2 + (rng.random() < 0.5) * ((1201 - n) % 2) for n in sizes]
+    times = np.arange(60) / 59
+    return ValueField(
+        mode="lattice",
+        n=59,
+        h=1 / 200,
+        times=times,
+        xs=[grid[a : a + n] for a, n in zip(starts, sizes)],
+        values=[rough[a : a + n] + 0.01 * t for a, n, t in zip(starts, sizes, times)],
+    )
+
+
 REGULARITY_CASES = {
     "lattice-8": lambda: (solve_recursion(RADEMACHER, ABS, 8), 1.0),
     # 601 points on the last level and 301 levels: both are strided
@@ -651,23 +739,33 @@ REGULARITY_CASES = {
     # 301 levels on one grid: more than one batch of LEVEL_BATCH levels
     "corrupted-grid": lambda: (corrupted(grid_field(300)), 1.0),
     "disjoint-levels": lambda: (disjoint_field(), 0.5),
+    "near-shared": lambda: (near_shared_field(), 1.0),
+    "mixed-parity": lambda: (mixed_parity_field(), 1.0),
 }
 
 
-@pytest.mark.parametrize("case", REGULARITY_CASES)
-def test_regularity_audit_is_the_all_pairs_loop(case):
+@pytest.mark.parametrize(
+    "case, sigma_bar",
+    [
+        pytest.param(case, sigma_bar, id=case if sigma_bar == 1.0 else f"{case}-sigma-bar-0.75")
+        for sigma_bar in (1.0, 0.75)
+        for case in REGULARITY_CASES
+    ],
+)
+def test_regularity_audit_is_the_all_pairs_loop(case, sigma_bar):
     field, beta = REGULARITY_CASES[case]()
     slack = 0.01
-    spatial, temporal, spatial_levels, temporal_levels, points = regularity_excess(
-        field, beta, 1.0, REGULARITY_POINTS, REGULARITY_LEVELS
+    spatial, temporal, spatial_levels, temporal_levels, pairs, points = regularity_excess(
+        field, beta, sigma_bar, REGULARITY_POINTS, REGULARITY_LEVELS
     )
-    assert regularity_audit(field, beta, 1.0, slack) == RegularityReport(
+    assert regularity_audit(field, beta, sigma_bar, slack) == RegularityReport(
         spatial_excess=spatial,
         temporal_excess=temporal,
         slack=slack,
         passed=max(spatial, temporal) <= slack + FP_SLACK,
         spatial_levels_checked=spatial_levels,
         temporal_levels_checked=temporal_levels,
+        temporal_pairs_checked=pairs,
         points_checked=points,
     )
     if case.startswith("corrupted"):
@@ -676,6 +774,43 @@ def test_regularity_audit_is_the_all_pairs_loop(case):
         assert field.times.size > LEVEL_BATCH
     if case == "disjoint-levels":
         assert 0.0 < temporal < 1.0  # level 2 against levels 0 and 3 only
+    levels = len(field.xs)
+    if case == "near-shared":  # every pair but the 11 * 10 with shifts 1.2e-9 apart
+        assert pairs == levels * (levels - 1) // 2 - 110
+    if case == "mixed-parity":  # some pairs are read one point early, some share nothing
+        assert 0 < pairs < levels * (levels - 1) // 2 and temporal < 0.02
+
+
+def test_temporal_bound_takes_the_scalar_power():
+    # numpy's array power rounds differently from the scalar one for some
+    # inputs (about 5 % of them at exponent 1/4 on an AVX-512 host); two
+    # levels that far apart in time, 1 apart in value, have the excess
+    # 1 - gap**(1/4) of the written formula, exact by Sterbenz's lemma
+    gaps = np.random.default_rng(2).uniform(0.1, 0.9, 1000)
+    scalar = np.array([g**0.25 for g in gaps.tolist()])
+    gap = float((gaps[gaps**0.25 != scalar] if np.any(gaps**0.25 != scalar) else gaps)[0])
+    field = ValueField(
+        mode="grid", n=1, h=0.5, times=np.array([0.0, gap]),
+        xs=[np.array([0.0, 0.5])] * 2, values=[np.zeros(2), np.ones(2)],
+    )
+    report = regularity_audit(field, 0.5, 1.0, 0.0)
+    assert report.temporal_excess == 1.0 - gap**0.25
+    assert report.temporal_pairs_checked == 1 and report.spatial_excess == 0.0
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.5])
+def test_an_empty_level_is_skipped(beta):
+    # it shares no points with any level and has none to compare within itself
+    field = solve_recursion(RADEMACHER, ABS, 8)
+    field.xs[3], field.values[3] = np.empty(0), np.empty(0)
+    report = regularity_audit(field, beta, 1.0, 0.0)
+    spatial, temporal, *counts = regularity_excess(
+        field, beta, 1.0, REGULARITY_POINTS, REGULARITY_LEVELS
+    )
+    assert counts == [9, 9, 28, 81 - 7]
+    assert report == RegularityReport(
+        spatial, temporal, 0.0, max(spatial, temporal) <= FP_SLACK, *counts
+    )
 
 
 @pytest.mark.parametrize("corrupt", [False, True])
@@ -699,3 +834,25 @@ def test_hypothesis_audit_is_the_all_pairs_loop(case, corrupt):
             audit_surface_hypotheses(surf)
     else:
         assert audit_surface_hypotheses(surf) == (spatial, temporal)
+
+
+def stored_late(field):
+    """``field`` with its stored times 4e-13 late, within the lookup's tolerance."""
+    field.times = np.minimum(field.times + 4e-13, 1.0)
+    return field
+
+
+@pytest.mark.parametrize("dt", [1 / 400, 1 / 333])
+@pytest.mark.parametrize("source", ["grid", "grid-stored-late", "lattice-cone", "scheme"])
+def test_surface_from_field_is_the_row_by_row_lookup(source, dt):
+    # one interpolation per level that rows read, bit for bit the lookup of
+    # every row's time; 1/333 puts rows between the stored times, and rows
+    # at a time stored late still read that time's level
+    field = {
+        "grid": lambda: grid_field(24),
+        "grid-stored-late": lambda: stored_late(grid_field(24)),
+        "lattice-cone": lambda: solve_recursion(RADEMACHER, ABS, 16),
+        "scheme": lambda: scheme_field(1 / 20),
+    }[source]()
+    surf = surface_from_field(field, x_half_width=1.5, dt=dt, dx=1 / 64, beta=1.0, slack=0.5)
+    assert np.array_equal(surf.values, field_rows(field, surf.times, surf.xs))
