@@ -399,7 +399,8 @@ def _run_mollify_check(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
     dx = min_eps / 16.0
     hw = 2.0 if cfg.half_width is None else cfg.half_width
     if family is not None:  # dp source
-        grid = GridSpec(step=min(dx, 1.0 / cfg.n), half_width=max(8.0 * family.sigma_bar, hw))
+        step = min(dx, 1.0 / cfg.n)  # the grid's points reach past the surface's
+        grid = GridSpec(step=step, half_width=max(8.0 * family.sigma_bar, hw + step))
         a = float(cfg.n) ** (-payoff.beta / 2.0)
         # the field is dropped once resampled: the checks read the surface only
         surface = surface_from_field(

@@ -28,17 +28,17 @@ matrix, so a level meets every larger one in one pass over a block of
 columns. NaN or infinite values are refused, since they would drop out of
 every max.
 
-The mollified surface is never formed whole in the checks. Per width, the
-correlation runs by overlap-save on ``numpy.fft``, one slab of
-``CHUNK_ROWS`` output rows at a time in buffers made once, so the surface
-is the only array as large as the surface. Each chunk, with a one-row halo
-on either side, feeds the sup gap, the derivative maxima (swept in
+A surface stores each distinct time row once, indexed by time, and no
+array in the checks is as tall as the surface. Per width, the correlation
+runs by overlap-save on ``numpy.fft``, one slab of ``CHUNK_ROWS`` output
+rows at a time in buffers made once. Each chunk, with a one-row halo on
+either side, feeds the sup gap, the derivative maxima (swept in
 cache-sized blocks of ``DERIV_BLOCK`` rows) and the rows around the
 strided lines of the derivative moduli, and is then dropped. A halo row
 has the bits of the chunk that owns it, so the checks see exactly the
-array that :func:`mollify` gathers. A one-row surface is constant in time,
-and so is its mollification: one direct sum of the row with the kernel
-summed over time, whose time differences are exactly 0.
+array that :func:`mollify` gathers. A surface whose times all read one
+stored row is constant in time, and so is its mollification: one direct sum
+of the row with the kernel summed over time, whose time differences are 0.
 """
 
 from __future__ import annotations
@@ -130,10 +130,11 @@ class MollifierSpec:
 class SampledSurface:
     """Values on a uniform rectangular (t, x) grid with declared regularity.
 
-    ``values`` shaped ``(1, len(xs))`` is a surface constant in time.
-    ``beta`` is the spatial Holder exponent (constant 1) and ``slack`` the
-    additive temporal allowance ``a`` in
-    ``|u(t, x) - u(s, x)| <= |t - s|**(beta/2) + a``.
+    ``values[row_index[i]]`` is the row of ``times[i]``. Without an index,
+    ``values`` shaped ``(len(times), len(xs))`` holds every row, and
+    ``(1, len(xs))`` is constant in time, the all-zero index. ``beta`` is
+    the spatial Holder exponent (constant 1) and ``slack`` the additive
+    temporal allowance ``a`` in ``|u(t, x) - u(s, x)| <= |t - s|**(beta/2) + a``.
     """
 
     times: np.ndarray
@@ -141,19 +142,30 @@ class SampledSurface:
     values: np.ndarray
     beta: float
     slack: float = 0.0
+    row_index: np.ndarray | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.xs = np.asarray(self.xs, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape not in ((self.times.size, self.xs.size), (1, self.xs.size)):
-            raise ValueError("values must be shaped (len(times), len(xs)) or (1, len(xs))")
         for axis in (self.times, self.xs):
             if axis.size < 2:
                 raise ValueError("grids need at least 2 points per axis")
             steps = np.diff(axis)
             if np.any(steps <= 0) or np.ptp(steps) > 1e-9 * steps[0]:
                 raise ValueError("grids must be uniform and increasing")
+        nt, nx = self.times.size, self.xs.size
+        if self.row_index is None and self.values.shape in ((nt, nx), (1, nx)):
+            self.row_index = np.arange(nt) if self.values.shape[0] == nt else np.zeros(nt, int)
+        index = self.row_index = np.asarray(self.row_index)
+        if not (self.values.shape[1:] == (nx,) and index.shape == (nt,) and index.dtype.kind in
+                "iu" and 0 <= index.min() <= index.max() < len(self.values)):
+            raise ValueError("values must be shaped (len(times), len(xs)) or (1, len(xs)), "
+                             "or hold len(xs)-point rows that row_index maps each time to")
+
+    @property
+    def constant_in_time(self) -> bool:
+        return not self.row_index.any()
 
     @property
     def dt(self) -> float:
@@ -196,16 +208,24 @@ def surface_from_field(
     Time uses the field's piecewise-constant extension; space interpolates
     linearly, which preserves a Lipschitz certificate exactly (use beta = 1
     surfaces for field-derived inputs). Each stored level that some row
-    reads is interpolated once, into all of its rows.
+    reads is interpolated once, into one stored row of the surface; a level
+    that does not span the surface's points raises
+    :class:`DomainTooSmallError`, since interpolation would clamp it.
     """
     times, xs = _surface_grid(x_half_width, dt, dx)
-    # every row's level as field.level_index finds it; a level's rows are consecutive
+    # every row's level as field.level_index finds it
     lvl = np.maximum(np.searchsorted(field.times, times + TIME_LOOKUP_TOL, side="right") - 1, 0)
-    ends = [*np.flatnonzero(np.diff(lvl)) + 1, times.size]
-    vals = np.empty((times.size, xs.size))
-    for lo, hi in zip([0, *ends], ends):
-        vals[lo:hi] = np.interp(xs, field.xs[lvl[lo]], field.values[lvl[lo]])
-    return SampledSurface(times, xs, vals, beta=beta, slack=slack)
+    levels, row_index = np.unique(lvl, return_inverse=True)
+    for k in levels.tolist():
+        pts = field.xs[k]
+        if pts.size == 0 or pts[0] > xs[0] or pts[-1] < xs[-1]:
+            span = f"[{pts[0]:g}, {pts[-1]:g}]" if pts.size else "no points"
+            t, end = field.times[k], f"[{xs[0]:g}, {xs[-1]:g}]"
+            raise DomainTooSmallError(f"level at t = {t:g} spans {span}, not {end}")
+    vals = np.empty((levels.size, xs.size))
+    for row, k in zip(vals, levels.tolist()):
+        row[:] = np.interp(xs, field.xs[k], field.values[k])
+    return SampledSurface(times, xs, vals, beta=beta, slack=slack, row_index=row_index)
 
 
 def _kernel_weights(surface: SampledSurface, spec: MollifierSpec) -> np.ndarray:
@@ -249,8 +269,9 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def _correlation_chunks(values: np.ndarray, weights: np.ndarray):
-    """``out[r, c] = sum_{p, q} values[r + p, c + q] * weights[p, q]``, streamed.
+def _correlation_chunks(values: np.ndarray, row_index: np.ndarray, weights: np.ndarray):
+    """``out[r, c] = sum_{p, q} u[r + p, c + q] * weights[p, q]``, streamed,
+    where ``u[i] = values[row_index[i]]``.
 
     Yields ``(lo, hi, block)`` per chunk of ``CHUNK_ROWS`` output rows:
     the rows ``lo:hi`` partition ``out``, and ``block`` holds rows
@@ -258,31 +279,30 @@ def _correlation_chunks(values: np.ndarray, weights: np.ndarray):
     where there is a row. Each chunk is an overlap-save slab: the FFT of
     the input rows it draws on times the flipped kernel's, padded in x only
     to the surface width (wrap-around reaches only the ``q - 1`` dropped
-    columns). A row is computed in one slab only, so a halo row has its
-    owner's bits. The transforms write into arrays made once per call, and
-    ``block`` is a view that holds only until the next chunk is asked for.
+    columns). A slab transforms along x each stored row its input rows read
+    once, gathers them, and carries nothing to the next slab. A row is
+    computed in one slab only, so a halo row has its owner's bits. The
+    transforms run in place in arrays made once per call, and ``block`` is
+    a view that holds only until the next chunk is asked for.
     """
-    (nt, nx), (p, q) = values.shape, weights.shape
+    (p, q), nt, nx = weights.shape, row_index.size, values.shape[1]
     rows, cols = nt - p + 1, nx - q + 1
     shape = (_fast_len(min(CHUNK_ROWS, rows) + p - 1), _fast_len(nx))
     kernel = np.fft.rfft2(weights[::-1, ::-1], shape)
-    # input rows transformed along x, zero-padded to the slab; consecutive
-    # slabs share p - 1 input rows, whose transforms move to the front
-    slab, spectrum = np.zeros_like(kernel), np.empty_like(kernel)
+    slab = np.empty_like(kernel)
     buffers = np.empty((2, CHUNK_ROWS + 2, shape[1]))  # taking the chunks in turn
 
     def correlate(lo: int, buf: np.ndarray):  # out rows lo:lo + n into buf[1 : 1 + n]
         n = min(CHUNK_ROWS, rows - lo)
-        done = 0 if lo == 0 else p - 1  # input rows already transformed
-        slab[:done] = slab[CHUNK_ROWS : CHUNK_ROWS + done]
-        new = values[lo + done : lo + n + p - 1]
-        np.fft.rfft(new, shape[1], axis=1, out=slab[done : n + p - 1])
+        stored, gather = np.unique(row_index[lo : lo + n + p - 1], return_inverse=True)
+        spectra = np.fft.rfft(values[stored], shape[1], axis=1)
+        np.take(spectra, gather, axis=0, out=slab[: n + p - 1], mode="clip")  # clip: no buffer
         slab[n + p - 1 :] = 0.0
-        np.fft.fft(slab, axis=0, out=spectrum)
+        np.fft.fft(slab, axis=0, out=slab)
         # the data's spectrum stays the first operand: complex products do not commute bitwise
-        np.multiply(spectrum, kernel, out=spectrum)
-        np.fft.ifft(spectrum, axis=0, out=spectrum)
-        np.fft.irfft(spectrum[p - 1 : p - 1 + n], shape[1], axis=1, out=buf[1 : 1 + n])
+        np.multiply(slab, kernel, out=slab)
+        np.fft.ifft(slab, axis=0, out=slab)
+        np.fft.irfft(slab[p - 1 : p - 1 + n], shape[1], axis=1, out=buf[1 : 1 + n])
 
     correlate(0, buffers[0])
     for i, lo in enumerate(range(0, rows, CHUNK_ROWS)):
@@ -297,16 +317,16 @@ def _correlation_chunks(values: np.ndarray, weights: np.ndarray):
 def _mollified(surface: SampledSurface, spec: MollifierSpec):
     """The width's output times and points, kernel shape and chunk stream.
 
-    A one-row surface's mollification is its row correlated once with the
-    kernel summed over time, constant in time: its one chunk ``(0, 1)``
-    holds that row three times, as its own equal neighbours in time.
+    A surface constant in time is mollified as its row correlated once
+    with the kernel summed over time: its one chunk ``(0, 1)`` holds that
+    row three times, as its own equal neighbours in time.
     """
     weights = _kernel_weights(surface, spec)
     (p, q), nt, nx = weights.shape, surface.times.size, surface.xs.size
     grid = surface.times[: nt - p + 1], surface.xs[q // 2 : nx - q // 2], (p, q)
-    if surface.values.shape[0] > 1:
-        return *grid, _correlation_chunks(surface.values, weights)
-    row = np.correlate(surface.values[0], weights.sum(axis=0), "valid")
+    if not surface.constant_in_time:
+        return *grid, _correlation_chunks(surface.values, surface.row_index, weights)
+    row = np.correlate(surface.values[surface.row_index[0]], weights.sum(axis=0), "valid")
     return *grid, iter([(0, 1, np.repeat(row[None], 3, axis=0))])
 
 
@@ -316,7 +336,7 @@ def mollify(surface: SampledSurface, spec: MollifierSpec) -> SampledSurface:
     The kernel weights are normalized to unit discrete mass, so constants
     are preserved exactly and the sup norm never grows. Output lives on
     times ``[t0, t_end - eps^2]`` and the x-grid shrunk by ``ceil(eps/dx)``
-    points per side, in one row for a one-row surface. The streamed
+    points per side, in one row for a surface constant in time. The streamed
     correlation's chunks are gathered, which the checks never do.
     """
     times, xs, _, chunks = _mollified(surface, spec)
@@ -326,10 +346,10 @@ def mollify(surface: SampledSurface, spec: MollifierSpec) -> SampledSurface:
 
 
 def _strided(n: int, cap: int) -> np.ndarray:
-    # past the cap the points step by (n - 1)/(cap - 1) > 1, so rounding keeps them ascending
-    if n <= cap:
-        return np.arange(n)
-    return np.linspace(0, n - 1, cap).round().astype(int)
+    # linspace(0, n - 1, cap) rounded; its points step by (n - 1)/(cap - 1) > 1 past the cap
+    if n <= cap or cap == 1:
+        return np.arange(min(n, cap))
+    return (np.arange(cap) * ((n - 1) / (cap - 1))).round().astype(int)
 
 
 def _holder_excess(coords, values, exponent: float, slack: float) -> float:
@@ -396,9 +416,9 @@ def audit_surface_hypotheses(surface: SampledSurface) -> tuple[float, float]:
     infinity anywhere in the surface.
     """
     _check_finite(surface.values, "the surface")
-    rows = _strided(surface.values.shape[0], HYPOTHESIS_LINES)  # one for a time-constant surface
+    rows = _strided(1 if surface.constant_in_time else surface.times.size, HYPOTHESIS_LINES)
     cols = _strided(surface.xs.size, HYPOTHESIS_LINES)
-    vsub = surface.values[np.ix_(rows, cols)]
+    vsub = surface.values[np.ix_(surface.row_index[rows], cols)]
     spatial = _holder_excess(surface.xs[cols], vsub.T, surface.beta, 0.0)
     temporal = _holder_excess(
         surface.times[rows], vsub, surface.beta / 2.0, surface.slack
@@ -531,14 +551,15 @@ def _smoothing_row(surface: SampledSurface, eps: float) -> SmoothingRow:
     # first time and second space derivatives at strided interior lines (one
     # for a one-row output, whose row is every row), columns at most
     # ceil(q_trim / 4) apart
-    lines = _strided(times.size - 2, VERIFY_LINES if surface.values.shape[0] > 1 else 1) + 1
+    lines = _strided(times.size - 2, 1 if surface.constant_in_time else VERIFY_LINES) + 1
     cols = _strided(xs.size - 2, max(VERIFY_LINES, -(-(xs.size - 3) // -(-q_trim // 4)) + 1)) + 1
-    near = np.minimum(lines + np.arange(-1, 2)[:, None], surface.values.shape[0] - 1)
+    near = lines + np.arange(-1, 2)[:, None]
     kept = np.empty((*near.shape, xs.size))
     gaps, derivs = [], []
     for lo, hi, block in chunks:
         start = max(lo - 1, 0)
-        gap = block[lo - start : hi - start] - surface.values[lo:hi, q_trim : q_trim + xs.size]
+        gap = surface.values[surface.row_index[lo:hi], q_trim : q_trim + xs.size]
+        gap = np.subtract(block[lo - start : hi - start], gap, out=gap)
         gaps.append(np.max(np.abs(gap, out=gap)))
         if block.shape[0] > 2:
             derivs.append(_max_core_derivatives(block, dt, dx))

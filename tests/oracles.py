@@ -301,9 +301,10 @@ def smoothing_row(surface, eps: float, u, lines_cap: int) -> dict:
     has ``ceil(eps**2 / dt) + 1`` rows and ``2 ceil(eps / dx) + 1`` columns.
     The derivative moduli take every pair of at most ``lines_cap`` strided
     times and of strided points at most ``ceil(ceil(eps / dx) / 4)`` apart
-    (at least ``lines_cap`` of them), as one pair matrix. A one-row
-    ``surface`` stands for that row at every time, and its moduli read one
-    strided time.
+    (at least ``lines_cap`` of them), as one pair matrix. The surface's
+    rows are gathered through its ``row_index``; a surface whose times all
+    read one stored row stands for that row at every time, and its moduli
+    read one strided time.
     """
     dt, dx = surface.dt, surface.dx
     p, q = math.ceil(eps * eps / dt - 1e-9), math.ceil(eps / dx - 1e-9)
@@ -311,9 +312,10 @@ def smoothing_row(surface, eps: float, u, lines_cap: int) -> dict:
     times, xs = surface.times[: u.shape[0]], surface.xs[q : q + u.shape[1]]
     dt, dx = times[1] - times[0], xs[1] - xs[0]
     beta, a = surface.beta, surface.slack
+    rows = surface.values[surface.row_index]
 
     d1t, d2x, core = whole_array_derivatives(u, dt, dx)
-    lines = strided(d1t.shape[0], lines_cap if surface.values.shape[0] > 1 else 1)
+    lines = strided(d1t.shape[0], lines_cap if surface.row_index.any() else 1)
     n = d1t.shape[1] - 2
     cols = strided(n, max(lines_cap, math.ceil((n - 1) / math.ceil(q / 4)) + 1))
     assert np.max(np.diff(cols)) <= math.ceil(q / 4)
@@ -331,7 +333,7 @@ def smoothing_row(surface, eps: float, u, lines_cap: int) -> dict:
         "eps": eps,
         "kernel_points": (p + 1, 2 * q + 1),
         "modulus_lines": (lines.size, cols.size),
-        "sup_gap": float(np.max(np.abs(u - surface.values[: u.shape[0], q : q + u.shape[1]]))),
+        "sup_gap": float(np.max(np.abs(u - rows[: u.shape[0], q : q + u.shape[1]]))),
         "sup_bound": 2.0 * eps**beta + a,
         "scaled_derivatives": eps**4 * float(np.max(core)) / (eps**beta + a),
         "scaled_temporal_modulus": eps**2 * float(np.max(np.max(pair_t, axis=2) / t_gap)),

@@ -375,6 +375,22 @@ class TestMollifyCheck:
         rows = (tmp_path / "m" / "mollify.csv").read_text().splitlines()[1:]
         assert all(row.endswith(",true") for row in rows)
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--eps", "0.3,0.15"], ["--eps", "0.3", "--half-width", 9.1]],
+        ids=["narrow-family", "half-width-9.1"],
+    )
+    def test_dp_grid_reaches_past_the_surface(self, tmp_path, args):
+        # 8 sigma_bar = 0.8 < 2, and 9.1 > 8: a grid of half width 2 or 9.1
+        # on steps of 0.009375 or 0.01875 would end at 1.996875 or 9.09375,
+        # short of the surface, whose every stored level must span it
+        family = '{"beta": 1, "members": [{"support": [-0.1, 0.1], "probs": [0.5, 0.5]}]}'
+        if "--half-width" in args:
+            family = "rademacher"
+        rc = run_cli(["mollify-check", "--source", "dp", "--family", family, "--phi", "abs",
+                      "--n", 16, *args, "--out", tmp_path / "m"])
+        assert rc == 0
+
 
 @pytest.mark.parametrize(
     "args, code",

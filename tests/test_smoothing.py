@@ -82,7 +82,7 @@ def gathered(values, weights):
     rows = values.shape[0] - weights.shape[0] + 1
     out = np.full((rows, values.shape[1] - weights.shape[1] + 1), np.nan)
     chunks = 0
-    for lo, hi, block in _correlation_chunks(values, weights):
+    for lo, hi, block in _correlation_chunks(values, np.arange(len(values)), weights):
         start = max(lo - 1, 0)
         assert start + block.shape[0] == min(hi + 1, rows)  # a halo where there is a row
         assert np.isnan(out[lo:hi]).all()  # the chunks partition the rows
@@ -245,7 +245,7 @@ def test_surface_steps_never_exceed_the_requested_ones(eps, half_width, shape):
         surface_from_field(field, x_half_width=half_width, dt=dt, dx=dx, beta=1.0, slack=0.5),
     ]
     for surf in surfaces:
-        assert surf.values.shape == shape
+        assert surf.values[surf.row_index].shape == shape
         assert surf.times[-1] == 1.0 and surf.xs[-1] == pytest.approx(half_width, rel=1e-15)
         assert surf.dt <= dt + 1e-12 and surf.dx <= dx + 1e-12
         mollify(surf, MollifierSpec(eps))  # resolution and domain accepted
@@ -256,6 +256,13 @@ def test_values_of_any_other_shape_are_refused():
     for fn in (lambda t, x: t + 0.0, lambda t, x: (t + x).T):
         with pytest.raises(ValueError, match="shaped"):
             surface_from_function(fn, x_half_width=1.0, dt=0.01, dx=0.05, beta=1.0)
+    # stored rows need an index of one stored row per time
+    times, xs, rows = np.linspace(0, 1, 5), np.linspace(-1, 1, 3), np.zeros((2, 3))
+    for index in (None, [0, 1, 1, 2, 0], [0, 1, 1, 0], [0.0, 1.0, 1.0, 0.0, 0.0], [-1, 0, 0, 0, 0]):
+        with pytest.raises(ValueError, match="shaped"):
+            SampledSurface(times, xs, rows, beta=1.0, row_index=index)
+    surf = SampledSurface(times, xs, rows, beta=1.0, row_index=[0, 1, 1, 0, 0])
+    assert not surf.constant_in_time
 
 
 @pytest.mark.parametrize(
@@ -263,9 +270,13 @@ def test_values_of_any_other_shape_are_refused():
 )
 def test_strided_indices_need_no_unique(cap):
     # past the cap the spread points step by more than 1, so rounding keeps
-    # them strictly ascending and np.unique has nothing to drop
+    # them strictly ascending and np.unique has nothing to drop; they are
+    # linspace's points, computed without its overhead
     for n in range(5001):
-        assert np.array_equal(_strided(n, cap), strided(n, cap)), n
+        got = _strided(n, cap)
+        assert np.array_equal(got, strided(n, cap)), n
+        if n > cap:
+            assert np.array_equal(got, np.linspace(0, n - 1, cap).round().astype(int)), n
 
 
 class TestVerify:
@@ -478,9 +489,9 @@ class TestVerify:
     @pytest.mark.parametrize("one_row", [True, False], ids=["one-row", "full"])
     def test_non_finite_surface_is_refused(self, bad, one_row):
         # a NaN pair drops out of a max with 0, so the audit would pass it
-        surf = abs_surface(eps=0.3)
-        if not one_row:
-            surf.values = np.repeat(surf.values, surf.times.size, axis=0)
+        surf = abs_surface(eps=0.3)  # every row stored
+        if one_row:
+            surf = SampledSurface(surf.times, surf.xs, surf.values[:1], beta=1.0)
         surf.values[-1, 7] = bad
         for check in (audit_surface_hypotheses, lambda s: verify_smoothing_bounds(s, [0.3])):
             with pytest.raises(NonFiniteValuesError, match="the surface holds a NaN"):
@@ -508,8 +519,9 @@ class TestMemory:
         return surface_from_function(fn, x_half_width=1.0, dt=1 / 4000, dx=1 / 160, beta=1.0)
 
     def test_checks_hold_the_surface_and_a_few_slabs(self):
-        # the surface is the only array as large as itself: each width's
-        # correlation runs a slab of CHUNK_ROWS rows at a time
+        # every row distinct: the surface is the only array as large as
+        # itself, since each width's correlation runs a slab of CHUNK_ROWS
+        # rows at a time
         def run():
             surf = self.tall_surface()
             return surf, verify_smoothing_bounds(surf, [0.2])
@@ -520,6 +532,21 @@ class TestMemory:
         # has ceil(0.2^2 / dt) + 1 = 161 rows) and as wide as the surface
         slab = (CHUNK_ROWS + 161) * surf.xs.size * 16
         assert peak < surf.values.nbytes + 4 * slab
+
+    def test_checks_of_a_stepwise_surface_hold_no_array_as_tall_as_it(self):
+        # a field of 17 levels resampled at 4001 times stores 17 rows; the
+        # checks hold them, the kernel's spectrum, one slab, two output
+        # buffers and a chunk's sup gap (measured: 5.1 MB, 2.4 slabs), and
+        # nothing of 4001 x 321 (10.3 MB)
+        field = solve_recursion(RADEMACHER, ABS, 16, mode="grid", grid=GridSpec(1 / 16, 8.0))
+        surf = surface_from_field(
+            field, x_half_width=1.0, dt=1 / 4000, dx=1 / 160, beta=1.0, slack=16**-0.5
+        )
+        assert surf.values.shape == (17, 321) and surf.times.size == 4001
+        report, peak = traced_peak(lambda: verify_smoothing_bounds(surf, [0.2]))
+        assert report.passed
+        slab = (CHUNK_ROWS + 161) * surf.xs.size * 16
+        assert peak < surf.values.nbytes + 3 * slab < surf.times.size * surf.xs.size * 8
 
     @pytest.mark.parametrize(
         "fn, rows",
@@ -813,18 +840,32 @@ def test_an_empty_level_is_skipped(beta):
     )
 
 
+def on_lattice_points(payoff, n):
+    """The lattice's points ``j / sqrt(n)``, marched in grid mode over the
+    whole grid: a lattice field's early levels span only their cone, too
+    little to resample onto a surface."""
+    return solve_recursion(RADEMACHER, payoff, n, mode="grid", grid=GridSpec(n**-0.5, 8.0))
+
+
+HYPOTHESIS_CASES = {
+    "lattice-300": lambda: (on_lattice_points(ABS, 300), 1.0),
+    "scheme": REGULARITY_CASES["scheme"],
+    "beta-half": lambda: (on_lattice_points(abs_pow_payoff(0.5), 64), 0.5),
+}
+
+
 @pytest.mark.parametrize("corrupt", [False, True])
-@pytest.mark.parametrize("case", ["lattice-300", "scheme", "beta-half"])
+@pytest.mark.parametrize("case", HYPOTHESIS_CASES)
 def test_hypothesis_audit_is_the_all_pairs_loop(case, corrupt):
-    field, beta = REGULARITY_CASES[case]()
+    field, beta = HYPOTHESIS_CASES[case]()
     surf = surface_from_field(
         field, x_half_width=1.5, dt=1 / 400, dx=1 / 200, beta=beta, slack=0.5
     )
     rows = strided(surf.times.size, HYPOTHESIS_LINES)
     cols = strided(surf.xs.size, HYPOTHESIS_LINES)
-    if corrupt:
-        surf.values[rows[80], cols[80]] += 1.0
-    vsub = surf.values[np.ix_(rows, cols)]
+    if corrupt:  # the stored row of strided time 80, at every time that reads it
+        surf.values[surf.row_index[rows[80]], cols[80]] += 1.0
+    vsub = surf.values[surf.row_index[rows]][:, cols]
     spatial = holder_excess(surf.xs[cols], vsub, beta, 0.0)
     temporal = holder_excess(surf.times[rows], vsub.T, beta / 2.0, surf.slack)
     if corrupt:
@@ -851,8 +892,57 @@ def test_surface_from_field_is_the_row_by_row_lookup(source, dt):
     field = {
         "grid": lambda: grid_field(24),
         "grid-stored-late": lambda: stored_late(grid_field(24)),
-        "lattice-cone": lambda: solve_recursion(RADEMACHER, ABS, 16),
+        "lattice-cone": lambda: on_lattice_points(ABS, 16),
         "scheme": lambda: scheme_field(1 / 20),
     }[source]()
     surf = surface_from_field(field, x_half_width=1.5, dt=dt, dx=1 / 64, beta=1.0, slack=0.5)
-    assert np.array_equal(surf.values, field_rows(field, surf.times, surf.xs))
+    assert np.array_equal(surf.values[surf.row_index], field_rows(field, surf.times, surf.xs))
+    # one stored row per level that some row reads
+    assert surf.values.shape[0] == np.unique(surf.row_index).size <= field.times.size
+
+
+def test_levels_that_do_not_span_the_surface_are_refused():
+    # a lattice field's first level is the single point 0; interpolation
+    # would clamp the t = 0 row to the origin value at every x
+    field = solve_recursion(RADEMACHER, ABS, 16)
+    with pytest.raises(DomainTooSmallError, match=re.escape("t = 0 spans [0, 0], not [-1.5, 1.5]")):
+        surface_from_field(field, x_half_width=1.5, dt=1 / 400, dx=1 / 64, beta=1.0, slack=0.5)
+    field.xs[0], field.values[0] = np.empty(0), np.empty(0)
+    with pytest.raises(DomainTooSmallError, match="t = 0 spans no points"):
+        surface_from_field(field, x_half_width=1.5, dt=1 / 400, dx=1 / 64, beta=1.0, slack=0.5)
+
+
+@pytest.mark.parametrize("chunk_rows", [CHUNK_ROWS, 7])
+def test_stepwise_surface_is_its_full_height_copy(monkeypatch, chunk_rows):
+    # a field resampled in time stores one row per level it reads; the
+    # checks and the mollifier see its full-height copy bit for bit. Levels
+    # 1/4 apart span 64 surface rows, so 7-row chunks end inside runs and
+    # some slabs (7 + 24 input rows at eps = 0.3) read a single stored row
+    monkeypatch.setattr(smoothing, "CHUNK_ROWS", chunk_rows)
+    field = on_lattice_points(ABS, 4)
+    eps_list = [0.3, 0.25]
+    step = surface_from_field(
+        field, x_half_width=1.0, dt=0.25**2 / 16, dx=0.25 / 16, beta=1.0, slack=0.5
+    )
+    full = SampledSurface(step.times, step.xs, step.values[step.row_index], beta=1.0, slack=0.5)
+    assert step.values.shape == (5, step.xs.size) and full.values.shape == (257, step.xs.size)
+    assert verify_smoothing_bounds(step, eps_list) == verify_smoothing_bounds(full, eps_list)
+    assert audit_surface_hypotheses(step) == audit_surface_hypotheses(full)
+    for eps in eps_list:
+        got, want = (mollify(s, MollifierSpec(eps)).values for s in (step, full))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_one_stored_row_is_a_time_constant_surface():
+    # a field of one level gives every row that level: the all-zero index,
+    # which is the (1, len(xs)) surface, checked as constant in time
+    grid = on_lattice_points(ABS, 4)
+    field = ValueField("grid", 1, grid.h, np.array([0.0]), grid.xs[:1], grid.values[:1])
+    step = surface_from_field(
+        field, x_half_width=1.0, dt=0.25**2 / 16, dx=0.25 / 16, beta=1.0, slack=0.0
+    )
+    one = SampledSurface(step.times, step.xs, step.values, beta=1.0)
+    assert step.values.shape == (1, step.xs.size) and step.constant_in_time
+    assert np.array_equal(step.row_index, one.row_index)
+    assert verify_smoothing_bounds(step, [0.3]) == verify_smoothing_bounds(one, [0.3])
+    assert verify_smoothing_bounds(one, [0.3]).rows[0].modulus_lines[0] == 1
