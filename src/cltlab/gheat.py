@@ -23,6 +23,13 @@ correction as its error bar; otherwise, or when the rounded time steps do
 not nest, it pairs ``h`` with (h/2, tau/4) and returns that value with the
 difference as its error bar.
 
+Only :func:`cltlab.rates.error_curve` with ``sigma_under < sigma_bar``
+marches its finest level ``h`` in a forked child, beside its lattice rows
+and the ``4h`` and ``2h`` marches (see :mod:`cltlab.rates`). Every other
+caller of :func:`richardson_value` marches all its levels in process: the
+``4h`` and ``2h`` marches, all it could overlap with ``h``, cost about 1/7
+of the ``h`` march (1/64 + 1/8 of its point-updates).
+
 With ``n`` steps of ``tau = 1/n``, one step is one level of the discrete
 sup-recursion over two trinomial laws on ``{-s, 0, s}``, ``s = h * sqrt(n)``
 (so each step moves by ``h``), whose end weights are
@@ -56,6 +63,7 @@ data in place bit for bit.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,8 +265,15 @@ def _heat_levels(terminal, a, ms, even) -> list[np.ndarray]:
     return list(out)
 
 
+def scheme_origin(prob: GHeatProblem, spec: SchemeSpec) -> float:
+    """Origin value of the scheme at ``spec``, storing only the initial time."""
+    return solve_gheat(prob, spec, store="final").origin_value()
+
+
 def richardson_value(
-    prob: GHeatProblem, spec: SchemeSpec, origin_h: float | None = None
+    prob: GHeatProblem,
+    spec: SchemeSpec,
+    origin_h: float | Callable[[], float] | None = None,
 ) -> tuple[float, float]:
     """Origin value with an error bar, marching no grid finer than ``spec``.
 
@@ -279,27 +294,28 @@ def richardson_value(
 
     A caller that has already marched ``spec`` (with either ``store`` mode)
     passes that field's origin value as ``origin_h``; the ``h`` march is
-    then skipped and the result is unchanged.
+    then skipped and the result is unchanged. ``origin_h`` may also be a
+    callable with no arguments, called where the ``h`` march would be (after
+    ``4h`` and ``2h``): a value marched elsewhere in the meantime.
     """
-
-    def origin(s: SchemeSpec) -> float:
-        return solve_gheat(prob, s, store="final").origin_value()
-
     v4 = v2 = None
     n = spec.steps()
     if all(spec.scaled(f).steps() * f * f == n for f in (2.0, 4.0)):
         try:
-            v4, v2 = origin(spec.scaled(4.0)), origin(spec.scaled(2.0))
+            v4, v2 = scheme_origin(prob, spec.scaled(4.0)), scheme_origin(prob, spec.scaled(2.0))
         except DegenerateGridError:  # fewer than three interior points at 4h
             pass
-    v1 = origin(spec) if origin_h is None else origin_h
+    if origin_h is None:
+        v1 = scheme_origin(prob, spec)
+    else:
+        v1 = origin_h() if callable(origin_h) else origin_h
     if v4 is not None:
         g1, g2 = v4 - v2, v2 - v1
         if g1 == g2 == 0.0:  # the three levels agree exactly
             return v1, 0.0
         if g2 != 0.0 and g1 / g2 > 0.0 and abs(math.log2(g1 / g2) - 2.0) <= ORDER_TOL:
             return v1 + (v1 - v2) / 3.0, abs(g2) / 3.0
-    fine = origin(spec.scaled(0.5))
+    fine = scheme_origin(prob, spec.scaled(0.5))
     return fine, abs(fine - v1)
 
 

@@ -9,7 +9,15 @@ on finite support).
 
 References are analytic whenever possible (equal volatility bounds and
 convex terminal data), otherwise Richardson-extrapolated scheme values with
-a propagated error bar. Slope fits are meaningless when the reference error
+a propagated error bar. When that reference is marched (``sigma_under <
+sigma_bar``), its finest level ``v(h)`` is most of the run, so
+:func:`error_curve` forks a child that marches it while the parent prices
+the lattice rows and marches ``4h`` and ``2h``; the parent then reads
+``v(h)`` from a pipe and combines the three as :func:`richardson_value`
+always does, so every value keeps its bits. The CPU time is unchanged:
+the wall time falls only where a second core is free. Equal-volatility
+references are closed forms and analytic ones need no solve, so both stay
+in process. Slope fits are meaningless when the reference error
 is comparable to the measured errors, so a report whose bar exceeds a tenth
 of the smallest error is marked reference-limited and its verdict is
 suppressed.
@@ -28,7 +36,14 @@ from dataclasses import dataclass
 
 from .errors import LabError
 from .families import Family, check_cubic_condition, conjecture_family
-from .gheat import GHeatProblem, SchemeSpec, convex_oracle, default_spec, richardson_value
+from .gheat import (
+    GHeatProblem,
+    SchemeSpec,
+    convex_oracle,
+    default_spec,
+    richardson_value,
+    scheme_origin,
+)
 from .payoffs import Payoff, abs_payoff
 from .recursion import Window, origin_value, origin_window
 
@@ -118,6 +133,69 @@ def analytic_reference(family: Family, payoff: Payoff) -> bool:
     return family.sigma_under == family.sigma_bar and payoff.convex
 
 
+def _depths(ns) -> list[int]:
+    """``ns`` as sorted ints; an entry that is not an integer is refused, not truncated."""
+    ns = list(ns)
+    if not all(float(n).is_integer() for n in ns):
+        raise ValueError(f"ns must be integers, got {ns}")
+    return sorted(int(n) for n in ns)
+
+
+def _beside(background, foreground):
+    """``foreground(collect)`` while a forked child computes ``background()``.
+
+    ``collect()`` waits for the child and returns what ``background()``
+    returned, or raises what it raised; the child sends ``(ok, value or
+    exception)`` through a pipe by pickle. It leaves only through
+    ``os._exit``, so it never unwinds into the caller's stack or flushes the
+    parent's stdio buffers, and it dies with the parent (``PR_SET_PDEATHSIG``).
+    If ``foreground`` leaves without collecting, the child is killed and
+    reaped. A child that sends nothing (killed, or its answer would not
+    pickle) is replaced by ``background()`` in process.
+    """
+    import ctypes, os, pickle, signal
+
+    parent = os.getpid()
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # 1 = PR_SET_PDEATHSIG
+            if os.getppid() == parent:  # else the parent died before prctl
+                try:
+                    answer = (True, background())
+                except BaseException as exc:  # re-raised by collect()
+                    answer = (False, exc)
+                with open(write_fd, "wb") as pipe:
+                    pipe.write(pickle.dumps(answer))
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    pipe = open(read_fd, "rb")
+    child = pid  # None once reaped
+
+    def collect():
+        nonlocal child
+        answer = pipe.read()
+        os.waitpid(pid, 0)
+        child = None
+        if not answer:
+            return background()
+        ok, value = pickle.loads(answer)
+        if not ok:
+            raise value
+        return value
+
+    try:
+        return foreground(collect)
+    finally:
+        pipe.close()
+        if child is not None:
+            os.kill(child, signal.SIGKILL)
+            os.waitpid(child, 0)
+
+
 def error_curve(
     family: Family,
     payoff: Payoff,
@@ -134,24 +212,33 @@ def error_curve(
     The reference is analytic (zero bar) when :func:`analytic_reference`
     holds; otherwise one Richardson scheme value, shared by all n, with its
     gap as the error bar. The report's ``reference`` says which
-    (``"analytic"`` or ``"scheme"``).
+    (``"analytic"`` or ``"scheme"``). A marched reference (``sigma_under <
+    sigma_bar``) marches its finest level in a forked child while the rows
+    are priced (:func:`_beside`); the values are those of the calls in
+    process.
     """
-    ns = sorted(int(n) for n in ns)
+    ns = _depths(ns)
     if len(ns) != len(set(ns)) or any(n < 1 for n in ns):
         raise ValueError("ns must be distinct integers >= 1")
     prob = GHeatProblem(family.sigma_under, family.sigma_bar, payoff)
-    if analytic_reference(family, payoff):
-        reference = "analytic"
-        vref, vref_err = convex_oracle(prob), 0.0
-    else:
-        reference = "scheme"
-        vref, vref_err = richardson_value(prob, ref_spec or default_spec(prob))
+    spec = ref_spec or default_spec(prob)
 
-    rows = []
-    for n in ns:
-        vn = origin_value(family, payoff, n)
-        method, window = origin_window(family, payoff, n)
-        rows.append(RateRow(n, vn, vref, vref_err, abs(vn - vref), method, window))
+    def price_rows():  # (n, vn, method, window) per n
+        return [(n, origin_value(family, payoff, n), *origin_window(family, payoff, n))
+                for n in ns]
+
+    reference = "analytic" if analytic_reference(family, payoff) else "scheme"
+    if reference == "analytic":
+        (vref, vref_err), priced = (convex_oracle(prob), 0.0), price_rows()
+    elif prob.sigma_under == prob.sigma_bar:  # closed-form levels: nothing to overlap
+        (vref, vref_err), priced = richardson_value(prob, spec), price_rows()
+    else:
+        priced, (vref, vref_err) = _beside(
+            lambda: scheme_origin(prob, spec),
+            lambda origin_h: (price_rows(), richardson_value(prob, spec, origin_h)),
+        )
+    rows = [RateRow(n, vn, vref, vref_err, abs(vn - vref), method, window)
+            for n, vn, method, window in priced]
 
     fit_rows = [r for r in rows if r.err > ERR_FLOOR]
     reference_limited = bool(fit_rows) and vref_err > min(r.err for r in fit_rows) / 10.0
@@ -234,7 +321,7 @@ def conjecture_experiment(ns) -> ConjectureReport:
     about ``2 log2 n`` convolutions of at most ``2 J + 1`` points. The report
     states both sequences and leaves their limits to the reader.
     """
-    ns = sorted(int(n) for n in ns)
+    ns = _depths(ns)
     payoff = abs_payoff()
     rows = []
     for n in ns:

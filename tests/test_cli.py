@@ -4,8 +4,10 @@ import json
 import math
 import os
 import shlex
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -218,6 +220,86 @@ class TestRates:
         rc = run_cli(["rates", "--family", "gauss", "--phi", "abs", "--ns", "4,16,64",
                       "--out", tmp_path / "r"])
         assert rc == 1
+
+
+def fresh_env():
+    src = str(Path(cltlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def proc_state(pid):
+    """``(state, ppid)`` from ``/proc/<pid>/stat``, or None once the pid is gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    state, ppid = stat.rsplit(")", 1)[1].split()[:2]
+    return state, int(ppid)
+
+
+def children_of(pid):
+    # /proc/<pid>/task/*/children needs CONFIG_PROC_CHILDREN; every ppid is in stat
+    return [int(p.name) for p in Path("/proc").iterdir()
+            if p.name.isdigit() and (proc_state(p.name) or (None, None))[1] == pid]
+
+
+SWITCHING = ["rates", "--family", "rademacher_pair", "--phi", "cosine_scaled", "--ns", "4,16,64"]
+
+
+class TestForkedReference:
+    """The marched reference's finest level runs in a child that never outlives its command."""
+
+    def test_child_error_exits_one_and_leaves_no_run_directory(self, tmp_path, capsys):
+        out = tmp_path / "new" / "o"
+        assert run_cli([*SWITCHING, "--ref-h", 6, "--out", out]) == 1
+        assert capsys.readouterr().err == "ERROR DegenerateGrid: need at least 3 interior points\n"
+        assert not (tmp_path / "new").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+    def test_child_dies_with_a_killed_parent(self, tmp_path):
+        # the child's march at h = 0.00125 takes several seconds: it must not finish on its own
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cltlab", *SWITCHING, "--ref-h", "0.00125",
+             "--out", str(tmp_path / "r")],
+            env=fresh_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while not (kids := children_of(proc.pid)):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+        finally:
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=10)
+        (child,) = kids
+        deadline = time.monotonic() + 2
+        while (state := proc_state(child)) is not None and state[0] != "Z":
+            assert time.monotonic() < deadline, f"child {child} still {state[0]}"
+            time.sleep(0.01)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_piped_stdout_is_written_once_per_line(self, tmp_path):
+        # a child that flushed the parent's buffered stdout would repeat its lines
+        env = fresh_env()
+        env.pop("PYTHONUNBUFFERED", None)  # a pipe is block-buffered by default
+        code = (
+            "import sys\n"
+            "from cltlab.cli import main\n"
+            "for out in sys.argv[1:]:\n"
+            f"    main({[*SWITCHING, '--ref-h', '0.1']!r} + ['--out', out])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "a"), str(tmp_path / "b")],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 2 and all(line.startswith("slope ") for line in lines)
+        assert lines[0] == lines[1]
 
 
 class TestValue:

@@ -1,4 +1,6 @@
 import math
+import os
+import time
 
 import pytest
 
@@ -11,14 +13,16 @@ from cltlab import (
     build_family,
     builtin_family,
     conjecture_experiment,
+    cosine_payoff,
     error_curve,
     fit_loglog,
     make_discrete,
     piecewise_linear_payoff,
     theoretical_exponent,
 )
-from cltlab.gheat import GHeatProblem, default_spec
-from cltlab.rates import SCALED_TARGET, ConjectureReport, ConjectureRow
+from cltlab import gheat, rates
+from cltlab.gheat import GHeatProblem, default_spec, richardson_value
+from cltlab.rates import SCALED_TARGET, ConjectureReport, ConjectureRow, _beside
 from cltlab.recursion import lattice_window, law_window
 
 from oracles import (
@@ -126,6 +130,121 @@ class TestErrorCurve:
     def test_ns_validation(self):
         with pytest.raises(ValueError):
             error_curve(RADEMACHER, ABS, [4, 4, 16])
+
+    def test_non_integer_n_is_refused_not_truncated(self):
+        # int(4.5) would silently price n = 4
+        with pytest.raises(ValueError, match="integers"):
+            error_curve(RADEMACHER, ABS, [4.5, 16, 64])
+        with pytest.raises(ValueError, match="integers"):
+            conjecture_experiment([4.5, 16])
+        assert [r.n for r in error_curve(RADEMACHER, ABS, [4.0, 16, 64]).rows] == [4, 16, 64]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def solves(monkeypatch, tmp_path):
+    """Reads ``(pid, h, event)`` of every ``solve_gheat`` start and end, a forked child's too."""
+    log = tmp_path / "solves.txt"
+    solve = gheat.solve_gheat
+
+    def note(spec, event):
+        with open(log, "a") as f:  # one small O_APPEND write per line
+            f.write(f"{os.getpid()} {spec.h!r} {event}\n")
+
+    def recorder(prob, spec, store="levels"):
+        note(spec, "start")
+        field = solve(prob, spec, store)
+        note(spec, "end")
+        return field
+
+    monkeypatch.setattr(gheat, "solve_gheat", recorder)
+
+    def read(clear=False):
+        lines = log.read_text().splitlines() if log.exists() else []
+        if clear:
+            log.unlink(missing_ok=True)
+        return [(int(pid), float(h), event) for pid, h, event in map(str.split, lines)]
+
+    return read
+
+
+class TestForkedReference:
+    """A marched reference's finest level runs in a forked child; no value moves."""
+
+    PAIR = builtin_family("rademacher_pair")
+
+    @pytest.mark.parametrize(
+        "payoff, h, caller_hs",
+        [
+            (cosine_payoff(), 1 / 100, (2, 4)),  # nested, extrapolates
+            (abs_pow_payoff(0.5), 1 / 100, (0.5, 2, 4)),  # nested, falls back to h/2
+            (cosine_payoff(), 1 / 10, (0.5,)),  # unnested: h and h/2 only
+        ],
+        ids=["extrapolated", "fallback", "unnested"],
+    )
+    def test_reference_bits_and_where_each_level_ran(self, solves, payoff, h, caller_hs):
+        prob = GHeatProblem(self.PAIR.sigma_under, self.PAIR.sigma_bar, payoff)
+        spec = default_spec(prob, h=h)
+        expected = richardson_value(prob, spec)
+        solves(clear=True)
+        report = error_curve(self.PAIR, payoff, [4, 16, 64], ref_spec=spec)
+        assert all((r.vref, r.vref_err) == expected for r in report.rows)
+        me = os.getpid()
+        starts = [(pid, s) for pid, s, event in solves() if event == "start"]
+        assert [s for pid, s in starts if pid != me] == [spec.h]
+        assert sorted(s for pid, s in starts if pid == me) == sorted(spec.h * f for f in caller_hs)
+        assert_no_child_left()
+
+    def test_equal_bounds_reference_stays_in_process(self, solves):
+        # equal bounds: every level is a closed form, so nothing is forked
+        prob = GHeatProblem(1.0, 1.0, cosine_payoff())
+        error_curve(RADEMACHER, cosine_payoff(), [4, 16, 64], ref_spec=default_spec(prob, h=0.05))
+        assert {pid for pid, _, _ in solves()} == {os.getpid()}
+
+    def test_failing_row_kills_and_reaps_the_marching_child(self, solves, monkeypatch):
+        me = os.getpid()
+
+        def failing_row(family, payoff, n):
+            for _ in range(2000):  # wait until the child has started its march
+                if any(pid != me for pid, _, _ in solves()):
+                    raise RuntimeError("row failed")
+                time.sleep(0.005)
+            raise AssertionError("the child never started")
+
+        monkeypatch.setattr(rates, "origin_value", failing_row)
+        prob = GHeatProblem(self.PAIR.sigma_under, self.PAIR.sigma_bar, cosine_payoff())
+        with pytest.raises(RuntimeError, match="row failed"):
+            error_curve(self.PAIR, cosine_payoff(), [4, 16, 64],
+                        ref_spec=default_spec(prob, h=1 / 400))
+        (child, _, _), = [line for line in solves() if line[0] != me]  # started, never ended
+        with pytest.raises(ProcessLookupError):
+            os.kill(child, 0)  # killed and reaped
+        assert_no_child_left()
+
+    def test_child_exception_is_raised_in_the_caller(self):
+        with pytest.raises(ZeroDivisionError):
+            _beside(lambda: 1 / 0, lambda collect: collect())
+        assert_no_child_left()
+
+    def test_child_that_sends_nothing_is_replaced_in_process(self):
+        parent = os.getpid()
+
+        def background():
+            if os.getpid() != parent:
+                os._exit(3)  # dies without an answer
+            return 7
+
+        assert _beside(background, lambda collect: collect()) == 7
+        assert_no_child_left()
+
+    def test_background_runs_in_another_process(self):
+        here, there = _beside(os.getpid, lambda collect: (os.getpid(), collect()))
+        assert here == os.getpid() != there
+        assert_no_child_left()
 
 
 class TestConjecture:
