@@ -25,7 +25,7 @@ difference as its error bar.
 
 Only :func:`cltlab.rates.error_curve` with ``sigma_under < sigma_bar``
 marches its finest level ``h`` in a forked child, beside its lattice rows
-and the ``4h`` and ``2h`` marches (see :mod:`cltlab.rates`). Every other
+and the other marches (see :mod:`cltlab.rates`). Every other
 caller of :func:`richardson_value` marches all its levels in process: the
 ``4h`` and ``2h`` marches, all it could overlap with ``h``, cost about 1/7
 of the ``h`` march (1/64 + 1/8 of its point-updates).
@@ -135,6 +135,20 @@ def default_spec(prob: GHeatProblem, h: float = 1.0 / 400.0) -> SchemeSpec:
     return SchemeSpec(h=h, tau=tau, half_width=max(8.0 * sb, 1.0))
 
 
+def _check_grid(prob: GHeatProblem, spec: SchemeSpec) -> None:
+    """Refuses a grid narrower than ``8 * sigma_bar``, with fewer than three
+    interior points, or past the CFL bound; it builds no array."""
+    if spec.half_width + 1e-12 < 8.0 * prob.sigma_bar:
+        raise GridTooSmallError(
+            f"half width {spec.half_width} below 8*sigma_bar = {8.0 * prob.sigma_bar}"
+        )
+    if round(spec.half_width / spec.h) < 2:  # GridSpec.points: 2 * half - 1 interior points
+        raise DegenerateGridError("need at least 3 interior points")
+    lam = spec.cfl_ratio(prob.sigma_bar)
+    if lam > 1.0 + CFL_TOL:
+        raise CFLViolatedError(f"tau*sigma_bar^2/h^2 = {lam} exceeds 1")
+
+
 def solve_gheat(
     prob: GHeatProblem,
     spec: SchemeSpec,
@@ -153,18 +167,9 @@ def solve_gheat(
     """
     if store not in ("levels", "final"):
         raise ValueError(f"unknown store mode {store!r}")
-    if spec.half_width + 1e-12 < 8.0 * prob.sigma_bar:
-        raise GridTooSmallError(
-            f"half width {spec.half_width} below 8*sigma_bar = {8.0 * prob.sigma_bar}"
-        )
+    _check_grid(prob, spec)
     x = GridSpec(spec.h, spec.half_width).points()
-    if x.size - 2 < 3:
-        raise DegenerateGridError("need at least 3 interior points")
     terminal = np.asarray(prob.payoff(x), dtype=float)
-
-    lam = spec.cfl_ratio(prob.sigma_bar)
-    if lam > 1.0 + CFL_TOL:
-        raise CFLViolatedError(f"tau*sigma_bar^2/h^2 = {lam} exceeds 1")
     steps = spec.steps()
     tau = 1.0 / steps  # lands exactly on t = 0; only shrinks the ratio
     a_hi = tau * prob.sigma_bar**2 / (2.0 * spec.h**2)
@@ -287,16 +292,17 @@ def richardson_value(
     with bar ``|v(h/2) - v(h)|``. It goes to that pair without the ``4h``
     and ``2h`` marches when their step counts do not nest in that of ``h``
     (``tau`` is rounded to land on ``t = 0``, which would change the CFL
-    ratio between levels) or when the ``4h`` grid is degenerate. That march
-    at ``h/2`` costs about 8x the ``h`` march when ``sigma_under <
-    sigma_bar``; with equal bounds every level is a closed form, and it costs
-    about as little as the others.
+    ratio between levels) or when the ``4h`` grid is degenerate, and
+    marches ``h/2`` first, since it needs no ``v(h)``. That march at ``h/2``
+    costs about 8x the ``h`` march when ``sigma_under < sigma_bar``; with
+    equal bounds every level is a closed form, and it costs about as little
+    as the others.
 
     A caller that has already marched ``spec`` (with either ``store`` mode)
     passes that field's origin value as ``origin_h``; the ``h`` march is
     then skipped and the result is unchanged. ``origin_h`` may also be a
-    callable with no arguments, called where the ``h`` march would be (after
-    ``4h`` and ``2h``): a value marched elsewhere in the meantime.
+    callable with no arguments, called where the ``h`` march would be: a
+    value marched elsewhere in the meantime.
     """
     v4 = v2 = None
     n = spec.steps()
@@ -305,6 +311,7 @@ def richardson_value(
             v4, v2 = scheme_origin(prob, spec.scaled(4.0)), scheme_origin(prob, spec.scaled(2.0))
         except DegenerateGridError:  # fewer than three interior points at 4h
             pass
+    fine = None if v4 is not None else scheme_origin(prob, spec.scaled(0.5))  # needs no v(h)
     if origin_h is None:
         v1 = scheme_origin(prob, spec)
     else:
@@ -315,7 +322,7 @@ def richardson_value(
             return v1, 0.0
         if g2 != 0.0 and g1 / g2 > 0.0 and abs(math.log2(g1 / g2) - 2.0) <= ORDER_TOL:
             return v1 + (v1 - v2) / 3.0, abs(g2) / 3.0
-    fine = scheme_origin(prob, spec.scaled(0.5))
+        fine = scheme_origin(prob, spec.scaled(0.5))
     return fine, abs(fine - v1)
 
 

@@ -12,8 +12,8 @@ convex terminal data), otherwise Richardson-extrapolated scheme values with
 a propagated error bar. When that reference is marched (``sigma_under <
 sigma_bar``), its finest level ``v(h)`` is most of the run, so
 :func:`error_curve` forks a child that marches it while the parent prices
-the lattice rows and marches ``4h`` and ``2h``; the parent then reads
-``v(h)`` from a pipe and combines the three as :func:`richardson_value`
+the lattice rows and marches the other levels; the parent then reads
+``v(h)`` from a pipe and combines them as :func:`richardson_value`
 always does, so every value keeps its bits. The CPU time is unchanged:
 the wall time falls only where a second core is free. Equal-volatility
 references are closed forms and analytic ones need no solve, so both stay
@@ -39,6 +39,7 @@ from .families import Family, check_cubic_condition, conjecture_family
 from .gheat import (
     GHeatProblem,
     SchemeSpec,
+    _check_grid,
     convex_oracle,
     default_spec,
     richardson_value,
@@ -233,6 +234,7 @@ def error_curve(
     elif prob.sigma_under == prob.sigma_bar:  # closed-form levels: nothing to overlap
         (vref, vref_err), priced = richardson_value(prob, spec), price_rows()
     else:
+        _check_grid(prob, spec)  # a grid the child would refuse is refused before the rows
         priced, (vref, vref_err) = _beside(
             lambda: scheme_origin(prob, spec),
             lambda origin_h: (price_rows(), richardson_value(prob, spec, origin_h)),

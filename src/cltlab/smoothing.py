@@ -23,10 +23,11 @@ The audits do each comparison once, in whole-array passes: a Lipschitz
 ulps of the pairwise ``|.|`` form (:func:`_holder_excess` bounds the gap),
 and a field's levels share batches of such lines; other exponents form
 each pair ``j >= i`` once, and levels on equal points share one bound
-matrix. The temporal audit centres the strided levels in the rows of one
-matrix, so a level meets every larger one in one pass over a block of
-columns. NaN or infinite values are refused, since they would drop out of
-every max.
+matrix. Every level must be a non-empty centred stretch of the widest
+level's points, as the solvers' levels are, so the temporal audit centres
+the strided levels in the rows of one matrix and a level meets every
+larger one in one pass over a block of columns. NaN or infinite values
+are refused, since they would drop out of every max.
 
 A surface stores each distinct time row once, indexed by time, and no
 array in the checks is as tall as the surface. Per width, the correlation
@@ -609,21 +610,21 @@ def verify_smoothing_bounds(surface: SampledSurface, eps_list) -> SmoothingRepor
     )
 
 
-def _spatial_excess(field: ValueField, run: np.ndarray, beta: float) -> tuple[float, int]:
+def _spatial_excess(field: ValueField, beta: float) -> tuple[float, int]:
     """The spatial audit's worst excess and the points it checked.
 
     A Lipschitz scan reads each line's own points, so levels of any size
     share a batch, each padded at the top with its first point (adding
-    exactly 0); other exponents share one bound matrix within a run.
+    exactly 0); other exponents share one bound matrix per run of one size.
     """
-    strided = {n: _strided(n, REGULARITY_POINTS) for n in {x.size for x in field.xs}}
-    full = [k for k in range(run.size) if field.xs[k].size]  # empty levels compare nothing
-    groups = itertools.groupby(full, key=lambda k: 0 if beta == 1 else run[k])
+    sizes = [x.size for x in field.xs]
+    strided = {n: _strided(n, REGULARITY_POINTS) for n in set(sizes)}
+    groups = itertools.groupby(range(len(sizes)), key=lambda k: 0 if beta == 1 else sizes[k])
     spatial, points_checked = 0.0, 0
     for members in (list(g) for _, g in groups):
         for b in range(0, len(members), LEVEL_BATCH):
             batch = members[b : b + LEVEL_BATCH]
-            idxs = [strided[field.xs[k].size] for k in batch]
+            idxs = [strided[sizes[k]] for k in batch]
             rows = max(idx.size for idx in idxs)
             lines = np.empty((2, len(batch), rows))  # points and values
             for line, k, idx in zip(lines.transpose(1, 0, 2), batch, idxs):
@@ -645,34 +646,23 @@ def _pair_bounds(times: np.ndarray, beta: float, sigma_bar: float) -> np.ndarray
 
 
 def _temporal_excess(
-    field: ValueField, run: np.ndarray, levels: np.ndarray, beta: float, sigma_bar: float
+    field: ValueField, levels: np.ndarray, beta: float, sigma_bar: float
 ) -> tuple[float, int]:
-    """Worst temporal excess over pairs of ``levels``, and the pairs compared.
+    """Worst temporal excess over all pairs of ``levels``, and the pairs compared.
 
-    The levels, smallest first, sit centred in the rows of one matrix. A
-    pair's stretch of the larger level q lies at the smaller p's columns,
-    or one column earlier when ``W - n_q`` and ``n_q - n_p`` are odd. Runs
-    and exact stretches of the widest level read in place share their
-    points; other pairs do if every gap is within 1e-9.
+    The levels, smallest first, sit centred in the rows of one matrix.
+    Every level is the centred stretch of the widest one (checked by
+    :func:`regularity_audit`), so a pair shares the smaller level's points,
+    at that level's columns in both rows.
     """
-    order = sorted((k for k in levels if field.xs[k].size), key=lambda k: (field.xs[k].size, k))
+    order = sorted(levels, key=lambda k: (field.xs[k].size, k))
     sizes = np.array([field.xs[k].size for k in order], dtype=int)
-    width = sizes[-1] if order else 0
-    offsets, odd = (width - sizes) // 2, (width - sizes) % 2 == 1
-    early = ~odd[:, None] & odd  # [p, q]
+    width = sizes[-1]
+    offsets = (width - sizes) // 2
     bound = _pair_bounds(field.times[order], beta, sigma_bar)
     matrix = np.zeros((len(order), width))
-    exact = np.empty(len(order), dtype=bool)
     for p, k in enumerate(order):
-        cols = slice(offsets[p], offsets[p] + sizes[p])
-        matrix[p, cols] = field.values[k]
-        exact[p] = np.array_equal(field.xs[k], field.xs[order[-1]][cols])
-    shared = np.triu((run[order][:, None] == run[order]) | (exact[:, None] & exact & ~early), 1)
-    look = np.triu(~shared, 1)
-    if look.any():
-        xs_matrix = np.zeros_like(matrix)
-        for p, k in enumerate(order):
-            xs_matrix[p, offsets[p] : offsets[p] + sizes[p]] = field.xs[k]
+        matrix[p, offsets[p] : offsets[p] + sizes[p]] = field.values[k]
     diffs = np.zeros((len(order), len(order)))  # [p, q]: max |v_q - v_p| at p's strided points
     buf = np.empty(len(order) * min(width, REGULARITY_POINTS))
     for p in range(len(order) - 1):
@@ -685,16 +675,8 @@ def _temporal_excess(
         rest = block[p - first + 1 :]  # a view of one block only, so two are never alive
         diff = np.subtract(rest, block[p - first], out=buf[: rest.size].reshape(rest.shape))
         np.max(np.abs(diff, out=diff), axis=1, out=diffs[p, p + 1 :])
-        q = np.flatnonzero(look[p])
-        if q.size:
-            start = (offset - early[p, q])[:, None]
-            gap = np.abs(xs_matrix[q[:, None], start + np.arange(size)] - field.xs[order[p]])
-            shared[p, q] = np.max(gap, axis=1) <= 1e-9
-            q, start = q[shared[p, q]], start[shared[p, q]]
-            diffs[p, q] = np.max(np.abs(matrix[q[:, None], start + idx] - block[p - first]), axis=1)
-    pairs = int(np.count_nonzero(shared))
-    excess = np.subtract(diffs, bound, out=diffs)
-    return (max(0.0, float(np.max(excess[shared]))) if pairs else 0.0), pairs
+    excess = np.subtract(diffs, bound, out=diffs)[np.triu_indices(len(order), 1)]
+    return float(np.max(excess, initial=0.0)), excess.size
 
 
 @dataclass(frozen=True)
@@ -705,7 +687,7 @@ class RegularityReport:
     passed: bool
     spatial_levels_checked: int
     temporal_levels_checked: int
-    temporal_pairs_checked: int  # level pairs that share points, compared
+    temporal_pairs_checked: int  # level pairs compared: all of them
     points_checked: int  # by the spatial audit
 
 
@@ -721,34 +703,35 @@ def regularity_audit(
     level, at up to ``REGULARITY_POINTS`` strided points per level; for
     ``beta = 1`` a level is one running-minimum scan (see
     :func:`_holder_excess` for its rounding bound). Temporal:
-    ``|v(t,x) - v(s,x)| <= sigma_bar**beta * |t-s|**(beta/2)`` at shared
-    points of every pair of up to ``REGULARITY_LEVELS`` strided levels; a
-    level pair whose centred stretches differ by more than 1e-9 shares no
-    points and is skipped, and so is a level with no points. The report
-    counts the levels of each audit and the level pairs compared.
+    ``|v(t,x) - v(s,x)| <= sigma_bar**beta * |t-s|**(beta/2)`` at the
+    shared points of every pair of up to ``REGULARITY_LEVELS`` strided
+    levels. Each level must be the centred stretch ``widest[off : off + n]``
+    of the widest level's ``W`` points, ``W - n`` even and ``n > 0``, as
+    the solvers' cones and grids are, so that every pair shares the smaller
+    level's points; ``ValueError`` names the first level that is not. The
+    report counts the levels of each audit and the level pairs compared.
     Excess is reported raw; the verdict grants the documented float-rounding
     envelope on top of ``slack``, so ``slack = 0`` means "no violation
     beyond rounding". A NaN or an infinity in any stored level raises
     :class:`NonFiniteValuesError`.
     """
-    for k, values in enumerate(field.values):
+    widest = max(field.xs, key=np.size)
+    for k, (xs, values) in enumerate(zip(field.xs, field.values)):
+        off, odd = divmod(widest.size - xs.size, 2)
+        if not xs.size or odd or not np.array_equal(xs, widest[off : off + xs.size]):
+            raise ValueError(f"level {k} is not a centred stretch of the widest level's points")
         _check_finite(values, f"level {k}")
-    # consecutive levels on equal points form a run; run[k] is its first level
-    run = np.arange(len(field.xs))
-    for k in range(1, run.size):
-        if np.array_equal(field.xs[k], field.xs[k - 1]):
-            run[k] = run[k - 1]
 
-    spatial, points_checked = _spatial_excess(field, run, beta)
+    spatial, points_checked = _spatial_excess(field, beta)
     levels = _strided(field.times.size, REGULARITY_LEVELS)
-    temporal, pairs = _temporal_excess(field, run, levels, beta, sigma_bar)
+    temporal, pairs = _temporal_excess(field, levels, beta, sigma_bar)
     worst = max(spatial, temporal)
     return RegularityReport(
         spatial_excess=spatial,
         temporal_excess=temporal,
         slack=slack,
         passed=worst <= slack + FP_SLACK,
-        spatial_levels_checked=run.size,
+        spatial_levels_checked=len(field.xs),
         temporal_levels_checked=int(levels.size),
         temporal_pairs_checked=pairs,
         points_checked=points_checked,

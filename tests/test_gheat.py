@@ -232,12 +232,35 @@ class TestRichardson:
 
     def test_unnested_steps_skip_coarse_levels(self, marched):
         # at h = 0.1 tau rounds to 7 steps at 4h, not 100 / 16: the CFL
-        # ratio would differ, so only h and h/2 are marched
+        # ratio would differ, so only h/2 and h are marched
         prob = GHeatProblem(1.0, 1.0, cosine_payoff())
         spec = default_spec(prob, h=0.1)
         assert [spec.scaled(f).steps() for f in (1, 2, 4)] == [100, 25, 7]
         assert richardson_value(prob, spec) == self.refined_pair(prob, spec)
-        assert marched == [spec.h, spec.h / 2]
+        assert marched == [spec.h / 2, spec.h]
+
+    @pytest.mark.parametrize(
+        "prob, spec, coarse",
+        [
+            (GHeatProblem(1.0, 1.0, cosine_payoff()), SchemeSpec(0.1, 0.01, 8.0), []),
+            (GHeatProblem(0.0, 0.1, ABS), SchemeSpec(0.25, 1 / 64, 1.0), [1.0]),
+        ],
+        ids=["unnested", "degenerate-4h"],
+    )
+    def test_skipped_coarse_levels_march_h_half_before_reading_v_h(
+        self, marched, prob, spec, coarse
+    ):
+        # the pair needs no v(h) to march h/2, so a v(h) marched elsewhere
+        # is read after it; the degenerate 4h grid is tried and refused
+        expected, origin = self.refined_pair(prob, spec), gheat.scheme_origin(prob, spec)
+        del marched[:]
+
+        def origin_h():
+            marched.append("v(h)")
+            return origin
+
+        assert richardson_value(prob, spec, origin_h) == expected
+        assert marched == [*coarse, spec.h / 2, "v(h)"]
 
     def test_exactly_zero_gaps_return_h_with_zero_bar(self, marched):
         # constant data: 4h, 2h and h agree exactly, so h/2 is not marched

@@ -21,6 +21,7 @@ from cltlab import (
     theoretical_exponent,
 )
 from cltlab import gheat, rates
+from cltlab.cli import main
 from cltlab.gheat import GHeatProblem, default_spec, richardson_value
 from cltlab.rates import SCALED_TARGET, ConjectureReport, ConjectureRow, _beside
 from cltlab.recursion import lattice_window, law_window
@@ -223,6 +224,18 @@ class TestForkedReference:
         (child, _, _), = [line for line in solves() if line[0] != me]  # started, never ended
         with pytest.raises(ProcessLookupError):
             os.kill(child, 0)  # killed and reaped
+        assert_no_child_left()
+
+    def test_refused_reference_grid_prices_no_row(self, capsys, monkeypatch, tmp_path):
+        # h = 6 leaves one interior point: refused before the fork and the
+        # rows, in the line the child's refusal printed after them
+        priced = []
+        monkeypatch.setattr(rates, "origin_value", lambda *args: priced.append(args))
+        assert main(["rates", "--family", "rademacher_pair", "--phi", "cosine_scaled",
+                     "--ns", "4,16,64,256,1024,4096,16384", "--ref-h", "6",
+                     "--out", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err == "ERROR DegenerateGrid: need at least 3 interior points\n"
+        assert priced == []
         assert_no_child_left()
 
     def test_child_exception_is_raised_in_the_caller(self):

@@ -17,8 +17,11 @@ from cltlab import (
     ValueField,
     abs_payoff,
     abs_pow_payoff,
+    build_family,
     builtin_family,
+    conjecture_family,
     default_spec,
+    make_discrete,
     piecewise_linear_payoff,
     regularity_audit,
     richardson_value,
@@ -64,6 +67,7 @@ from oracles import (
 
 ABS = abs_payoff()
 RADEMACHER = builtin_family("rademacher")
+PAIR = builtin_family("rademacher_pair")
 
 
 def abs_surface(beta=1.0, eps=0.2, half_width=1.5):
@@ -697,8 +701,8 @@ def corrupted(field, bump=1.0):
     return field
 
 
-def scheme_field(h):
-    prob = GHeatProblem(0.5, 1.0, ABS)
+def scheme_field(h, sigma_under=0.5, payoff=ABS):
+    prob = GHeatProblem(sigma_under, 1.0, payoff)
     return solve_gheat(prob, default_spec(prob, h=h))
 
 
@@ -707,9 +711,8 @@ def grid_field(n):
 
 
 def disjoint_field():
-    """Levels whose middle stretches mostly share no points: levels 1 and 4
-    would fail every comparison with another level they were admitted to,
-    and level 2 is smaller than the earlier level 0 it shares x = 0 with."""
+    """Levels whose middle stretches mostly share no points: level 1 holds
+    two points where the widest holds five, so no stretch of it is centred."""
     xs = [[-1.0, 0.0, 1.0], [-0.5, 0.5], [0.0], [-2.0, -1.0, 0.0, 1.0, 2.0], [-0.5, 0.5]]
     values = [[1.0, 0.0, 1.0], [9.0, 9.0], [0.9], [2.0, 1.0, 0.0, 1.0, 2.0], [8.9, 9.0]]
     return ValueField(
@@ -724,8 +727,7 @@ def disjoint_field():
 
 def near_shared_field():
     """Lattice-like levels of 1 to 1041 points on ``j/8`` shifted by
-    ``(k % 4) * 4e-10``: no level is exactly a stretch of another, and
-    levels whose shifts differ by 1.2e-9 share no points."""
+    ``(k % 4) * 4e-10``: level 1 lies 4e-10 off the widest level's points."""
     times = np.arange(41) / 40
     xs = [np.arange(-13 * k, 13 * k + 1) / 8 + (k % 4) * 4e-10 for k in range(41)]
     values = [np.abs(x) + 0.3 * np.sqrt(1.0 - t) * np.cos(x) for t, x in zip(times, xs)]
@@ -734,11 +736,8 @@ def near_shared_field():
 
 def mixed_parity_field():
     """Levels of 3 to 1201 points on one grid of 1201, each the stretch that
-    starts at the floor or the ceiling of its centred offset, with rough
-    values: a pair read one point off sees a large gap, one read in its
-    place a gap of 0.01 |t - s|. Sizes differ from the widest in both
-    parities, so a pair's middle stretch sits at the smaller level's
-    centred offset or one point before it."""
+    starts at the floor or the ceiling of its centred offset: a level of
+    even size has no centred stretch of the widest level's 1201 points."""
     rng = np.random.default_rng(5)
     grid = (np.arange(1201) - 600) / 200
     rough = rng.uniform(-1.0, 1.0, grid.size)
@@ -755,19 +754,33 @@ def mixed_parity_field():
     )
 
 
+def emptied(field, level):
+    field.xs[level], field.values[level] = np.empty(0), np.empty(0)
+    return field
+
+
+SKEW = build_family([make_discrete([-1.0, 2.0], [2 / 3, 1 / 3])], 1.0)  # zero mean, reach 2
+ODD = piecewise_linear_payoff([-1.0, 0.0, 2.0], [0.5, 0.0, 1.0])  # not even
+
+
+# every shape the solvers make: lattice cones of each reach, one shared
+# grid in grid mode and in the scheme, even and odd terminal data
 REGULARITY_CASES = {
     "lattice-8": lambda: (solve_recursion(RADEMACHER, ABS, 8), 1.0),
+    "lattice-pair": lambda: (solve_recursion(PAIR, ABS, 64), 1.0),
+    "lattice-conjecture-16": lambda: (solve_recursion(conjecture_family(16), ABS, 16), 1.0),
+    "lattice-skew": lambda: (solve_recursion(SKEW, ABS, 64), 1.0),
+    "lattice-odd-data": lambda: (solve_recursion(PAIR, ODD, 64), 1.0),
+    "scheme-equal-bounds": lambda: (scheme_field(1 / 20, sigma_under=1.0), 1.0),
+    "scheme-odd-data": lambda: (scheme_field(1 / 20, payoff=ODD), 1.0),
     # 601 points on the last level and 301 levels: both are strided
     "lattice-300": lambda: (solve_recursion(RADEMACHER, ABS, 300), 1.0),
-    "scheme": lambda: (scheme_field(1 / 20), 1.0),
+    "scheme": lambda: (scheme_field(1 / 20), 1.0),  # unequal bounds
     "beta-half": lambda: (solve_recursion(RADEMACHER, abs_pow_payoff(0.5), 64), 0.5),
     "corrupted-lattice": lambda: (corrupted(solve_recursion(RADEMACHER, ABS, 300)), 1.0),
     "corrupted-scheme": lambda: (corrupted(scheme_field(1 / 20), bump=0.3), 1.0),
     # 301 levels on one grid: more than one batch of LEVEL_BATCH levels
     "corrupted-grid": lambda: (corrupted(grid_field(300)), 1.0),
-    "disjoint-levels": lambda: (disjoint_field(), 0.5),
-    "near-shared": lambda: (near_shared_field(), 1.0),
-    "mixed-parity": lambda: (mixed_parity_field(), 1.0),
 }
 
 
@@ -785,7 +798,8 @@ def test_regularity_audit_is_the_all_pairs_loop(case, sigma_bar):
     spatial, temporal, spatial_levels, temporal_levels, pairs, points = regularity_excess(
         field, beta, sigma_bar, REGULARITY_POINTS, REGULARITY_LEVELS
     )
-    assert regularity_audit(field, beta, sigma_bar, slack) == RegularityReport(
+    report = regularity_audit(field, beta, sigma_bar, slack)
+    assert report == RegularityReport(
         spatial_excess=spatial,
         temporal_excess=temporal,
         slack=slack,
@@ -795,17 +809,27 @@ def test_regularity_audit_is_the_all_pairs_loop(case, sigma_bar):
         temporal_pairs_checked=pairs,
         points_checked=points,
     )
+    assert report.temporal_pairs_checked == temporal_levels * (temporal_levels - 1) // 2
     if case.startswith("corrupted"):
         assert spatial > slack and temporal > slack
     if case == "corrupted-grid":
         assert field.times.size > LEVEL_BATCH
-    if case == "disjoint-levels":
-        assert 0.0 < temporal < 1.0  # level 2 against levels 0 and 3 only
-    levels = len(field.xs)
-    if case == "near-shared":  # every pair but the 11 * 10 with shifts 1.2e-9 apart
-        assert pairs == levels * (levels - 1) // 2 - 110
-    if case == "mixed-parity":  # some pairs are read one point early, some share nothing
-        assert 0 < pairs < levels * (levels - 1) // 2 and temporal < 0.02
+
+
+@pytest.mark.parametrize(
+    "make, level",
+    [
+        pytest.param(disjoint_field, 1, id="disjoint-levels"),
+        pytest.param(near_shared_field, 1, id="near-shared"),
+        pytest.param(mixed_parity_field, 1, id="mixed-parity"),
+        pytest.param(lambda: emptied(solve_recursion(RADEMACHER, ABS, 8), 3), 3, id="empty-level"),
+    ],
+)
+def test_a_level_off_the_widest_one_is_refused(make, level):
+    # it has no centred stretch of the widest level's points to be compared at
+    expected = f"level {level} is not a centred stretch of the widest level's points"
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        regularity_audit(make(), 1.0, 1.0, 0.0)
 
 
 def test_temporal_bound_takes_the_scalar_power():
@@ -823,21 +847,6 @@ def test_temporal_bound_takes_the_scalar_power():
     report = regularity_audit(field, 0.5, 1.0, 0.0)
     assert report.temporal_excess == 1.0 - gap**0.25
     assert report.temporal_pairs_checked == 1 and report.spatial_excess == 0.0
-
-
-@pytest.mark.parametrize("beta", [1.0, 0.5])
-def test_an_empty_level_is_skipped(beta):
-    # it shares no points with any level and has none to compare within itself
-    field = solve_recursion(RADEMACHER, ABS, 8)
-    field.xs[3], field.values[3] = np.empty(0), np.empty(0)
-    report = regularity_audit(field, beta, 1.0, 0.0)
-    spatial, temporal, *counts = regularity_excess(
-        field, beta, 1.0, REGULARITY_POINTS, REGULARITY_LEVELS
-    )
-    assert counts == [9, 9, 28, 81 - 7]
-    assert report == RegularityReport(
-        spatial, temporal, 0.0, max(spatial, temporal) <= FP_SLACK, *counts
-    )
 
 
 def on_lattice_points(payoff, n):
