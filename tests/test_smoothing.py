@@ -754,11 +754,6 @@ def mixed_parity_field():
     )
 
 
-def emptied(field, level):
-    field.xs[level], field.values[level] = np.empty(0), np.empty(0)
-    return field
-
-
 SKEW = build_family([make_discrete([-1.0, 2.0], [2 / 3, 1 / 3])], 1.0)  # zero mean, reach 2
 ODD = piecewise_linear_payoff([-1.0, 0.0, 2.0], [0.5, 0.0, 1.0])  # not even
 
@@ -784,15 +779,33 @@ REGULARITY_CASES = {
 }
 
 
+# hand-built fields whose level 1 has no centred stretch of the widest
+# level's points to be compared at: the audit refuses them
+OFF_INVARIANT = {
+    "disjoint-levels": disjoint_field,
+    "near-shared": near_shared_field,
+    "mixed-parity": mixed_parity_field,
+}
+
+
+def assert_refused(field, level, beta, sigma_bar):
+    expected = f"level {level} is not a centred stretch of the widest level's points"
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        regularity_audit(field, beta, sigma_bar, 0.0)
+
+
 @pytest.mark.parametrize(
     "case, sigma_bar",
     [
         pytest.param(case, sigma_bar, id=case if sigma_bar == 1.0 else f"{case}-sigma-bar-0.75")
         for sigma_bar in (1.0, 0.75)
-        for case in REGULARITY_CASES
+        for case in [*REGULARITY_CASES, *OFF_INVARIANT]
     ],
 )
 def test_regularity_audit_is_the_all_pairs_loop(case, sigma_bar):
+    if case in OFF_INVARIANT:
+        assert_refused(OFF_INVARIANT[case](), 1, 1.0, sigma_bar)
+        return
     field, beta = REGULARITY_CASES[case]()
     slack = 0.01
     spatial, temporal, spatial_levels, temporal_levels, pairs, points = regularity_excess(
@@ -816,20 +829,12 @@ def test_regularity_audit_is_the_all_pairs_loop(case, sigma_bar):
         assert field.times.size > LEVEL_BATCH
 
 
-@pytest.mark.parametrize(
-    "make, level",
-    [
-        pytest.param(disjoint_field, 1, id="disjoint-levels"),
-        pytest.param(near_shared_field, 1, id="near-shared"),
-        pytest.param(mixed_parity_field, 1, id="mixed-parity"),
-        pytest.param(lambda: emptied(solve_recursion(RADEMACHER, ABS, 8), 3), 3, id="empty-level"),
-    ],
-)
-def test_a_level_off_the_widest_one_is_refused(make, level):
-    # it has no centred stretch of the widest level's points to be compared at
-    expected = f"level {level} is not a centred stretch of the widest level's points"
-    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
-        regularity_audit(make(), 1.0, 1.0, 0.0)
+@pytest.mark.parametrize("beta", [1.0, 0.5])
+def test_an_empty_level_is_refused(beta):
+    # it has no points to share with any level
+    field = solve_recursion(RADEMACHER, ABS, 8)
+    field.xs[3], field.values[3] = np.empty(0), np.empty(0)
+    assert_refused(field, 3, beta, 1.0)
 
 
 def test_temporal_bound_takes_the_scalar_power():
