@@ -268,15 +268,11 @@ def _windows(rows) -> dict:
 
 def _run_rates(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
     """Error curve, log-log slope and verdict."""
-    ref_spec = None
-    if cfg.ref_h is not None:
-        prob = GHeatProblem(family.sigma_under, family.sigma_bar, payoff)
-        ref_spec = default_spec(prob, h=cfg.ref_h)
     report = error_curve(
         family,
         payoff,
         cfg.ns,
-        ref_spec=ref_spec,
+        ref_h=cfg.ref_h,
         exponent_rule=cfg.exponent_rule,
         strict_reference=cfg.strict_reference,
     )

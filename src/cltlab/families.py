@@ -7,9 +7,9 @@ up to floating-point rounding. Continuous laws are out of scope.
 A family carries the moment summaries used throughout: ``sigma_bar`` and
 ``sigma_under`` (largest and smallest standard deviation across members)
 and, when every support point of every member sits on a common grid
-``c * Z`` with ``c <= 1``, that lattice step. Families are identified with
-sets of laws; only laws enter the recursion, so the underlying probability
-spaces are irrelevant.
+``c * Z`` with ``c <= 1``, that step and each member's support in units of
+it (``offsets``). Families are identified with sets of laws; only laws
+enter the recursion, so the underlying probability spaces are irrelevant.
 """
 
 from __future__ import annotations
@@ -83,19 +83,16 @@ def make_discrete(support, probs) -> DiscreteDist:
     return DiscreteDist(tuple(support), tuple(probs))
 
 
-def moment(dist: DiscreteDist, k, absolute: bool = False) -> float:
-    """Exact finite moment ``sum(p * x**k)``, or of ``|x|`` when ``absolute``.
+def moment(dist: DiscreteDist, k) -> float:
+    """Exact finite moment ``sum(p * x**k)`` of integer order ``k``.
 
     Uses :func:`math.fsum` over ascending support, so the result is the
     correctly rounded sum and independent of platform reduction order.
-    Non-integer ``k`` requires ``absolute`` (negative bases have no real
-    fractional power).
+    A non-integer ``k`` is refused.
     """
     k = float(k)
-    if not absolute and k != int(k):
-        raise ValueError("fractional moments require absolute=True")
-    if absolute:
-        return math.fsum(p * abs(x) ** k for p, x in zip(dist.probs, dist.support))
+    if k != int(k):
+        raise ValueError(f"moment order must be an integer, got {k}")
     return math.fsum(p * x ** k for p, x in zip(dist.probs, dist.support))
 
 
@@ -108,6 +105,7 @@ class Family:
     sigma_bar: float
     sigma_under: float
     lattice_step: float | None
+    offsets: tuple[tuple[int, ...], ...] | None  # per member, support / lattice_step
 
     def describe(self) -> str:
         kinds = "+".join(str(len(d.support)) for d in self.members)
@@ -123,27 +121,34 @@ def _float_gcd(values) -> float:
     return g
 
 
-def common_lattice_step(points) -> float | None:
-    """Greatest ``c <= 1`` such that every point lies on ``c * Z``, or None.
+def _lattice(supports):
+    """Greatest ``c <= 1`` with every point of ``supports`` on ``c * Z``, and
+    each support in units of ``c``; ``(None, None)`` when there is none.
 
     The greatest common step of the nonzero points is found by a tolerant
     Euclid pass; any admissible step divides it, so the answer is ``g / m``
     for the smallest integer ``m`` bringing it below one. Points without a
-    usable common step (the gcd collapses below 1e-9) report None. A support
-    consisting only of zero lies on every grid; step 1 is returned.
+    usable common step (the gcd collapses below 1e-9) have none. Supports
+    consisting only of zero lie on every grid; step 1 is returned.
     """
-    nonzero = [abs(p) for p in points if p != 0.0]
+    nonzero = [abs(x) for s in supports for x in s if x != 0.0]
     if not nonzero:
-        return 1.0
+        return 1.0, tuple((0,) * len(s) for s in supports)
     g = _float_gcd(nonzero)
     if g < _MIN_LATTICE_STEP:
-        return None
+        return None, None
     step = g if g <= 1.0 + LATTICE_TOL else g / math.ceil(g - LATTICE_TOL)
     step = min(step, 1.0)
-    for p in nonzero:
-        if abs(p - round(p / step) * step) > LATTICE_TOL:
-            return None
-    return step
+    offsets = tuple(tuple(round(x / step) for x in s) for s in supports)
+    for s, offs in zip(supports, offsets):
+        if any(abs(x - j * step) > LATTICE_TOL for x, j in zip(s, offs)):
+            return None, None
+    return step, offsets
+
+
+def common_lattice_step(points) -> float | None:
+    """Greatest ``c <= 1`` such that every point lies on ``c * Z``, or None."""
+    return _lattice([points])[0]
 
 
 def build_family(members, beta) -> Family:
@@ -155,13 +160,14 @@ def build_family(members, beta) -> Family:
     if not (0.0 < beta <= 1.0 or beta == 2.0):
         raise ValueError(f"beta must lie in (0, 1] or equal 2, got {beta}")
     sds = [math.sqrt(moment(d, 2)) for d in members]
-    points = [x for d in members for x in d.support]
+    step, offsets = _lattice([d.support for d in members])
     return Family(
         members=members,
         beta=beta,
         sigma_bar=max(sds),
         sigma_under=min(sds),
-        lattice_step=common_lattice_step(points),
+        lattice_step=step,
+        offsets=offsets,
     )
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LabError
+from .errors import GridTooSmallError, LabError
 
 TIME_LOOKUP_TOL = 1e-12
 
@@ -35,6 +35,13 @@ class GridSpec:
     def points(self) -> np.ndarray:
         half = round(self.half_width / self.step)
         return (np.arange(2 * half + 1) - half) * self.step
+
+
+def check_half_width(half_width: float, sigma_bar: float) -> None:
+    """Refuses a half width below ``8 * sigma_bar``, beyond which a frozen
+    boundary's Gaussian-tail bias at the origin is negligible."""
+    if half_width + 1e-12 < 8.0 * sigma_bar:
+        raise GridTooSmallError(f"half width {half_width} below 8*sigma_bar = {8.0 * sigma_bar}")
 
 
 @dataclass

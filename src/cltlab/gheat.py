@@ -68,8 +68,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooSmallError, LabError
-from .fields import GridSpec, ValueField
+from .errors import LabError
+from .fields import GridSpec, ValueField, check_half_width
 from .payoffs import Payoff
 
 CFL_TOL = 1e-12
@@ -138,10 +138,7 @@ def default_spec(prob: GHeatProblem, h: float = 1.0 / 400.0) -> SchemeSpec:
 def _check_grid(prob: GHeatProblem, spec: SchemeSpec) -> None:
     """Refuses a grid narrower than ``8 * sigma_bar``, with fewer than three
     interior points, or past the CFL bound; it builds no array."""
-    if spec.half_width + 1e-12 < 8.0 * prob.sigma_bar:
-        raise GridTooSmallError(
-            f"half width {spec.half_width} below 8*sigma_bar = {8.0 * prob.sigma_bar}"
-        )
+    check_half_width(spec.half_width, prob.sigma_bar)
     if round(spec.half_width / spec.h) < 2:  # GridSpec.points: 2 * half - 1 interior points
         raise DegenerateGridError("need at least 3 interior points")
     lam = spec.cfl_ratio(prob.sigma_bar)

@@ -21,6 +21,10 @@ class LockHeldError(LabError, RuntimeError):
     """Another run owns this output directory."""
 
 
+class OutputUnwritableError(LabError, OSError):
+    """The output directory or its lock file cannot be made."""
+
+
 def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -115,7 +119,9 @@ class OutputDir:
     is created exclusively on enter and removed on exit. A lock whose pid
     names no running process (its owner was killed) is removed and the
     create tried once more; an empty or unreadable lock, or one whose owner
-    lives or cannot be signalled, raises :class:`LockHeldError`. Files
+    lives or cannot be signalled, raises :class:`LockHeldError`; a directory
+    or lock that the system will not make raises
+    :class:`OutputUnwritableError` once the directories made are gone. Files
     registered through :meth:`path` land in the manifest with the schema
     version. A run refused with a :class:`LabError` leaves nothing it wrote:
     its registered files and the lock go, and so do the directories it made
@@ -133,12 +139,18 @@ class OutputDir:
     def __enter__(self) -> "OutputDir":
         missing = itertools.takewhile(lambda d: not d.exists(), (self.root, *self.root.parents))
         self._made = list(missing)  # the directories this run makes, innermost first
-        self.root.mkdir(parents=True, exist_ok=True)
-        if not self._create_lock():
-            if self._owner_is_dead():
-                self._lock.unlink(missing_ok=True)  # left by a killed run
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
             if not self._create_lock():
-                raise LockHeldError(f"lock file present: {self._lock}")
+                if self._owner_is_dead():
+                    self._lock.unlink(missing_ok=True)  # left by a killed run
+                if not self._create_lock():
+                    raise LockHeldError(f"lock file present: {self._lock}")
+        except OSError as exc:
+            self._remove_made()
+            raise OutputUnwritableError(
+                f"cannot write output directory {self.root}: {exc.strerror or exc}"
+            ) from exc
         return self
 
     def _create_lock(self) -> bool:
@@ -188,9 +200,12 @@ class OutputDir:
         finally:
             self._lock.unlink(missing_ok=True)
         if refused:
-            for made in self._made:  # innermost first
-                try:
-                    made.rmdir()
-                except OSError:  # holds files of its own
-                    break
+            self._remove_made()
         return False
+
+    def _remove_made(self) -> None:
+        for made in self._made:  # innermost first
+            try:
+                made.rmdir()
+            except OSError:  # holds files of its own, or was never made
+                break

@@ -38,7 +38,6 @@ from .errors import LabError
 from .families import Family, check_cubic_condition, conjecture_family
 from .gheat import (
     GHeatProblem,
-    SchemeSpec,
     _check_grid,
     convex_oracle,
     default_spec,
@@ -202,7 +201,7 @@ def error_curve(
     payoff: Payoff,
     ns,
     *,
-    ref_spec: SchemeSpec | None = None,
+    ref_h: float | None = None,
     exponent_rule: str = "auto",
     strict_reference: bool = False,
 ) -> RateReport:
@@ -212,7 +211,8 @@ def error_curve(
     each row records what priced it (:func:`origin_window`).
     The reference is analytic (zero bar) when :func:`analytic_reference`
     holds; otherwise one Richardson scheme value, shared by all n, with its
-    gap as the error bar. The report's ``reference`` says which
+    gap as the error bar, on :func:`default_spec` at step ``ref_h`` if given.
+    The report's ``reference`` says which
     (``"analytic"`` or ``"scheme"``). A marched reference (``sigma_under <
     sigma_bar``) marches its finest level in a forked child while the rows
     are priced (:func:`_beside`); the values are those of the calls in
@@ -222,7 +222,7 @@ def error_curve(
     if len(ns) != len(set(ns)) or any(n < 1 for n in ns):
         raise ValueError("ns must be distinct integers >= 1")
     prob = GHeatProblem(family.sigma_under, family.sigma_bar, payoff)
-    spec = ref_spec or default_spec(prob)
+    spec = default_spec(prob) if ref_h is None else default_spec(prob, h=ref_h)
 
     def price_rows():  # (n, vn, method, window) per n
         return [(n, origin_value(family, payoff, n), *origin_window(family, payoff, n))

@@ -9,7 +9,7 @@ faster stencil step.)
 
 * ``lattice`` (used whenever the family has a common support step ``delta``):
   level ``k`` lives on the cone ``{j * delta/sqrt(n) : |j| <= k * m}`` where
-  ``m`` is the largest support point in lattice units. Every lookup is an
+  ``m`` is the largest support offset (``Family.offsets``). Every lookup is an
   exact shift, so the origin value carries no interpolation error: it is
   exact up to float rounding (documented <= 1e-12 at desk scale) and a
   certified window bound <= ``WINDOW_TOL = 1e-16``. :func:`origin_value`
@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import GridTooSmallError, LabError
 from .families import DiscreteDist, Family, moment
-from .fields import GridSpec, ValueField
+from .fields import GridSpec, ValueField, check_half_width
 from .payoffs import Payoff
 
 FLOAT_ROUNDING = 1e-12  # documented rounding envelope for desk-scale n
@@ -63,20 +63,9 @@ class ModeMismatchError(LabError, ValueError):
     """Lattice mode requested for a family without a common lattice step."""
 
 
-def _lattice_offsets(dist: DiscreteDist, step: float) -> tuple[int, ...]:
-    offsets = []
-    for s in dist.support:
-        j = round(s / step)
-        if abs(s - j * step) > 1e-9 * max(1.0, abs(s)):
-            raise ModeMismatchError(f"support point {s} is off the lattice {step}*Z")
-        offsets.append(int(j))
-    return tuple(offsets)
-
-
-def _lattice_terms(family: Family):
-    """Per member (offsets, probs) in lattice units, and the largest |offset|."""
-    terms = [(_lattice_offsets(d, family.lattice_step), d.probs) for d in family.members]
-    return terms, max(max(abs(o) for o in offs) for offs, _ in terms)
+def _reach(family: Family) -> int:
+    """Largest ``|support point|`` of a lattice family, in lattice units."""
+    return max(abs(o) for offs in family.offsets for o in offs)
 
 
 @dataclass(frozen=True)
@@ -116,8 +105,7 @@ def lattice_window(
     """
     if family.lattice_step is None:
         raise ModeMismatchError("family has no common lattice step")
-    step = family.lattice_step
-    _, m = _lattice_terms(family)
+    step, m = family.lattice_step, _reach(family)
     cone = n * m
     lip = family.sigma_bar**payoff.beta
     if tol <= 0.0:
@@ -166,7 +154,7 @@ def law_window(family: Family, payoff: Payoff, n: int, tol: float = WINDOW_TOL) 
         raise ModeMismatchError("the law path needs one member on a lattice")
     n = _depth(n)
     (dist,), step, beta = family.members, family.lattice_step, payoff.beta
-    _, m = _lattice_terms(family)
+    m = _reach(family)
     cone = n * m
     if tol <= 0.0 or cone == 0:
         return Window(cone, cone, 0.0)
@@ -209,7 +197,7 @@ def _law_value(family: Family, payoff: Payoff, n: int, tol: float):
     """
     n = _depth(n)
     J = law_window(family, payoff, n, tol).J
-    ((offs, probs),), _ = _lattice_terms(family)
+    (offs,), probs = family.offsets, family.members[0].probs
     h = family.lattice_step / math.sqrt(n)
     low = offs[0]  # ascending support
     g = math.gcd(*(o - low for o in offs)) or 1
@@ -291,7 +279,7 @@ def _lattice_march(family: Family, payoff: Payoff, n: int, tol: float, keep=None
     fresh array of its cone.
     """
     n = _depth(n)
-    terms, reach = _lattice_terms(family)
+    reach = _reach(family)
     h = family.lattice_step / math.sqrt(n)
     J = lattice_window(family, payoff, n, tol).J
     size, width = J + reach, 2 * J + 1  # buffers hold j in [-size, size] at index j + size
@@ -302,8 +290,8 @@ def _lattice_march(family: Family, payoff: Payoff, n: int, tol: float, keep=None
     # (weight, shifted read of the other buffer)
     views = [
         (levels[i][reach : reach + width],
-         [[(p, levels[1 - i][reach + o : reach + o + width]) for o, p in zip(offs, probs)]
-          for offs, probs in terms])
+         [[(p, levels[1 - i][reach + o : reach + o + width]) for o, p in zip(offs, d.probs)]
+          for offs, d in zip(family.offsets, family.members)])
         for i in (0, 1)
     ]
     for k in range(n, -1, -1):
@@ -332,11 +320,7 @@ def _grid_march(family: Family, payoff: Payoff, n: int, grid, keep=None):
     """
     n = _depth(n)
     grid = grid or default_grid(family, n)
-    if grid.half_width + 1e-12 < 8.0 * family.sigma_bar:
-        raise GridTooSmallError(
-            f"half width {grid.half_width} below 8*sigma_bar = "
-            f"{8.0 * family.sigma_bar}"
-        )
+    check_half_width(grid.half_width, family.sigma_bar)
     h, x = grid.step, grid.points()
     if x.size < 3:
         raise GridTooSmallError("grid needs at least 3 points")

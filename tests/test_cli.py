@@ -15,7 +15,14 @@ import pytest
 import cltlab
 import cltlab.cli as cli_module
 from cltlab.cli import ConfigInvalidError, RunConfig, build_parser, main, run
-from cltlab.output import LockHeldError, OutputDir, svg_loglog, write_csv, write_json
+from cltlab.output import (
+    LockHeldError,
+    OutputDir,
+    OutputUnwritableError,
+    svg_loglog,
+    write_csv,
+    write_json,
+)
 
 
 def run_cli(args):
@@ -504,6 +511,39 @@ def test_refused_run_leaves_no_artifact(tmp_path, capsys, args, code):
     assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
 
 
+def test_scheme_and_grid_recursion_refuse_a_narrow_grid_alike(tmp_path, capsys):
+    # one 8 sigma_bar rule serves the scheme and the grid-mode recursion
+    runs = [
+        (["value", "--sigma-under", 1, "--sigma-bar", 1, "--phi", "abs", "--half-width", 1], 1.0),
+        (["recurse", "--family", "rademacher", "--phi", "abs", "--n", 4, "--mode", "grid",
+          "--half-width", 2], 2.0),
+    ]
+    for args, half_width in runs:
+        assert run_cli([*args, "--out", tmp_path / args[0]]) == 1
+        assert capsys.readouterr().err == (
+            f"ERROR GridTooSmall: half width {half_width} below 8*sigma_bar = 8.0\n"
+        )
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "out, reason",
+    [("a-file", "File exists"), ("a-file/sub/o", "Not a directory")],
+    ids=["names-a-file", "under-a-file"],
+)
+def test_unwritable_out_is_one_error_line(tmp_path, capsys, out, reason):
+    (tmp_path / "a-file").touch()
+    rc = run_cli(["recurse", "--family", "rademacher", "--phi", "abs", "--n", 4,
+                  "--out", tmp_path / out])
+    assert rc == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR OutputUnwritable: ")
+    assert lines[0].endswith(reason) and captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["a-file"]
+    assert (tmp_path / "a-file").read_bytes() == b""
+
+
 def spoil_level(field, bad):
     field.values[5] = field.values[5].copy()
     field.values[5][3] = bad
@@ -771,6 +811,16 @@ class TestOutputDir:
             with OutputDir(tmp_path / "o", "rates"):
                 pass
         assert lock.exists()
+
+    def test_unwritable_lock_removes_the_directories_made(self, tmp_path, monkeypatch):
+        def refuse(path, flags, mode=0o777):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(os, "open", refuse)
+        with pytest.raises(OutputUnwritableError, match="Permission denied"):
+            with OutputDir(tmp_path / "new" / "o", "rates"):
+                pass
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "write",

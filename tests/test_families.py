@@ -19,7 +19,7 @@ from cltlab import (
     moment,
     rademacher,
 )
-from cltlab.families import common_lattice_step
+from cltlab.families import BUILTIN_FAMILIES, LATTICE_TOL, common_lattice_step
 
 from conftest import zero_mean_dists, zero_mean_families
 
@@ -67,10 +67,9 @@ class TestMoment:
         d = make_discrete([-2, 1], [1 / 3, 2 / 3])
         assert moment(d, 3) == pytest.approx(-2.0, abs=1e-14)
 
-    def test_fractional_requires_absolute(self):
+    def test_fractional_order_is_refused(self):
         with pytest.raises(ValueError):
             moment(rademacher(), 2.5)
-        assert moment(rademacher(), 2.5, absolute=True) == 1.0
 
 
 class TestBuildFamily:
@@ -166,6 +165,42 @@ def test_family_invariants(f):
         if f.lattice_step is not None:
             for x in d.support:
                 assert abs(x - round(x / f.lattice_step) * f.lattice_step) <= 1e-12
+
+
+def assert_offsets_place_the_support(f):
+    assert (f.offsets is None) == (f.lattice_step is None)
+    if f.offsets is None:
+        return
+    assert len(f.offsets) == len(f.members)
+    for d, offs in zip(f.members, f.offsets):
+        assert len(offs) == len(d.support)
+        for x, j in zip(d.support, offs):
+            assert type(j) is int
+            assert abs(x - j * f.lattice_step) <= LATTICE_TOL
+
+
+@given(zero_mean_families())
+def test_offsets_place_every_support_point(f):
+    assert_offsets_place_the_support(f)
+
+
+OFF_LATTICE = build_family([rademacher(), rademacher(math.sqrt(2))], 1.0)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [*map(builtin_family, BUILTIN_FAMILIES), conjecture_family(16), OFF_LATTICE],
+    ids=[*BUILTIN_FAMILIES, "conjecture-16", "off-lattice"],
+)
+def test_offsets_of_fixed_families(f):
+    assert_offsets_place_the_support(f)
+
+
+def test_offsets_are_the_support_in_lattice_units():
+    assert builtin_family("rademacher_pair").offsets == ((-2, 2), (-1, 1))  # step 1/2
+    assert conjecture_family(16).offsets == ((-1, 0, 1),)
+    assert build_family([make_discrete([0.0], [1.0])], 1.0).offsets == ((0,),)
+    assert OFF_LATTICE.offsets is None
 
 
 @given(zero_mean_dists())

@@ -98,13 +98,12 @@ class TestErrorCurve:
 
     def test_reference_limited_flag_and_strict_raise(self):
         pair = builtin_family("rademacher_pair")
-        prob = GHeatProblem(pair.sigma_under, pair.sigma_bar, ABS)
-        coarse = default_spec(prob, h=1 / 10)  # bar far above the n=256 error
-        report = error_curve(pair, ABS, [16, 64, 256], ref_spec=coarse)
+        coarse = 1 / 10  # bar far above the n=256 error
+        report = error_curve(pair, ABS, [16, 64, 256], ref_h=coarse)
         assert report.reference_limited
         assert report.verdict == "reference-limited"
         with pytest.raises(ReferenceTooCoarseError):
-            error_curve(pair, ABS, [16, 64, 256], ref_spec=coarse, strict_reference=True)
+            error_curve(pair, ABS, [16, 64, 256], ref_h=coarse, strict_reference=True)
 
     def test_rows_carry_the_window_of_their_march(self):
         # a one-member family is priced by its law, a pair by the march
@@ -114,8 +113,7 @@ class TestErrorCurve:
         ]
         assert report.rows[1].window.J < 4096
         pair = builtin_family("rademacher_pair")
-        prob = GHeatProblem(pair.sigma_under, pair.sigma_bar, ABS)
-        report = error_curve(pair, ABS, [16, 64, 256], ref_spec=default_spec(prob, h=1 / 10))
+        report = error_curve(pair, ABS, [16, 64, 256], ref_h=1 / 10)
         assert [(r.method, r.window) for r in report.rows] == [
             ("march", lattice_window(pair, ABS, n)) for n in (16, 64, 256)
         ]
@@ -124,8 +122,7 @@ class TestErrorCurve:
         fam = build_family([make_discrete([-1, 1], [0.5, 0.5]),
                             make_discrete([-2**0.5, 2**0.5], [0.5, 0.5])], 1.0)
         assert fam.lattice_step is None
-        prob = GHeatProblem(fam.sigma_under, fam.sigma_bar, ABS)
-        report = error_curve(fam, ABS, [4, 8, 16], ref_spec=default_spec(prob, h=1 / 10))
+        report = error_curve(fam, ABS, [4, 8, 16], ref_h=1 / 10)
         assert all(r.method == "grid" and r.window is None for r in report.rows)
 
     def test_ns_validation(self):
@@ -192,7 +189,7 @@ class TestForkedReference:
         spec = default_spec(prob, h=h)
         expected = richardson_value(prob, spec)
         solves(clear=True)
-        report = error_curve(self.PAIR, payoff, [4, 16, 64], ref_spec=spec)
+        report = error_curve(self.PAIR, payoff, [4, 16, 64], ref_h=h)
         assert all((r.vref, r.vref_err) == expected for r in report.rows)
         me = os.getpid()
         starts = [(pid, s) for pid, s, event in solves() if event == "start"]
@@ -202,8 +199,7 @@ class TestForkedReference:
 
     def test_equal_bounds_reference_stays_in_process(self, solves):
         # equal bounds: every level is a closed form, so nothing is forked
-        prob = GHeatProblem(1.0, 1.0, cosine_payoff())
-        error_curve(RADEMACHER, cosine_payoff(), [4, 16, 64], ref_spec=default_spec(prob, h=0.05))
+        error_curve(RADEMACHER, cosine_payoff(), [4, 16, 64], ref_h=0.05)
         assert {pid for pid, _, _ in solves()} == {os.getpid()}
 
     def test_failing_row_kills_and_reaps_the_marching_child(self, solves, monkeypatch):
@@ -217,10 +213,8 @@ class TestForkedReference:
             raise AssertionError("the child never started")
 
         monkeypatch.setattr(rates, "origin_value", failing_row)
-        prob = GHeatProblem(self.PAIR.sigma_under, self.PAIR.sigma_bar, cosine_payoff())
         with pytest.raises(RuntimeError, match="row failed"):
-            error_curve(self.PAIR, cosine_payoff(), [4, 16, 64],
-                        ref_spec=default_spec(prob, h=1 / 400))
+            error_curve(self.PAIR, cosine_payoff(), [4, 16, 64], ref_h=1 / 400)
         (child, _, _), = [line for line in solves() if line[0] != me]  # started, never ended
         with pytest.raises(ProcessLookupError):
             os.kill(child, 0)  # killed and reaped
