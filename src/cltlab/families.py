@@ -101,7 +101,6 @@ class Family:
     """A nonempty collection of zero-mean laws with derived moment bounds."""
 
     members: tuple[DiscreteDist, ...]
-    beta: float
     sigma_bar: float
     sigma_under: float
     lattice_step: float | None
@@ -109,7 +108,7 @@ class Family:
 
     def describe(self) -> str:
         kinds = "+".join(str(len(d.support)) for d in self.members)
-        return f"{len(self.members)}laws[{kinds}]beta{self.beta:g}"
+        return f"{len(self.members)}laws[{kinds}]"
 
 
 def _float_gcd(values) -> float:
@@ -146,24 +145,15 @@ def _lattice(supports):
     return step, offsets
 
 
-def common_lattice_step(points) -> float | None:
-    """Greatest ``c <= 1`` such that every point lies on ``c * Z``, or None."""
-    return _lattice([points])[0]
-
-
-def build_family(members, beta) -> Family:
+def build_family(members) -> Family:
     """Build a :class:`Family` with derived ``sigma`` bounds and lattice step."""
     members = tuple(members)
     if not members:
         raise EmptyFamilyError("family needs at least one member")
-    beta = float(beta)
-    if not (0.0 < beta <= 1.0 or beta == 2.0):
-        raise ValueError(f"beta must lie in (0, 1] or equal 2, got {beta}")
     sds = [math.sqrt(moment(d, 2)) for d in members]
     step, offsets = _lattice([d.support for d in members])
     return Family(
         members=members,
-        beta=beta,
         sigma_bar=max(sds),
         sigma_under=min(sds),
         lattice_step=step,
@@ -186,7 +176,7 @@ def conjecture_family(n: int) -> Family:
         raise BadNError(f"need integer n >= 4, got {n}")
     p = float(n) ** -0.5
     dist = make_discrete((-1.0, 0.0, 1.0), (p, 1.0 - 2.0 * p, p))
-    return build_family((dist,), beta=2.0)
+    return build_family((dist,))
 
 
 def check_cubic_condition(family: Family) -> bool:
@@ -199,22 +189,29 @@ def check_cubic_condition(family: Family) -> bool:
     return all(abs(moment(d, 3)) <= MOMENT_TOL for d in family.members)
 
 
+def _exact_keys(obj, keys: set, what: str) -> dict:
+    """``obj`` if it is a JSON object with exactly ``keys``, else ``ValueError``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    if set(obj) != keys:
+        got = sorted(map(str, obj))
+        raise ValueError(f"{what} takes exactly the keys {sorted(keys)}, got {got}")
+    return obj
+
+
 def family_from_config(cfg: dict) -> Family:
-    """Load a family from ``{"beta": ..., "members": [{"support": ..., "probs": ...}]}``."""
-    if not isinstance(cfg, dict):
-        raise ValueError("family config must be a JSON object")
+    """Load a family from exactly ``{"members": [{"support": ..., "probs": ...}]}``."""
+    raw_members = _exact_keys(cfg, {"members"}, "family config")["members"]
     try:
-        beta = cfg["beta"]
-        raw_members = cfg["members"]
-        members = [make_discrete(m["support"], m["probs"]) for m in raw_members]
-    except (KeyError, TypeError) as exc:
+        members = [make_discrete(**_exact_keys(m, {"support", "probs"}, "family member"))
+                   for m in raw_members]
+    except TypeError as exc:
         raise ValueError(f"malformed family config: {exc}") from exc
-    return build_family(members, beta)
+    return build_family(members)
 
 
 def family_to_config(family: Family) -> dict:
     return {
-        "beta": family.beta,
         "members": [
             {"support": list(d.support), "probs": list(d.probs)}
             for d in family.members
@@ -223,9 +220,9 @@ def family_to_config(family: Family) -> dict:
 
 
 BUILTIN_FAMILIES = {
-    "rademacher": lambda: build_family((rademacher(),), beta=1.0),
-    "rademacher_half": lambda: build_family((rademacher(0.5),), beta=1.0),
-    "rademacher_pair": lambda: build_family((rademacher(), rademacher(0.5)), beta=1.0),
+    "rademacher": lambda: build_family((rademacher(),)),
+    "rademacher_half": lambda: build_family((rademacher(0.5),)),
+    "rademacher_pair": lambda: build_family((rademacher(), rademacher(0.5))),
 }
 
 

@@ -14,8 +14,6 @@ import numpy as np
 
 from .errors import GridTooSmallError, LabError
 
-TIME_LOOKUP_TOL = 1e-12
-
 
 class OutOfHullError(LabError, ValueError):
     """Query point outside the stored domain."""
@@ -50,22 +48,14 @@ class ValueField:
 
     ``times`` is increasing within [0, 1]; ``xs[i]`` and ``values[i]`` are the
     points and values of level i. ``n`` is the number of backward steps from
-    the terminal time, ``h`` the spatial spacing.
+    the terminal time.
     """
 
     mode: str  # "lattice" | "grid"
     n: int
-    h: float
     times: np.ndarray
     xs: list[np.ndarray]
     values: list[np.ndarray]
-
-    def level_index(self, t: float) -> int:
-        """Piecewise-constant time lookup: the last stored level at or before t."""
-        if not 0.0 <= t <= 1.0:
-            raise OutOfHullError(f"time {t} outside [0, 1]")
-        idx = int(np.searchsorted(self.times, t + TIME_LOOKUP_TOL, side="right")) - 1
-        return max(idx, 0)
 
     def origin_value(self) -> float:
         """Value at the initial time at x = 0."""

@@ -185,7 +185,6 @@ def solve_gheat(
     return ValueField(
         mode="grid",
         n=steps,
-        h=spec.h,
         times=np.array(ks) / steps,
         xs=[x] * len(ks),
         values=values,

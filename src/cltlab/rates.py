@@ -134,10 +134,10 @@ def analytic_reference(family: Family, payoff: Payoff) -> bool:
 
 
 def _depths(ns) -> list[int]:
-    """``ns`` as sorted ints; an entry that is not an integer is refused, not truncated."""
+    """``ns`` as sorted ints; a non-integer entry is refused, not truncated, and so is a repeat."""
     ns = list(ns)
-    if not all(float(n).is_integer() for n in ns):
-        raise ValueError(f"ns must be integers, got {ns}")
+    if not all(float(n).is_integer() for n in ns) or len(set(ns)) < len(ns):
+        raise ValueError(f"ns must be distinct integers, got {ns}")
     return sorted(int(n) for n in ns)
 
 
@@ -219,7 +219,7 @@ def error_curve(
     process.
     """
     ns = _depths(ns)
-    if len(ns) != len(set(ns)) or any(n < 1 for n in ns):
+    if any(n < 1 for n in ns):
         raise ValueError("ns must be distinct integers >= 1")
     prob = GHeatProblem(family.sigma_under, family.sigma_bar, payoff)
     spec = default_spec(prob) if ref_h is None else default_spec(prob, h=ref_h)

@@ -183,7 +183,7 @@ def law_window(family: Family, payoff: Payoff, n: int, tol: float = WINDOW_TOL) 
     return Window(hi, cone, bound(hi)[0])
 
 
-def _law_value(family: Family, payoff: Payoff, n: int, tol: float):
+def _law_value(family: Family, payoff: Payoff, n: int, tol: float) -> float:
     """Origin value of a one-member lattice family as ``E payoff(S_n h)``.
 
     With one member the sup has one law to pick, so the recursion is linear
@@ -193,7 +193,7 @@ def _law_value(family: Family, payoff: Payoff, n: int, tol: float):
     :func:`law_window` at ``tol`` and rescaled to its exact mass
     ``(sum p)^steps``, with ``sum p - 1`` taken exactly by ``math.fsum``. The
     law lives on ``steps * min(offsets) + g Z``, ``g`` the gcd of the offset
-    gaps, and is stored on that sublattice. Returns the spacing and the value.
+    gaps, and is stored on that sublattice.
     """
     n = _depth(n)
     J = law_window(family, payoff, n, tol).J
@@ -223,7 +223,7 @@ def _law_value(family: Family, payoff: Payoff, n: int, tol: float):
             total = power if total is None else combine(total, power)
     start, law, _ = total
     j = start + g * np.arange(law.size)
-    return h, math.fsum((law * payoff(j * h)).tolist())
+    return math.fsum((law * payoff(j * h)).tolist())
 
 
 def _expect_grid(values, x, dist: DiscreteDist, n: int, payoff: Payoff):
@@ -265,8 +265,8 @@ def _depth(n) -> int:
     return int(n)
 
 
-def _lattice_march(family: Family, payoff: Payoff, n: int, tol: float, keep=None):
-    """Backward lattice loop; returns the spacing and the level-0 value at x = 0.
+def _lattice_march(family: Family, payoff: Payoff, n: int, tol: float, keep=None) -> float:
+    """Backward lattice loop; returns the level-0 value at x = 0.
 
     Every level marches ``|j| <= J`` of :func:`lattice_window` at ``tol``
     (``tol = 0`` marches the whole cone), and the ``reach`` points beyond
@@ -310,18 +310,18 @@ def _lattice_march(family: Family, payoff: Payoff, n: int, tol: float, keep=None
         if keep is not None:
             cone = k * reach
             keep(k, np.arange(-cone, cone + 1) * h, levels[i][size - cone : size + cone + 1].copy())
-    return h, float(levels[n % 2][size])
+    return float(levels[n % 2][size])
 
 
-def _grid_march(family: Family, payoff: Payoff, n: int, grid, keep=None):
-    """Backward loop on a fixed grid; returns the step and the level-0 value at x = 0.
+def _grid_march(family: Family, payoff: Payoff, n: int, grid, keep=None) -> float:
+    """Backward loop on a fixed grid; returns the level-0 value at x = 0.
 
     ``keep`` receives ``(k, points, values)`` for every level, each a fresh array.
     """
     n = _depth(n)
     grid = grid or default_grid(family, n)
     check_half_width(grid.half_width, family.sigma_bar)
-    h, x = grid.step, grid.points()
+    x = grid.points()
     if x.size < 3:
         raise GridTooSmallError("grid needs at least 3 points")
     cur = np.asarray(payoff(x), dtype=float)
@@ -334,7 +334,7 @@ def _grid_march(family: Family, payoff: Payoff, n: int, grid, keep=None):
             cur = best
         if keep is not None:
             keep(k, x, cur)
-    return h, float(np.interp(0.0, x, cur))
+    return float(np.interp(0.0, x, cur))
 
 
 def solve_recursion(
@@ -348,7 +348,7 @@ def solve_recursion(
 
     Lattice levels cover the whole cone: audits read every stored point.
     """
-    mode = resolve_mode(family, mode)
+    n, mode = _depth(n), resolve_mode(family, mode)
     xs: list[np.ndarray] = [None] * (n + 1)
     values: list[np.ndarray] = [None] * (n + 1)
 
@@ -357,12 +357,10 @@ def solve_recursion(
         values[k] = v
 
     if mode == "lattice":
-        h, _ = _lattice_march(family, payoff, n, 0.0, keep)
+        _lattice_march(family, payoff, n, 0.0, keep)
     else:
-        h, _ = _grid_march(family, payoff, n, grid, keep)
-    return ValueField(
-        mode=mode, n=int(n), h=h, times=np.arange(n + 1) / n, xs=xs, values=values
-    )
+        _grid_march(family, payoff, n, grid, keep)
+    return ValueField(mode=mode, n=n, times=np.arange(n + 1) / n, xs=xs, values=values)
 
 
 def _origin_method(family: Family) -> str:
@@ -395,7 +393,7 @@ def origin_value(family: Family, payoff: Payoff, n: int) -> float:
     """
     method = _origin_method(family)
     if method == "law":
-        return _law_value(family, payoff, n, WINDOW_TOL)[1]
+        return _law_value(family, payoff, n, WINDOW_TOL)
     if method == "march":
-        return _lattice_march(family, payoff, n, WINDOW_TOL)[1]
-    return _grid_march(family, payoff, n, None)[1]
+        return _lattice_march(family, payoff, n, WINDOW_TOL)
+    return _grid_march(family, payoff, n, None)

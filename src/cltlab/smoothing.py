@@ -51,12 +51,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LabError
-from .fields import TIME_LOOKUP_TOL, ValueField
+from .fields import ValueField
 from .recursion import FLOAT_ROUNDING
 
 FP_SLACK = FLOAT_ROUNDING  # rounding envelope granted on exact inequalities
 HYPOTHESIS_LINES = 160  # strided times and points per axis in the hypothesis audit
 HYPOTHESIS_TOL = 1e-9  # excess the hypothesis audit forgives
+TIME_LOOKUP_TOL = 1e-12  # a row reads a level stored this far after its time
 VERIFY_LINES = 64  # strided times, and least strided points, of the derivative moduli
 REGULARITY_POINTS = 512  # strided points per level in the regularity audit
 REGULARITY_LEVELS = 150  # strided levels in the regularity audit
@@ -214,7 +215,7 @@ def surface_from_field(
     :class:`DomainTooSmallError`, since interpolation would clamp it.
     """
     times, xs = _surface_grid(x_half_width, dt, dx)
-    # every row's level as field.level_index finds it
+    # every row reads the last stored level at or before its time
     lvl = np.maximum(np.searchsorted(field.times, times + TIME_LOOKUP_TOL, side="right") - 1, 0)
     levels, row_index = np.unique(lvl, return_inverse=True)
     for k in levels.tolist():
@@ -683,7 +684,6 @@ def _temporal_excess(
 class RegularityReport:
     spatial_excess: float
     temporal_excess: float
-    slack: float
     passed: bool
     spatial_levels_checked: int
     temporal_levels_checked: int
@@ -729,7 +729,6 @@ def regularity_audit(
     return RegularityReport(
         spatial_excess=spatial,
         temporal_excess=temporal,
-        slack=slack,
         passed=worst <= slack + FP_SLACK,
         spatial_levels_checked=len(field.xs),
         temporal_levels_checked=int(levels.size),

@@ -38,6 +38,6 @@ def zero_mean_dists(draw, max_blocks=2):
 
 
 @st.composite
-def zero_mean_families(draw, max_members=3, beta=1.0):
+def zero_mean_families(draw, max_members=3):
     members = draw(st.lists(zero_mean_dists(), min_size=1, max_size=max_members))
-    return build_family(members, beta)
+    return build_family(members)

@@ -256,11 +256,11 @@ def regularity_excess(field, beta: float, sigma_bar: float, points: int, levels:
 
 
 def field_rows(field, times, xs):
-    """``field`` resampled one time at a time: the level ``field.level_index``
-    finds, interpolated linearly at ``xs``."""
+    """``field`` resampled one time at a time: the last level stored at or
+    before ``t`` plus the 1e-12 lookup tolerance, interpolated linearly at ``xs``."""
     rows = np.empty((times.size, xs.size))
     for i, t in enumerate(times):
-        level = field.level_index(t)
+        level = max((k for k, s in enumerate(field.times) if s <= t + 1e-12), default=0)
         rows[i] = np.interp(xs, field.xs[level], field.values[level])
     return rows
 

@@ -230,8 +230,8 @@ def test_criterion_8_monotonicity_properties():
         for _ in range(100):
             base = [random_dist() for _ in range(int(rng.integers(1, 3)))]
             larger = base + [random_dist() for _ in range(int(rng.integers(1, 3)))]
-            fa = build_family(base, 1.0)
-            fb = build_family(larger, 1.0)
+            fa = build_family(base)
+            fb = build_family(larger)
             grid = GridSpec(step=0.05, half_width=8.0 * fb.sigma_bar + 0.1)
             va = solve_recursion(fa, ABS, 6, mode="grid", grid=grid).origin_value()
             vb = solve_recursion(fb, ABS, 6, mode="grid", grid=grid).origin_value()

@@ -105,7 +105,7 @@ class TestRunConfig:
     def test_json_numbers_fit_float_fields(self):
         cfg = RunConfig.from_dict({
             "command": "value", "out_dir": "x", "sigma_under": 1, "sigma_bar": 1.5,
-            "slack": "auto", "family": {"beta": 1}, "eps": [1, 0.5], "a": 0,
+            "slack": "auto", "family": {"members": []}, "eps": [1, 0.5], "a": 0,
         })
         assert cfg.sigma_under == 1 and cfg.eps == [1, 0.5]
 
@@ -172,7 +172,7 @@ class TestRates:
 
     def test_inline_family_json(self, tmp_path):
         fam = json.dumps(
-            {"beta": 1.0, "members": [{"support": [-1, 1], "probs": [0.5, 0.5]}]}
+            {"members": [{"support": [-1, 1], "probs": [0.5, 0.5]}]}
         )
         rc = run_cli(["rates", "--family", fam, "--phi", "abs", "--ns", "4,16,64",
                       "--out", tmp_path / "r"])
@@ -182,7 +182,7 @@ class TestRates:
 
     def test_grid_mode_summary_names_its_mode(self, tmp_path):
         # members on incommensurable lattices leave only the interpolation grid
-        fam = json.dumps({"beta": 1.0, "members": [
+        fam = json.dumps({"members": [
             {"support": [-1, 1], "probs": [0.5, 0.5]},
             {"support": [-2**0.5, 2**0.5], "probs": [0.5, 0.5]},
         ]})
@@ -194,7 +194,7 @@ class TestRates:
     def test_family_from_file(self, tmp_path):
         fam_path = tmp_path / "family.json"
         fam_path.write_text(
-            json.dumps({"beta": 1.0, "members": [
+            json.dumps({"members": [
                 {"support": [-1, 1], "probs": [0.5, 0.5]}
             ]})
         )
@@ -473,7 +473,7 @@ class TestMollifyCheck:
         # 8 sigma_bar = 0.8 < 2, and 9.1 > 8: a grid of half width 2 or 9.1
         # on steps of 0.009375 or 0.01875 would end at 1.996875 or 9.09375,
         # short of the surface, whose every stored level must span it
-        family = '{"beta": 1, "members": [{"support": [-0.1, 0.1], "probs": [0.5, 0.5]}]}'
+        family = '{"members": [{"support": [-0.1, 0.1], "probs": [0.5, 0.5]}]}'
         if "--half-width" in args:
             family = "rademacher"
         rc = run_cli(["mollify-check", "--source", "dp", "--family", family, "--phi", "abs",
@@ -678,8 +678,13 @@ DP = ["regularity", "--family", "rademacher_pair", "--phi", "abs", "--n", 32, "-
                      id="phi_unknown_kind"),
         pytest.param(["rates", "--family", "gauss", "--phi", "abs", "--ns", "4,16"],
                      "unknown family 'gauss'", id="family_unknown_builtin"),
-        pytest.param(["rates", "--family", '{"beta": 1, "members": []}', "--phi", "abs",
+        pytest.param(["rates", "--family", '{"members": []}', "--phi", "abs",
                       "--ns", "4,16"], "bad family: ", id="family_empty_inline"),
+        # the rate exponent comes from the payoff: a family takes only members
+        pytest.param(["rates", "--family", '{"beta": 1, "members": [{"support": [-1, 0, 1], '
+                      '"probs": [0.25, 0.5, 0.25]}]}', "--phi", "abs", "--ns", "4,16"],
+                     "bad family: family config takes exactly the keys ['members'], "
+                     "got ['beta', 'members']", id="family_inline_beta"),
         pytest.param(["value", "--sigma-under", 2, "--sigma-bar", 1, "--phi", "abs"],
                      "sigma_under and sigma_bar must ", id="value_sigma_order"),
         pytest.param([*DP[:-1], "foo"], 'slack must be a number or "auto"',

@@ -19,7 +19,7 @@ from cltlab import (
     moment,
     rademacher,
 )
-from cltlab.families import BUILTIN_FAMILIES, LATTICE_TOL, common_lattice_step
+from cltlab.families import BUILTIN_FAMILIES, LATTICE_TOL
 
 from conftest import zero_mean_dists, zero_mean_families
 
@@ -74,40 +74,36 @@ class TestMoment:
 
 class TestBuildFamily:
     def test_single_rademacher(self):
-        f = build_family([rademacher()], beta=1.0)
+        f = build_family([rademacher()])
         assert f.sigma_bar == f.sigma_under == 1.0
         assert f.lattice_step == 1.0
 
     def test_pair(self):
-        f = build_family([rademacher(), rademacher(0.5)], beta=1.0)
+        f = build_family([rademacher(), rademacher(0.5)])
         assert f.sigma_bar == 1.0
         assert f.sigma_under == 0.5
         assert f.lattice_step == 0.5
 
     def test_three_point_beta_two(self):
         d = make_discrete([-1, 0, 1], [0.25, 0.5, 0.25])
-        f = build_family([d], beta=2.0)
+        f = build_family([d])
         assert f.sigma_bar == f.sigma_under == pytest.approx(math.sqrt(0.5), abs=1e-15)
 
     def test_empty(self):
         with pytest.raises(EmptyFamilyError):
-            build_family([], beta=1.0)
-
-    def test_bad_beta(self):
-        with pytest.raises(ValueError):
-            build_family([rademacher()], beta=1.5)
+            build_family([])
 
     def test_no_common_lattice(self):
-        f = build_family([rademacher(), rademacher(math.sqrt(2))], beta=1.0)
+        f = build_family([rademacher(), rademacher(math.sqrt(2))])
         assert f.lattice_step is None
 
     def test_lattice_capped_at_one(self):
         # supports on 2Z still lie on 1Z, and 1 is the greatest step <= 1
-        f = build_family([rademacher(2.0)], beta=1.0)
+        f = build_family([rademacher(2.0)])
         assert f.lattice_step == 1.0
 
     def test_point_mass_lattice(self):
-        assert common_lattice_step([0.0]) == 1.0
+        assert build_family([make_discrete([0.0], [1.0])]).lattice_step == 1.0
 
 
 class TestConjectureFamily:
@@ -133,11 +129,11 @@ class TestConjectureFamily:
 
 class TestCubicCondition:
     def test_rademacher(self):
-        assert check_cubic_condition(build_family([rademacher()], 1.0))
+        assert check_cubic_condition(build_family([rademacher()]))
 
     def test_asymmetric(self):
         d = make_discrete([-2, 1], [1 / 3, 2 / 3])
-        assert not check_cubic_condition(build_family([d], 1.0))
+        assert not check_cubic_condition(build_family([d]))
 
     def test_conjecture(self):
         assert check_cubic_condition(conjecture_family(16))
@@ -145,9 +141,19 @@ class TestCubicCondition:
 
 class TestConfig:
     def test_round_trip(self):
-        f = builtin_family("rademacher_pair")
-        again = family_from_config(family_to_config(f))
-        assert again == f
+        for f in [*map(builtin_family, BUILTIN_FAMILIES), conjecture_family(16)]:
+            assert family_from_config(family_to_config(f)) == f
+
+    @pytest.mark.parametrize("key", ["beta", "name"])
+    def test_other_top_level_key_is_refused(self, key):
+        cfg = {key: 1, "members": [{"support": [-1, 1], "probs": [0.5, 0.5]}]}
+        with pytest.raises(ValueError, match=f"family config .* got .*'{key}'"):
+            family_from_config(cfg)
+
+    def test_other_member_key_is_refused(self):
+        member = {"support": [-1, 1], "probs": [0.5, 0.5], "weights": [9, 9]}
+        with pytest.raises(ValueError, match="family member .* got .*'weights'"):
+            family_from_config({"members": [member]})
 
     def test_malformed(self):
         with pytest.raises(ValueError):
@@ -184,7 +190,7 @@ def test_offsets_place_every_support_point(f):
     assert_offsets_place_the_support(f)
 
 
-OFF_LATTICE = build_family([rademacher(), rademacher(math.sqrt(2))], 1.0)
+OFF_LATTICE = build_family([rademacher(), rademacher(math.sqrt(2))])
 
 
 @pytest.mark.parametrize(
@@ -199,7 +205,7 @@ def test_offsets_of_fixed_families(f):
 def test_offsets_are_the_support_in_lattice_units():
     assert builtin_family("rademacher_pair").offsets == ((-2, 2), (-1, 1))  # step 1/2
     assert conjecture_family(16).offsets == ((-1, 0, 1),)
-    assert build_family([make_discrete([0.0], [1.0])], 1.0).offsets == ((0,),)
+    assert build_family([make_discrete([0.0], [1.0])]).offsets == ((0,),)
     assert OFF_LATTICE.offsets is None
 
 

@@ -361,7 +361,7 @@ def test_scheme_is_trinomial_sup_recursion(sigma_under, sigma_bar, payoff, h, cf
     s = h * math.sqrt(n)
     weights = [1.0 / n * sig**2 / (2.0 * h * h) for sig in (sigma_bar, sigma_under)]
     family = build_family(
-        [make_discrete([-s, 0.0, s], [a, 1.0 - 2.0 * a, a]) for a in weights], beta=1.0
+        [make_discrete([-s, 0.0, s], [a, 1.0 - 2.0 * a, a]) for a in weights]
     )
     assert family.lattice_step is not None  # so origin_value marches the lattice
     recursion = origin_value(family, payoff, n)

@@ -71,7 +71,7 @@ class TestExponent:
         assert theoretical_exponent(RADEMACHER, ABS) == 0.25
 
     def test_auto_keeps_basic_for_skewed(self):
-        skewed = build_family([make_discrete([-2, 1], [1 / 3, 2 / 3])], 1.0)
+        skewed = build_family([make_discrete([-2, 1], [1 / 3, 2 / 3])])
         assert theoretical_exponent(skewed, ABS) == pytest.approx(1 / 6)
 
     def test_auto_keeps_basic_for_rough_payoff(self):
@@ -120,7 +120,7 @@ class TestErrorCurve:
 
     def test_grid_mode_rows_have_no_window(self):
         fam = build_family([make_discrete([-1, 1], [0.5, 0.5]),
-                            make_discrete([-2**0.5, 2**0.5], [0.5, 0.5])], 1.0)
+                            make_discrete([-2**0.5, 2**0.5], [0.5, 0.5])])
         assert fam.lattice_step is None
         report = error_curve(fam, ABS, [4, 8, 16], ref_h=1 / 10)
         assert all(r.method == "grid" and r.window is None for r in report.rows)
@@ -308,6 +308,14 @@ class TestConjecture:
     def test_bad_n(self):
         with pytest.raises(BadNError):
             conjecture_experiment([3, 16])
+
+    def test_repeated_depths_are_refused_by_both_experiments(self):
+        # a repeated depth would divide log(1) by log(1) in approach_rates
+        for ns in ([16, 16, 64], [16, 16.0, 64]):
+            with pytest.raises(ValueError, match="distinct"):
+                conjecture_experiment(ns)
+            with pytest.raises(ValueError, match="distinct"):
+                error_curve(RADEMACHER, ABS, ns)
 
     def test_target_value(self):
         assert SCALED_TARGET == pytest.approx(1.1283791670955126, abs=1e-15)

@@ -10,6 +10,7 @@ from cltlab import (
     GridTooSmallError,
     ModeMismatchError,
     OutOfHullError,
+    ValueField,
     abs_payoff,
     abs_pow_payoff,
     build_family,
@@ -21,6 +22,7 @@ from cltlab import (
     neg_abs_payoff,
     piecewise_linear_payoff,
     rademacher,
+    surface_from_field,
 )
 from cltlab.recursion import (
     FLOAT_ROUNDING,
@@ -52,7 +54,7 @@ ABS = abs_payoff()
 def streaming_march(family, payoff, n):
     # the windowed march; origin_value takes it for families of two or more
     # members and prices one-member families by the law of the walk
-    return _lattice_march(family, payoff, n, WINDOW_TOL)[1]
+    return _lattice_march(family, payoff, n, WINDOW_TOL)
 
 
 class TestKnownValues:
@@ -86,13 +88,13 @@ class TestStepExpectation:
         assert field.values[0].tolist() == [1.0]
 
     def test_point_mass_identity(self):
-        fam = build_family([make_discrete([0.0], [1.0])], beta=1.0)
+        fam = build_family([make_discrete([0.0], [1.0])])
         tilted = piecewise_linear_payoff([-1.0, 1.0], [0.3, -0.2])
         assert origin_value(fam, tilted, 4) == tilted(0.0)  # lattice step 1
         assert solve_recursion(fam, tilted, 4, mode="grid").origin_value() == tilted(0.0)
 
     def test_constant_slice(self):
-        fam = build_family([make_discrete([-2, 1], [1 / 3, 2 / 3])], beta=1.0)
+        fam = build_family([make_discrete([-2, 1], [1 / 3, 2 / 3])])
         const = piecewise_linear_payoff([-1.0, 1.0], [5.0, 5.0])
         assert origin_value(fam, const, 3) == pytest.approx(5.0, abs=1e-14)
 
@@ -108,7 +110,7 @@ class TestStepExpectation:
         assert field.values[0][0] == field.values[0][-1] == 8.0
 
     def test_mode_mismatch(self):
-        fam = build_family([rademacher(), rademacher(math.sqrt(2))], beta=1.0)
+        fam = build_family([rademacher(), rademacher(math.sqrt(2))])
         with pytest.raises(ModeMismatchError):
             solve_recursion(fam, ABS, 4, mode="lattice")
 
@@ -122,7 +124,7 @@ class TestBruteForce:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_asymmetric(self, n):
         d = make_discrete([-2, 1], [1 / 3, 2 / 3])
-        fam = build_family([d], beta=1.0)
+        fam = build_family([d])
         bf = enumerate_value(d, ABS, n)
         assert origin_value(fam, ABS, n) == pytest.approx(bf, abs=1e-10)
 
@@ -145,21 +147,34 @@ class TestField:
         assert np.max(np.abs(field.values[-1] - ABS(field.xs[-1]))) <= 1e-14
 
     def test_time_lookup_floor_rule(self):
-        field = solve_recursion(RADEMACHER, ABS, 2)
-        assert field.level_index(0.0) == field.level_index(0.49) == 0
-        assert field.level_index(0.5) == field.level_index(0.5 + 1e-13) == 1
-        assert field.level_index(0.5 - 1e-13) == 1  # within the lookup tolerance
-        assert field.level_index(1.0) == 2
+        # a surface row at t reads the last level stored at or before t, or
+        # stored within the lookup tolerance after it
+        grid = solve_recursion(RADEMACHER, ABS, 2, mode="grid")
+        for shift, rows in [(-1e-13, [0, 0, 1, 1, 2]), (0.0, [0, 0, 1, 1, 2]),
+                            (1e-13, [0, 0, 1, 1, 2]), (1e-9, [0, 0, 0, 1, 2])]:
+            field = ValueField("grid", 2, np.array([0.0, 0.5 + shift, 1.0]), grid.xs, grid.values)
+            surf = surface_from_field(field, x_half_width=1.0, dt=0.25, dx=0.5, beta=1.0, slack=0.0)
+            assert surf.times.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+            assert surf.row_index.tolist() == rows
+
+    @pytest.mark.parametrize("mode", ["lattice", "grid"])
+    def test_depth_is_checked_as_origin_value_checks_it(self, mode):
+        exact = solve_recursion(RADEMACHER, ABS, 4, mode=mode)
+        whole = solve_recursion(RADEMACHER, ABS, 4.0, mode=mode)
+        assert (whole.n, whole.times.tolist()) == (4, exact.times.tolist())
+        assert all(map(np.array_equal, whole.values, exact.values))
+        assert all(map(np.array_equal, whole.xs, exact.xs))
+        with pytest.raises(ValueError, match="integer n >= 1, got 2.5"):
+            solve_recursion(RADEMACHER, ABS, 2.5, mode=mode)
 
     def test_off_lattice_and_out_of_hull(self):
         field = solve_recursion(RADEMACHER, ABS, 4)
-        with pytest.raises(OutOfHullError):
-            field.level_index(1.0 + 1e-9)
-        with pytest.raises(OutOfHullError):
-            field.level_index(-1e-9)
         # level k holds exactly the lattice points j / 2 with |j| <= k
         for k, pts in enumerate(field.xs):
             assert pts.tolist() == [j / 2.0 for j in range(-k, k + 1)]
+        off_origin = [x + 0.25 for x in field.xs]
+        with pytest.raises(OutOfHullError):
+            ValueField("lattice", 4, field.times, off_origin, field.values).origin_value()
 
     def test_spatial_and_temporal_certificates(self):
         # exact inequalities up to the documented 1e-12 rounding envelope
@@ -198,14 +213,13 @@ SKEW = make_discrete([-1, 2], [2 / 3, 1 / 3])
 SKEW_MIRROR = make_discrete([-2, 1], [1 / 3, 2 / 3])
 # two three-atom laws on {-1, 0, 1}: the sup switches between them
 THREE_ATOM_PAIR = build_family(
-    [make_discrete([-1, 0, 1], [0.25, 0.5, 0.25]), make_discrete([-1, 0, 1], [0.1, 0.8, 0.1])],
-    beta=1.0,
+    [make_discrete([-1, 0, 1], [0.25, 0.5, 0.25]), make_discrete([-1, 0, 1], [0.1, 0.8, 0.1])]
 )
 MIRROR_CLOSED = {
     "rademacher": builtin_family("rademacher"),
     "rademacher_pair": builtin_family("rademacher_pair"),
     "conjecture_64": conjecture_family(64),
-    "skew_and_mirror": build_family([SKEW, SKEW_MIRROR], beta=1.0),
+    "skew_and_mirror": build_family([SKEW, SKEW_MIRROR]),
     "three_atom_pair": THREE_ATOM_PAIR,
 }
 # two-atom laws: the sum at -j adds the same two products as at +j, and
@@ -253,7 +267,7 @@ class TestHalfCone:
     @pytest.mark.parametrize(
         "family, payoff",
         [
-            (build_family([SKEW], beta=1.0), ABS),  # mirror law not a member
+            (build_family([SKEW]), ABS),  # mirror law not a member
             # |x - 1/4| on the +-8 window: a shifted payoff is not even
             (RADEMACHER, piecewise_linear_payoff([-8.0, 0.25, 8.0], [8.25, 0.0, 7.75])),
         ],
@@ -274,7 +288,7 @@ WINDOW_FAMILIES = {
     "rademacher_half": lambda n: builtin_family("rademacher_half"),
     "rademacher_pair": lambda n: builtin_family("rademacher_pair"),
     "conjecture": conjecture_family,
-    "skew_law": lambda n: build_family([SKEW], beta=1.0),  # not mirror-closed
+    "skew_law": lambda n: build_family([SKEW]),  # not mirror-closed
     "three_atom_pair": lambda n: THREE_ATOM_PAIR,
 }
 WINDOW_PAYOFFS = {
@@ -288,7 +302,7 @@ WINDOW_PAYOFFS = {
 
 
 def whole_cone(family, payoff, n):
-    return _lattice_march(family, payoff, n, tol=0.0)[1]
+    return _lattice_march(family, payoff, n, tol=0.0)
 
 
 @pytest.mark.parametrize("pname", WINDOW_PAYOFFS)
@@ -315,7 +329,7 @@ class TestWindow:
         oracle = sup_recursion_value(
             family.members, payoff, n, family.lattice_step, window=window.J
         )
-        windowed = _lattice_march(family, payoff, n, tol=tol)[1]
+        windowed = _lattice_march(family, payoff, n, tol=tol)
         assert windowed == pytest.approx(oracle, abs=FLOAT_ROUNDING)
         assert abs(windowed - whole_cone(family, payoff, n)) > FLOAT_ROUNDING
 
@@ -332,7 +346,7 @@ class TestWindow:
         m = window.cone // n
         var = n * max(moment(d, 2) for d in family.members) / family.lattice_step**2
         assert math.sqrt(2 * c * var) <= window.J <= math.sqrt(2 * c * var) + c * m + 1
-        err = abs(_lattice_march(family, payoff, n, tol=tol)[1]
+        err = abs(_lattice_march(family, payoff, n, tol=tol)
                   - whole_cone(family, payoff, n))
         assert 0.0 < err <= window.bound
 
@@ -342,13 +356,13 @@ class TestWindowBounds:
         assert lattice_window(RADEMACHER, ABS, 64) == Window(J=64, cone=64, bound=0.0)
 
     def test_point_mass_has_an_empty_window(self):
-        fam = build_family([make_discrete([0.0], [1.0])], beta=1.0)
+        fam = build_family([make_discrete([0.0], [1.0])])
         assert lattice_window(fam, ABS, 100) == Window(J=0, cone=0, bound=0.0)
 
     def test_drift_widens_the_window(self):
         # |mean| = 1e-13 is admitted; n = 2^20 steps of drift add one unit
         n = 2**20
-        drifting = build_family([make_discrete([-1.0, 1.0], [0.5 - 5e-14, 0.5 + 5e-14])], 1.0)
+        drifting = build_family([make_discrete([-1.0, 1.0], [0.5 - 5e-14, 0.5 + 5e-14])])
         assert lattice_window(drifting, ABS, n).J == lattice_window(RADEMACHER, ABS, n).J + 1
 
     def test_solve_recursion_keeps_the_whole_cone(self):
@@ -362,7 +376,7 @@ class TestWindowBounds:
 
 LAW_FAMILIES = {
     **{f: WINDOW_FAMILIES[f] for f in ("rademacher", "rademacher_half", "conjecture", "skew_law")},
-    "point_mass": lambda n: build_family([make_discrete([0.0], [1.0])], beta=1.0),
+    "point_mass": lambda n: build_family([make_discrete([0.0], [1.0])]),
 }
 # the skew law's exact 1024-step power takes about 16 s, so it stops at n = 300
 LAW_CASES = [(f, n) for n in (300, 1024) for f in LAW_FAMILIES if (f, n) != ("skew_law", 1024)]
@@ -389,7 +403,7 @@ class TestLawPath:
         tol = 1e-4 * family.sigma_bar**payoff.beta
         window = law_window(family, payoff, n, tol)
         assert window.J < law_window(family, payoff, n).J
-        err = abs(_law_value(family, payoff, n, tol)[1] - _law_value(family, payoff, n, 0.0)[1])
+        err = abs(_law_value(family, payoff, n, tol) - _law_value(family, payoff, n, 0.0))
         assert 1e-13 < err <= window.bound <= tol
 
 
@@ -399,7 +413,7 @@ class TestLawWindow:
         assert law_window(RADEMACHER, ABS, 64, tol=0.0) == Window(J=64, cone=64, bound=0.0)
 
     def test_point_mass_has_an_empty_window(self):
-        fam = build_family([make_discrete([0.0], [1.0])], beta=1.0)
+        fam = build_family([make_discrete([0.0], [1.0])])
         assert law_window(fam, ABS, 100) == Window(J=0, cone=0, bound=0.0)
 
     def test_needs_one_member_on_a_lattice(self):
@@ -414,7 +428,7 @@ class TestLawWindow:
 
     def test_origin_window_names_the_method(self):
         pair = builtin_family("rademacher_pair")
-        off_lattice = build_family([rademacher(), rademacher(math.sqrt(2))], beta=1.0)
+        off_lattice = build_family([rademacher(), rademacher(math.sqrt(2))])
         assert origin_window(RADEMACHER, ABS, 4096) == ("law", law_window(RADEMACHER, ABS, 4096))
         assert origin_window(pair, ABS, 4096) == ("march", lattice_window(pair, ABS, 4096))
         assert origin_window(off_lattice, ABS, 16) == ("grid", None)
@@ -443,7 +457,7 @@ class TestGridMode:
             )
 
     def test_auto_mode_without_lattice(self):
-        fam = build_family([rademacher(), rademacher(math.sqrt(2))], beta=1.0)
+        fam = build_family([rademacher(), rademacher(math.sqrt(2))])
         assert fam.lattice_step is None
         with pytest.raises(ModeMismatchError):
             solve_recursion(fam, ABS, 4, mode="lattice")
@@ -455,9 +469,7 @@ class TestGridMode:
 @given(zero_mean_families(max_members=2), st.integers(1, 5))
 @settings(max_examples=20)
 def test_enlarging_family_never_decreases_value(family, n):
-    extra = build_family(
-        family.members + (make_discrete([-0.5, 0.5], [0.5, 0.5]),), family.beta
-    )
+    extra = build_family(family.members + (make_discrete([-0.5, 0.5], [0.5, 0.5]),))
     grid = GridSpec(step=0.1, half_width=8.0 * extra.sigma_bar + 0.1)
     small = solve_recursion(family, ABS, n, mode="grid", grid=grid).origin_value()
     big = solve_recursion(extra, ABS, n, mode="grid", grid=grid).origin_value()
@@ -467,7 +479,7 @@ def test_enlarging_family_never_decreases_value(family, n):
 @given(zero_mean_dists(), st.integers(1, 6))
 @settings(max_examples=15)
 def test_singleton_matches_enumeration(dist, n):
-    fam = build_family([dist], beta=1.0)
+    fam = build_family([dist])
     bf = enumerate_value(dist, ABS, n)
     if fam.lattice_step is not None:
         assert origin_value(fam, ABS, n) == pytest.approx(bf, abs=1e-10)
@@ -480,8 +492,7 @@ def test_value_scales_with_support(payoff, c):
     # homogeneous data by c; c is a power of two, so the values agree exactly
     family = builtin_family("rademacher_pair")
     scaled = build_family(
-        [make_discrete([c * x for x in d.support], d.probs) for d in family.members],
-        family.beta,
+        [make_discrete([c * x for x in d.support], d.probs) for d in family.members]
     )
     for n in (4, 16, 64):
         assert origin_value(scaled, payoff, n) == c * origin_value(family, payoff, n)
@@ -496,7 +507,7 @@ def test_value_scales_with_support(payoff, c):
 def test_enlarging_family_never_decreases_lattice_value(payoff, n, family, extra):
     # both families live on Z/8, so both march in lattice mode, where the
     # value is exact up to the 1e-12 rounding envelope
-    bigger = build_family(family.members + (extra,), family.beta)
+    bigger = build_family(family.members + (extra,))
     assert None not in (family.lattice_step, bigger.lattice_step)
     small = origin_value(family, payoff, n)
     assert origin_value(bigger, payoff, n) >= small - FLOAT_ROUNDING

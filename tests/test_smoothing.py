@@ -718,7 +718,6 @@ def disjoint_field():
     return ValueField(
         mode="lattice",
         n=4,
-        h=0.5,
         times=np.array([0.0, 0.25, 0.5, 0.75, 1.0]),
         xs=[np.array(x) for x in xs],
         values=[np.array(v) for v in values],
@@ -731,7 +730,7 @@ def near_shared_field():
     times = np.arange(41) / 40
     xs = [np.arange(-13 * k, 13 * k + 1) / 8 + (k % 4) * 4e-10 for k in range(41)]
     values = [np.abs(x) + 0.3 * np.sqrt(1.0 - t) * np.cos(x) for t, x in zip(times, xs)]
-    return ValueField(mode="lattice", n=40, h=1 / 8, times=times, xs=xs, values=values)
+    return ValueField(mode="lattice", n=40, times=times, xs=xs, values=values)
 
 
 def mixed_parity_field():
@@ -747,14 +746,13 @@ def mixed_parity_field():
     return ValueField(
         mode="lattice",
         n=59,
-        h=1 / 200,
         times=times,
         xs=[grid[a : a + n] for a, n in zip(starts, sizes)],
         values=[rough[a : a + n] + 0.01 * t for a, n, t in zip(starts, sizes, times)],
     )
 
 
-SKEW = build_family([make_discrete([-1.0, 2.0], [2 / 3, 1 / 3])], 1.0)  # zero mean, reach 2
+SKEW = build_family([make_discrete([-1.0, 2.0], [2 / 3, 1 / 3])])  # zero mean, reach 2
 ODD = piecewise_linear_payoff([-1.0, 0.0, 2.0], [0.5, 0.0, 1.0])  # not even
 
 
@@ -815,7 +813,6 @@ def test_regularity_audit_is_the_all_pairs_loop(case, sigma_bar):
     assert report == RegularityReport(
         spatial_excess=spatial,
         temporal_excess=temporal,
-        slack=slack,
         passed=max(spatial, temporal) <= slack + FP_SLACK,
         spatial_levels_checked=spatial_levels,
         temporal_levels_checked=temporal_levels,
@@ -846,7 +843,7 @@ def test_temporal_bound_takes_the_scalar_power():
     scalar = np.array([g**0.25 for g in gaps.tolist()])
     gap = float((gaps[gaps**0.25 != scalar] if np.any(gaps**0.25 != scalar) else gaps)[0])
     field = ValueField(
-        mode="grid", n=1, h=0.5, times=np.array([0.0, gap]),
+        mode="grid", n=1, times=np.array([0.0, gap]),
         xs=[np.array([0.0, 0.5])] * 2, values=[np.zeros(2), np.ones(2)],
     )
     report = regularity_audit(field, 0.5, 1.0, 0.0)
@@ -951,7 +948,7 @@ def test_one_stored_row_is_a_time_constant_surface():
     # a field of one level gives every row that level: the all-zero index,
     # which is the (1, len(xs)) surface, checked as constant in time
     grid = on_lattice_points(ABS, 4)
-    field = ValueField("grid", 1, grid.h, np.array([0.0]), grid.xs[:1], grid.values[:1])
+    field = ValueField("grid", 1, np.array([0.0]), grid.xs[:1], grid.values[:1])
     step = surface_from_field(
         field, x_half_width=1.0, dt=0.25**2 / 16, dx=0.25 / 16, beta=1.0, slack=0.0
     )
