@@ -51,7 +51,6 @@ from .payoffs import (
 from .rates import (
     ConjectureReport,
     RateReport,
-    ReferenceTooCoarseError,
     TooFewPointsError,
     conjecture_experiment,
     error_curve,

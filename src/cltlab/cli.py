@@ -68,7 +68,6 @@ class RunConfig:
     source: str | None = None
     ref_h: float | None = None
     exponent_rule: str = "auto"
-    strict_reference: bool = False
     emit_svg: bool = False
     emit_field: bool = False
 
@@ -213,8 +212,7 @@ def _run_value(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
     if cfg.half_width is not None:
         spec = SchemeSpec(spec.h, spec.tau, cfg.half_width)
     field = solve_gheat(prob, spec) if cfg.emit_field else None
-    origin_h = None if field is None else field.origin_value()
-    value, err = richardson_value(prob, spec, origin_h)
+    value, err = richardson_value(prob, spec, None if field is None else field.origin_value)
     print(f"value {value!r} error_estimate {err!r}")
     write_json(
         out.path("summary.json"),
@@ -268,14 +266,7 @@ def _windows(rows) -> dict:
 
 def _run_rates(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
     """Error curve, log-log slope and verdict."""
-    report = error_curve(
-        family,
-        payoff,
-        cfg.ns,
-        ref_h=cfg.ref_h,
-        exponent_rule=cfg.exponent_rule,
-        strict_reference=cfg.strict_reference,
-    )
+    report = error_curve(family, payoff, cfg.ns, ref_h=cfg.ref_h, exponent_rule=cfg.exponent_rule)
     write_csv(
         out.path("rates.csv"),
         ("n", "vn", "vref", "vref_err", "err"),
@@ -351,7 +342,7 @@ def _run_regularity(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
         field = solve_gheat(prob, spec)
         sigma_bar = cfg.sigma_bar
         if cfg.slack in (None, "auto"):
-            _, err = richardson_value(prob, spec, field.origin_value())
+            _, err = richardson_value(prob, spec, field.origin_value)
             slack = 2.0 * err
         else:
             slack = float(cfg.slack)
@@ -452,7 +443,7 @@ _COMMANDS = {
     "value": (_run_value, {None: ("phi sigma_under sigma_bar", "h half_width emit_field")}),
     "recurse": (_run_recurse, {None: ("family phi n", "mode h half_width")}),
     "rates": (_run_rates, {
-        None: ("family phi ns", "ref_h exponent_rule strict_reference emit_svg"),
+        None: ("family phi ns", "ref_h exponent_rule emit_svg"),
     }),
     "conjecture": (_run_conjecture, {None: ("ns", "")}),
     "regularity": (_run_regularity, {
@@ -481,7 +472,6 @@ _FLAGS = {
     "slack": {"default": "auto", "help": 'numeric slack or "auto"'},
     "ref_h": {"type": float, "help": "reference scheme step"},
     "exponent_rule": {"choices": ("auto", "basic")},
-    "strict_reference": {"action": "store_true"},
     "emit_svg": {"action": "store_true"},
     "emit_field": {"action": "store_true", "help": "write full-field CSV"},
 }

@@ -27,8 +27,8 @@ class GridSpec:
     half_width: float
 
     def __post_init__(self):
-        if self.step <= 0 or self.half_width <= 0:
-            raise ValueError("step and half_width must be positive")
+        if not (0 < self.step < np.inf and 0 < self.half_width < np.inf):
+            raise ValueError("step and half_width must be positive and finite")
 
     def points(self) -> np.ndarray:
         half = round(self.half_width / self.step)

@@ -113,8 +113,8 @@ class SchemeSpec:
     half_width: float
 
     def __post_init__(self):
-        if self.h <= 0 or self.tau <= 0 or self.half_width <= 0:
-            raise ValueError("h, tau and half_width must be positive")
+        if not all(0 < v < math.inf for v in (self.h, self.tau, self.half_width)):
+            raise ValueError("h, tau and half_width must be positive and finite")
 
     def cfl_ratio(self, sigma_bar: float) -> float:
         return self.tau * sigma_bar**2 / self.h**2
@@ -274,7 +274,7 @@ def scheme_origin(prob: GHeatProblem, spec: SchemeSpec) -> float:
 def richardson_value(
     prob: GHeatProblem,
     spec: SchemeSpec,
-    origin_h: float | Callable[[], float] | None = None,
+    origin_h: Callable[[], float] | None = None,
 ) -> tuple[float, float]:
     """Origin value with an error bar, marching no grid finer than ``spec``.
 
@@ -294,11 +294,12 @@ def richardson_value(
     equal bounds every level is a closed form, and it costs about as little
     as the others.
 
-    A caller that has already marched ``spec`` (with either ``store`` mode)
-    passes that field's origin value as ``origin_h``; the ``h`` march is
-    then skipped and the result is unchanged. ``origin_h`` may also be a
-    callable with no arguments, called where the ``h`` march would be: a
-    value marched elsewhere in the meantime.
+    A caller that has ``v(h)`` from elsewhere passes ``origin_h``, a
+    callable with no arguments that returns it, called where the ``h``
+    march would be: the bound ``origin_value`` of a field already marched
+    at ``spec`` (with either ``store`` mode), or a value marched elsewhere
+    in the meantime. The ``h`` march is then skipped and the result is
+    unchanged.
     """
     v4 = v2 = None
     n = spec.steps()
@@ -308,10 +309,7 @@ def richardson_value(
         except DegenerateGridError:  # fewer than three interior points at 4h
             pass
     fine = None if v4 is not None else scheme_origin(prob, spec.scaled(0.5))  # needs no v(h)
-    if origin_h is None:
-        v1 = scheme_origin(prob, spec)
-    else:
-        v1 = origin_h() if callable(origin_h) else origin_h
+    v1 = scheme_origin(prob, spec) if origin_h is None else origin_h()
     if v4 is not None:
         g1, g2 = v4 - v2, v2 - v1
         if g1 == g2 == 0.0:  # the three levels agree exactly

@@ -54,18 +54,14 @@ SCALED_TARGET = 2.0 / math.sqrt(math.pi)  # mean of |N(0, 2)|
 
 
 class TooFewPointsError(LabError, ValueError):
-    """A log-log fit needs at least three positive errors."""
-
-
-class ReferenceTooCoarseError(LabError, ValueError):
-    """Reference error bar too large for a trustworthy verdict."""
+    """A log-log fit needs at least three positive errors, at two or more n."""
 
 
 def fit_loglog(ns, errs) -> tuple[float, float, float]:
     """Least squares of log err against log n: (slope, intercept, rms residual)."""
     pairs = [(n, e) for n, e in zip(ns, errs) if e > 0.0]
-    if len(pairs) < 3:
-        raise TooFewPointsError(f"need >= 3 positive errors, got {len(pairs)}")
+    if len(pairs) < 3 or len({n for n, _ in pairs}) < 2:
+        raise TooFewPointsError(f"need >= 3 positive errors at >= 2 distinct n, got {pairs}")
     lx = [math.log(n) for n, _ in pairs]
     ly = [math.log(e) for _, e in pairs]
     mx = sum(lx) / len(lx)
@@ -134,10 +130,10 @@ def analytic_reference(family: Family, payoff: Payoff) -> bool:
 
 
 def _depths(ns) -> list[int]:
-    """``ns`` as sorted ints; a non-integer entry is refused, not truncated, and so is a repeat."""
+    """``ns`` as sorted ints; refuses non-integer entries (no truncation), repeats and n < 1."""
     ns = list(ns)
-    if not all(float(n).is_integer() for n in ns) or len(set(ns)) < len(ns):
-        raise ValueError(f"ns must be distinct integers, got {ns}")
+    if not all(float(n).is_integer() and n >= 1 for n in ns) or len(set(ns)) < len(ns):
+        raise ValueError(f"ns must be distinct integers >= 1, got {ns}")
     return sorted(int(n) for n in ns)
 
 
@@ -203,24 +199,22 @@ def error_curve(
     *,
     ref_h: float | None = None,
     exponent_rule: str = "auto",
-    strict_reference: bool = False,
 ) -> RateReport:
     """Per-n recursion errors against the continuous reference, with verdict.
 
-    The recursion runs in lattice mode when the family has a common step;
-    each row records what priced it (:func:`origin_window`).
-    The reference is analytic (zero bar) when :func:`analytic_reference`
-    holds; otherwise one Richardson scheme value, shared by all n, with its
-    gap as the error bar, on :func:`default_spec` at step ``ref_h`` if given.
-    The report's ``reference`` says which
+    ``ns`` must be distinct integers >= 1. The recursion runs in lattice
+    mode when the family has a common step; each row records what priced it
+    (:func:`origin_window`). The reference is analytic (zero bar) when
+    :func:`analytic_reference` holds; otherwise one Richardson scheme value,
+    shared by all n, with its gap as the error bar, on :func:`default_spec`
+    at step ``ref_h`` if given. The report's ``reference`` says which
     (``"analytic"`` or ``"scheme"``). A marched reference (``sigma_under <
     sigma_bar``) marches its finest level in a forked child while the rows
     are priced (:func:`_beside`); the values are those of the calls in
-    process.
+    process. A bar above a tenth of the smallest error over ``ERR_FLOOR``
+    flags the report ``reference_limited``, which a fitted verdict reports.
     """
     ns = _depths(ns)
-    if any(n < 1 for n in ns):
-        raise ValueError("ns must be distinct integers >= 1")
     prob = GHeatProblem(family.sigma_under, family.sigma_bar, payoff)
     spec = default_spec(prob) if ref_h is None else default_spec(prob, h=ref_h)
 
@@ -244,10 +238,6 @@ def error_curve(
 
     fit_rows = [r for r in rows if r.err > ERR_FLOOR]
     reference_limited = bool(fit_rows) and vref_err > min(r.err for r in fit_rows) / 10.0
-    if reference_limited and strict_reference:
-        raise ReferenceTooCoarseError(
-            f"reference bar {vref_err} exceeds a tenth of the smallest error"
-        )
     exponent = theoretical_exponent(family, payoff, exponent_rule)
 
     slope = intercept = residual = None

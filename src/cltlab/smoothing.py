@@ -26,7 +26,9 @@ each pair ``j >= i`` once, and levels on equal points share one bound
 matrix. Every level must be a non-empty centred stretch of the widest
 level's points, as the solvers' levels are, so the temporal audit centres
 the strided levels in the rows of one matrix and a level meets every
-larger one in one pass over a block of columns. NaN or infinite values
+larger one in one pass over a block of columns. A surface's declared
+moduli go through the same two passes: its strided lines are read as a
+field on one grid, audited at ``sigma_bar = 1``. NaN or infinite values
 are refused, since they would drop out of every max.
 
 A surface stores each distinct time row once, indexed by time, and no
@@ -134,9 +136,9 @@ class SampledSurface:
 
     ``values[row_index[i]]`` is the row of ``times[i]``. Without an index,
     ``values`` shaped ``(len(times), len(xs))`` holds every row, and
-    ``(1, len(xs))`` is constant in time, the all-zero index. ``beta`` is
-    the spatial Holder exponent (constant 1) and ``slack`` the additive
-    temporal allowance ``a`` in ``|u(t, x) - u(s, x)| <= |t - s|**(beta/2) + a``.
+    ``(1, len(xs))`` is constant in time, the all-zero index. ``beta`` in
+    (0, 1] is the spatial Holder exponent (constant 1) and ``slack`` the finite
+    temporal allowance ``a >= 0`` in ``|u(t, x) - u(s, x)| <= |t - s|**(beta/2) + a``.
     """
 
     times: np.ndarray
@@ -150,6 +152,9 @@ class SampledSurface:
         self.times = np.asarray(self.times, dtype=float)
         self.xs = np.asarray(self.xs, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
+        if not (0.0 < self.beta <= 1.0 and 0.0 <= self.slack < math.inf):
+            msg = f"need beta in (0, 1] and a finite slack >= 0, got {self.beta!r}, {self.slack!r}"
+            raise ValueError(msg)
         for axis in (self.times, self.xs):
             if axis.size < 2:
                 raise ValueError("grids need at least 2 points per axis")
@@ -354,32 +359,29 @@ def _strided(n: int, cap: int) -> np.ndarray:
     return (np.arange(cap) * ((n - 1) / (cap - 1))).round().astype(int)
 
 
-def _holder_excess(coords, values, exponent: float, slack: float) -> float:
+def _holder_excess(coords, values, exponent: float) -> float:
     """Worst excess of a Holder-type modulus over pairs along axis 0.
 
     Returns the largest ``|values[i] - values[j]|`` minus
-    ``|coords[i] - coords[j]|**exponent + slack``, floored at zero, over
-    the pairs ``j >= i`` of the ascending ``coords`` (non-ascending ones
-    raise ``ValueError``); the diagonal keeps a negative ``slack`` visible.
-    Further axes of ``values`` are lines compared at the same pair. For
-    ``exponent == 1`` the coordinates may also be shaped like ``values``,
-    each line on its own ones.
+    ``|coords[i] - coords[j]|**exponent``, floored at zero, over the pairs
+    ``j >= i`` of the ascending ``coords`` (non-ascending ones raise
+    ``ValueError``). Further axes of ``values`` are lines compared at the
+    same pair. For ``exponent == 1`` the coordinates may also be shaped
+    like ``values``, each line on its own ones.
 
     For ``exponent == 1`` the pair excess is ``max(a_j - a_i, b_j - b_i)``
     with ``a = v - x`` and ``b = -v - x``, so the worst pair is one scan:
-    ``max_j (a_j - min_{i <= j} a_i)``, and the same for ``b``, minus
-    ``slack``, in O(n) per line. Float subtraction rounds monotonically, so
-    this is bit for bit the all-pairs max of ``(v_j - x_j) - (v_i - x_i)``
-    minus ``slack``. In exact arithmetic that is the ``|.|`` form; in
-    floats the two differ. With ``u = 2**-53``, ``A = max|v| + max|x|`` and
-    ``s = |slack|``, the scan rounds ``v - x`` at both ends of a pair (up to
-    ``2uA``), their difference (``2uA``) and the slack subtraction
-    (``u (2A + s)``), so it lies within ``6uA + us`` of the exact excess.
-    The ``|.|`` form rounds the two differences (``2uA``), the bound plus
-    slack (``u (2 max|x| + s)``) and the excess (``u (2A + s)``), so it lies
-    within ``6uA + 2us``. Taking the max over pairs and flooring at zero
-    widen neither gap, so the forms differ by at most ``12uA + 3us`` plus
-    terms in ``u**2``, below ``2**-49 * (A + s)``.
+    ``max_j (a_j - min_{i <= j} a_i)``, and the same for ``b``, in O(n) per
+    line. Float subtraction rounds monotonically, so this is bit for bit
+    the all-pairs max of ``(v_j - x_j) - (v_i - x_i)``. In exact arithmetic
+    that is the ``|.|`` form; in floats the two differ. With
+    ``u = 2**-53`` and ``A = max|v| + max|x|``, the scan rounds ``v - x``
+    at both ends of a pair (up to ``2uA``) and their difference (``2uA``),
+    so it lies within ``4uA`` of the exact excess. The ``|.|`` form rounds
+    the two differences (``2uA``) and the excess (``2uA``), so it lies
+    within ``4uA`` too. Taking the max over pairs and flooring at zero
+    widen neither gap, so the forms differ by at most ``8uA`` plus terms in
+    ``u**2``, below ``2**-49 * A``.
 
     Other exponents form the pairs ``j >= i``, a block of pair rows at a
     time, about ``PAIR_BLOCK`` differences per block.
@@ -395,11 +397,11 @@ def _holder_excess(coords, values, exponent: float, slack: float) -> float:
             np.subtract(np.multiply(values, sign, out=line), x, out=line)
             np.minimum.accumulate(line, axis=0, out=run_min)
             worst = max(worst, float(np.max(np.subtract(line, run_min, out=line))))
-        return max(0.0, worst - slack)
+        return worst
     worst = 0.0
     rows = max(1, PAIR_BLOCK // values.size)
     for i in range(0, coords.size, rows):
-        bound = np.abs(coords[i:, None] - coords[None, i : i + rows]) ** exponent + slack
+        bound = np.abs(coords[i:, None] - coords[None, i : i + rows]) ** exponent
         diff = np.abs(values[i:, None] - values[None, i : i + rows])
         excess = diff - bound.reshape(*bound.shape, *line_axes)
         worst = max(worst, float(np.max(excess)))
@@ -412,7 +414,9 @@ def audit_surface_hypotheses(surface: SampledSurface) -> tuple[float, float]:
     Spatial: ``|u(t,x) - u(t,y)| <= |x-y|**beta``; temporal:
     ``|u(t,x) - u(s,x)| <= |t-s|**(beta/2) + a`` with ``beta`` and ``a``
     the surface's ``beta`` and ``slack``, checked on at most
-    ``HYPOTHESIS_LINES`` strided times and points. Raises
+    ``HYPOTHESIS_LINES`` strided times and points, read as a grid field by
+    the field audit's passes at ``sigma_bar = 1``; the temporal excess is
+    theirs less ``a``, floored at zero. Raises
     :class:`HypothesisViolatedError` when either excess exceeds
     ``HYPOTHESIS_TOL``, and :class:`NonFiniteValuesError` on a NaN or an
     infinity anywhere in the surface.
@@ -421,10 +425,11 @@ def audit_surface_hypotheses(surface: SampledSurface) -> tuple[float, float]:
     rows = _strided(1 if surface.constant_in_time else surface.times.size, HYPOTHESIS_LINES)
     cols = _strided(surface.xs.size, HYPOTHESIS_LINES)
     vsub = surface.values[np.ix_(surface.row_index[rows], cols)]
-    spatial = _holder_excess(surface.xs[cols], vsub.T, surface.beta, 0.0)
-    temporal = _holder_excess(
-        surface.times[rows], vsub, surface.beta / 2.0, surface.slack
-    )
+    lines = ValueField("grid", surface.times.size - 1, surface.times[rows],
+                       [surface.xs[cols]] * rows.size, list(vsub))
+    spatial = _spatial_excess(lines, surface.beta)[0]
+    temporal = _temporal_excess(lines, np.arange(rows.size), surface.beta, 1.0)[0]
+    temporal = max(temporal - surface.slack, 0.0)
     if spatial > HYPOTHESIS_TOL or temporal > HYPOTHESIS_TOL:
         raise HypothesisViolatedError(
             f"declared moduli violated: spatial excess {spatial}, temporal {temporal}"
@@ -632,7 +637,7 @@ def _spatial_excess(field: ValueField, beta: float) -> tuple[float, int]:
                 line[:, rows - idx.size :] = field.xs[k][idx], field.values[k][idx]
                 line[:, : rows - idx.size] = line[:, rows - idx.size, None]
             x = lines[0].T if beta == 1 else lines[0, 0]
-            spatial = max(spatial, _holder_excess(x, lines[1].T, beta, 0.0))
+            spatial = max(spatial, _holder_excess(x, lines[1].T, beta))
             points_checked += sum(idx.size for idx in idxs)
     return spatial, points_checked
 
@@ -653,8 +658,8 @@ def _temporal_excess(
 
     The levels, smallest first, sit centred in the rows of one matrix.
     Every level is the centred stretch of the widest one (checked by
-    :func:`regularity_audit`), so a pair shares the smaller level's points,
-    at that level's columns in both rows.
+    :func:`regularity_audit`; a surface's lines share one grid), so a pair
+    shares the smaller level's points, at that level's columns in both rows.
     """
     order = sorted(levels, key=lambda k: (field.xs[k].size, k))
     sizes = np.array([field.xs[k].size for k in order], dtype=int)
@@ -712,9 +717,12 @@ def regularity_audit(
     report counts the levels of each audit and the level pairs compared.
     Excess is reported raw; the verdict grants the documented float-rounding
     envelope on top of ``slack``, so ``slack = 0`` means "no violation
-    beyond rounding". A NaN or an infinity in any stored level raises
+    beyond rounding". ``slack`` and ``sigma_bar`` must be finite and
+    non-negative. A NaN or an infinity in any stored level raises
     :class:`NonFiniteValuesError`.
     """
+    if not (0.0 <= slack < math.inf and 0.0 <= sigma_bar < math.inf):
+        raise ValueError(f"need a finite slack and sigma_bar >= 0, got {slack!r}, {sigma_bar!r}")
     widest = max(field.xs, key=np.size)
     for k, (xs, values) in enumerate(zip(field.xs, field.values)):
         off, odd = divmod(widest.size - xs.size, 2)

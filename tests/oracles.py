@@ -196,29 +196,28 @@ def strided(n: int, cap: int) -> np.ndarray:
     return np.unique(np.linspace(0, n - 1, cap).round().astype(int))
 
 
-def pair_excess(coords, lines, exponent: float, slack: float) -> float:
-    """Worst ``|f(x) - f(y)| - (|x - y|**exponent + slack)`` over every pair
-    ``(x, y)`` of ``coords`` (the diagonal included) and every line ``f`` of
-    ``lines``, floored at 0."""
-    bound = np.abs(coords[:, None] - coords[None, :]) ** exponent + slack
+def pair_excess(coords, lines, exponent: float) -> float:
+    """Worst ``|f(x) - f(y)| - |x - y|**exponent`` over every pair ``(x, y)``
+    of ``coords`` and every line ``f`` of ``lines``, floored at 0."""
+    bound = np.abs(coords[:, None] - coords[None, :]) ** exponent
     worst = 0.0
     for line in lines:
         worst = max(worst, float(np.max(np.abs(line[:, None] - line[None, :]) - bound)))
     return worst
 
 
-def holder_excess(coords, lines, exponent: float, slack: float) -> float:
+def holder_excess(coords, lines, exponent: float) -> float:
     """:func:`pair_excess`, with an exponent-1 pair ``x <= y`` evaluated as
-    ``max((s f(y) - y) - (s f(x) - x) for s in (1, -1)) - slack``: the same
-    number in exact arithmetic, and the form the audit's scan rounds."""
+    ``max((s f(y) - y) - (s f(x) - x) for s in (1, -1))``: the same number
+    in exact arithmetic, and the form the audit's scan rounds."""
     if exponent != 1:
-        return pair_excess(coords, lines, exponent, slack)
+        return pair_excess(coords, lines, exponent)
     ordered = coords[:, None] >= coords[None, :]  # [y, x] with x <= y
     worst = 0.0
     for line in lines:
         for a in (line - coords, -line - coords):
             gain = a[:, None] - a[None, :]
-            worst = max(worst, float(np.max(gain[ordered] - slack)))
+            worst = max(worst, float(np.max(gain[ordered])))
     return worst
 
 
@@ -237,7 +236,7 @@ def regularity_excess(field, beta: float, sigma_bar: float, points: int, levels:
     spatial, points_checked = 0.0, 0
     for xs, vs in zip(field.xs, field.values):
         idx = strided(xs.size, points)
-        spatial = max(spatial, holder_excess(xs[idx], [vs[idx]], beta, 0.0))
+        spatial = max(spatial, holder_excess(xs[idx], [vs[idx]], beta))
         points_checked += idx.size
     temporal, pairs = 0.0, 0
     ks = strided(field.times.size, levels)

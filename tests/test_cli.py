@@ -72,6 +72,12 @@ class TestRunConfig:
         with pytest.raises(ConfigInvalidError):  # `seed` is not a config key either
             RunConfig.from_dict({"command": "rates", "out_dir": "x", "seed": 0})
 
+    def test_strict_reference_key_of_earlier_configs_is_refused(self):
+        # a coarse reference is flagged reference-limited (exit 2), never raised
+        data = {"command": "rates", "out_dir": "x", "strict_reference": False}
+        with pytest.raises(ConfigInvalidError, match=r"unknown config keys: \['strict_reference'\]"):
+            RunConfig.from_dict(data)
+
     def test_missing_command(self):
         with pytest.raises(ConfigInvalidError):
             RunConfig.from_dict({"out_dir": "x"})
@@ -665,6 +671,8 @@ DP = ["regularity", "--family", "rademacher_pair", "--phi", "abs", "--n", 32, "-
                      "rates (analytic reference) does not read ref_h", id="rates_analytic_ref_h"),
         pytest.param([*VALUE, "--family", "rademacher"], "unrecognized arguments: --family",
                      id="value_family"),
+        pytest.param([*RATES, "--ns", "4,16,64", "--strict-reference"],
+                     "unrecognized arguments: --strict-reference", id="rates_strict_reference"),
         # a malformed or inconsistent value
         pytest.param([*VALUE, "--beta", 0.3], "bad phi: abs does not take beta",
                      id="phi_abs_beta"),

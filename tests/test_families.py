@@ -84,7 +84,7 @@ class TestBuildFamily:
         assert f.sigma_under == 0.5
         assert f.lattice_step == 0.5
 
-    def test_three_point_beta_two(self):
+    def test_three_point_bounds_are_equal(self):
         d = make_discrete([-1, 0, 1], [0.25, 0.5, 0.25])
         f = build_family([d])
         assert f.sigma_bar == f.sigma_under == pytest.approx(math.sqrt(0.5), abs=1e-15)
@@ -156,8 +156,9 @@ class TestConfig:
             family_from_config({"members": [member]})
 
     def test_malformed(self):
-        with pytest.raises(ValueError):
-            family_from_config({"members": [{"support": [1], "probs": [1]}]})
+        member = {"support": [-1, 0, 1], "probs": [0.5, 0.5]}
+        with pytest.raises(ValueError, match="^support and probs must have equal length >= 1$"):
+            family_from_config({"members": [member]})
 
     def test_unknown_builtin(self):
         with pytest.raises(ValueError):

@@ -105,6 +105,14 @@ class TestSolver:
         assert value == 0.0
         assert err == 0.0
 
+    @pytest.mark.parametrize("size", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["h", "tau", "half_width"])
+    def test_scheme_sizes_must_be_positive_and_finite(self, name, size):
+        # nan <= 0 is false, so a sign check alone lets NaN through
+        sizes = {"h": 0.05, "tau": 1e-4, "half_width": 8.0, name: size}
+        with pytest.raises(ValueError, match="^h, tau and half_width must be positive and finite$"):
+            SchemeSpec(**sizes)
+
     def test_cfl_violation(self):
         prob = GHeatProblem(1.0, 1.0, ABS)
         with pytest.raises(CFLViolatedError):
@@ -282,9 +290,10 @@ class TestRichardson:
         spec = default_spec(prob, h=1 / 50)
         expected = richardson_value(prob, spec)
         for store in ("levels", "final"):
-            origin_h = solve_gheat(prob, spec, store=store).origin_value()
+            origin_h = solve_gheat(prob, spec, store=store).origin_value
             del marched[:]
-            assert richardson_value(prob, spec, origin_h) == expected
+            got = richardson_value(prob, spec, origin_h)
+            assert [v.hex() for v in got] == [v.hex() for v in expected]
             assert spec.h not in marched
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from cltlab import (
     BadNError,
-    ReferenceTooCoarseError,
     TooFewPointsError,
     abs_payoff,
     abs_pow_payoff,
@@ -57,6 +56,14 @@ class TestFit:
         with pytest.raises(TooFewPointsError):
             fit_loglog([4, 16, 64], [0.1, 0.0, 0.0])  # zeros are excluded
 
+    @pytest.mark.parametrize(
+        "ns, errs", [([4, 4, 4], [1.0, 2.0, 3.0]), ([4, 4, 4, 16], [1.0, 2.0, 3.0, 0.0])]
+    )
+    def test_positive_errors_at_one_n_are_too_few(self, ns, errs):
+        # every log n is the same, so the fit has no slope to find
+        with pytest.raises(TooFewPointsError, match="distinct n"):
+            fit_loglog(ns, errs)
+
 
 class TestExponent:
     def test_basic_rule_lipschitz(self):
@@ -96,14 +103,12 @@ class TestErrorCurve:
         assert all(r.vref == 0.2 and r.err == 0.0 for r in report.rows)
         assert report.slope is None
 
-    def test_reference_limited_flag_and_strict_raise(self):
+    def test_coarse_reference_is_flagged_reference_limited(self):
         pair = builtin_family("rademacher_pair")
         coarse = 1 / 10  # bar far above the n=256 error
         report = error_curve(pair, ABS, [16, 64, 256], ref_h=coarse)
         assert report.reference_limited
         assert report.verdict == "reference-limited"
-        with pytest.raises(ReferenceTooCoarseError):
-            error_curve(pair, ABS, [16, 64, 256], ref_h=coarse, strict_reference=True)
 
     def test_rows_carry_the_window_of_their_march(self):
         # a one-member family is priced by its law, a pair by the march
@@ -316,6 +321,12 @@ class TestConjecture:
                 conjecture_experiment(ns)
             with pytest.raises(ValueError, match="distinct"):
                 error_curve(RADEMACHER, ABS, ns)
+
+    @pytest.mark.parametrize("ns", [[0, 16, 64], [-4, 16, 64]])
+    def test_depths_below_one_are_refused_by_both_experiments(self, ns):
+        for experiment in (conjecture_experiment, lambda ns: error_curve(RADEMACHER, ABS, ns)):
+            with pytest.raises(ValueError, match=">= 1"):
+                experiment(ns)
 
     def test_target_value(self):
         assert SCALED_TARGET == pytest.approx(1.1283791670955126, abs=1e-15)

@@ -138,6 +138,14 @@ class TestBruteForce:
 
 
 class TestField:
+    @pytest.mark.parametrize("size", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["step", "half_width"])
+    def test_grid_sizes_must_be_positive_and_finite(self, name, size):
+        # nan <= 0 is false, so a sign check alone lets NaN through
+        sizes = {"step": 0.1, "half_width": 8.0, name: size}
+        with pytest.raises(ValueError, match="^step and half_width must be positive and finite$"):
+            GridSpec(**sizes)
+
     def test_times_are_exact_fractions(self):
         field = solve_recursion(RADEMACHER, ABS, 4)
         assert field.times.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]

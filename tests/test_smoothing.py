@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -650,45 +651,36 @@ def lipschitz_lines(kind, coords, count, rng):
 
 
 class TestLipschitzScan:
-    @pytest.mark.parametrize("slack", [0.0, 0.25, -0.25])
     @pytest.mark.parametrize("kind", ["random", "spike"])
     @pytest.mark.parametrize("grid", ["lattice", "random"])
-    def test_scan_is_within_its_rounding_bound_of_the_pair_form(self, grid, kind, slack):
+    def test_scan_is_within_its_rounding_bound_of_the_pair_form(self, grid, kind):
         # the scan takes max(a_j - a_i) for a = +-v - x; the pair form
-        # |v_j - v_i| - (|x_j - x_i| + slack) rounds differently, within
-        # 2**-49 (max|v| + max|x| + |slack|) by _holder_excess's derivation
-        rng = np.random.default_rng(sum(map(ord, grid + kind)) + int(8 * slack))
+        # |v_j - v_i| - |x_j - x_i| rounds differently, within
+        # 2**-49 (max|v| + max|x|) by _holder_excess's derivation
+        rng = np.random.default_rng(sum(map(ord, grid + kind)))
         for n, count in [(2, 1), (37, 1), (200, 5), (512, 3)]:
             if grid == "lattice":
                 coords = (np.arange(n) - n // 2) * (8.0 / n)
             else:
                 coords = np.sort(rng.uniform(-8.0, 8.0, n))
             lines = lipschitz_lines(kind, coords, count, rng)
-            got = smoothing._holder_excess(coords, lines, 1.0, slack)
-            want = pair_excess(coords, lines.T, 1.0, slack)
-            bound = 2.0**-49 * (np.max(np.abs(lines)) + np.max(np.abs(coords)) + abs(slack))
+            got = smoothing._holder_excess(coords, lines, 1.0)
+            want = pair_excess(coords, lines.T, 1.0)
+            bound = 2.0**-49 * (np.max(np.abs(lines)) + np.max(np.abs(coords)))
             assert abs(got - want) <= bound
-            assert got == holder_excess(coords, lines.T, 1.0, slack)  # the scan's own form
-
-    @pytest.mark.parametrize("n", [1, 2, 9])
-    def test_negative_slack_stays_visible_on_the_diagonal(self, n):
-        coords = np.arange(n) / 8.0
-        lines = np.full((n, 2), 0.5)
-        assert smoothing._holder_excess(coords, lines, 1.0, -0.25) == 0.25
-        assert smoothing._holder_excess(coords, lines, 1.0, 0.25) == 0.0
+            assert got == holder_excess(coords, lines.T, 1.0)  # the scan's own form
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_violation_between_the_ends_is_found(self, sign):
         # slope 2 exceeds the bound most between the two ends of the grid
         coords = np.linspace(-1.0, 1.0, 33)
-        assert smoothing._holder_excess(coords, sign * 2.0 * coords, 1.0, 0.0) == 2.0
-        assert smoothing._holder_excess(coords, sign * 2.0 * coords, 1.0, 0.5) == 1.5
+        assert smoothing._holder_excess(coords, sign * 2.0 * coords, 1.0) == 2.0
 
     @pytest.mark.parametrize("exponent", [1.0, 0.5])
     def test_unsorted_coords_raise(self, exponent):
         coords = np.array([0.0, 0.5, 0.25, 1.0])
         with pytest.raises(ValueError, match="must ascend"):
-            smoothing._holder_excess(coords, np.zeros(4), exponent, 0.0)
+            smoothing._holder_excess(coords, np.zeros(4), exponent)
 
 
 def corrupted(field, bump=1.0):
@@ -865,20 +857,32 @@ HYPOTHESIS_CASES = {
 }
 
 
-@pytest.mark.parametrize("corrupt", [False, True])
-@pytest.mark.parametrize("case", HYPOTHESIS_CASES)
-def test_hypothesis_audit_is_the_all_pairs_loop(case, corrupt):
+def hypothesis_lines(case, corrupt, slack=0.5):
+    """A case's resampled surface and its strided times and points as a grid
+    field; with ``corrupt``, the stored row of strided time 80 is raised by
+    1 at strided point 80, at every time that reads it."""
     field, beta = HYPOTHESIS_CASES[case]()
     surf = surface_from_field(
-        field, x_half_width=1.5, dt=1 / 400, dx=1 / 200, beta=beta, slack=0.5
+        field, x_half_width=1.5, dt=1 / 400, dx=1 / 200, beta=beta, slack=slack
     )
     rows = strided(surf.times.size, HYPOTHESIS_LINES)
     cols = strided(surf.xs.size, HYPOTHESIS_LINES)
-    if corrupt:  # the stored row of strided time 80, at every time that reads it
+    if corrupt:
         surf.values[surf.row_index[rows[80]], cols[80]] += 1.0
     vsub = surf.values[surf.row_index[rows]][:, cols]
-    spatial = holder_excess(surf.xs[cols], vsub, beta, 0.0)
-    temporal = holder_excess(surf.times[rows], vsub.T, beta / 2.0, surf.slack)
+    lines = ValueField("grid", surf.times.size - 1, surf.times[rows],
+                       [surf.xs[cols]] * rows.size, list(vsub))
+    return surf, lines
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize("case", HYPOTHESIS_CASES)
+def test_hypothesis_audit_is_the_all_pairs_loop(case, corrupt):
+    # every pair of the strided lines, the temporal bound sigma_bar = 1
+    surf, lines = hypothesis_lines(case, corrupt)
+    cap = HYPOTHESIS_LINES
+    spatial, temporal, *_ = regularity_excess(lines, surf.beta, 1.0, cap, cap)
+    temporal = max(temporal - surf.slack, 0.0)
     if corrupt:
         assert spatial > 1e-9 and temporal > 1e-9
         expected = f"spatial excess {spatial}, temporal {temporal}"
@@ -886,6 +890,45 @@ def test_hypothesis_audit_is_the_all_pairs_loop(case, corrupt):
             audit_surface_hypotheses(surf)
     else:
         assert audit_surface_hypotheses(surf) == (spatial, temporal)
+
+
+@pytest.mark.parametrize("case", HYPOTHESIS_CASES)
+def test_hypothesis_temporal_excess_is_the_field_pass_less_the_slack(case):
+    surf, lines = hypothesis_lines(case, corrupt=True, slack=0.0)
+    raw = smoothing._temporal_excess(lines, np.arange(lines.times.size), surf.beta, 1.0)[0]
+    assert raw > 0.5
+    for slack in (0.0, raw / 3.0, raw + 0.25):  # the last leaves only the spatial kink
+        expected = f"temporal {max(raw - slack, 0.0)}"
+        with pytest.raises(HypothesisViolatedError, match=re.escape(expected) + "$"):
+            audit_surface_hypotheses(dataclasses.replace(surf, slack=slack))
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [{"slack": -1.0}, {"slack": math.nan}, {"slack": math.inf},
+     {"beta": 0.0}, {"beta": 2.0}, {"beta": math.nan}],
+    ids=["slack-negative", "slack-nan", "slack-inf", "beta-zero", "beta-two", "beta-nan"],
+)
+def test_surface_settings_the_cli_refuses_are_refused(setting):
+    # a negative slack fails a time-constant surface's own temporal audit
+    # (excess -slack), and a NaN slack fails every sup check without an error
+    settings = {"beta": 1.0, "slack": 0.0, **setting}
+    with pytest.raises(ValueError, match=r"^need beta in \(0, 1\] and a finite slack >= 0, got "):
+        surface_from_function(lambda t, x: np.abs(x), x_half_width=1.0, dt=0.01, dx=0.05,
+                              **settings)
+
+
+@pytest.mark.parametrize(
+    "sigma_bar, slack",
+    [(1.0, math.nan), (1.0, -1.0), (1.0, math.inf),
+     (math.nan, 0.0), (-1.0, 0.0), (math.inf, 0.0)],
+    ids=["slack-nan", "slack-negative", "slack-inf",
+         "sigma-bar-nan", "sigma-bar-negative", "sigma-bar-inf"],
+)
+def test_regularity_settings_the_cli_refuses_are_refused(sigma_bar, slack):
+    # a NaN slack would make the verdict false without an error
+    with pytest.raises(ValueError, match="^need a finite slack and sigma_bar >= 0, got "):
+        regularity_audit(solve_recursion(RADEMACHER, ABS, 8), 1.0, sigma_bar, slack)
 
 
 def stored_late(field):
