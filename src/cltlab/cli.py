@@ -282,6 +282,7 @@ def _run_rates(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
             "intercept": report.intercept,
             "residual": report.residual,
             "reference": report.reference,
+            "reference_h": report.reference_h,
             "reference_limited": report.reference_limited,
             "verdict": report.verdict,
             **_windows(report.rows),
@@ -300,7 +301,8 @@ def _run_rates(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
         f"slope {report.slope!r} residual {report.residual!r} "
         f"exponent {report.exponent!r} verdict {report.verdict}"
     )
-    return 0 if report.verdict in ("pass", "degenerate") else 2
+    ok = report.verdict in ("pass", "degenerate") and not report.reference_limited
+    return 0 if ok else 2
 
 
 def _run_conjecture(cfg: RunConfig, out: OutputDir, family, payoff) -> int:

@@ -23,12 +23,11 @@ correction as its error bar; otherwise, or when the rounded time steps do
 not nest, it pairs ``h`` with (h/2, tau/4) and returns that value with the
 difference as its error bar.
 
-Only :func:`cltlab.rates.error_curve` with ``sigma_under < sigma_bar``
-marches its finest level ``h`` in a forked child, beside its lattice rows
-and the other marches (see :mod:`cltlab.rates`). Every other
-caller of :func:`richardson_value` marches all its levels in process: the
-``4h`` and ``2h`` marches, all it could overlap with ``h``, cost about 1/7
-of the ``h`` march (1/64 + 1/8 of its point-updates).
+Every caller of :func:`richardson_value` marches all its levels in
+process. :func:`cltlab.rates.error_curve` picks the step ``h`` of its
+reference set: the coarsest ``sigma_bar / (4 m)``, integer ``m``, that it
+finds whose bar meets its rule, and the step it was given otherwise; it
+never asks for a set finer than that step (see :mod:`cltlab.rates`).
 
 With ``n`` steps of ``tau = 1/n``, one step is one level of the discrete
 sup-recursion over two trinomial laws on ``{-s, 0, s}``, ``s = h * sqrt(n)``
@@ -294,12 +293,10 @@ def richardson_value(
     equal bounds every level is a closed form, and it costs about as little
     as the others.
 
-    A caller that has ``v(h)`` from elsewhere passes ``origin_h``, a
-    callable with no arguments that returns it, called where the ``h``
-    march would be: the bound ``origin_value`` of a field already marched
-    at ``spec`` (with either ``store`` mode), or a value marched elsewhere
-    in the meantime. The ``h`` march is then skipped and the result is
-    unchanged.
+    A caller that has already marched a field at ``spec`` (with either
+    ``store`` mode) passes its bound ``origin_value`` as ``origin_h``, a
+    callable with no arguments, called where the ``h`` march would be. The
+    ``h`` march is then skipped and the result is unchanged.
     """
     v4 = v2 = None
     n = spec.steps()

@@ -9,18 +9,14 @@ on finite support).
 
 References are analytic whenever possible (equal volatility bounds and
 convex terminal data), otherwise Richardson-extrapolated scheme values with
-a propagated error bar. When that reference is marched (``sigma_under <
-sigma_bar``), its finest level ``v(h)`` is most of the run, so
-:func:`error_curve` forks a child that marches it while the parent prices
-the lattice rows and marches the other levels; the parent then reads
-``v(h)`` from a pipe and combines them as :func:`richardson_value`
-always does, so every value keeps its bits. The CPU time is unchanged:
-the wall time falls only where a second core is free. Equal-volatility
-references are closed forms and analytic ones need no solve, so both stay
-in process. Slope fits are meaningless when the reference error
+a propagated error bar. Slope fits are meaningless when the reference error
 is comparable to the measured errors, so a report whose bar exceeds a tenth
 of the smallest error is marked reference-limited and its verdict is
-suppressed.
+suppressed. That rule is all a scheme reference has to meet, so
+:func:`error_curve` prices its rows first and marches the reference only as
+fine as the rule needs: a cheap probe predicts the coarsest step whose bar
+meets it, and the step asked for is marched only when no coarser set
+tried meets it (:func:`_scheme_reference`). Every level runs in process.
 
 The sharpness experiment scales both sides by ``n**(1/4)`` for the singleton
 three-point family with atom weight ``n**-0.5``. Its continuous column is
@@ -38,11 +34,11 @@ from .errors import LabError
 from .families import Family, check_cubic_condition, conjecture_family
 from .gheat import (
     GHeatProblem,
+    SchemeSpec,
     _check_grid,
     convex_oracle,
     default_spec,
     richardson_value,
-    scheme_origin,
 )
 from .payoffs import Payoff, abs_payoff
 from .recursion import Window, origin_value, origin_window
@@ -116,6 +112,7 @@ class RateReport:
     intercept: float | None
     residual: float | None
     reference: str  # analytic | scheme
+    reference_h: float | None  # step of the scheme reference's Richardson set
     reference_limited: bool
     verdict: str  # pass | fail | degenerate | reference-limited
 
@@ -137,59 +134,36 @@ def _depths(ns) -> list[int]:
     return sorted(int(n) for n in ns)
 
 
-def _beside(background, foreground):
-    """``foreground(collect)`` while a forked child computes ``background()``.
+def _target(vns, vref: float) -> float:
+    """A tenth of the smallest ``|vn - vref|`` above ``ERR_FLOOR``; infinity if none is."""
+    errs = [e for e in (abs(vn - vref) for vn in vns) if e > ERR_FLOOR]
+    return min(errs) / 10.0 if errs else math.inf
 
-    ``collect()`` waits for the child and returns what ``background()``
-    returned, or raises what it raised; the child sends ``(ok, value or
-    exception)`` through a pipe by pickle. It leaves only through
-    ``os._exit``, so it never unwinds into the caller's stack or flushes the
-    parent's stdio buffers, and it dies with the parent (``PR_SET_PDEATHSIG``).
-    If ``foreground`` leaves without collecting, the child is killed and
-    reaped. A child that sends nothing (killed, or its answer would not
-    pickle) is replaced by ``background()`` in process.
+
+def _scheme_reference(prob: GHeatProblem, spec: SchemeSpec, vns) -> tuple[float, float, float]:
+    """``(value, bar, h)`` of the coarsest Richardson set found whose bar meets :func:`_target`.
+
+    The sets tried are at ``h_m = sigma_bar / (4 m)``, integer ``m``, on
+    :func:`default_spec`: CFL ratio 1 gives ``h_m`` exactly ``16 m^2`` steps,
+    so its ``4h``, ``2h`` and ``h`` levels nest for every ``m``. A probe at a
+    quarter of the ``m`` of ``spec`` comes first. A set whose bar misses the
+    target predicts, from order 2 (bar ~ ``h^2``), the ``m`` whose bar would
+    meet it; that set is marched and checked in turn, since a kinked
+    terminal function's bar is not monotone in ``m``. After the probe and two
+    predictions miss, or once the step wanted is not coarser than that of
+    ``spec``, it returns the set at ``spec``, whatever its bar.
     """
-    import ctypes, os, pickle, signal
-
-    parent = os.getpid()
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        try:
-            os.close(read_fd)
-            ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # 1 = PR_SET_PDEATHSIG
-            if os.getppid() == parent:  # else the parent died before prctl
-                try:
-                    answer = (True, background())
-                except BaseException as exc:  # re-raised by collect()
-                    answer = (False, exc)
-                with open(write_fd, "wb") as pipe:
-                    pipe.write(pickle.dumps(answer))
-        finally:
-            os._exit(0)
-    os.close(write_fd)
-    pipe = open(read_fd, "rb")
-    child = pid  # None once reaped
-
-    def collect():
-        nonlocal child
-        answer = pipe.read()
-        os.waitpid(pid, 0)
-        child = None
-        if not answer:
-            return background()
-        ok, value = pickle.loads(answer)
-        if not ok:
-            raise value
-        return value
-
-    try:
-        return foreground(collect)
-    finally:
-        pipe.close()
-        if child is not None:
-            os.kill(child, signal.SIGKILL)
-            os.waitpid(child, 0)
+    m = max(1, math.floor(prob.sigma_bar / (4.0 * spec.h)) // 4)
+    for _ in range(3):  # the probe, its prediction and one re-prediction
+        h = prob.sigma_bar / (4 * m)
+        if h <= spec.h:
+            break
+        vref, bar = richardson_value(prob, default_spec(prob, h=h))
+        target = _target(vns, vref)
+        if bar <= target:
+            return vref, bar, h
+        m = math.ceil(m * math.sqrt(bar / target))
+    return (*richardson_value(prob, spec), spec.h)
 
 
 def error_curve(
@@ -206,38 +180,34 @@ def error_curve(
     mode when the family has a common step; each row records what priced it
     (:func:`origin_window`). The reference is analytic (zero bar) when
     :func:`analytic_reference` holds; otherwise one Richardson scheme value,
-    shared by all n, with its gap as the error bar, on :func:`default_spec`
-    at step ``ref_h`` if given. The report's ``reference`` says which
-    (``"analytic"`` or ``"scheme"``). A marched reference (``sigma_under <
-    sigma_bar``) marches its finest level in a forked child while the rows
-    are priced (:func:`_beside`); the values are those of the calls in
-    process. A bar above a tenth of the smallest error over ``ERR_FLOOR``
-    flags the report ``reference_limited``, which a fitted verdict reports.
+    shared by all n, with its gap as the error bar. The rows are priced
+    first, and the scheme reference is then the coarsest set that
+    :func:`_scheme_reference` finds whose bar is at most a tenth of the
+    smallest error over ``ERR_FLOOR``, or else the set on :func:`default_spec`
+    at step ``ref_h`` if given, the finest set it uses. A grid that
+    step would refuse is refused before any row. The report's ``reference``
+    says which (``"analytic"`` or ``"scheme"``), and ``reference_h`` the step
+    of the scheme set. A bar above that tenth flags the report
+    ``reference_limited``, which a fitted verdict reports.
     """
     ns = _depths(ns)
     prob = GHeatProblem(family.sigma_under, family.sigma_bar, payoff)
     spec = default_spec(prob) if ref_h is None else default_spec(prob, h=ref_h)
-
-    def price_rows():  # (n, vn, method, window) per n
-        return [(n, origin_value(family, payoff, n), *origin_window(family, payoff, n))
-                for n in ns]
-
     reference = "analytic" if analytic_reference(family, payoff) else "scheme"
+    if reference == "scheme":
+        _check_grid(prob, spec)
+    priced = [(n, origin_value(family, payoff, n), *origin_window(family, payoff, n))
+              for n in ns]
+    vns = [vn for _, vn, _, _ in priced]
     if reference == "analytic":
-        (vref, vref_err), priced = (convex_oracle(prob), 0.0), price_rows()
-    elif prob.sigma_under == prob.sigma_bar:  # closed-form levels: nothing to overlap
-        (vref, vref_err), priced = richardson_value(prob, spec), price_rows()
+        vref, vref_err, reference_h = convex_oracle(prob), 0.0, None
     else:
-        _check_grid(prob, spec)  # a grid the child would refuse is refused before the rows
-        priced, (vref, vref_err) = _beside(
-            lambda: scheme_origin(prob, spec),
-            lambda origin_h: (price_rows(), richardson_value(prob, spec, origin_h)),
-        )
+        vref, vref_err, reference_h = _scheme_reference(prob, spec, vns)
     rows = [RateRow(n, vn, vref, vref_err, abs(vn - vref), method, window)
             for n, vn, method, window in priced]
 
     fit_rows = [r for r in rows if r.err > ERR_FLOOR]
-    reference_limited = bool(fit_rows) and vref_err > min(r.err for r in fit_rows) / 10.0
+    reference_limited = vref_err > _target(vns, vref)
     exponent = theoretical_exponent(family, payoff, exponent_rule)
 
     slope = intercept = residual = None
@@ -262,6 +232,7 @@ def error_curve(
         intercept=intercept,
         residual=residual,
         reference=reference,
+        reference_h=reference_h,
         reference_limited=reference_limited,
         verdict=verdict,
     )

@@ -4,10 +4,8 @@ import json
 import math
 import os
 import shlex
-import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -158,8 +156,9 @@ class TestRates:
 
     def test_switching_sup_against_extrapolated_reference(self, tmp_path):
         # rademacher_pair on cosine data switches between its two laws; the
-        # reference is extrapolated from h = 1/50, 1/100, 1/200 and agrees
-        # with (4 v(1/800) - v(1/400)) / 3 to 1e-9
+        # reference is extrapolated from h = 1/35, 1/70, 1/140, the coarsest
+        # set whose bar meets a tenth of the smallest error, and agrees with
+        # (4 v(1/800) - v(1/400)) / 3 to 1e-9
         out = tmp_path / "switching"
         assert run_cli([
             "rates", "--family", "rademacher_pair", "--phi", "cosine_scaled",
@@ -235,84 +234,35 @@ class TestRates:
         assert rc == 1
 
 
-def fresh_env():
-    src = str(Path(cltlab.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
-
-
-def proc_state(pid):
-    """``(state, ppid)`` from ``/proc/<pid>/stat``, or None once the pid is gone."""
-    try:
-        stat = Path(f"/proc/{pid}/stat").read_text()
-    except OSError:
-        return None
-    state, ppid = stat.rsplit(")", 1)[1].split()[:2]
-    return state, int(ppid)
-
-
-def children_of(pid):
-    # /proc/<pid>/task/*/children needs CONFIG_PROC_CHILDREN; every ppid is in stat
-    return [int(p.name) for p in Path("/proc").iterdir()
-            if p.name.isdigit() and (proc_state(p.name) or (None, None))[1] == pid]
-
-
 SWITCHING = ["rates", "--family", "rademacher_pair", "--phi", "cosine_scaled", "--ns", "4,16,64"]
 
 
-class TestForkedReference:
-    """The marched reference's finest level runs in a child that never outlives its command."""
-
-    def test_child_error_exits_one_and_leaves_no_run_directory(self, tmp_path, capsys):
+class TestSchemeReference:
+    def test_refused_grid_exits_one_and_leaves_no_run_directory(self, tmp_path, capsys):
         out = tmp_path / "new" / "o"
         assert run_cli([*SWITCHING, "--ref-h", 6, "--out", out]) == 1
         assert capsys.readouterr().err == "ERROR DegenerateGrid: need at least 3 interior points\n"
         assert not (tmp_path / "new").exists()
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
-    def test_child_dies_with_a_killed_parent(self, tmp_path):
-        # the child's march at h = 0.00125 takes several seconds: it must not finish on its own
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "cltlab", *SWITCHING, "--ref-h", "0.00125",
-             "--out", str(tmp_path / "r")],
-            env=fresh_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
-        try:
-            deadline = time.monotonic() + 30
-            while not (kids := children_of(proc.pid)):
-                assert proc.poll() is None and time.monotonic() < deadline
-                time.sleep(0.01)
-        finally:
-            proc.send_signal(signal.SIGKILL)
-            proc.wait(timeout=10)
-        (child,) = kids
-        deadline = time.monotonic() + 2
-        while (state := proc_state(child)) is not None and state[0] != "Z":
-            assert time.monotonic() < deadline, f"child {child} still {state[0]}"
-            time.sleep(0.01)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+    def test_flagged_reference_exits_two_with_too_few_errors_to_fit(self, tmp_path):
+        # two errors cannot be fitted (verdict degenerate), yet the coarse
+        # reference is flagged, and a flagged reference is never exit 0
+        out = tmp_path / "r"
+        assert run_cli(["rates", "--family", "rademacher_pair", "--phi", "abs",
+                        "--ns", "16,64", "--ref-h", 0.1, "--out", out]) == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["reference_limited"] is True
+        assert summary["verdict"] == "degenerate"
+        assert summary["reference_h"] == 0.1
 
-    def test_piped_stdout_is_written_once_per_line(self, tmp_path):
-        # a child that flushed the parent's buffered stdout would repeat its lines
-        env = fresh_env()
-        env.pop("PYTHONUNBUFFERED", None)  # a pipe is block-buffered by default
-        code = (
-            "import sys\n"
-            "from cltlab.cli import main\n"
-            "for out in sys.argv[1:]:\n"
-            f"    main({[*SWITCHING, '--ref-h', '0.1']!r} + ['--out', out])\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code, str(tmp_path / "a"), str(tmp_path / "b")],
-            env=env, capture_output=True, text=True, check=True, timeout=120,
-        )
-        lines = proc.stdout.splitlines()
-        assert len(lines) == 2 and all(line.startswith("slope ") for line in lines)
-        assert lines[0] == lines[1]
+    def test_summary_records_the_step_of_the_reference_set(self, tmp_path):
+        assert run_cli([*SWITCHING, "--ref-h", 0.01, "--out", tmp_path / "s"]) == 0
+        assert run_cli(["rates", "--family", "rademacher", "--phi", "abs", "--ns", "4,16,64",
+                        "--out", tmp_path / "a"]) == 0
+        scheme = json.loads((tmp_path / "s" / "summary.json").read_text())
+        analytic = json.loads((tmp_path / "a" / "summary.json").read_text())
+        assert scheme["reference"] == "scheme" and scheme["reference_h"] >= 0.01
+        assert analytic["reference"] == "analytic" and analytic["reference_h"] is None
 
 
 class TestValue:

@@ -1,6 +1,4 @@
 import math
-import os
-import time
 
 import pytest
 
@@ -16,13 +14,14 @@ from cltlab import (
     error_curve,
     fit_loglog,
     make_discrete,
+    neg_abs_payoff,
     piecewise_linear_payoff,
     theoretical_exponent,
 )
-from cltlab import gheat, rates
+from cltlab import rates
 from cltlab.cli import main
 from cltlab.gheat import GHeatProblem, default_spec, richardson_value
-from cltlab.rates import SCALED_TARGET, ConjectureReport, ConjectureRow, _beside
+from cltlab.rates import SCALED_TARGET, ConjectureReport, ConjectureRow
 from cltlab.recursion import lattice_window, law_window
 
 from oracles import (
@@ -143,91 +142,126 @@ class TestErrorCurve:
         assert [r.n for r in error_curve(RADEMACHER, ABS, [4.0, 16, 64]).rows] == [4, 16, 64]
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture
-def solves(monkeypatch, tmp_path):
-    """Reads ``(pid, h, event)`` of every ``solve_gheat`` start and end, a forked child's too."""
-    log = tmp_path / "solves.txt"
-    solve = gheat.solve_gheat
-
-    def note(spec, event):
-        with open(log, "a") as f:  # one small O_APPEND write per line
-            f.write(f"{os.getpid()} {spec.h!r} {event}\n")
-
-    def recorder(prob, spec, store="levels"):
-        note(spec, "start")
-        field = solve(prob, spec, store)
-        note(spec, "end")
-        return field
-
-    monkeypatch.setattr(gheat, "solve_gheat", recorder)
-
-    def read(clear=False):
-        lines = log.read_text().splitlines() if log.exists() else []
-        if clear:
-            log.unlink(missing_ok=True)
-        return [(int(pid), float(h), event) for pid, h, event in map(str.split, lines)]
-
-    return read
-
-
-class TestForkedReference:
-    """A marched reference's finest level runs in a forked child; no value moves."""
+class TestSchemeReference:
+    """The reference set is the coarsest tried whose bar meets the rows' target."""
 
     PAIR = builtin_family("rademacher_pair")
 
-    @pytest.mark.parametrize(
-        "payoff, h, caller_hs",
-        [
-            (cosine_payoff(), 1 / 100, (2, 4)),  # nested, extrapolates
-            (abs_pow_payoff(0.5), 1 / 100, (0.5, 2, 4)),  # nested, falls back to h/2
-            (cosine_payoff(), 1 / 10, (0.5,)),  # unnested: h and h/2 only
-        ],
-        ids=["extrapolated", "fallback", "unnested"],
-    )
-    def test_reference_bits_and_where_each_level_ran(self, solves, payoff, h, caller_hs):
+    @pytest.fixture
+    def marched(self, monkeypatch):
+        """The specs of every ``richardson_value`` call that ``error_curve`` makes."""
+        specs = []
+
+        def recorder(prob, spec, *args):
+            specs.append(spec)
+            return richardson_value(prob, spec, *args)
+
+        monkeypatch.setattr(rates, "richardson_value", recorder)
+        return specs
+
+    @staticmethod
+    def assert_nested_sets(prob, specs, ref_h):
+        # every chosen set is h_m = sigma_bar / (4 m): 16 m^2 steps, nested, never finer than ref_h
+        for spec in specs:
+            m = round(prob.sigma_bar / (4 * spec.h))
+            assert spec == default_spec(prob, h=prob.sigma_bar / (4 * m))
+            assert spec.steps() == 16 * m * m
+            assert all(spec.scaled(f).steps() * f * f == spec.steps() for f in (2.0, 4.0))
+            assert spec.h >= ref_h
+
+    def test_switching_case_takes_the_set_at_one_140th(self, marched):
+        payoff = cosine_payoff()
         prob = GHeatProblem(self.PAIR.sigma_under, self.PAIR.sigma_bar, payoff)
-        spec = default_spec(prob, h=h)
-        expected = richardson_value(prob, spec)
-        solves(clear=True)
-        report = error_curve(self.PAIR, payoff, [4, 16, 64], ref_h=h)
+        report = error_curve(self.PAIR, payoff, [4, 16, 64, 256, 1024, 4096],
+                             ref_h=0.005, exponent_rule="basic")
+        expected = richardson_value(prob, default_spec(prob, h=1 / 140))
         assert all((r.vref, r.vref_err) == expected for r in report.rows)
-        me = os.getpid()
-        starts = [(pid, s) for pid, s, event in solves() if event == "start"]
-        assert [s for pid, s in starts if pid != me] == [spec.h]
-        assert sorted(s for pid, s in starts if pid == me) == sorted(spec.h * f for f in caller_hs)
-        assert_no_child_left()
+        assert report.reference_h == 1 / 140
+        assert [spec.h for spec in marched] == [1 / 48, 1 / 140]  # probe at m = 12, then m = 35
+        self.assert_nested_sets(prob, marched, 0.005)
+        assert not report.reference_limited and report.verdict == "pass"
 
-    def test_equal_bounds_reference_stays_in_process(self, solves):
-        # equal bounds: every level is a closed form, so nothing is forked
-        error_curve(RADEMACHER, cosine_payoff(), [4, 16, 64], ref_h=0.05)
-        assert {pid for pid, _, _ in solves()} == {os.getpid()}
+    def test_readme_pair_returns_its_probe(self, marched):
+        prob = GHeatProblem(self.PAIR.sigma_under, self.PAIR.sigma_bar, ABS)
+        report = error_curve(self.PAIR, ABS, [4, 16, 64, 256, 1024], exponent_rule="basic")
+        spec = default_spec(prob, h=0.01)
+        assert marched == [spec]
+        expected = richardson_value(prob, spec)
+        assert all((r.vref, r.vref_err) == expected for r in report.rows)
+        assert report.reference_h == 0.01
+        assert report.rows[0].vref_err <= min(r.err for r in report.rows) / 10.0
 
-    def test_failing_row_kills_and_reaps_the_marching_child(self, solves, monkeypatch):
-        me = os.getpid()
+    @pytest.mark.parametrize(
+        "family, payoff, ns, ref_h",
+        [
+            ("rademacher_pair", abs_pow_payoff(0.5), [4, 16, 64, 256], 1 / 100),  # misses: ref_h
+            ("rademacher_pair", neg_abs_payoff(), [4, 16, 64, 256], 1 / 100),  # predicted
+            ("rademacher", abs_pow_payoff(0.5), [4, 16, 64, 256, 1024], None),  # equal bounds
+            ("rademacher_half", cosine_payoff(), [4, 16, 64, 256], 1 / 200),  # sigma_bar 1/2
+        ],
+        ids=["kinked-pair", "concave-pair", "kinked-equal", "half"],
+    )
+    def test_a_set_other_than_ref_h_meets_the_rule(self, marched, family, payoff, ns, ref_h):
+        family = builtin_family(family)
+        prob = GHeatProblem(family.sigma_under, family.sigma_bar, payoff)
+        ref = default_spec(prob) if ref_h is None else default_spec(prob, h=ref_h)
+        report = error_curve(family, payoff, ns, ref_h=ref_h)
+        self.assert_nested_sets(prob, [spec for spec in marched if spec != ref], ref.h)
+        assert marched[-1].h == report.reference_h
+        if report.reference_h != ref.h:
+            fit = [r.err for r in report.rows if r.err > rates.ERR_FLOOR]
+            assert report.rows[0].vref_err <= min(fit) / 10.0
+            assert not report.reference_limited
 
-        def failing_row(family, payoff, n):
-            for _ in range(2000):  # wait until the child has started its march
-                if any(pid != me for pid, _, _ in solves()):
-                    raise RuntimeError("row failed")
-                time.sleep(0.005)
-            raise AssertionError("the child never started")
+    def test_missed_predictions_end_at_the_set_of_ref_h(self, monkeypatch):
+        # equal bounds: closed-form levels, so every set is cheap. A bar that
+        # falls only like h makes each order-2 prediction miss: the probe
+        # (m = 25), its prediction and one re-prediction are marched, then ref_h
+        payoff = cosine_payoff()
+        prob = GHeatProblem(RADEMACHER.sigma_under, RADEMACHER.sigma_bar, payoff)
+        ref = default_spec(prob, h=1 / 400)
+        true = error_curve(RADEMACHER, payoff, [4, 16, 64, 256])
+        target = min(r.err for r in true.rows) / 10.0
+        specs = []
 
-        monkeypatch.setattr(rates, "origin_value", failing_row)
-        with pytest.raises(RuntimeError, match="row failed"):
-            error_curve(self.PAIR, cosine_payoff(), [4, 16, 64], ref_h=1 / 400)
-        (child, _, _), = [line for line in solves() if line[0] != me]  # started, never ended
-        with pytest.raises(ProcessLookupError):
-            os.kill(child, 0)  # killed and reaped
-        assert_no_child_left()
+        def first_order(prob, spec, *args):
+            specs.append(spec)
+            value, bar = richardson_value(prob, spec, *args)
+            return (value, bar) if spec == ref else (value, 400.0 * target * spec.h)
+
+        monkeypatch.setattr(rates, "richardson_value", first_order)
+        report = error_curve(RADEMACHER, payoff, [4, 16, 64, 256], ref_h=1 / 400)
+        expected = richardson_value(prob, ref)
+        assert all((r.vref, r.vref_err) == expected for r in report.rows)
+        assert report.reference_h == 1 / 400
+        assert [round(1 / (4 * spec.h)) for spec in specs] == [25, 50, 71, 100]
+        self.assert_nested_sets(prob, specs[:-1], 1 / 400)
+        assert specs[-1] == ref
+
+    def test_a_bar_that_never_meets_its_target_goes_to_ref_h(self, monkeypatch):
+        prob = GHeatProblem(self.PAIR.sigma_under, self.PAIR.sigma_bar, ABS)
+        ref = default_spec(prob, h=1 / 40)
+        specs = []
+
+        def never(prob, spec, *args):
+            specs.append(spec)
+            value, bar = richardson_value(prob, spec, *args)
+            return (value, bar) if spec == ref else (value, 1.0)
+
+        monkeypatch.setattr(rates, "richardson_value", never)
+        report = error_curve(self.PAIR, ABS, [4, 16, 64], ref_h=1 / 40)
+        assert [spec.h for spec in specs] == [prob.sigma_bar / 8, 1 / 40]  # probe at m = 2
+        expected = richardson_value(prob, ref)
+        assert all((r.vref, r.vref_err) == expected for r in report.rows)
+
+    def test_ref_h_coarser_than_every_set_is_marched_directly(self, marched):
+        # ref_h = 1/3 is coarser than the coarsest set, sigma_bar / 4 at m = 1
+        report = error_curve(self.PAIR, ABS, [16, 64, 256], ref_h=1 / 3)
+        assert [spec.h for spec in marched] == [1 / 3]
+        assert report.reference_h == 1 / 3
 
     def test_refused_reference_grid_prices_no_row(self, capsys, monkeypatch, tmp_path):
-        # h = 6 leaves one interior point: refused before the fork and the
-        # rows, in the line the child's refusal printed after them
+        # h = 6 leaves one interior point: refused before the rows are priced
         priced = []
         monkeypatch.setattr(rates, "origin_value", lambda *args: priced.append(args))
         assert main(["rates", "--family", "rademacher_pair", "--phi", "cosine_scaled",
@@ -235,28 +269,6 @@ class TestForkedReference:
                      "--out", str(tmp_path / "r")]) == 1
         assert capsys.readouterr().err == "ERROR DegenerateGrid: need at least 3 interior points\n"
         assert priced == []
-        assert_no_child_left()
-
-    def test_child_exception_is_raised_in_the_caller(self):
-        with pytest.raises(ZeroDivisionError):
-            _beside(lambda: 1 / 0, lambda collect: collect())
-        assert_no_child_left()
-
-    def test_child_that_sends_nothing_is_replaced_in_process(self):
-        parent = os.getpid()
-
-        def background():
-            if os.getpid() != parent:
-                os._exit(3)  # dies without an answer
-            return 7
-
-        assert _beside(background, lambda collect: collect()) == 7
-        assert_no_child_left()
-
-    def test_background_runs_in_another_process(self):
-        here, there = _beside(os.getpid, lambda collect: (os.getpid(), collect()))
-        assert here == os.getpid() != there
-        assert_no_child_left()
 
 
 class TestConjecture:
