@@ -32,6 +32,7 @@ from .gheat import (
     DegenerateGridError,
     GHeatProblem,
     NotConvexError,
+    SchemeInvalidError,
     SchemeSpec,
     convex_oracle,
     default_spec,

@@ -64,7 +64,7 @@ class RunConfig:
     sigma_bar: float | None = None
     eps: list[float] | None = None
     a: float = 0.0
-    slack: float | str | None = None
+    slack: float = 0.0
     source: str | None = None
     ref_h: float | None = None
     exponent_rule: str = "auto"
@@ -111,6 +111,8 @@ def _resolve_family(spec) -> Family:
             return family_from_config(spec)
         except (LabError, ValueError) as exc:
             raise ConfigInvalidError(f"bad family: {exc}") from exc
+    if not isinstance(spec, str):  # a family file may hold any JSON value
+        raise ConfigInvalidError(f"family must be an object or a builtin name, got {spec!r}")
     try:
         return builtin_family(spec)
     except ValueError as exc:
@@ -141,8 +143,8 @@ def _check_ranges(cfg: RunConfig) -> None:
 
     A zero, negative or non-finite size or step, repeated depths or widths,
     a mollifier width outside (0, 1), a negative or non-finite surface slack
-    ``a``, volatility bounds out of order, a slack that is neither "auto"
-    nor a finite non-negative number, and a value outside its flag's choices.
+    ``a`` or audit ``slack``, volatility bounds out of order, and a value
+    outside its flag's choices.
     """
     for name in ("n", "h", "half_width", "ref_h"):
         value = getattr(cfg, name)
@@ -153,22 +155,15 @@ def _check_ranges(cfg: RunConfig) -> None:
     eps = cfg.eps or []
     if len(set(eps)) < len(eps) or not all(0.0 < e < 1.0 for e in eps):
         raise ConfigInvalidError(f"eps must be distinct widths in (0, 1), got {eps!r}")
-    if not 0.0 <= cfg.a < math.inf:
-        raise ConfigInvalidError(f"a must be finite and non-negative, got {cfg.a!r}")
+    for name in ("a", "slack"):
+        value = getattr(cfg, name)
+        if not 0.0 <= value < math.inf:
+            raise ConfigInvalidError(f"{name} must be finite and non-negative, got {value!r}")
     su, sb = cfg.sigma_under, cfg.sigma_bar
     if None not in (su, sb) and not 0.0 <= su <= sb < math.inf:
         raise ConfigInvalidError(
             f"sigma_under and sigma_bar must satisfy 0 <= {su!r} <= {sb!r} < inf"
         )
-    if cfg.slack not in (None, "auto"):
-        try:
-            slack = float(cfg.slack)
-        except ValueError:
-            msg = f'slack must be a number or "auto", got {cfg.slack!r}'
-            raise ConfigInvalidError(msg) from None
-        if not 0.0 <= slack < math.inf:
-            msg = f"slack must be finite and non-negative, got {cfg.slack!r}"
-            raise ConfigInvalidError(msg)
     for name, flag in _FLAGS.items():
         value = getattr(cfg, name)
         if "choices" in flag and value not in (None, *flag["choices"]):
@@ -337,17 +332,11 @@ def _run_regularity(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
     if family is not None:  # dp source
         field = solve_recursion(family, payoff, cfg.n, mode=cfg.mode)
         sigma_bar = family.sigma_bar
-        slack = 0.0 if cfg.slack in (None, "auto") else float(cfg.slack)
     else:
         prob = GHeatProblem(cfg.sigma_under, cfg.sigma_bar, payoff)
-        spec = default_spec(prob, h=1.0 / 100.0 if cfg.h is None else cfg.h)
-        field = solve_gheat(prob, spec)
+        field = solve_gheat(prob, default_spec(prob, h=1.0 / 100.0 if cfg.h is None else cfg.h))
         sigma_bar = cfg.sigma_bar
-        if cfg.slack in (None, "auto"):
-            _, err = richardson_value(prob, spec, field.origin_value)
-            slack = 2.0 * err
-        else:
-            slack = float(cfg.slack)
+    slack = float(cfg.slack)  # a replayed JSON 0 prints as 0.0, as the flag's does
     report = regularity_audit(field, payoff.beta, sigma_bar, slack)
     write_csv(
         out.path("regularity.csv"),
@@ -471,7 +460,7 @@ _FLAGS = {
     "sigma_bar": {"type": float},
     "eps": {"type": _floats, "help": "comma-separated widths"},
     "a": {"type": float, "help": "temporal slack of the surface"},
-    "slack": {"default": "auto", "help": 'numeric slack or "auto"'},
+    "slack": {"type": float, "help": "audit slack above rounding (default 0)"},
     "ref_h": {"type": float, "help": "reference scheme step"},
     "exponent_rule": {"choices": ("auto", "basic")},
     "emit_svg": {"action": "store_true"},

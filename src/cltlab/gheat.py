@@ -16,12 +16,12 @@ certifies convergence to the viscosity solution and a discrete comparison
 principle. Dirichlet boundaries are frozen at the terminal function; with a
 half width of at least ``8 * sigma_bar`` the induced bias is Gaussian-tail
 negligible at the origin. Reported values always go through
-:func:`richardson_value`, which marches no finer than the requested grid:
-it marches ``4h``, ``2h`` and ``h`` at one CFL ratio, and when their two
-gaps show order 2 it returns the extrapolated value with the size of the
-correction as its error bar; otherwise, or when the rounded time steps do
-not nest, it pairs ``h`` with (h/2, tau/4) and returns that value with the
-difference as its error bar.
+:func:`richardson_value`: it marches ``4h``, ``2h`` and ``h`` at one CFL
+ratio, and when their two gaps show order 2 it returns the extrapolated
+value with the size of the correction as its error bar; otherwise, or when
+the rounded time steps do not nest, it also marches the finer grid
+(h/2, tau/4) and returns that value with its difference to ``v(h)`` as the
+error bar.
 
 Every caller of :func:`richardson_value` marches all its levels in
 process. :func:`cltlab.rates.error_curve` picks the step ``h`` of its
@@ -34,7 +34,10 @@ sup-recursion over two trinomial laws on ``{-s, 0, s}``, ``s = h * sqrt(n)``
 (so each step moves by ``h``), whose end weights are
 ``tau * sigma^2 / (2 h^2)`` at ``sigma = sigma_bar`` and at
 ``sigma = sigma_under``. Up to rounding and the frozen boundary the two
-agree; the test suite pins that identity.
+agree; the test suite pins that identity. At CFL ratio at most 1 each law
+has mean 0 and variance at most ``sigma_bar**2 * tau``, so the scheme field
+meets the recursion's Holder certificates, and ``regularity`` audits it at
+zero slack, as it does the recursion field.
 
 Degenerate bounds need no special handling in the march: ``sigma_under = 0``
 only flattens the negative-curvature branch of the endpoint reduction.
@@ -88,6 +91,10 @@ class NotConvexError(LabError, ValueError):
     """Analytic shortcut requested for a payoff without a convexity certificate."""
 
 
+class SchemeInvalidError(LabError, ValueError):
+    """Volatility bounds or a resolution that the scheme's floats cannot carry."""
+
+
 @dataclass(frozen=True)
 class GHeatProblem:
     """Terminal-value problem on horizon 1 with volatility in [sigma_under, sigma_bar]."""
@@ -97,10 +104,12 @@ class GHeatProblem:
     payoff: Payoff
 
     def __post_init__(self):
-        if not 0.0 <= self.sigma_under <= self.sigma_bar:
-            raise ValueError("need 0 <= sigma_under <= sigma_bar")
-        if not math.isfinite(self.sigma_bar):
-            raise ValueError("sigma_bar must be finite")
+        su, sb = self.sigma_under, self.sigma_bar  # the scheme reads sigma_bar**2
+        if not (0.0 <= su <= sb and sb * sb < math.inf) or sb * sb == 0.0 < sb:
+            raise SchemeInvalidError(
+                f"need 0 <= sigma_under <= sigma_bar, sigma_bar**2 finite and 0 only at 0, "
+                f"got {su!r}, {sb!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -113,7 +122,9 @@ class SchemeSpec:
 
     def __post_init__(self):
         if not all(0 < v < math.inf for v in (self.h, self.tau, self.half_width)):
-            raise ValueError("h, tau and half_width must be positive and finite")
+            raise SchemeInvalidError("h, tau and half_width must be positive and finite")
+        if 1.0 / self.tau == math.inf:  # a subnormal tau: no step count
+            raise SchemeInvalidError(f"tau = {self.tau!r} is too small to count its steps")
 
     def cfl_ratio(self, sigma_bar: float) -> float:
         return self.tau * sigma_bar**2 / self.h**2
@@ -275,7 +286,7 @@ def richardson_value(
     spec: SchemeSpec,
     origin_h: Callable[[], float] | None = None,
 ) -> tuple[float, float]:
-    """Origin value with an error bar, marching no grid finer than ``spec``.
+    """Origin value with an error bar, from ``4h``, ``2h`` and ``h`` or from ``h/2``.
 
     Marches ``4h``, ``2h`` and ``h`` at the CFL ratio of ``spec``. When the
     gaps ``g1 = v(4h) - v(2h)`` and ``g2 = v(2h) - v(h)`` share a sign and

@@ -414,21 +414,19 @@ def audit_surface_hypotheses(surface: SampledSurface) -> tuple[float, float]:
     Spatial: ``|u(t,x) - u(t,y)| <= |x-y|**beta``; temporal:
     ``|u(t,x) - u(s,x)| <= |t-s|**(beta/2) + a`` with ``beta`` and ``a``
     the surface's ``beta`` and ``slack``, checked on at most
-    ``HYPOTHESIS_LINES`` strided times and points, read as a grid field by
-    the field audit's passes at ``sigma_bar = 1``; the temporal excess is
-    theirs less ``a``, floored at zero. Raises
-    :class:`HypothesisViolatedError` when either excess exceeds
-    ``HYPOTHESIS_TOL``, and :class:`NonFiniteValuesError` on a NaN or an
-    infinity anywhere in the surface.
+    ``HYPOTHESIS_LINES`` strided times and points by the field audit's
+    passes at ``sigma_bar = 1``; the temporal excess is theirs less ``a``,
+    floored at zero. Raises :class:`HypothesisViolatedError` when either
+    excess exceeds ``HYPOTHESIS_TOL``, and :class:`NonFiniteValuesError` on
+    a NaN or an infinity anywhere in the surface.
     """
     _check_finite(surface.values, "the surface")
     rows = _strided(1 if surface.constant_in_time else surface.times.size, HYPOTHESIS_LINES)
     cols = _strided(surface.xs.size, HYPOTHESIS_LINES)
     vsub = surface.values[np.ix_(surface.row_index[rows], cols)]
-    lines = ValueField("grid", surface.times.size - 1, surface.times[rows],
-                       [surface.xs[cols]] * rows.size, list(vsub))
-    spatial = _spatial_excess(lines, surface.beta)[0]
-    temporal = _temporal_excess(lines, np.arange(rows.size), surface.beta, 1.0)[0]
+    spatial = _spatial_excess([surface.xs[cols]] * rows.size, vsub, surface.beta)[0]
+    levels = np.arange(rows.size)  # every strided time
+    temporal = _temporal_excess(surface.times[rows], vsub, levels, surface.beta, 1.0)[0]
     temporal = max(temporal - surface.slack, 0.0)
     if spatial > HYPOTHESIS_TOL or temporal > HYPOTHESIS_TOL:
         raise HypothesisViolatedError(
@@ -616,14 +614,14 @@ def verify_smoothing_bounds(surface: SampledSurface, eps_list) -> SmoothingRepor
     )
 
 
-def _spatial_excess(field: ValueField, beta: float) -> tuple[float, int]:
-    """The spatial audit's worst excess and the points it checked.
+def _spatial_excess(xs, values, beta: float) -> tuple[float, int]:
+    """The spatial audit's worst excess over levels ``xs``, ``values`` and the points checked.
 
     A Lipschitz scan reads each line's own points, so levels of any size
     share a batch, each padded at the top with its first point (adding
     exactly 0); other exponents share one bound matrix per run of one size.
     """
-    sizes = [x.size for x in field.xs]
+    sizes = [x.size for x in xs]
     strided = {n: _strided(n, REGULARITY_POINTS) for n in set(sizes)}
     groups = itertools.groupby(range(len(sizes)), key=lambda k: 0 if beta == 1 else sizes[k])
     spatial, points_checked = 0.0, 0
@@ -634,7 +632,7 @@ def _spatial_excess(field: ValueField, beta: float) -> tuple[float, int]:
             rows = max(idx.size for idx in idxs)
             lines = np.empty((2, len(batch), rows))  # points and values
             for line, k, idx in zip(lines.transpose(1, 0, 2), batch, idxs):
-                line[:, rows - idx.size :] = field.xs[k][idx], field.values[k][idx]
+                line[:, rows - idx.size :] = xs[k][idx], values[k][idx]
                 line[:, : rows - idx.size] = line[:, rows - idx.size, None]
             x = lines[0].T if beta == 1 else lines[0, 0]
             spatial = max(spatial, _holder_excess(x, lines[1].T, beta))
@@ -652,7 +650,7 @@ def _pair_bounds(times: np.ndarray, beta: float, sigma_bar: float) -> np.ndarray
 
 
 def _temporal_excess(
-    field: ValueField, levels: np.ndarray, beta: float, sigma_bar: float
+    times: np.ndarray, values, levels: np.ndarray, beta: float, sigma_bar: float
 ) -> tuple[float, int]:
     """Worst temporal excess over all pairs of ``levels``, and the pairs compared.
 
@@ -661,14 +659,14 @@ def _temporal_excess(
     :func:`regularity_audit`; a surface's lines share one grid), so a pair
     shares the smaller level's points, at that level's columns in both rows.
     """
-    order = sorted(levels, key=lambda k: (field.xs[k].size, k))
-    sizes = np.array([field.xs[k].size for k in order], dtype=int)
+    order = sorted(levels, key=lambda k: (values[k].size, k))
+    sizes = np.array([values[k].size for k in order], dtype=int)
     width = sizes[-1]
     offsets = (width - sizes) // 2
-    bound = _pair_bounds(field.times[order], beta, sigma_bar)
+    bound = _pair_bounds(times[order], beta, sigma_bar)
     matrix = np.zeros((len(order), width))
     for p, k in enumerate(order):
-        matrix[p, offsets[p] : offsets[p] + sizes[p]] = field.values[k]
+        matrix[p, offsets[p] : offsets[p] + sizes[p]] = values[k]
     diffs = np.zeros((len(order), len(order)))  # [p, q]: max |v_q - v_p| at p's strided points
     buf = np.empty(len(order) * min(width, REGULARITY_POINTS))
     for p in range(len(order) - 1):
@@ -730,9 +728,9 @@ def regularity_audit(
             raise ValueError(f"level {k} is not a centred stretch of the widest level's points")
         _check_finite(values, f"level {k}")
 
-    spatial, points_checked = _spatial_excess(field, beta)
+    spatial, points_checked = _spatial_excess(field.xs, field.values, beta)
     levels = _strided(field.times.size, REGULARITY_LEVELS)
-    temporal, pairs = _temporal_excess(field, levels, beta, sigma_bar)
+    temporal, pairs = _temporal_excess(field.times, field.values, levels, beta, sigma_bar)
     worst = max(spatial, temporal)
     return RegularityReport(
         spatial_excess=spatial,

@@ -109,9 +109,9 @@ class TestRunConfig:
     def test_json_numbers_fit_float_fields(self):
         cfg = RunConfig.from_dict({
             "command": "value", "out_dir": "x", "sigma_under": 1, "sigma_bar": 1.5,
-            "slack": "auto", "family": {"members": []}, "eps": [1, 0.5], "a": 0,
+            "slack": 0, "family": {"members": []}, "eps": [1, 0.5], "a": 0,
         })
-        assert cfg.sigma_under == 1 and cfg.eps == [1, 0.5]
+        assert cfg.sigma_under == 1 and cfg.eps == [1, 0.5] and cfg.slack == 0
 
     def test_every_option_reaches_the_config(self):
         # options are copied by RunConfig field name; anything else is dropped
@@ -342,18 +342,30 @@ class TestRegularity:
         assert summary["temporal_pairs_checked"] == 9 * 8 // 2
         assert summary["points_checked"] == sum(2 * k + 1 for k in range(9))
 
-    def test_pde_auto_slack(self, tmp_path):
-        rc = run_cli(["regularity", "--source", "pde", "--phi", "abs",
-                      "--sigma-under", 1, "--sigma-bar", 1, "--h", 0.02,
-                      "--out", tmp_path / "g"])
-        assert rc == 0
+    def test_replayed_integer_slack_writes_the_same_csv(self, tmp_path):
+        # JSON keeps a 0 an int; the slack column still reads 0.0, as the flag's
+        args = ["regularity", "--family", "rademacher", "--phi", "abs", "--n", 8, "--slack", 0]
+        assert run_cli([*args, "--out", tmp_path / "a"]) == 0
+        data = json.loads((tmp_path / "a" / "config.json").read_text())
+        data.update(out_dir=str(tmp_path / "b"), slack=0)
+        assert run(RunConfig.from_dict(data)) == 0
+        csv = "regularity.csv"
+        assert (tmp_path / "a" / csv).read_bytes() == (tmp_path / "b" / csv).read_bytes()
 
-    def test_pde_auto_slack_marches_h_once(self, tmp_path, marched_h):
+    def test_pde_default_slack_is_zero(self, tmp_path):
         rc = run_cli(["regularity", "--source", "pde", "--phi", "abs",
                       "--sigma-under", 1, "--sigma-bar", 1, "--h", 0.02,
                       "--out", tmp_path / "g"])
         assert rc == 0
-        assert marched_h.count(0.02) == 1
+        summary = json.loads((tmp_path / "g" / "summary.json").read_text())
+        assert summary["slack"] == 0.0 and summary["passed"] is True
+
+    def test_pde_marches_only_its_h(self, tmp_path, marched_h):
+        rc = run_cli(["regularity", "--source", "pde", "--phi", "abs",
+                      "--sigma-under", 0.5, "--sigma-bar", 1, "--h", 0.02,
+                      "--out", tmp_path / "g"])
+        assert rc == 0
+        assert marched_h == [0.02]
 
 
 class TestMollifyCheck:
@@ -452,6 +464,15 @@ class TestMollifyCheck:
                      id="mollify-check-wide"),
         pytest.param(["mollify-check", "--phi", "abs", "--eps", 0.99], "DomainTooSmall",
                      id="mollify-check-widest"),
+        # refused before any array is built: tau = h^2 underflows to 0, 1/tau
+        # overflows, or sigma_bar^2 underflows
+        pytest.param(["value", "--sigma-under", 1, "--sigma-bar", 1, "--phi", "abs",
+                      "--h", 1e-200], "SchemeInvalid", id="value-tau-zero"),
+        pytest.param(["value", "--sigma-under", 0.5, "--sigma-bar", 1, "--phi", "abs",
+                      "--h", 1e-160], "SchemeInvalid", id="value-tau-subnormal"),
+        pytest.param(["regularity", "--source", "pde", "--phi", "abs", "--sigma-under", 0,
+                      "--sigma-bar", 1e-200, "--h", 0.01], "SchemeInvalid",
+                     id="regularity-sigma-bar-tiny"),
     ],
 )
 def test_refused_run_leaves_no_artifact(tmp_path, capsys, args, code):
@@ -645,14 +666,22 @@ DP = ["regularity", "--family", "rademacher_pair", "--phi", "abs", "--n", 32, "-
                      "got ['beta', 'members']", id="family_inline_beta"),
         pytest.param(["value", "--sigma-under", 2, "--sigma-bar", 1, "--phi", "abs"],
                      "sigma_under and sigma_bar must ", id="value_sigma_order"),
-        pytest.param([*DP[:-1], "foo"], 'slack must be a number or "auto"',
+        pytest.param([*DP[:-1], "foo"], "argument --slack: invalid float value: 'foo'",
                      id="regularity_slack_text"),
+        # the audit slack is a number for both sources, never "auto"
+        pytest.param([*PDE, "--slack", "auto"], "argument --slack: invalid float value: 'auto'",
+                     id="regularity_pde_slack_auto"),
+        pytest.param([*RECURSE, "--n", 4, "--family", "@array.json"],
+                     "family must be an object or a builtin name, got [1, 2]",
+                     id="family_file_array"),
         pytest.param([*RECURSE, "--n", "abc"], "argument --n: invalid int value: 'abc'",
                      id="recurse_n_text"),
     ],
 )
-def test_out_of_range_setting_exits_one_naming_it(tmp_path, capsys, args, message):
+def test_out_of_range_setting_exits_one_naming_it(tmp_path, monkeypatch, capsys, args, message):
     # zero is refused, not replaced by the default
+    monkeypatch.chdir(tmp_path)
+    Path("array.json").write_text("[1, 2]")  # a family file holding no object
     rc = run_cli([*args, "--out", tmp_path / "o"])
     assert rc == 1
     err = capsys.readouterr().err
@@ -707,7 +736,7 @@ def test_replayed_config_is_checked_like_the_command_line(tmp_path):
         ("half_width", math.inf, "half_width must be positive and finite"),
         ("slack", -1.0, "slack must be finite and non-negative"),
         ("slack", math.nan, "slack must be finite and non-negative"),
-        ("slack", "inf", "slack must be finite and non-negative"),
+        ("slack", math.inf, "slack must be finite and non-negative"),
     ],
 )
 def test_replayed_non_finite_setting_is_refused(tmp_path, key, value, message):
@@ -718,6 +747,15 @@ def test_replayed_non_finite_setting_is_refused(tmp_path, key, value, message):
     cfg = RunConfig.from_dict(json.loads(json.dumps(data)))  # JSON spells Infinity, NaN
     with pytest.raises(ConfigInvalidError, match=message):
         run(cfg)
+    assert not (tmp_path / "v").exists()
+
+
+def test_replayed_auto_slack_is_refused(tmp_path):
+    # configs recorded before the audit slack became a plain number hold "auto"
+    data = {"command": "regularity", "out_dir": str(tmp_path / "v"), "source": "pde",
+            "phi": {"phi": "abs"}, "sigma_under": 1.0, "sigma_bar": 1.0, "slack": "auto"}
+    with pytest.raises(ConfigInvalidError, match="config key 'slack' must be float, got 'auto'"):
+        run(RunConfig.from_dict(data))
     assert not (tmp_path / "v").exists()
 
 

@@ -15,6 +15,7 @@ from cltlab import (
     NonFiniteValuesError,
     ResolutionTooCoarseError,
     SampledSurface,
+    SchemeSpec,
     ValueField,
     abs_payoff,
     abs_pow_payoff,
@@ -23,6 +24,7 @@ from cltlab import (
     conjecture_family,
     default_spec,
     make_discrete,
+    make_payoff,
     piecewise_linear_payoff,
     regularity_audit,
     richardson_value,
@@ -621,6 +623,25 @@ class TestRegularityAudit:
         _, err = richardson_value(prob, spec)
         assert regularity_audit(field, 1.0, 1.0, 2.0 * err).passed
 
+    @pytest.mark.parametrize("bounds", [(1.0, 1.0), (0.5, 1.0), (0.0, 1.0), (0.05, 0.1)])
+    @pytest.mark.parametrize("payoff", [
+        make_payoff("abs"),
+        make_payoff("neg_abs"),
+        make_payoff("cosine_scaled"),
+        make_payoff("abs_pow", beta=0.5),
+        make_payoff("piecewise_linear", knots=[-1.0, 0.0, 2.0], values=[0.5, -0.5, 0.5]),
+        make_payoff("piecewise_linear", knots=[-1.0, 0.0, 1.0], values=[-1.0, 0.0, -1.0]),
+    ], ids=["abs", "neg_abs", "cosine", "abs_pow-half", "uneven", "concave"])
+    def test_scheme_field_at_zero_slack(self, payoff, bounds):
+        # a scheme step is a sup over two laws of variance at most
+        # sigma_bar^2 tau (CFL ratio <= 1), so the field needs no slack
+        prob = GHeatProblem(*bounds, payoff)
+        for h in (0.1, 0.04):
+            spec = default_spec(prob, h=h)
+            for half_width in (spec.half_width, 1.5 * spec.half_width):
+                field = solve_gheat(prob, SchemeSpec(h, spec.tau, half_width))
+                assert regularity_audit(field, payoff.beta, prob.sigma_bar, 0.0).passed
+
     def test_detects_violations(self):
         field = solve_recursion(RADEMACHER, ABS, 4)
         field.values[0][0] += 1.0  # corrupt the origin value
@@ -895,7 +916,8 @@ def test_hypothesis_audit_is_the_all_pairs_loop(case, corrupt):
 @pytest.mark.parametrize("case", HYPOTHESIS_CASES)
 def test_hypothesis_temporal_excess_is_the_field_pass_less_the_slack(case):
     surf, lines = hypothesis_lines(case, corrupt=True, slack=0.0)
-    raw = smoothing._temporal_excess(lines, np.arange(lines.times.size), surf.beta, 1.0)[0]
+    levels = np.arange(lines.times.size)
+    raw = smoothing._temporal_excess(lines.times, lines.values, levels, surf.beta, 1.0)[0]
     assert raw > 0.5
     for slack in (0.0, raw / 3.0, raw + 0.25):  # the last leaves only the spatial kink
         expected = f"temporal {max(raw - slack, 0.0)}"
