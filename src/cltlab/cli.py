@@ -29,11 +29,11 @@ from pathlib import Path
 from .errors import LabError
 from .families import Family, builtin_family, family_from_config, family_to_config
 from .fields import GridSpec
-from .gheat import GHeatProblem, SchemeSpec, default_spec, richardson_value, solve_gheat
+from .gheat import GHeatProblem, default_spec, richardson_value, solve_gheat
 from .output import OutputDir, svg_loglog, write_csv, write_json
 from .payoffs import payoff_from_config
 from .rates import analytic_reference, conjecture_experiment, error_curve
-from .recursion import default_grid, resolve_mode, solve_recursion
+from .recursion import solve_recursion
 from .smoothing import (
     FP_SLACK,
     regularity_audit,
@@ -47,6 +47,9 @@ class ConfigInvalidError(LabError, ValueError):
     """Configuration did not validate."""
 
 
+SURFACE_HALF_WIDTH = 2.0  # mollify-check samples its surface on [-2, 2]
+
+
 @dataclass
 class RunConfig:
     """Resolved run configuration; round-trips losslessly through JSON."""
@@ -57,13 +60,10 @@ class RunConfig:
     phi: dict | None = None
     ns: list[int] | None = None
     n: int | None = None
-    mode: str | None = None
     h: float | None = None
-    half_width: float | None = None
     sigma_under: float | None = None
     sigma_bar: float | None = None
     eps: list[float] | None = None
-    a: float = 0.0
     slack: float = 0.0
     source: str | None = None
     ref_h: float | None = None
@@ -82,13 +82,13 @@ class RunConfig:
             raise ConfigInvalidError(f"unknown config keys: {sorted(unknown)}")
         if "command" not in data or "out_dir" not in data:
             raise ConfigInvalidError("config needs 'command' and 'out_dir'")
-        for name, tp in typing.get_type_hints(cls).items():
-            if name in data and not _conforms(data[name], tp):
+        hints = typing.get_type_hints(cls)
+        for name, value in data.items():
+            tp = hints[name]
+            if not _conforms(value, tp):
                 kind = tp.__name__ if isinstance(tp, type) else tp
-                raise ConfigInvalidError(
-                    f"config key {name!r} must be {kind}, got {data[name]!r}"
-                )
-        return cls(**data)
+                raise ConfigInvalidError(f"config key {name!r} must be {kind}, got {value!r}")
+        return cls(**{name: _as_declared(value, hints[name]) for name, value in data.items()})
 
 
 def _conforms(value, tp) -> bool:
@@ -103,6 +103,14 @@ def _conforms(value, tp) -> bool:
     if tp is float:
         return isinstance(value, (int, float))
     return isinstance(value, tp)
+
+
+def _as_declared(value, tp):
+    """A conforming JSON value with its ints as floats where ``tp`` says float, as a flag's."""
+    args = typing.get_args(tp) or (tp,)
+    if isinstance(value, list) and list[float] in args:
+        return [float(v) for v in value]
+    return float(value) if isinstance(value, int) and float in args else value
 
 
 def _resolve_family(spec) -> Family:
@@ -142,11 +150,11 @@ def _check_ranges(cfg: RunConfig) -> None:
     """Refuse values that no command runs with.
 
     A zero, negative or non-finite size or step, repeated depths or widths,
-    a mollifier width outside (0, 1), a negative or non-finite surface slack
-    ``a`` or audit ``slack``, volatility bounds out of order, and a value
-    outside its flag's choices.
+    a mollifier width outside (0, 1), a negative or non-finite audit
+    ``slack``, volatility bounds out of order, and a value outside its
+    flag's choices.
     """
-    for name in ("n", "h", "half_width", "ref_h"):
+    for name in ("n", "h", "ref_h"):
         value = getattr(cfg, name)
         if value is not None and not 0 < value < math.inf:
             raise ConfigInvalidError(f"{name} must be positive and finite, got {value!r}")
@@ -155,10 +163,8 @@ def _check_ranges(cfg: RunConfig) -> None:
     eps = cfg.eps or []
     if len(set(eps)) < len(eps) or not all(0.0 < e < 1.0 for e in eps):
         raise ConfigInvalidError(f"eps must be distinct widths in (0, 1), got {eps!r}")
-    for name in ("a", "slack"):
-        value = getattr(cfg, name)
-        if not 0.0 <= value < math.inf:
-            raise ConfigInvalidError(f"{name} must be finite and non-negative, got {value!r}")
+    if not 0.0 <= cfg.slack < math.inf:
+        raise ConfigInvalidError(f"slack must be finite and non-negative, got {cfg.slack!r}")
     su, sb = cfg.sigma_under, cfg.sigma_bar
     if None not in (su, sb) and not 0.0 <= su <= sb < math.inf:
         raise ConfigInvalidError(
@@ -204,8 +210,6 @@ def _run_value(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
     """Continuous value at the origin with its error bar."""
     prob = GHeatProblem(cfg.sigma_under, cfg.sigma_bar, payoff)
     spec = default_spec(prob, h=1.0 / 400.0 if cfg.h is None else cfg.h)
-    if cfg.half_width is not None:
-        spec = SchemeSpec(spec.h, spec.tau, cfg.half_width)
     field = solve_gheat(prob, spec) if cfg.emit_field else None
     value, err = richardson_value(prob, spec, None if field is None else field.origin_value)
     print(f"value {value!r} error_estimate {err!r}")
@@ -225,14 +229,7 @@ def _run_value(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
 
 def _run_recurse(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
     """Backward recursion field and origin value."""
-    grid = None
-    if resolve_mode(family, cfg.mode) == "grid":
-        base = default_grid(family, cfg.n)
-        grid = GridSpec(
-            step=base.step if cfg.h is None else cfg.h,
-            half_width=base.half_width if cfg.half_width is None else cfg.half_width,
-        )
-    field = solve_recursion(family, payoff, cfg.n, mode=cfg.mode, grid=grid)
+    field = solve_recursion(family, payoff, cfg.n)
     rows = [
         (k, float(x), float(v))
         for k, (xs, vs) in enumerate(zip(field.xs, field.values))
@@ -330,19 +327,18 @@ def _run_conjecture(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
 def _run_regularity(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
     """Holder audits of a solved field."""
     if family is not None:  # dp source
-        field = solve_recursion(family, payoff, cfg.n, mode=cfg.mode)
+        field = solve_recursion(family, payoff, cfg.n)
         sigma_bar = family.sigma_bar
     else:
         prob = GHeatProblem(cfg.sigma_under, cfg.sigma_bar, payoff)
         field = solve_gheat(prob, default_spec(prob, h=1.0 / 100.0 if cfg.h is None else cfg.h))
         sigma_bar = cfg.sigma_bar
-    slack = float(cfg.slack)  # a replayed JSON 0 prints as 0.0, as the flag's does
-    report = regularity_audit(field, payoff.beta, sigma_bar, slack)
+    report = regularity_audit(field, payoff.beta, sigma_bar, cfg.slack)
     write_csv(
         out.path("regularity.csv"),
         ("check", "excess", "slack", "pass"),
         [
-            (check, excess, slack, excess <= slack + FP_SLACK)
+            (check, excess, cfg.slack, excess <= cfg.slack + FP_SLACK)
             for check, excess in (
                 ("spatial", report.spatial_excess),
                 ("temporal", report.temporal_excess),
@@ -354,7 +350,7 @@ def _run_regularity(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
         {
             "spatial_excess": report.spatial_excess,
             "temporal_excess": report.temporal_excess,
-            "slack": slack,
+            "slack": cfg.slack,
             "spatial_levels_checked": report.spatial_levels_checked,
             "temporal_levels_checked": report.temporal_levels_checked,
             "temporal_pairs_checked": report.temporal_pairs_checked,
@@ -375,7 +371,7 @@ def _run_mollify_check(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
     min_eps = min(eps_list)
     dt = min_eps * min_eps / 16.0
     dx = min_eps / 16.0
-    hw = 2.0 if cfg.half_width is None else cfg.half_width
+    hw = SURFACE_HALF_WIDTH
     if family is not None:  # dp source
         step = min(dx, 1.0 / cfg.n)  # the grid's points reach past the surface's
         grid = GridSpec(step=step, half_width=max(8.0 * family.sigma_bar, hw + step))
@@ -387,12 +383,7 @@ def _run_mollify_check(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
         )
     else:
         surface = surface_from_function(
-            lambda t, x: payoff(x),
-            x_half_width=hw,
-            dt=dt,
-            dx=dx,
-            beta=payoff.beta,
-            slack=cfg.a,
+            lambda t, x: payoff(x), x_half_width=hw, dt=dt, dx=dx, beta=payoff.beta
         )
     report = verify_smoothing_bounds(surface, eps_list)
     write_csv(
@@ -431,19 +422,19 @@ def _floats(text: str) -> list[float]:
 # may read; every other key must keep its RunConfig default. A command with
 # several sources offers --source, and its first source is the default.
 _COMMANDS = {
-    "value": (_run_value, {None: ("phi sigma_under sigma_bar", "h half_width emit_field")}),
-    "recurse": (_run_recurse, {None: ("family phi n", "mode h half_width")}),
+    "value": (_run_value, {None: ("phi sigma_under sigma_bar", "h emit_field")}),
+    "recurse": (_run_recurse, {None: ("family phi n", "")}),
     "rates": (_run_rates, {
         None: ("family phi ns", "ref_h exponent_rule emit_svg"),
     }),
     "conjecture": (_run_conjecture, {None: ("ns", "")}),
     "regularity": (_run_regularity, {
-        "dp": ("family phi n", "mode slack"),
+        "dp": ("family phi n", "slack"),
         "pde": ("phi sigma_under sigma_bar", "h slack"),
     }),
     "mollify-check": (_run_mollify_check, {
-        "function": ("eps", "phi a half_width"),
-        "dp": ("family phi n eps", "half_width"),
+        "function": ("eps", "phi"),
+        "dp": ("family phi n eps", ""),
     }),
 }
 
@@ -453,13 +444,10 @@ _FLAGS = {
     "phi": {"help": "payoff kind or inline JSON"},
     "ns": {"type": _ints, "help": "comma-separated depths"},
     "n": {"type": int, "help": "recursion depth"},
-    "mode": {"choices": ("lattice", "grid")},
     "h": {"type": float, "help": "spatial step"},
-    "half_width": {"type": float},
     "sigma_under": {"type": float},
     "sigma_bar": {"type": float},
     "eps": {"type": _floats, "help": "comma-separated widths"},
-    "a": {"type": float, "help": "temporal slack of the surface"},
     "slack": {"type": float, "help": "audit slack above rounding (default 0)"},
     "ref_h": {"type": float, "help": "reference scheme step"},
     "exponent_rule": {"choices": ("auto", "basic")},
@@ -487,8 +475,6 @@ def run(cfg: RunConfig) -> int:
     # only mollify-check's function surface may omit phi; it samples |x|
     reads_phi = "phi" in (*required, *optional)
     payoff = _resolve_payoff(cfg.phi or {"phi": "abs"}) if reads_phi else None
-    if cfg.command == "recurse" and resolve_mode(family, cfg.mode) == "lattice":
-        _check_reads(cfg, "recurse (lattice)", required, ["mode"])
     if cfg.command == "rates" and analytic_reference(family, payoff):
         reads = [key for key in optional if key != "ref_h"]
         _check_reads(cfg, "rates (analytic reference)", required, reads)
@@ -521,12 +507,15 @@ def build_parser() -> argparse.ArgumentParser:
     """One subcommand per ``_COMMANDS`` entry, offering the keys its sources read."""
     parser = _Parser(
         prog="cltlab",
+        allow_abbrev=False,
         description="Batch experiments for central limit behaviour under "
         "volatility uncertainty; outputs are deterministic CSV/SVG artifacts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (handler, sources) in _COMMANDS.items():
-        p = sub.add_parser(command, help=handler.__doc__, description=handler.__doc__)
+        p = sub.add_parser(
+            command, help=handler.__doc__, description=handler.__doc__, allow_abbrev=False
+        )
         p.add_argument("--out", help="output directory (default CLTLAB_OUT/<command>)")
         if len(sources) > 1:
             p.add_argument("--source", choices=tuple(sources), default=next(iter(sources)))

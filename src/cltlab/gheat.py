@@ -255,7 +255,8 @@ def _heat_levels(terminal, a, ms, even) -> list[np.ndarray]:
     down = 4.0 * a * np.sin(angle) ** 2
     flips = down > 1.0  # mu_j < 0
     up = 2.0 * (1.0 - 2.0 * a) + 4.0 * a * np.cos(angle) ** 2  # 1 - |mu_j| if mu_j < 0
-    log_abs_mu = np.log1p(-np.where(flips, up, down))
+    with np.errstate(divide="ignore"):  # a zero factor's log is -inf, and its power 0
+        log_abs_mu = np.log1p(-np.where(flips, up, down))
     sign = np.where(flips, -1.0, 1.0)
     spectrum = np.zeros(size + 1, dtype=complex)
     w = np.empty(2 * size)

@@ -27,6 +27,13 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+# members on incommensurable lattices leave only the interpolation grid
+GRID_FAMILY = json.dumps({"members": [
+    {"support": [-1, 1], "probs": [0.5, 0.5]},
+    {"support": [-2**0.5, 2**0.5], "probs": [0.5, 0.5]},
+]})
+
+
 def test_mollifier_runs_without_scipy(tmp_path):
     # the mollifier's FFTs are numpy's, loaded on first use: importing the
     # CLI loads no numpy.fft, and a mollify-check of either source no scipy
@@ -107,11 +114,22 @@ class TestRunConfig:
             RunConfig.from_dict({"command": "rates", "out_dir": "x", key: value})
 
     def test_json_numbers_fit_float_fields(self):
+        # and are loaded as floats, as their flags parse them
         cfg = RunConfig.from_dict({
             "command": "value", "out_dir": "x", "sigma_under": 1, "sigma_bar": 1.5,
-            "slack": 0, "family": {"members": []}, "eps": [1, 0.5], "a": 0,
+            "slack": 0, "family": {"members": []}, "eps": [1, 0.5], "n": 8, "ns": [4],
         })
         assert cfg.sigma_under == 1 and cfg.eps == [1, 0.5] and cfg.slack == 0
+        assert [type(v) for v in (cfg.sigma_under, cfg.slack, *cfg.eps)] == [float] * 4
+        assert type(cfg.n) is int and type(cfg.ns[0]) is int
+
+    @pytest.mark.parametrize("key", ["mode", "half_width", "a"])
+    def test_retired_setting_of_earlier_configs_is_refused(self, key):
+        # the recursion mode follows the family, value keeps 8 sigma_bar, and
+        # mollify-check samples [-2, 2] at surface slack 0
+        data = {"command": "value", "out_dir": "x", key: None}
+        with pytest.raises(ConfigInvalidError, match=rf"unknown config keys: \['{key}'\]"):
+            RunConfig.from_dict(data)
 
     def test_every_option_reaches_the_config(self):
         # options are copied by RunConfig field name; anything else is dropped
@@ -186,12 +204,7 @@ class TestRates:
         assert cfg["family"]["members"][0]["support"] == [-1.0, 1.0]
 
     def test_grid_mode_summary_names_its_mode(self, tmp_path):
-        # members on incommensurable lattices leave only the interpolation grid
-        fam = json.dumps({"members": [
-            {"support": [-1, 1], "probs": [0.5, 0.5]},
-            {"support": [-2**0.5, 2**0.5], "probs": [0.5, 0.5]},
-        ]})
-        run_cli(["rates", "--family", fam, "--phi", "abs", "--ns", "4,8,16",
+        run_cli(["rates", "--family", GRID_FAMILY, "--phi", "abs", "--ns", "4,8,16",
                  "--ref-h", 0.1, "--out", tmp_path / "r"])
         summary = json.loads((tmp_path / "r" / "summary.json").read_text())
         assert summary["mode"] == "grid" and summary["window"] is None
@@ -276,8 +289,9 @@ class TestValue:
         assert abs(summary["value"] - math.sqrt(2 / math.pi)) < 2e-3
 
     def test_field_csv(self, tmp_path):
+        # sigma_bar = 0 keeps the grid at half width 1
         rc = run_cli(["value", "--sigma-under", 0, "--sigma-bar", 0, "--phi", "abs",
-                      "--half-width", 1, "--h", 0.5, "--emit-field",
+                      "--h", 0.5, "--emit-field",
                       "--out", tmp_path / "v"])
         assert rc == 0
         lines = (tmp_path / "v" / "field.csv").read_text().splitlines()
@@ -421,29 +435,23 @@ class TestMollifyCheck:
 
     @pytest.mark.parametrize(
         "args",
-        [["--eps", "0.3,0.15"], ["--eps", "0.22"], ["--eps", "0.3", "--half-width", 1]],
-        ids=["eps-0.3-0.15", "eps-0.22", "half-width-1"],
+        [["--eps", "0.3,0.15"], ["--eps", "0.22"]],
+        ids=["eps-0.3-0.15", "eps-0.22"],
     )
     def test_widths_off_the_integer_grid_run(self, tmp_path, args):
-        # 1/dt and half_width/dx are not integers here; the surface grid
+        # 1/dt and 2/dx are not integers here; the surface grid
         # rounds its point counts up, so its steps stay within eps^2/16, eps/16
         rc = run_cli(["mollify-check", "--phi", "abs", *args, "--out", tmp_path / "m"])
         assert rc == 0
         rows = (tmp_path / "m" / "mollify.csv").read_text().splitlines()[1:]
         assert all(row.endswith(",true") for row in rows)
 
-    @pytest.mark.parametrize(
-        "args",
-        [["--eps", "0.3,0.15"], ["--eps", "0.3", "--half-width", 9.1]],
-        ids=["narrow-family", "half-width-9.1"],
-    )
+    @pytest.mark.parametrize("args", [["--eps", "0.3,0.15"]], ids=["narrow-family"])
     def test_dp_grid_reaches_past_the_surface(self, tmp_path, args):
-        # 8 sigma_bar = 0.8 < 2, and 9.1 > 8: a grid of half width 2 or 9.1
-        # on steps of 0.009375 or 0.01875 would end at 1.996875 or 9.09375,
-        # short of the surface, whose every stored level must span it
+        # 8 sigma_bar = 0.8 < 2: a grid of half width 2 on steps of 0.009375
+        # would end at 1.996875, short of the surface, whose every stored
+        # level must span it
         family = '{"members": [{"support": [-0.1, 0.1], "probs": [0.5, 0.5]}]}'
-        if "--half-width" in args:
-            family = "rademacher"
         rc = run_cli(["mollify-check", "--source", "dp", "--family", family, "--phi", "abs",
                       "--n", 16, *args, "--out", tmp_path / "m"])
         assert rc == 0
@@ -452,13 +460,13 @@ class TestMollifyCheck:
 @pytest.mark.parametrize(
     "args, code",
     [
-        pytest.param(["value", "--sigma-under", 1, "--sigma-bar", 1, "--phi", "abs",
-                      "--half-width", 1], "GridTooSmall", id="value"),
-        pytest.param(["recurse", "--family", "rademacher_pair", "--phi", "abs", "--n", 4,
-                      "--mode", "grid", "--half-width", 2], "GridTooSmall", id="recurse"),
+        # h = 20 leaves no interior point on the half width 8
+        pytest.param(["value", "--sigma-under", 0.5, "--sigma-bar", 1, "--phi", "abs",
+                      "--h", 20], "DegenerateGrid", id="value"),
         pytest.param(["conjecture", "--ns", "2,16"], "BadN", id="conjecture"),
-        pytest.param(["mollify-check", "--phi", "abs", "--eps", 0.5, "--half-width", 0.1],
-                     "DomainTooSmall", id="mollify-check"),
+        # the dp surface, marched and resampled, leaves one mollified time
+        pytest.param(["mollify-check", "--source", "dp", "--family", "rademacher", "--phi",
+                      "abs", "--n", 4, "--eps", 0.975], "DomainTooSmall", id="mollify-check"),
         # 17 time steps, eps^2 spans 16.2 of them: one mollified time
         pytest.param(["mollify-check", "--phi", "abs", "--eps", 0.975], "DomainTooSmall",
                      id="mollify-check-wide"),
@@ -486,21 +494,6 @@ def test_refused_run_leaves_no_artifact(tmp_path, capsys, args, code):
     (out / "notes.txt").write_text("kept\n")
     assert run_cli([*args, "--out", out]) == 1
     assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
-
-
-def test_scheme_and_grid_recursion_refuse_a_narrow_grid_alike(tmp_path, capsys):
-    # one 8 sigma_bar rule serves the scheme and the grid-mode recursion
-    runs = [
-        (["value", "--sigma-under", 1, "--sigma-bar", 1, "--phi", "abs", "--half-width", 1], 1.0),
-        (["recurse", "--family", "rademacher", "--phi", "abs", "--n", 4, "--mode", "grid",
-          "--half-width", 2], 2.0),
-    ]
-    for args, half_width in runs:
-        assert run_cli([*args, "--out", tmp_path / args[0]]) == 1
-        assert capsys.readouterr().err == (
-            f"ERROR GridTooSmall: half width {half_width} below 8*sigma_bar = 8.0\n"
-        )
-    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -569,15 +562,9 @@ DP = ["regularity", "--family", "rademacher_pair", "--phi", "abs", "--n", 32, "-
     "args, message",
     [
         pytest.param([*VALUE, "--h", 0], "h must ", id="value_h"),
-        pytest.param([*VALUE, "--half-width", -1], "half_width must ", id="value_half_width"),
-        pytest.param([*RECURSE, "--n", 4, "--h", 0, "--half-width", 0], "h must ",
-                     id="recurse_h"),
-        pytest.param([*RECURSE, "--n", 4, "--mode", "grid", "--half-width", 0],
-                     "half_width must ", id="recurse_half_width"),
-        pytest.param([*RECURSE, "--n", 0, "--mode", "grid"], "n must ", id="recurse_grid_n"),
+        pytest.param(["recurse", "--family", GRID_FAMILY, "--phi", "abs", "--n", 0], "n must ",
+                     id="recurse_grid_n"),
         pytest.param([*PDE, "--h", 0], "h must ", id="regularity_pde_h"),
-        pytest.param([*MOLLIFY, "--eps", "0.2", "--half-width", 0], "half_width must ",
-                     id="mollify_half_width"),
         pytest.param([*MOLLIFY, "--eps", "0"], "eps must ", id="mollify_eps_zero"),
         pytest.param([*MOLLIFY, "--eps", "-0.1"], "eps must ", id="mollify_eps_negative"),
         pytest.param([*MOLLIFY, "--eps", "0.2,1"], "eps must ", id="mollify_eps_one"),
@@ -589,15 +576,6 @@ DP = ["regularity", "--family", "rademacher_pair", "--phi", "abs", "--n", 32, "-
                      id="conjecture_ns_repeated"),
         pytest.param([*MOLLIFY, "--eps", "0.2,0.2"], "eps must ", id="mollify_eps_repeated"),
         pytest.param([*MOLLIFY, "--eps", "0.2,nan"], "eps must ", id="mollify_eps_nan"),
-        pytest.param([*MOLLIFY, "--eps", "0.2", "--a", -1], "a must ", id="mollify_a_negative"),
-        pytest.param([*MOLLIFY, "--eps", "0.2", "--a", "nan"], "a must ", id="mollify_a_nan"),
-        pytest.param([*MOLLIFY, "--eps", "0.2", "--a", "inf"], "a must ", id="mollify_a_inf"),
-        pytest.param([*VALUE, "--half-width", "inf"], "half_width must ",
-                     id="value_half_width_inf"),
-        pytest.param([*RECURSE, "--n", 4, "--mode", "grid", "--half-width", "inf"],
-                     "half_width must ", id="recurse_half_width_inf"),
-        pytest.param([*MOLLIFY, "--eps", "0.2", "--half-width", "inf"], "half_width must ",
-                     id="mollify_half_width_inf"),
         pytest.param([*VALUE, "--h", "inf"], "h must ", id="value_h_inf"),
         pytest.param([*RATES, "--ns", "4,16", "--ref-h", "inf"], "ref_h must ",
                      id="rates_ref_h_inf"),
@@ -617,26 +595,17 @@ DP = ["regularity", "--family", "rademacher_pair", "--phi", "abs", "--n", 32, "-
                      id="value_no_sigma_bar"),
         pytest.param(DP[:5], "regularity (dp) needs n", id="regularity_dp_no_n"),
         # a key the command (or its source, the resolved mode or reference) does not read
-        pytest.param([*DP, "--mode", "grid", "--h", 0.3], "regularity (dp) does not read h",
+        pytest.param([*DP, "--h", 0.3], "regularity (dp) does not read h",
                      id="regularity_dp_h"),
         pytest.param([*PDE, "--family", "rademacher_pair"],
                      "regularity (pde) does not read family", id="regularity_pde_family"),
         pytest.param([*PDE, "--n", 7], "regularity (pde) does not read n",
                      id="regularity_pde_n"),
-        pytest.param([*PDE, "--mode", "grid"], "regularity (pde) does not read mode",
-                     id="regularity_pde_mode"),
-        pytest.param([*MOLLIFY_DP, "--n", 8, "--a", 5], "mollify-check (dp) does not read a",
-                     id="mollify_dp_a"),
         pytest.param([*MOLLIFY, "--eps", "0.2", "--family", "rademacher"],
                      "mollify-check (function) does not read family",
                      id="mollify_function_family"),
         pytest.param([*MOLLIFY, "--eps", "0.2", "--n", 8],
                      "mollify-check (function) does not read n", id="mollify_function_n"),
-        pytest.param([*RECURSE, "--n", 4, "--h", 0.3], "recurse (lattice) does not read h",
-                     id="recurse_lattice_h"),
-        pytest.param([*RECURSE, "--n", 4, "--mode", "lattice", "--half-width", 9],
-                     "recurse (lattice) does not read half_width",
-                     id="recurse_lattice_half_width"),
         # equal bounds and convex data: the reference is analytic, no scheme is marched
         pytest.param([*RATES, "--ns", "4,16,64", "--ref-h", 0.01],
                      "rates (analytic reference) does not read ref_h", id="rates_analytic_ref_h"),
@@ -644,6 +613,33 @@ DP = ["regularity", "--family", "rademacher_pair", "--phi", "abs", "--n", 32, "-
                      id="value_family"),
         pytest.param([*RATES, "--ns", "4,16,64", "--strict-reference"],
                      "unrecognized arguments: --strict-reference", id="rates_strict_reference"),
+        # retired settings: the recursion mode follows the family, value keeps
+        # its 8 sigma_bar grid, mollify-check samples [-2, 2] at surface slack 0
+        pytest.param([*VALUE, "--half-width", -1], "unrecognized arguments: --half-width -1",
+                     id="value_half_width"),
+        pytest.param([*RECURSE, "--n", 4, "--half-width", 0],
+                     "unrecognized arguments: --half-width 0", id="recurse_half_width"),
+        pytest.param([*RECURSE, "--n", 4, "--mode", "lattice", "--half-width", 9],
+                     "unrecognized arguments: --mode lattice --half-width 9",
+                     id="recurse_lattice_half_width"),
+        pytest.param([*DP, "--mode", "lattice"], "unrecognized arguments: --mode lattice",
+                     id="regularity_dp_mode"),
+        pytest.param([*PDE, "--mode", "grid"], "unrecognized arguments: --mode grid",
+                     id="regularity_pde_mode"),
+        pytest.param([*MOLLIFY, "--eps", "0.2", "--half-width", 0],
+                     "unrecognized arguments: --half-width 0", id="mollify_half_width"),
+        pytest.param([*MOLLIFY, "--eps", "0.2", "--a", -1], "unrecognized arguments: --a -1",
+                     id="mollify_a_negative"),
+        pytest.param([*MOLLIFY_DP, "--n", 8, "--a", 5], "unrecognized arguments: --a 5",
+                     id="mollify_dp_a"),
+        # a prefix of a flag is no flag: --h on rates or recurse would print the
+        # --help text and exit 0, and --sigma-b would set sigma_bar
+        pytest.param([*RATES, "--ns", "4,16,64", "--h", 0.1], "unrecognized arguments: --h 0.1",
+                     id="rates_h_prefix"),
+        pytest.param([*VALUE, "--sigma-b", 2], "unrecognized arguments: --sigma-b 2",
+                     id="value_sigma_b_prefix"),
+        pytest.param([*RECURSE, "--n", 4, "--h", 0.1], "unrecognized arguments: --h 0.1",
+                     id="recurse_lattice_h"),
         # a malformed or inconsistent value
         pytest.param([*VALUE, "--beta", 0.3], "bad phi: abs does not take beta",
                      id="phi_abs_beta"),
@@ -706,16 +702,41 @@ def readme_commands() -> list[list[str]]:
     return [shlex.split(line)[1:] for line in commands]
 
 
+def _integral_floats_as_ints(value):
+    """A JSON value with each float that is a whole number written as an int."""
+    if isinstance(value, dict):
+        return {k: _integral_floats_as_ints(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_integral_floats_as_ints(v) for v in value]
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
 @pytest.mark.parametrize("args", readme_commands(), ids=lambda args: "-".join(args[:3]))
 def test_readme_command_replays_from_its_config(tmp_path, capsys, args):
-    # a run is reproducible from its artifact directory alone
+    # a run is reproducible from its artifact directory alone, also when its
+    # config is written by hand with 1 for 1.0
     rc = main([*args, "--out", str(tmp_path / "a")])
     assert rc in (0, 2)
     data = json.loads((tmp_path / "a" / "config.json").read_text())
     data["out_dir"] = str(tmp_path / "b")
-    assert run(RunConfig.from_dict(data)) == rc
-    for name in [p.name for p in (tmp_path / "a").glob("*.csv")] + ["summary.json"]:
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    assert run(RunConfig.from_dict(_integral_floats_as_ints(data))) == rc
+    names = [p.name for p in (tmp_path / "a").glob("*.csv")] + ["summary.json"]
+    for name in [*names, "config.json"]:
+        a, b = ((tmp_path / d / name).read_text() for d in "ab")
+        if name == "config.json":
+            a = a.replace(json.dumps(str(tmp_path / "a")), json.dumps(str(tmp_path / "b")))
+        assert a == b
+
+
+def test_hand_written_integer_replays_to_the_flags_config(tmp_path):
+    assert main(["value", "--sigma-under", "1", "--sigma-bar", "1", "--phi", "abs",
+                 "--out", str(tmp_path / "a")]) == 0
+    data = {"command": "value", "out_dir": str(tmp_path / "b"), "phi": {"phi": "abs"},
+            "sigma_under": 1, "sigma_bar": 1}
+    assert run(RunConfig.from_dict(data)) == 0
+    a, b = (json.loads((tmp_path / d / "config.json").read_text()) for d in "ab")
+    assert a.pop("out_dir") != b.pop("out_dir")
+    assert json.dumps(a) == json.dumps(b)
 
 
 def test_replayed_config_is_checked_like_the_command_line(tmp_path):
@@ -733,7 +754,6 @@ def test_replayed_config_is_checked_like_the_command_line(tmp_path):
     "key, value, message",
     [
         ("h", math.inf, "h must be positive and finite"),
-        ("half_width", math.inf, "half_width must be positive and finite"),
         ("slack", -1.0, "slack must be finite and non-negative"),
         ("slack", math.nan, "slack must be finite and non-negative"),
         ("slack", math.inf, "slack must be finite and non-negative"),
@@ -742,8 +762,6 @@ def test_replayed_config_is_checked_like_the_command_line(tmp_path):
 def test_replayed_non_finite_setting_is_refused(tmp_path, key, value, message):
     data = {"command": "regularity", "out_dir": str(tmp_path / "v"), "source": "pde",
             "phi": {"phi": "abs"}, "sigma_under": 1.0, "sigma_bar": 1.0, key: value}
-    if key == "half_width":
-        data.update(command="value", source=None)
     cfg = RunConfig.from_dict(json.loads(json.dumps(data)))  # JSON spells Infinity, NaN
     with pytest.raises(ConfigInvalidError, match=message):
         run(cfg)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,20 @@ class TestEqualVolatility:
         for level, oracle in zip(field.values, long_double_heat_march(payoff(field.xs[0]), a, ms)):
             assert np.max(np.abs(level - oracle)) <= 1e-14
         assert np.array_equal(field.values[-1], payoff(field.xs[0]))
+
+    def test_a_zero_mode_factor_warns_nothing(self):
+        # at bounds (0.1, 0.1), h = 0.02 and half width 1.5 one sine mode's
+        # factor mu_j is exactly 0: its power is 0, with no log1p(-1) warning
+        prob = GHeatProblem(0.1, 0.1, ABS)
+        spec = default_spec(prob, h=0.02)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            field = solve_gheat(prob, SchemeSpec(spec.h, spec.tau, 1.5))
+        n = field.n
+        ms = [n - round(t * n) for t in field.times]
+        a = 1.0 / n * prob.sigma_bar**2 / (2.0 * spec.h**2)
+        for level, oracle in zip(field.values, long_double_heat_march(ABS(field.xs[0]), a, ms)):
+            assert np.max(np.abs(level - oracle)) <= 1e-14
 
     @pytest.mark.parametrize("payoff", [abs_payoff(), cosine_payoff()], ids=lambda p: p.kind)
     def test_final_is_the_first_stored_level(self, payoff):
