@@ -211,7 +211,7 @@ def _run_value(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
     prob = GHeatProblem(cfg.sigma_under, cfg.sigma_bar, payoff)
     spec = default_spec(prob, h=1.0 / 400.0 if cfg.h is None else cfg.h)
     field = solve_gheat(prob, spec) if cfg.emit_field else None
-    value, err = richardson_value(prob, spec, None if field is None else field.origin_value)
+    value, err = richardson_value(prob, spec, None if field is None else field.origin_value())
     print(f"value {value!r} error_estimate {err!r}")
     write_json(
         out.path("summary.json"),
@@ -303,7 +303,7 @@ def _run_conjecture(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
     write_csv(
         out.path("conjecture.csv"),
         ("n", "scaled_vn_continuous", "scaled_vn_discrete"),
-        [(r.n, r.scaled_continuous, r.scaled_discrete) for r in report.rows],
+        [(r.n, report.target, r.scaled_discrete) for r in report.rows],
     )
     write_json(
         out.path("summary.json"),
@@ -320,7 +320,7 @@ def _run_conjecture(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
         },
     )
     for r in report.rows:
-        print(f"n {r.n} continuous {r.scaled_continuous!r} discrete {r.scaled_discrete!r}")
+        print(f"n {r.n} continuous {report.target!r} discrete {r.scaled_discrete!r}")
     return 0
 
 

@@ -23,12 +23,6 @@ the rounded time steps do not nest, it also marches the finer grid
 (h/2, tau/4) and returns that value with its difference to ``v(h)`` as the
 error bar.
 
-Every caller of :func:`richardson_value` marches all its levels in
-process. :func:`cltlab.rates.error_curve` picks the step ``h`` of its
-reference set: the coarsest ``sigma_bar / (4 m)``, integer ``m``, that it
-finds whose bar meets its rule, and the step it was given otherwise; it
-never asks for a set finer than that step (see :mod:`cltlab.rates`).
-
 With ``n`` steps of ``tau = 1/n``, one step is one level of the discrete
 sup-recursion over two trinomial laws on ``{-s, 0, s}``, ``s = h * sqrt(n)``
 (so each step moves by ``h``), whose end weights are
@@ -65,7 +59,6 @@ data in place bit for bit.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -283,9 +276,7 @@ def scheme_origin(prob: GHeatProblem, spec: SchemeSpec) -> float:
 
 
 def richardson_value(
-    prob: GHeatProblem,
-    spec: SchemeSpec,
-    origin_h: Callable[[], float] | None = None,
+    prob: GHeatProblem, spec: SchemeSpec, v_h: float | None = None
 ) -> tuple[float, float]:
     """Origin value with an error bar, from ``4h``, ``2h`` and ``h`` or from ``h/2``.
 
@@ -299,33 +290,31 @@ def richardson_value(
     with bar ``|v(h/2) - v(h)|``. It goes to that pair without the ``4h``
     and ``2h`` marches when their step counts do not nest in that of ``h``
     (``tau`` is rounded to land on ``t = 0``, which would change the CFL
-    ratio between levels) or when the ``4h`` grid is degenerate, and
-    marches ``h/2`` first, since it needs no ``v(h)``. That march at ``h/2``
-    costs about 8x the ``h`` march when ``sigma_under < sigma_bar``; with
-    equal bounds every level is a closed form, and it costs about as little
-    as the others.
+    ratio between levels) or when the ``4h`` grid is degenerate. The march
+    at ``h/2`` costs about 8x the ``h`` march when ``sigma_under <
+    sigma_bar``; with equal bounds every level is a closed form, and it
+    costs about as little as the others.
 
     A caller that has already marched a field at ``spec`` (with either
-    ``store`` mode) passes its bound ``origin_value`` as ``origin_h``, a
-    callable with no arguments, called where the ``h`` march would be. The
-    ``h`` march is then skipped and the result is unchanged.
+    ``store`` mode) passes its origin value as ``v_h``. The ``h`` march is
+    then skipped and the result is unchanged.
     """
-    v4 = v2 = None
+    coarse = ()
     n = spec.steps()
     if all(spec.scaled(f).steps() * f * f == n for f in (2.0, 4.0)):
         try:
-            v4, v2 = scheme_origin(prob, spec.scaled(4.0)), scheme_origin(prob, spec.scaled(2.0))
+            coarse = scheme_origin(prob, spec.scaled(4.0)), scheme_origin(prob, spec.scaled(2.0))
         except DegenerateGridError:  # fewer than three interior points at 4h
             pass
-    fine = None if v4 is not None else scheme_origin(prob, spec.scaled(0.5))  # needs no v(h)
-    v1 = scheme_origin(prob, spec) if origin_h is None else origin_h()
-    if v4 is not None:
+    v1 = scheme_origin(prob, spec) if v_h is None else v_h
+    if coarse:
+        v4, v2 = coarse
         g1, g2 = v4 - v2, v2 - v1
         if g1 == g2 == 0.0:  # the three levels agree exactly
             return v1, 0.0
         if g2 != 0.0 and g1 / g2 > 0.0 and abs(math.log2(g1 / g2) - 2.0) <= ORDER_TOL:
             return v1 + (v1 - v2) / 3.0, abs(g2) / 3.0
-        fine = scheme_origin(prob, spec.scaled(0.5))
+    fine = scheme_origin(prob, spec.scaled(0.5))
     return fine, abs(fine - v1)
 
 

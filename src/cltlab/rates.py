@@ -16,7 +16,7 @@ suppressed. That rule is all a scheme reference has to meet, so
 :func:`error_curve` prices its rows first and marches the reference only as
 fine as the rule needs: a cheap probe predicts the coarsest step whose bar
 meets it, and the step asked for is marched only when no coarser set
-tried meets it (:func:`_scheme_reference`). Every level runs in process.
+tried meets it (:func:`_scheme_reference`).
 
 The sharpness experiment scales both sides by ``n**(1/4)`` for the singleton
 three-point family with atom weight ``n**-0.5``. Its continuous column is
@@ -241,7 +241,6 @@ def error_curve(
 @dataclass(frozen=True)
 class ConjectureRow:
     n: int
-    scaled_continuous: float
     scaled_discrete: float
     method: str
     window: Window | None
@@ -291,5 +290,5 @@ def conjecture_experiment(ns) -> ConjectureReport:
         family = conjecture_family(n)  # raises BadNError below 4
         vnn = origin_value(family, payoff, n)  # lattice step 1
         method, window = origin_window(family, payoff, n)
-        rows.append(ConjectureRow(n, SCALED_TARGET, float(n) ** 0.25 * vnn, method, window))
+        rows.append(ConjectureRow(n, float(n) ** 0.25 * vnn, method, window))
     return ConjectureReport(rows=tuple(rows), target=SCALED_TARGET)

@@ -100,16 +100,15 @@ def lattice_window(
     constant 1), so the origin moves by at most ``L`` times that probability.
     With ``c = ln(2 L / tol)`` the smallest such ``a`` is
     ``ceil(c m / 3 + sqrt((c m / 3)^2 + 2 c V))``; ``J`` adds the drift
-    ``ceil(n mu / step)`` and is clamped to the cone. ``tol <= 0`` asks for
-    the whole cone.
+    ``ceil(n mu / step)`` and is clamped to the cone.
     """
     if family.lattice_step is None:
         raise ModeMismatchError("family has no common lattice step")
-    step, m = family.lattice_step, _reach(family)
+    if not tol > 0.0:  # the bound takes log(1 / tol)
+        raise ValueError(f"need tol > 0, got {tol}")
+    n, step, m = _depth(n), family.lattice_step, _reach(family)
     cone = n * m
     lip = family.sigma_bar**payoff.beta
-    if tol <= 0.0:
-        return Window(cone, cone, 0.0)
     if lip == 0.0:  # a frozen point is exact
         return Window(0, cone, 0.0)
     var = n * max(moment(d, 2) for d in family.members) / step**2
@@ -148,16 +147,16 @@ def law_window(family: Family, payoff: Payoff, n: int, tol: float = WINDOW_TOL) 
     the law conditioned on never leaving the window, so the origin moves by
     at most ``q (J h)^beta + sqrt(q) (E (S_n h)^2)^(beta/2)`` (Holder constant
     1 and Cauchy-Schwarz on the dropped paths), times the mass ``(sum p)^n``
-    where that exceeds 1. ``tol <= 0`` asks for the whole cone.
+    where that exceeds 1.
     """
     if family.lattice_step is None or len(family.members) != 1:
         raise ModeMismatchError("the law path needs one member on a lattice")
+    if not tol > 0.0:
+        raise ValueError(f"need tol > 0, got {tol}")
     n = _depth(n)
     (dist,), step, beta = family.members, family.lattice_step, payoff.beta
     m = _reach(family)
     cone = n * m
-    if tol <= 0.0 or cone == 0:
-        return Window(cone, cone, 0.0)
     mass = math.fsum(dist.probs)
     s2 = moment(dist, 2) / mass / step**2
     mu = abs(moment(dist, 1)) / mass / step
@@ -183,20 +182,19 @@ def law_window(family: Family, payoff: Payoff, n: int, tol: float = WINDOW_TOL) 
     return Window(hi, cone, bound(hi)[0])
 
 
-def _law_value(family: Family, payoff: Payoff, n: int, tol: float) -> float:
+def _law_value(family: Family, payoff: Payoff, n: int, J: int) -> float:
     """Origin value of a one-member lattice family as ``E payoff(S_n h)``.
 
     With one member the sup has one law to pick, so the recursion is linear
     and the value is the expectation under the law of ``S_n``. That law is
     built by binary powering of the step law with ``np.convolve`` (about
-    ``2 log2 n`` calls). Each power is trimmed to ``|j| <= J`` of
-    :func:`law_window` at ``tol`` and rescaled to its exact mass
+    ``2 log2 n`` calls). Each power is trimmed to ``|j| <= J`` (the window of
+    :func:`law_window`, or the whole cone) and rescaled to its exact mass
     ``(sum p)^steps``, with ``sum p - 1`` taken exactly by ``math.fsum``. The
     law lives on ``steps * min(offsets) + g Z``, ``g`` the gcd of the offset
     gaps, and is stored on that sublattice.
     """
     n = _depth(n)
-    J = law_window(family, payoff, n, tol).J
     (offs,), probs = family.offsets, family.members[0].probs
     h = family.lattice_step / math.sqrt(n)
     low = offs[0]  # ascending support
@@ -265,23 +263,22 @@ def _depth(n) -> int:
     return int(n)
 
 
-def _lattice_march(family: Family, payoff: Payoff, n: int, tol: float, keep=None) -> float:
+def _lattice_march(family: Family, payoff: Payoff, n: int, J: int, keep=None) -> float:
     """Backward lattice loop; returns the level-0 value at x = 0.
 
-    Every level marches ``|j| <= J`` of :func:`lattice_window` at ``tol``
-    (``tol = 0`` marches the whole cone), and the ``reach`` points beyond
-    ``J`` on each side keep their terminal values. Level ``k`` is exact on
+    Every level marches ``|j| <= J`` (the window of :func:`lattice_window`,
+    or the whole cone ``n * reach``), and the ``reach`` points beyond ``J``
+    on each side keep their terminal values. Level ``k`` is exact on
     its cone ``|j| <= k * reach``, which reads only level ``k + 1``'s cone,
     so what is marched beyond the cone never reaches the origin or a stored
     level. Levels alternate between two buffers sized once, each with one
-    fixed set of views, so a level allocates nothing. ``keep`` (with
-    ``tol = 0``) receives ``(k, points, values)`` for every level, each a
+    fixed set of views, so a level allocates nothing. ``keep`` (with ``J``
+    the whole cone) receives ``(k, points, values)`` for every level, each a
     fresh array of its cone.
     """
     n = _depth(n)
     reach = _reach(family)
     h = family.lattice_step / math.sqrt(n)
-    J = lattice_window(family, payoff, n, tol).J
     size, width = J + reach, 2 * J + 1  # buffers hold j in [-size, size] at index j + size
     terminal = np.asarray(payoff(np.arange(-size, size + 1) * h), dtype=float)
     levels = (terminal, terminal.copy())  # level k lives in levels[(n - k) % 2]
@@ -357,43 +354,36 @@ def solve_recursion(
         values[k] = v
 
     if mode == "lattice":
-        _lattice_march(family, payoff, n, 0.0, keep)
+        _lattice_march(family, payoff, n, n * _reach(family), keep)
     else:
         _grid_march(family, payoff, n, grid, keep)
     return ValueField(mode=mode, n=n, times=np.arange(n + 1) / n, xs=xs, values=values)
 
 
-def _origin_method(family: Family) -> str:
-    if family.lattice_step is None:
-        return "grid"
-    return "law" if len(family.members) == 1 else "march"
-
-
 def origin_window(family: Family, payoff: Payoff, n: int) -> tuple[str, Window | None]:
     """How :func:`origin_value` prices ``n``: its method and certified window.
 
-    ``("law", law_window)``, ``("march", lattice_window)`` or ``("grid", None)``.
+    ``("law", law_window)`` for one member on a lattice, ``("march",
+    lattice_window)`` for more, and ``("grid", None)`` without a lattice step.
     """
-    method = _origin_method(family)
-    if method == "grid":
-        return method, None
-    return method, (law_window if method == "law" else lattice_window)(family, payoff, n)
+    if family.lattice_step is None:
+        return "grid", None
+    if len(family.members) == 1:
+        return "law", law_window(family, payoff, n)
+    return "march", lattice_window(family, payoff, n)
 
 
 def origin_value(family: Family, payoff: Payoff, n: int) -> float:
     """Initial-time value at x = 0 without storing the field.
 
-    A one-member lattice family is priced by the law of its walk
-    (:func:`_law_value`, window :func:`law_window`); a larger lattice family
-    marches the window of :func:`lattice_window` (O(n) memory). Both windows
-    move the value by at most their certified bound (<= ``WINDOW_TOL``). Any
-    other family marches :func:`default_grid`. A field of
-    :func:`solve_recursion` gives the value in a chosen mode or on a chosen
-    grid.
+    Runs what :func:`origin_window` names: a one-member lattice family is
+    priced by the law of its walk (:func:`_law_value`); a larger lattice
+    family marches its window (O(n) memory). Both windows move the value by
+    at most their certified bound (<= ``WINDOW_TOL``). Any other family
+    marches :func:`default_grid`. A field of :func:`solve_recursion` gives the
+    value in a chosen mode or on a chosen grid.
     """
-    method = _origin_method(family)
-    if method == "law":
-        return _law_value(family, payoff, n, WINDOW_TOL)
-    if method == "march":
-        return _lattice_march(family, payoff, n, WINDOW_TOL)
-    return _grid_march(family, payoff, n, None)
+    method, window = origin_window(family, payoff, n)
+    if method == "grid":
+        return _grid_march(family, payoff, n, None)
+    return (_law_value if method == "law" else _lattice_march)(family, payoff, n, window.J)

@@ -191,14 +191,14 @@ def _surface_grid(x_half_width: float, dt: float, dx: float):
 
 
 def surface_from_function(
-    fn, *, x_half_width: float, dt: float, dx: float, beta: float, slack: float = 0.0
+    fn, *, x_half_width: float, dt: float, dx: float, beta: float
 ) -> SampledSurface:
     """Sample ``fn(t, x)`` on [0, 1] x [-L, L] with steps at most (dt, dx).
 
     A result of one row, such as ``phi(x)``, is a time-constant surface.
     """
     times, xs = _surface_grid(x_half_width, dt, dx)
-    return SampledSurface(times, xs, fn(times[:, None], xs[None, :]), beta=beta, slack=slack)
+    return SampledSurface(times, xs, fn(times[:, None], xs[None, :]), beta=beta)
 
 
 def surface_from_field(

@@ -260,30 +260,7 @@ class TestRichardson:
         spec = default_spec(prob, h=0.1)
         assert [spec.scaled(f).steps() for f in (1, 2, 4)] == [100, 25, 7]
         assert richardson_value(prob, spec) == self.refined_pair(prob, spec)
-        assert marched == [spec.h / 2, spec.h]
-
-    @pytest.mark.parametrize(
-        "prob, spec, coarse",
-        [
-            (GHeatProblem(1.0, 1.0, cosine_payoff()), SchemeSpec(0.1, 0.01, 8.0), []),
-            (GHeatProblem(0.0, 0.1, ABS), SchemeSpec(0.25, 1 / 64, 1.0), [1.0]),
-        ],
-        ids=["unnested", "degenerate-4h"],
-    )
-    def test_skipped_coarse_levels_march_h_half_before_reading_v_h(
-        self, marched, prob, spec, coarse
-    ):
-        # the pair needs no v(h) to march h/2, so a v(h) marched elsewhere
-        # is read after it; the degenerate 4h grid is tried and refused
-        expected, origin = self.refined_pair(prob, spec), gheat.scheme_origin(prob, spec)
-        del marched[:]
-
-        def origin_h():
-            marched.append("v(h)")
-            return origin
-
-        assert richardson_value(prob, spec, origin_h) == expected
-        assert marched == [*coarse, spec.h / 2, "v(h)"]
+        assert sorted(marched) == [spec.h / 2, spec.h]
 
     def test_exactly_zero_gaps_return_h_with_zero_bar(self, marched):
         # constant data: 4h, 2h and h agree exactly, so h/2 is not marched
@@ -294,20 +271,22 @@ class TestRichardson:
         assert sorted(marched) == [spec.h, 2 * spec.h, 4 * spec.h]
 
     @pytest.mark.parametrize(
-        "prob",
+        "prob, spec",
         [
-            GHeatProblem(1.0, 1.0, cosine_payoff()),  # extrapolates
-            GHeatProblem(0.5, 1.0, abs_pow_payoff(0.5)),  # falls back
+            (GHeatProblem(1.0, 1.0, cosine_payoff()), None),  # extrapolates
+            (GHeatProblem(0.5, 1.0, abs_pow_payoff(0.5)), None),  # falls back
+            (GHeatProblem(1.0, 1.0, cosine_payoff()), SchemeSpec(0.1, 0.01, 8.0)),
+            (GHeatProblem(0.0, 0.1, ABS), SchemeSpec(0.25, 1 / 64, 1.0)),
         ],
-        ids=["order_two", "fallback"],
+        ids=["order_two", "fallback", "unnested", "degenerate-4h"],
     )
-    def test_reuses_a_marched_h_field(self, prob, marched):
-        spec = default_spec(prob, h=1 / 50)
+    def test_reuses_a_marched_h_field(self, prob, spec, marched):
+        spec = spec or default_spec(prob, h=1 / 50)
         expected = richardson_value(prob, spec)
         for store in ("levels", "final"):
-            origin_h = solve_gheat(prob, spec, store=store).origin_value
+            v_h = solve_gheat(prob, spec, store=store).origin_value()
             del marched[:]
-            got = richardson_value(prob, spec, origin_h)
+            got = richardson_value(prob, spec, v_h)
             assert [v.hex() for v in got] == [v.hex() for v in expected]
             assert spec.h not in marched
 

@@ -18,11 +18,11 @@ from cltlab import (
     piecewise_linear_payoff,
     theoretical_exponent,
 )
-from cltlab import rates
+from cltlab import rates, recursion
 from cltlab.cli import main
 from cltlab.gheat import GHeatProblem, default_spec, richardson_value
 from cltlab.rates import SCALED_TARGET, ConjectureReport, ConjectureRow
-from cltlab.recursion import lattice_window, law_window
+from cltlab.recursion import lattice_window, law_window, origin_window
 
 from oracles import (
     ROOT_2_OVER_PI,
@@ -121,6 +121,32 @@ class TestErrorCurve:
         assert [(r.method, r.window) for r in report.rows] == [
             ("march", lattice_window(pair, ABS, n)) for n in (16, 64, 256)
         ]
+
+    def test_rows_report_the_window_they_ran(self, monkeypatch):
+        # origin_value hands each pricing function the J that origin_window
+        # certified, and the row reports that window; the grid gets None
+        ran = []
+
+        def recorder(price):
+            def record(family, payoff, n, window, *rest):
+                ran.append((price.__name__, n, window))
+                return price(family, payoff, n, window, *rest)
+
+            return record
+
+        for name in ("_lattice_march", "_law_value", "_grid_march"):
+            monkeypatch.setattr(recursion, name, recorder(getattr(recursion, name)))
+        pair = builtin_family("rademacher_pair")
+        for family, method in ((RADEMACHER, "_law_value"), (pair, "_lattice_march")):
+            del ran[:]
+            report = error_curve(family, ABS, [16, 4096], ref_h=1 / 10)
+            assert ran == [(method, n, origin_window(family, ABS, n)[1].J) for n in (16, 4096)]
+            assert [r.window.J for r in report.rows] == [J for _, _, J in ran]
+        off_lattice = build_family([make_discrete([-1, 1], [0.5, 0.5]),
+                                    make_discrete([-2**0.5, 2**0.5], [0.5, 0.5])])
+        del ran[:]
+        report = error_curve(off_lattice, ABS, [4, 8, 16], ref_h=1 / 10)
+        assert ran == [("_grid_march", n, None) for n in (4, 8, 16)]
 
     def test_grid_mode_rows_have_no_window(self):
         fam = build_family([make_discrete([-1, 1], [0.5, 0.5]),
@@ -275,8 +301,6 @@ class TestConjecture:
     def test_continuous_column_is_exact_constant(self):
         report = conjecture_experiment([16, 64])
         assert report.target == TWO_OVER_ROOT_PI
-        for row in report.rows:
-            assert row.scaled_continuous == TWO_OVER_ROOT_PI
 
     def test_scaled_discrete_at_four(self):
         # depth 4 makes the family Rademacher in law: value 0.75, scale 4**0.25
@@ -310,7 +334,7 @@ class TestConjecture:
         def report(*gaps):
             ns = [4**i for i in range(1, len(gaps) + 1)]
             rows = [
-                ConjectureRow(n, SCALED_TARGET, SCALED_TARGET - g, "law", None)
+                ConjectureRow(n, SCALED_TARGET - g, "law", None)
                 for n, g in zip(ns, gaps)
             ]
             return ConjectureReport(tuple(rows), SCALED_TARGET)

@@ -54,7 +54,7 @@ ABS = abs_payoff()
 def streaming_march(family, payoff, n):
     # the windowed march; origin_value takes it for families of two or more
     # members and prices one-member families by the law of the walk
-    return _lattice_march(family, payoff, n, WINDOW_TOL)
+    return _lattice_march(family, payoff, n, lattice_window(family, payoff, n).J)
 
 
 class TestKnownValues:
@@ -310,7 +310,7 @@ WINDOW_PAYOFFS = {
 
 
 def whole_cone(family, payoff, n):
-    return _lattice_march(family, payoff, n, tol=0.0)
+    return _lattice_march(family, payoff, n, lattice_window(family, payoff, n).cone)
 
 
 @pytest.mark.parametrize("pname", WINDOW_PAYOFFS)
@@ -337,7 +337,7 @@ class TestWindow:
         oracle = sup_recursion_value(
             family.members, payoff, n, family.lattice_step, window=window.J
         )
-        windowed = _lattice_march(family, payoff, n, tol=tol)
+        windowed = _lattice_march(family, payoff, n, window.J)
         assert windowed == pytest.approx(oracle, abs=FLOAT_ROUNDING)
         assert abs(windowed - whole_cone(family, payoff, n)) > FLOAT_ROUNDING
 
@@ -354,8 +354,7 @@ class TestWindow:
         m = window.cone // n
         var = n * max(moment(d, 2) for d in family.members) / family.lattice_step**2
         assert math.sqrt(2 * c * var) <= window.J <= math.sqrt(2 * c * var) + c * m + 1
-        err = abs(_lattice_march(family, payoff, n, tol=tol)
-                  - whole_cone(family, payoff, n))
+        err = abs(_lattice_march(family, payoff, n, window.J) - whole_cone(family, payoff, n))
         assert 0.0 < err <= window.bound
 
 
@@ -411,14 +410,13 @@ class TestLawPath:
         tol = 1e-4 * family.sigma_bar**payoff.beta
         window = law_window(family, payoff, n, tol)
         assert window.J < law_window(family, payoff, n).J
-        err = abs(_law_value(family, payoff, n, tol) - _law_value(family, payoff, n, 0.0))
+        err = abs(_law_value(family, payoff, n, window.J) - _law_value(family, payoff, n, window.cone))
         assert 1e-13 < err <= window.bound <= tol
 
 
 class TestLawWindow:
     def test_whole_cone_below_the_window(self):
         assert law_window(RADEMACHER, ABS, 64) == Window(J=64, cone=64, bound=0.0)
-        assert law_window(RADEMACHER, ABS, 64, tol=0.0) == Window(J=64, cone=64, bound=0.0)
 
     def test_point_mass_has_an_empty_window(self):
         fam = build_family([make_discrete([0.0], [1.0])])
@@ -433,6 +431,13 @@ class TestLawWindow:
         # blocks; the accumulations hold 5 and then 13 steps
         assert _powering_nodes(13) == [(1, 13), (2, 6), (4, 3), (8, 1), (5, 1), (13, 1)]
         assert _powering_nodes(8) == [(1, 8), (2, 4), (4, 2), (8, 1)]
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-16, math.nan])
+    @pytest.mark.parametrize("window", [lattice_window, law_window])
+    def test_a_tolerance_above_zero_is_required(self, window, tol):
+        # the whole cone is a march's or a law's J, not a tolerance
+        with pytest.raises(ValueError, match="need tol > 0, got "):
+            window(RADEMACHER, ABS, 64, tol)
 
     def test_origin_window_names_the_method(self):
         pair = builtin_family("rademacher_pair")

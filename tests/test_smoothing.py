@@ -324,10 +324,10 @@ class TestVerify:
         # shorter and taller than a chunk
         monkeypatch.setattr(smoothing, "CHUNK_ROWS", chunk_rows)
         eps_list = [0.3, 0.2, 0.19, 0.15]
-        surf = surface_from_function(  # Lipschitz in x, Holder-1/2 in t
+        surf = dataclasses.replace(surface_from_function(  # Lipschitz in x, Holder-1/2 in t
             lambda t, x: 0.5 * np.abs(x) + 0.5 * np.sqrt(1.0 - t) * np.cos(x),
-            x_half_width=1.0, dt=0.15**2 / 16.0, dx=0.15 / 16.0, beta=1.0, slack=slack,
-        )
+            x_half_width=1.0, dt=0.15**2 / 16.0, dx=0.15 / 16.0, beta=1.0,
+        ), slack=slack)
         report = verify_smoothing_bounds(surf, eps_list)
         expected = []
         for eps, got in zip(eps_list, report.rows):
@@ -349,10 +349,9 @@ class TestVerify:
         # stated envelopes, and the one row's time moduli are exactly 0
         monkeypatch.setattr(smoothing, "CHUNK_ROWS", chunk_rows)
         pay = abs_pow_payoff(0.5)
-        one = surface_from_function(
-            lambda t, x: pay(x), x_half_width=1.5, dt=0.2**2 / 16.0, dx=0.2 / 16.0,
-            beta=0.5, slack=0.01,
-        )
+        one = dataclasses.replace(surface_from_function(
+            lambda t, x: pay(x), x_half_width=1.5, dt=0.2**2 / 16.0, dx=0.2 / 16.0, beta=0.5,
+        ), slack=0.01)
         full = SampledSurface(
             one.times, one.xs, np.repeat(one.values, one.times.size, axis=0), beta=0.5, slack=0.01
         )
@@ -450,10 +449,10 @@ class TestVerify:
         # from mollify's gathered array
         monkeypatch.setattr(smoothing, "CHUNK_ROWS", 7)
         eps = 0.3
-        surf = surface_from_function(
+        surf = dataclasses.replace(surface_from_function(
             lambda t, x: np.abs(x) + 0.0 * t,
-            x_half_width=0.5, dt=eps**2 / 16.0, dx=eps / 16.0, beta=1.0, slack=100.0,
-        )
+            x_half_width=0.5, dt=eps**2 / 16.0, dx=eps / 16.0, beta=1.0,
+        ), slack=100.0)
         rows = surf.times.size - math.ceil(eps**2 / surf.dt - 1e-9)
         edges = sorted({r for lo in range(0, rows, 7) for r in (lo, min(lo + 7, rows) - 1)})
         assert rows % 7 != 0 and len(edges) > 40
@@ -934,10 +933,10 @@ def test_hypothesis_temporal_excess_is_the_field_pass_less_the_slack(case):
 def test_surface_settings_the_cli_refuses_are_refused(setting):
     # a negative slack fails a time-constant surface's own temporal audit
     # (excess -slack), and a NaN slack fails every sup check without an error
-    settings = {"beta": 1.0, "slack": 0.0, **setting}
+    surface = surface_from_function(lambda t, x: np.abs(x), x_half_width=1.0, dt=0.01, dx=0.05,
+                                    beta=1.0)
     with pytest.raises(ValueError, match=r"^need beta in \(0, 1\] and a finite slack >= 0, got "):
-        surface_from_function(lambda t, x: np.abs(x), x_half_width=1.0, dt=0.01, dx=0.05,
-                              **settings)
+        dataclasses.replace(surface, **setting)
 
 
 @pytest.mark.parametrize(
