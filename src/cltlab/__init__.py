@@ -7,7 +7,7 @@ mollification and Holder regularity audits, and convergence-rate experiments
 comparing the two sides.
 """
 
-from .errors import GridTooSmallError, LabError
+from .errors import LabError
 from .families import (
     BadNError,
     DiscreteDist,
@@ -26,7 +26,7 @@ from .families import (
     moment,
     rademacher,
 )
-from .fields import GridSpec, OutOfHullError, ValueField
+from .fields import GridSpec, GridTooSmallError, OutOfHullError, ValueField
 from .gheat import (
     CFLViolatedError,
     DegenerateGridError,

@@ -28,14 +28,13 @@ from pathlib import Path
 
 from .errors import LabError
 from .families import Family, builtin_family, family_from_config, family_to_config
-from .fields import GridSpec
+from .fields import FLOAT_ROUNDING, GridSpec
 from .gheat import GHeatProblem, default_spec, richardson_value, solve_gheat
 from .output import OutputDir, svg_loglog, write_csv, write_json
 from .payoffs import payoff_from_config
 from .rates import analytic_reference, conjecture_experiment, error_curve
 from .recursion import solve_recursion
 from .smoothing import (
-    FP_SLACK,
     regularity_audit,
     surface_from_field,
     surface_from_function,
@@ -113,12 +112,22 @@ def _as_declared(value, tp):
     return float(value) if isinstance(value, int) and float in args else value
 
 
+def _check_numbers(what: str, params: dict) -> None:
+    """Refuse a JSON parameter that is not a number or a list of numbers (a boolean is not)."""
+    for key, value in params.items():
+        if not _conforms(value, float | list[float]):
+            raise ConfigInvalidError(f"bad {what}: {key} must be a number or numbers, got {value!r}")
+
+
 def _resolve_family(spec) -> Family:
     if isinstance(spec, dict):
         try:
-            return family_from_config(spec)
+            family = family_from_config(spec)
         except (LabError, ValueError) as exc:
             raise ConfigInvalidError(f"bad family: {exc}") from exc
+        for member in spec["members"]:
+            _check_numbers("family", member)
+        return family
     if not isinstance(spec, str):  # a family file may hold any JSON value
         raise ConfigInvalidError(f"family must be an object or a builtin name, got {spec!r}")
     try:
@@ -129,9 +138,11 @@ def _resolve_family(spec) -> Family:
 
 def _resolve_payoff(cfg):
     try:
-        return payoff_from_config(cfg)
+        payoff = payoff_from_config(cfg)
     except (ValueError, TypeError) as exc:
         raise ConfigInvalidError(f"bad phi: {exc}") from exc
+    _check_numbers("phi", {key: value for key, value in cfg.items() if key != "phi"})
+    return payoff
 
 
 def _check_reads(cfg: RunConfig, label: str, required, optional) -> None:
@@ -209,7 +220,7 @@ def _parse_phi_arg(text: str, beta):
 def _run_value(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
     """Continuous value at the origin with its error bar."""
     prob = GHeatProblem(cfg.sigma_under, cfg.sigma_bar, payoff)
-    spec = default_spec(prob, h=1.0 / 400.0 if cfg.h is None else cfg.h)
+    spec = default_spec(prob, cfg.h)
     field = solve_gheat(prob, spec) if cfg.emit_field else None
     value, err = richardson_value(prob, spec, None if field is None else field.origin_value())
     print(f"value {value!r} error_estimate {err!r}")
@@ -338,7 +349,7 @@ def _run_regularity(cfg: RunConfig, out: OutputDir, family, payoff) -> int:
         out.path("regularity.csv"),
         ("check", "excess", "slack", "pass"),
         [
-            (check, excess, cfg.slack, excess <= cfg.slack + FP_SLACK)
+            (check, excess, cfg.slack, excess <= cfg.slack + FLOAT_ROUNDING)
             for check, excess in (
                 ("spatial", report.spatial_excess),
                 ("temporal", report.temporal_excess),

@@ -13,7 +13,3 @@ class LabError(Exception):
     def code(self) -> str:
         name = type(self).__name__
         return name[:-5] if name.endswith("Error") else name
-
-
-class GridTooSmallError(LabError, ValueError):
-    """Spatial domain too small for the requested computation."""

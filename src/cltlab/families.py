@@ -56,7 +56,7 @@ def make_discrete(support, probs) -> DiscreteDist:
     """Validate and build a :class:`DiscreteDist`.
 
     Requires equal lengths >= 1, nonnegative weights summing to one within
-    ``1e-12``, finite pairwise-distinct support, and mean zero within
+    ``1e-12``, pairwise-distinct support with finite cubes, and mean zero within
     ``1e-12``. The atoms are sorted by support point so that downstream
     summation order is fixed.
     """
@@ -64,8 +64,8 @@ def make_discrete(support, probs) -> DiscreteDist:
     probs = [float(p) for p in probs]
     if len(support) != len(probs) or not support:
         raise ValueError("support and probs must have equal length >= 1")
-    if any(not math.isfinite(x) for x in support):
-        raise ValueError("support points must be finite")
+    if not all(math.isfinite(x * x * x) for x in support):  # where x ** 3 raises
+        raise ValueError("support points and their cubes must be finite")
     if any(p < 0 or not math.isfinite(p) for p in probs):
         raise ValueError("probabilities must be finite and nonnegative")
     order = sorted(range(len(support)), key=lambda i: support[i])

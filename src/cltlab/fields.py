@@ -12,7 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooSmallError, LabError
+from .errors import LabError
+
+FLOAT_ROUNDING = 1e-12  # rounding envelope of exact values and inequalities at desk-scale n
+
+
+class GridTooSmallError(LabError, ValueError):
+    """Spatial domain too small for the requested computation."""
 
 
 class OutOfHullError(LabError, ValueError):
@@ -29,6 +35,8 @@ class GridSpec:
     def __post_init__(self):
         if not (0 < self.step < np.inf and 0 < self.half_width < np.inf):
             raise ValueError("step and half_width must be positive and finite")
+        if round(self.half_width / self.step) < 1:
+            raise GridTooSmallError("grid needs at least 3 points")
 
     def points(self) -> np.ndarray:
         half = round(self.half_width / self.step)

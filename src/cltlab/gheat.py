@@ -118,6 +118,8 @@ class SchemeSpec:
             raise SchemeInvalidError("h, tau and half_width must be positive and finite")
         if 1.0 / self.tau == math.inf:  # a subnormal tau: no step count
             raise SchemeInvalidError(f"tau = {self.tau!r} is too small to count its steps")
+        if round(self.half_width / self.h) < 2:  # GridSpec.points: 2 * half - 1 interior points
+            raise DegenerateGridError("need at least 3 interior points")
 
     def cfl_ratio(self, sigma_bar: float) -> float:
         return self.tau * sigma_bar**2 / self.h**2
@@ -131,22 +133,12 @@ class SchemeSpec:
         return math.ceil(1.0 / self.tau - 1e-9)
 
 
-def default_spec(prob: GHeatProblem, h: float = 1.0 / 400.0) -> SchemeSpec:
-    """Default resolution: CFL ratio 1 and half width ``8 * sigma_bar``."""
+def default_spec(prob: GHeatProblem, h: float | None = None) -> SchemeSpec:
+    """Resolution at step ``h`` (default 1/400), CFL ratio 1 and half width ``8 * sigma_bar``."""
+    h = 1.0 / 400.0 if h is None else h
     sb = prob.sigma_bar
     tau = h * h / sb**2 if sb > 0 else 0.5
     return SchemeSpec(h=h, tau=tau, half_width=max(8.0 * sb, 1.0))
-
-
-def _check_grid(prob: GHeatProblem, spec: SchemeSpec) -> None:
-    """Refuses a grid narrower than ``8 * sigma_bar``, with fewer than three
-    interior points, or past the CFL bound; it builds no array."""
-    check_half_width(spec.half_width, prob.sigma_bar)
-    if round(spec.half_width / spec.h) < 2:  # GridSpec.points: 2 * half - 1 interior points
-        raise DegenerateGridError("need at least 3 interior points")
-    lam = spec.cfl_ratio(prob.sigma_bar)
-    if lam > 1.0 + CFL_TOL:
-        raise CFLViolatedError(f"tau*sigma_bar^2/h^2 = {lam} exceeds 1")
 
 
 def solve_gheat(
@@ -167,7 +159,10 @@ def solve_gheat(
     """
     if store not in ("levels", "final"):
         raise ValueError(f"unknown store mode {store!r}")
-    _check_grid(prob, spec)
+    check_half_width(spec.half_width, prob.sigma_bar)
+    lam = spec.cfl_ratio(prob.sigma_bar)
+    if lam > 1.0 + CFL_TOL:
+        raise CFLViolatedError(f"tau*sigma_bar^2/h^2 = {lam} exceeds 1")
     x = GridSpec(spec.h, spec.half_width).points()
     terminal = np.asarray(prob.payoff(x), dtype=float)
     steps = spec.steps()
@@ -293,19 +288,19 @@ def richardson_value(
     ratio between levels) or when the ``4h`` grid is degenerate. The march
     at ``h/2`` costs about 8x the ``h`` march when ``sigma_under <
     sigma_bar``; with equal bounds every level is a closed form, and it
-    costs about as little as the others.
+    costs about as little as the others. With ``sigma_bar > 0`` it refuses
+    an ``h/2`` level of one time step, whose gap bounds no error.
 
     A caller that has already marched a field at ``spec`` (with either
     ``store`` mode) passes its origin value as ``v_h``. The ``h`` march is
     then skipped and the result is unchanged.
     """
-    coarse = ()
-    n = spec.steps()
-    if all(spec.scaled(f).steps() * f * f == n for f in (2.0, 4.0)):
-        try:
-            coarse = scheme_origin(prob, spec.scaled(4.0)), scheme_origin(prob, spec.scaled(2.0))
-        except DegenerateGridError:  # fewer than three interior points at 4h
-            pass
+    try:
+        wide = spec.scaled(4.0), spec.scaled(2.0)
+    except DegenerateGridError:  # fewer than three interior points at 4h
+        wide = ()
+    nested = all(s.steps() * f * f == spec.steps() for s, f in zip(wide, (4.0, 2.0)))
+    coarse = [scheme_origin(prob, s) for s in wide] if nested else ()
     v1 = scheme_origin(prob, spec) if v_h is None else v_h
     if coarse:
         v4, v2 = coarse
@@ -314,7 +309,10 @@ def richardson_value(
             return v1, 0.0
         if g2 != 0.0 and g1 / g2 > 0.0 and abs(math.log2(g1 / g2) - 2.0) <= ORDER_TOL:
             return v1 + (v1 - v2) / 3.0, abs(g2) / 3.0
-    fine = scheme_origin(prob, spec.scaled(0.5))
+    half = spec.scaled(0.5)
+    if half.steps() == 1 and prob.sigma_bar > 0.0:
+        raise SchemeInvalidError(f"h/2 = {half.h!r} is one time step: its gap bounds no error")
+    fine = scheme_origin(prob, half)
     return fine, abs(fine - v1)
 
 

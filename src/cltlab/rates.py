@@ -32,14 +32,7 @@ from dataclasses import dataclass
 
 from .errors import LabError
 from .families import Family, check_cubic_condition, conjecture_family
-from .gheat import (
-    GHeatProblem,
-    SchemeSpec,
-    _check_grid,
-    convex_oracle,
-    default_spec,
-    richardson_value,
-)
+from .gheat import GHeatProblem, SchemeSpec, convex_oracle, default_spec, richardson_value
 from .payoffs import Payoff, abs_payoff
 from .recursion import Window, origin_value, origin_window
 
@@ -184,18 +177,16 @@ def error_curve(
     first, and the scheme reference is then the coarsest set that
     :func:`_scheme_reference` finds whose bar is at most a tenth of the
     smallest error over ``ERR_FLOOR``, or else the set on :func:`default_spec`
-    at step ``ref_h`` if given, the finest set it uses. A grid that
-    step would refuse is refused before any row. The report's ``reference``
+    at step ``ref_h`` (default 1/400), the finest set it uses. A degenerate
+    grid at that step is refused before any row. The report's ``reference``
     says which (``"analytic"`` or ``"scheme"``), and ``reference_h`` the step
     of the scheme set. A bar above that tenth flags the report
     ``reference_limited``, which a fitted verdict reports.
     """
     ns = _depths(ns)
     prob = GHeatProblem(family.sigma_under, family.sigma_bar, payoff)
-    spec = default_spec(prob) if ref_h is None else default_spec(prob, h=ref_h)
+    spec = default_spec(prob, ref_h)  # refuses a degenerate step before any row
     reference = "analytic" if analytic_reference(family, payoff) else "scheme"
-    if reference == "scheme":
-        _check_grid(prob, spec)
     priced = [(n, origin_value(family, payoff, n), *origin_window(family, payoff, n))
               for n in ns]
     vns = [vn for _, vn, _, _ in priced]

@@ -50,12 +50,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooSmallError, LabError
+from .errors import LabError
 from .families import DiscreteDist, Family, moment
 from .fields import GridSpec, ValueField, check_half_width
 from .payoffs import Payoff
 
-FLOAT_ROUNDING = 1e-12  # documented rounding envelope for desk-scale n
 WINDOW_TOL = 1e-16  # certified bound on what the lattice window moves the origin
 
 
@@ -194,7 +193,6 @@ def _law_value(family: Family, payoff: Payoff, n: int, J: int) -> float:
     law lives on ``steps * min(offsets) + g Z``, ``g`` the gcd of the offset
     gaps, and is stored on that sublattice.
     """
-    n = _depth(n)
     (offs,), probs = family.offsets, family.members[0].probs
     h = family.lattice_step / math.sqrt(n)
     low = offs[0]  # ascending support
@@ -276,7 +274,6 @@ def _lattice_march(family: Family, payoff: Payoff, n: int, J: int, keep=None) ->
     the whole cone) receives ``(k, points, values)`` for every level, each a
     fresh array of its cone.
     """
-    n = _depth(n)
     reach = _reach(family)
     h = family.lattice_step / math.sqrt(n)
     size, width = J + reach, 2 * J + 1  # buffers hold j in [-size, size] at index j + size
@@ -315,12 +312,9 @@ def _grid_march(family: Family, payoff: Payoff, n: int, grid, keep=None) -> floa
 
     ``keep`` receives ``(k, points, values)`` for every level, each a fresh array.
     """
-    n = _depth(n)
     grid = grid or default_grid(family, n)
     check_half_width(grid.half_width, family.sigma_bar)
     x = grid.points()
-    if x.size < 3:
-        raise GridTooSmallError("grid needs at least 3 points")
     cur = np.asarray(payoff(x), dtype=float)
     for k in range(n, -1, -1):
         if k < n:  # pairwise max over members, in member order
@@ -366,6 +360,7 @@ def origin_window(family: Family, payoff: Payoff, n: int) -> tuple[str, Window |
     ``("law", law_window)`` for one member on a lattice, ``("march",
     lattice_window)`` for more, and ``("grid", None)`` without a lattice step.
     """
+    n = _depth(n)
     if family.lattice_step is None:
         return "grid", None
     if len(family.members) == 1:
@@ -383,6 +378,7 @@ def origin_value(family: Family, payoff: Payoff, n: int) -> float:
     marches :func:`default_grid`. A field of :func:`solve_recursion` gives the
     value in a chosen mode or on a chosen grid.
     """
+    n = _depth(n)
     method, window = origin_window(family, payoff, n)
     if method == "grid":
         return _grid_march(family, payoff, n, None)

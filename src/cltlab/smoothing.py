@@ -53,10 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LabError
-from .fields import ValueField
-from .recursion import FLOAT_ROUNDING
+from .fields import FLOAT_ROUNDING, ValueField
 
-FP_SLACK = FLOAT_ROUNDING  # rounding envelope granted on exact inequalities
 HYPOTHESIS_LINES = 160  # strided times and points per axis in the hypothesis audit
 HYPOTHESIS_TOL = 1e-9  # excess the hypothesis audit forgives
 TIME_LOOKUP_TOL = 1e-12  # a row reads a level stored this far after its time
@@ -583,7 +581,7 @@ def _smoothing_row(surface: SampledSurface, eps: float) -> SmoothingRow:
         modulus_lines=(lines.size, cols.size),
         sup_gap=sup_gap,
         sup_bound=sup_bound,
-        sup_ok=sup_gap <= sup_bound * (1.0 + 1e-9) + FP_SLACK,
+        sup_ok=sup_gap <= sup_bound * (1.0 + 1e-9) + FLOAT_ROUNDING,
         scaled_derivatives=eps**4 * float(np.max(derivs)) / (eps**beta + a),
         scaled_temporal_modulus=eps**2 * _derivative_modulus(times[lines], f1, f2, beta / 2.0, a),
         scaled_spatial_modulus=eps**2 * _derivative_modulus(xs[cols], f1.T, f2.T, beta, 0.0),
@@ -735,7 +733,7 @@ def regularity_audit(
     return RegularityReport(
         spatial_excess=spatial,
         temporal_excess=temporal,
-        passed=worst <= slack + FP_SLACK,
+        passed=worst <= slack + FLOAT_ROUNDING,
         spatial_levels_checked=len(field.xs),
         temporal_levels_checked=int(levels.size),
         temporal_pairs_checked=pairs,

@@ -1,6 +1,8 @@
 """The package exports, and the fields it declares, are used outside the tests."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,3 +65,35 @@ def test_every_dataclass_field_is_read_outside_the_tests():
     assert sorted(unread - TRACER_ONLY) == []
     tracer = loaded_names(ROOT / "perfbench" / "tracing.py", attributes_only=True)
     assert TRACER_ONLY <= declared and {f.split(".")[1] for f in TRACER_ONLY} <= tracer
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a module reaches another only through its public names
+    private = [
+        f"{path.name}: {alias.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("cltlab"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
+def test_the_audit_layer_loads_no_solver():
+    # a bare package stands in for cltlab/__init__.py, which imports every
+    # module; smoothing itself must load neither the recursion nor the scheme
+    code = (
+        "import sys, types\n"
+        "package = types.ModuleType('cltlab')\n"
+        "package.__path__ = [sys.argv[1]]\n"
+        "sys.modules['cltlab'] = package\n"
+        "import cltlab.smoothing\n"
+        "print(*sorted(name for name in sys.modules if name.startswith('cltlab.')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(PACKAGE)],
+                         capture_output=True, text=True, check=True).stdout
+    loaded = out.split()
+    assert "cltlab.smoothing" in loaded
+    assert {"cltlab.recursion", "cltlab.gheat"}.isdisjoint(loaded)

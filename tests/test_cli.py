@@ -481,6 +481,9 @@ class TestMollifyCheck:
         pytest.param(["regularity", "--source", "pde", "--phi", "abs", "--sigma-under", 0,
                       "--sigma-bar", 1e-200, "--h", 0.01], "SchemeInvalid",
                      id="regularity-sigma-bar-tiny"),
+        # tau = 2500 at h: h/2 is one time step, whose gap bounds no error
+        pytest.param(["value", "--sigma-under", 0, "--sigma-bar", 0.01, "--phi", "abs",
+                      "--h", 0.5], "SchemeInvalid", id="value-one-step-half-level"),
     ],
 )
 def test_refused_run_leaves_no_artifact(tmp_path, capsys, args, code):
@@ -672,6 +675,25 @@ DP = ["regularity", "--family", "rademacher_pair", "--phi", "abs", "--n", 32, "-
                      id="family_file_array"),
         pytest.param([*RECURSE, "--n", "abc"], "argument --n: invalid int value: 'abc'",
                      id="recurse_n_text"),
+        # a support whose square (1e200) or cube (1e110) overflows has no moments
+        pytest.param(["recurse", "--family", '{"members": [{"support": [-1e200, 1e200], '
+                      '"probs": [0.5, 0.5]}]}', "--phi", "abs", "--n", 2],
+                     "bad family: support points and their cubes must be finite",
+                     id="family_support_square_overflows"),
+        pytest.param(["recurse", "--family", '{"members": [{"support": [-1e110, 1e110], '
+                      '"probs": [0.5, 0.5]}]}', "--phi", "abs", "--n", 2],
+                     "bad family: support points and their cubes must be finite",
+                     id="family_support_cube_overflows"),
+        # a JSON number is no boolean and no string, as for the config's own keys
+        pytest.param([*VALUE[:-1], '{"phi": "abs_pow", "beta": true}'],
+                     "bad phi: beta must be a number or numbers, got True", id="phi_beta_bool"),
+        pytest.param([*VALUE[:-1], '{"phi": "abs_pow", "beta": "0.5"}'],
+                     "bad phi: beta must be a number or numbers, got '0.5'",
+                     id="phi_beta_string"),
+        pytest.param([*RECURSE[:2], '{"members": [{"support": ["-1", true], '
+                      '"probs": [0.5, 0.5]}]}', "--phi", "abs", "--n", 2],
+                     "bad family: support must be a number or numbers, got ['-1', True]",
+                     id="family_support_string_and_bool"),
     ],
 )
 def test_out_of_range_setting_exits_one_naming_it(tmp_path, monkeypatch, capsys, args, message):

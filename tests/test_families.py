@@ -55,6 +55,17 @@ class TestMakeDiscrete:
         assert d.support == (-1.0, 2.0)
         assert d.probs == (2 / 3, 1 / 3)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e110])  # the square, then only the cube overflows
+    def test_support_whose_moments_overflow_is_refused(self, scale):
+        with pytest.raises(ValueError, match="^support points and their cubes must be finite$"):
+            make_discrete([-scale, scale], [0.5, 0.5])
+
+    def test_every_moment_a_command_reads_is_finite(self):
+        family = build_family([make_discrete([-1e102, 1e102], [0.5, 0.5])])
+        assert family.sigma_bar == pytest.approx(1e102, rel=1e-15)
+        assert all(math.isfinite(moment(family.members[0], k)) for k in (1, 2, 3))
+        assert check_cubic_condition(family)
+
 
 class TestMoment:
     def test_rademacher_second(self):

@@ -12,6 +12,7 @@ from cltlab import (
     GridTooSmallError,
     NotConvexError,
     Payoff,
+    SchemeInvalidError,
     SchemeSpec,
     abs_payoff,
     abs_pow_payoff,
@@ -125,9 +126,10 @@ class TestSolver:
             solve_gheat(prob, SchemeSpec(h=0.1, tau=0.01, half_width=2.0))
 
     def test_degenerate_grid(self):
-        prob = GHeatProblem(0.1, 0.1, ABS)
-        with pytest.raises(DegenerateGridError):
-            solve_gheat(prob, SchemeSpec(h=1.0, tau=0.5, half_width=1.0))
+        # round(half_width / h) = 1 leaves one interior point: refused when
+        # built, so no solver or reference sees it
+        with pytest.raises(DegenerateGridError, match="^need at least 3 interior points$"):
+            SchemeSpec(h=1.0, tau=0.5, half_width=1.0)
 
     def test_comparison_principle(self):
         rng = np.random.default_rng(5)
@@ -269,6 +271,33 @@ class TestRichardson:
         spec = default_spec(prob, h=0.05)
         assert richardson_value(prob, spec) == (0.25, 0.0)
         assert sorted(marched) == [spec.h, 2 * spec.h, 4 * spec.h]
+
+    # at CFL ratio 1 and h >= 2 sigma_bar the h/2 level is one time step; such
+    # sets missed the exact error by 2 to 38 bars, and (0.1, 0.25) held by luck
+    @pytest.mark.parametrize(
+        "sigma_bar, h", [(0.01, 0.1), (0.01, 0.25), (0.01, 0.5), (0.1, 0.25), (0.1, 0.5)]
+    )
+    def test_a_one_step_half_level_is_refused(self, sigma_bar, h, marched):
+        prob = GHeatProblem(0.0, sigma_bar, ABS)
+        spec = default_spec(prob, h)
+        assert spec.scaled(0.5).steps() == 1
+        with pytest.raises(SchemeInvalidError, match=r"^h/2 = .* is one time step"):
+            richardson_value(prob, spec)
+        assert spec.h / 2 not in marched
+
+    @pytest.mark.parametrize("sigma_bar, h", [(0.1, 0.1), (0.5, 0.5)])
+    def test_a_four_step_half_level_bounds_the_error(self, sigma_bar, h):
+        prob = GHeatProblem(0.0, sigma_bar, ABS)
+        spec = default_spec(prob, h)
+        assert spec.scaled(0.5).steps() == 4
+        value, bar = richardson_value(prob, spec)
+        assert abs(value - sigma_bar * ROOT_2_OVER_PI) <= bar
+
+    def test_one_step_levels_are_exact_without_diffusion(self):
+        prob = GHeatProblem(0.0, 0.0, ABS)
+        spec = SchemeSpec(h=0.25, tau=4.0, half_width=1.0)
+        assert spec.scaled(0.5).steps() == 1
+        assert richardson_value(prob, spec) == (0.0, 0.0)
 
     @pytest.mark.parametrize(
         "prob, spec",

@@ -24,8 +24,8 @@ from cltlab import (
     rademacher,
     surface_from_field,
 )
+from cltlab.fields import FLOAT_ROUNDING
 from cltlab.recursion import (
-    FLOAT_ROUNDING,
     WINDOW_TOL,
     Window,
     _lattice_march,
@@ -446,6 +446,21 @@ class TestLawWindow:
         assert origin_window(pair, ABS, 4096) == ("march", lattice_window(pair, ABS, 4096))
         assert origin_window(off_lattice, ABS, 16) == ("grid", None)
 
+    @pytest.mark.parametrize("n", [0, 2.5])
+    def test_every_method_refuses_a_depth_that_is_no_count(self, n):
+        off_lattice = build_family([rademacher(), rademacher(math.sqrt(2))])
+        for family in (RADEMACHER, builtin_family("rademacher_pair"), off_lattice):
+            with pytest.raises(ValueError, match="^need integer n >= 1, got "):
+                origin_window(family, ABS, n)
+            with pytest.raises(ValueError, match="^need integer n >= 1, got "):
+                origin_value(family, ABS, n)
+
+    @pytest.mark.parametrize("n", [np.int64(16), 16.0])
+    def test_an_integral_depth_of_any_type_prices_as_its_int(self, n):
+        off_lattice = build_family([rademacher(), rademacher(math.sqrt(2))])
+        for family in (RADEMACHER, builtin_family("rademacher_pair"), off_lattice):
+            assert origin_value(family, ABS, n) == origin_value(family, ABS, 16)
+
 
 class TestGridMode:
     def test_constant_payoff_both_modes(self):
@@ -468,6 +483,11 @@ class TestGridMode:
             solve_recursion(
                 RADEMACHER, ABS, 4, mode="grid", grid=GridSpec(step=0.1, half_width=2.0)
             )
+
+    def test_grid_of_one_point_is_refused_when_built(self):
+        # round(8 / 20) = 0 leaves the origin alone
+        with pytest.raises(GridTooSmallError, match="^grid needs at least 3 points$"):
+            GridSpec(step=20, half_width=8)
 
     def test_auto_mode_without_lattice(self):
         fam = build_family([rademacher(), rademacher(math.sqrt(2))])

@@ -34,11 +34,11 @@ from cltlab import (
     verify_smoothing_bounds,
 )
 from cltlab import smoothing
+from cltlab.fields import FLOAT_ROUNDING
 from cltlab.recursion import solve_recursion
 from cltlab.smoothing import (
     CHUNK_ROWS,
     DERIV_BLOCK,
-    FP_SLACK,
     HYPOTHESIS_LINES,
     LEVEL_BATCH,
     PAIR_BLOCK,
@@ -334,7 +334,7 @@ class TestVerify:
             assert surf.times.size - got.kernel_points[0] + 1 > CHUNK_ROWS
             u = mollify(surf, MollifierSpec(eps)).values
             row = smoothing_row(surf, eps, u, VERIFY_LINES)
-            ok = row["sup_gap"] <= row["sup_bound"] * (1.0 + 1e-9) + FP_SLACK
+            ok = row["sup_gap"] <= row["sup_bound"] * (1.0 + 1e-9) + FLOAT_ROUNDING
             expected.append(SmoothingRow(**row, sup_ok=ok))
         assert report.rows == tuple(expected)
         assert all(r.scaled_temporal_modulus > 0.0 < r.scaled_spatial_modulus for r in report.rows)
@@ -364,7 +364,7 @@ class TestVerify:
             assert g.kernel_points == w.kernel_points
             assert g.modulus_lines == (1, w.modulus_lines[1])
             assert w.modulus_lines[0] == VERIFY_LINES
-            assert abs(g.sup_gap - w.sup_gap) <= FP_SLACK
+            assert abs(g.sup_gap - w.sup_gap) <= FLOAT_ROUNDING
             assert g.scaled_derivatives == pytest.approx(w.scaled_derivatives, rel=1e-8, abs=0)
             assert g.scaled_spatial_modulus == pytest.approx(
                 w.scaled_spatial_modulus, rel=1e-10, abs=0
@@ -375,7 +375,7 @@ class TestVerify:
             assert copy.values.shape[0] == rows and rows % chunk_rows != 0
             assert mine.values.shape == (1, copy.xs.size)
             assert np.array_equal(mine.times, copy.times) and np.array_equal(mine.xs, copy.xs)
-            assert np.max(np.abs(copy.values - mine.values)) <= FP_SLACK
+            assert np.max(np.abs(copy.values - mine.values)) <= FLOAT_ROUNDING
             # the one-row report is the whole-array oracle's on that row at
             # every time, bit for bit
             u = np.repeat(mine.values, rows, axis=0)
@@ -463,7 +463,7 @@ class TestVerify:
             (got,) = verify_smoothing_bounds(spiked, [eps]).rows
             u = mollify(spiked, MollifierSpec(eps)).values
             row = smoothing_row(spiked, eps, u, VERIFY_LINES)
-            ok = row["sup_gap"] <= row["sup_bound"] * (1.0 + 1e-9) + FP_SLACK
+            ok = row["sup_gap"] <= row["sup_bound"] * (1.0 + 1e-9) + FLOAT_ROUNDING
             assert got == SmoothingRow(**row, sup_ok=ok), r
             assert got.sup_gap > 99.0
 
@@ -825,7 +825,7 @@ def test_regularity_audit_is_the_all_pairs_loop(case, sigma_bar):
     assert report == RegularityReport(
         spatial_excess=spatial,
         temporal_excess=temporal,
-        passed=max(spatial, temporal) <= slack + FP_SLACK,
+        passed=max(spatial, temporal) <= slack + FLOAT_ROUNDING,
         spatial_levels_checked=spatial_levels,
         temporal_levels_checked=temporal_levels,
         temporal_pairs_checked=pairs,
